@@ -17,14 +17,13 @@ from repro.data.synthetic import (
     synthesize_attributes,
 )
 from repro.data.loaders import (
-    BadRowError,
-    LoadReport,
     load_interactions_csv,
     load_interactions_csv_with_report,
     map_ratings_to_behaviors,
     RATING_BEHAVIOR_RULES,
 )
 from repro.data.ingest import (
+    BadRowError,
     IngestOptions,
     IngestReport,
     ingest_csv,
@@ -57,7 +56,6 @@ __all__ = [
     "taobao_like",
     "synthesize_attributes",
     "BadRowError",
-    "LoadReport",
     "load_interactions_csv",
     "load_interactions_csv_with_report",
     "map_ratings_to_behaviors",

@@ -1,19 +1,22 @@
 """Streaming, memory-bounded dataset ingestion from event logs.
 
-The in-memory loader (:mod:`repro.data.loaders`) materializes every row of
-the file as Python objects before building arrays — fine for test
-fixtures, hopeless for UserBehavior-scale logs. This module builds the
-same :class:`~repro.data.dataset.InteractionDataset` (and from it the
-stacked-CSR :class:`~repro.graph.MultiBehaviorGraph`) out-of-core:
+Every CSV event log reaches an :class:`~repro.data.dataset.InteractionDataset`
+(and from it the stacked-CSR :class:`~repro.graph.MultiBehaviorGraph`)
+through this module, in **one pass** over the file:
 
-* the file is read in **fixed-size chunks** (``chunk_rows`` events at a
-  time) through one shared parser that applies the same rating→behavior
-  mapping and bad-row policy as the in-memory loader;
-* **two-pass dense re-indexing**: pass 1 streams the log once to build
-  the user/item vocabularies (from rows that survive behavior filtering
-  only — no phantom ids) and exact per-behavior row counts; pass 2
-  streams it again, filling **preallocated** per-behavior arrays through
-  bounded append buffers that flush every ``chunk_rows`` events;
+* ``csv.reader`` is the only tokenizer (quoting, embedded delimiters and
+  line endings mean what they mean to it); the log is read in blocks of
+  ``chunk_rows`` records and each block is handled **column-wise** — ids
+  stripped once per distinct cell, ratings and timestamps through
+  ``map(float, …)``, the paper's rating partition as one ``np.where``;
+* a column check only *flags* a malformed row; a scalar check then names
+  the flagged rows' first defect, so the bad-row policy (``raise`` with
+  the row number, or ``skip`` and count) costs nothing on clean rows;
+* dense user/item ids are assigned online, in order of first appearance
+  among the rows that survive the bad-row policy and the behavior filter
+  (no phantom ids), and the encoded rows are appended to a **spill file**
+  until the per-behavior totals are known, then read back straight into
+  the final arrays;
 * peak *transient* memory is therefore O(chunk + vocabulary), independent
   of the number of events in the log — the benchmark
   ``benchmarks/bench_ingest.py`` measures and CI gates exactly this;
@@ -28,20 +31,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import operator
+import tempfile
 import zipfile
 from dataclasses import dataclass, field
+from itertools import compress, islice
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
 from repro.data.dataset import InteractionDataset
-from repro.data.loaders import (
-    BadRowError,
-    map_ratings_to_behaviors,
-    parse_rating,
-    parse_timestamp,
-)
 
 #: artifact format version (bumped on any byte-layout change)
 ARTIFACT_FORMAT = "repro-dataset-npz-v1"
@@ -50,14 +51,26 @@ ARTIFACT_FORMAT = "repro-dataset-npz-v1"
 #: members, which would break byte-identical re-ingest
 _EPOCH = (1980, 1, 1, 0, 0, 0)
 
+#: the behaviors of the paper's §IV-A rating partition, as indexed by
+#: :func:`rating_codes`
+RATING_BEHAVIORS = ("dislike", "neutral", "like")
+
+
+def rating_codes(ratings: np.ndarray) -> np.ndarray:
+    """Paper §IV-A: r ≤ 2 → 0 (dislike), 2 < r < 4 → 1, r ≥ 4 → 2 (like)."""
+    return np.where(ratings <= 2.0, 0, np.where(ratings >= 4.0, 2, 1))
+
+
+class BadRowError(ValueError):
+    """A row failed to parse (missing column, NaN/garbage rating, ...)."""
+
 
 @dataclass
 class IngestOptions:
-    """Parsing knobs shared by both streaming passes.
+    """Parsing knobs of :func:`ingest_csv` and :func:`iter_event_chunks`.
 
-    ``chunk_rows`` bounds every transient buffer: the parser hands rows
-    over in lists of at most this many events, and the pass-2 append
-    buffers flush into the preallocated arrays at the same bound.
+    ``chunk_rows`` bounds every transient buffer: the log is read, checked
+    and encoded in blocks of at most this many records.
     """
 
     delimiter: str = ","
@@ -82,7 +95,15 @@ class IngestOptions:
 
 @dataclass
 class IngestReport:
-    """Everything the two passes observed about the log."""
+    """What happened to the rows of one log.
+
+    ``rows_read`` counts data rows (header and blank lines excluded);
+    ``rows_dropped_bad`` the malformed ones dropped under
+    ``on_bad_rows="skip"`` (always 0 under ``"raise"``), with up to five
+    ``(row number, reason)`` samples in ``bad_row_examples``;
+    ``rows_dropped_behavior`` the rows filtered out by an explicit
+    ``behavior_names``; ``chunks`` the blocks that held a parseable row.
+    """
 
     rows_read: int = 0
     rows_kept: int = 0
@@ -109,110 +130,207 @@ class IngestReport:
         }
 
 
+@dataclass
+class EventChunk:
+    """The rows of one block that parsed, as columns.
+
+    ``users`` / ``items`` hold the stripped id cells, ``timestamps`` the
+    parsed times (0.0 where the log has none) and ``codes`` indexes
+    ``labels``, the behavior names the block may carry. Iterating yields
+    ``(user, item, behavior, timestamp)`` tuples in file order.
+    """
+
+    users: Sequence[str]
+    items: Sequence[str]
+    labels: Sequence[str]
+    codes: np.ndarray
+    timestamps: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __iter__(self) -> Iterator[tuple[str, str, str, float]]:
+        behaviors = [self.labels[code] for code in self.codes.tolist()]
+        return zip(self.users, self.items, behaviors, self.timestamps.tolist())
+
+
 def iter_event_chunks(path: str | Path, options: IngestOptions,
                       report: IngestReport | None = None,
-                      ) -> Iterator[list[tuple[str, str, str, float]]]:
-    """Stream ``(user, item, behavior, timestamp)`` tuples in bounded chunks.
+                      ) -> Iterator[EventChunk]:
+    """Stream the log's parseable rows, one :class:`EventChunk` per block.
 
-    Ratings are already mapped to behavior names; bad rows follow
-    ``options.on_bad_rows`` (counted into ``report`` when skipping). No
-    structure larger than one chunk is ever held.
+    A block is ``options.chunk_rows`` records of the file; ratings are
+    already mapped to behaviors and bad rows follow ``options.on_bad_rows``
+    (counted into ``report`` when skipping). With a header, a required
+    column it does not name is a ``ValueError`` before any row is parsed;
+    the timestamp column may be absent (every timestamp is then 0.0).
+    Row numbers count the file's records from 0, header and blank lines
+    included.
     """
-    path = Path(path)
-    rating_mode = options.rating_col is not None
-    chunk: list[tuple[str, str, str, float]] = []
-    with path.open(newline="") as handle:
+    names = (options.user_col, options.item_col,
+             options.behavior_col or options.rating_col, options.timestamp_col)
+    # utf-8-sig: a byte-order mark must not become part of the first name
+    with Path(path).open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle, delimiter=options.delimiter)
-        header: list[str] | None = None
-        column_of: dict[str, int] = {}
-        for row_num, row in enumerate(reader):
-            if not row:
-                continue
-            if row_num == 0 and options.has_header:
-                header = [c.strip() for c in row]
-                column_of = {name: idx for idx, name in enumerate(header)}
-                continue
+        next_row = 0
+        # positional: user, item, behavior-or-rating, [timestamp]
+        where = [0, 1, 2, None if options.timestamp_col is None else 3]
+        if options.has_header:
+            header: list[str] = []
+            for row in reader:
+                next_row += 1
+                if row:
+                    header = [cell.strip() for cell in row]
+                    break
+            column_of = {name: idx for idx, name in enumerate(header)}
+            for name in names[:3]:
+                if name not in column_of:
+                    raise ValueError(
+                        f"{path}: column {name!r} is not in the header {header}")
+            where = [column_of.get(name) for name in names]
+        while block := list(islice(reader, options.chunk_rows)):
+            numbers: Sequence[int] = range(next_row, next_row + len(block))
+            next_row += len(block)
+            if not all(block):  # blank lines
+                numbers = list(compress(numbers, block))
+                block = list(filter(None, block))
+                if not block:
+                    continue
             if report is not None:
-                report.rows_read += 1
-            try:
-                parsed = _parse_row(row, row_num, header, column_of,
-                                    options, rating_mode)
-            except BadRowError as exc:
-                if options.on_bad_rows == "raise":
-                    raise
-                if report is not None:
-                    report.rows_dropped_bad += 1
-                    if len(report.bad_row_examples) < 5:
-                        report.bad_row_examples.append((row_num, str(exc)))
-                continue
-            chunk.append(parsed)
-            if len(chunk) >= options.chunk_rows:
+                report.rows_read += len(block)
+            chunk = _parse_block(block, numbers, where, options, report)
+            if len(chunk):
                 if report is not None:
                     report.chunks += 1
                 yield chunk
-                chunk = []
-    if chunk:
+
+
+def _parse_block(rows: list[list[str]], numbers: Sequence[int],
+                 where: list[int | None], options: IngestOptions,
+                 report: IngestReport | None) -> EventChunk:
+    """Check and convert one block column by column; drop or raise its bad rows."""
+    count = len(rows)
+    bad = np.zeros(count, dtype=bool)
+    cells = []
+    for idx in where[:3]:
+        column, any_empty = _stripped(_column(rows, idx))
+        if any_empty:
+            bad |= np.fromiter(map(operator.not_, column), bool, count)
+        cells.append(column)
+    users, items, values = cells
+    if options.rating_col is not None:
+        ratings = _floats(values, empty=math.nan)
+        bad |= ~np.isfinite(ratings)
+    if where[3] is None:
+        stamps = [""] * count
+        times = np.zeros(count)
+    else:
+        stamps = _column(rows, where[3])
+        times = _floats(stamps, empty=0.0)
+        bad |= ~np.isfinite(times)
+
+    if bad.any():
+        flagged = np.flatnonzero(bad).tolist()
+
+        def reason(k: int) -> str:
+            return _first_defect(numbers[k], users[k], items[k], values[k],
+                                 stamps[k], options)
+
+        if options.on_bad_rows == "raise":
+            raise BadRowError(reason(flagged[0]))
         if report is not None:
-            report.chunks += 1
-        yield chunk
+            report.rows_dropped_bad += len(flagged)
+            room = max(5 - len(report.bad_row_examples), 0)
+            report.bad_row_examples += [(numbers[k], reason(k))
+                                        for k in flagged[:room]]
+        good = (~bad).tolist()
+        users, items, values = (list(compress(column, good))
+                                for column in cells)
+        times = times[~bad]
 
-
-def _parse_row(row: list[str], row_num: int, header: list[str] | None,
-               column_of: dict[str, int], options: IngestOptions,
-               rating_mode: bool) -> tuple[str, str, str, float]:
-    if header is not None:
-        def cell(column: str) -> str | None:
-            idx = column_of.get(column)
-            if idx is None or idx >= len(row):
-                return None
-            return row[idx].strip()
+    if options.rating_col is not None:
+        labels = RATING_BEHAVIORS
+        codes = rating_codes(ratings[~bad])
     else:
-        # positional: user, item, behavior-or-rating, [timestamp]
-        positional = {options.user_col: 0, options.item_col: 1,
-                      (options.behavior_col or options.rating_col): 2,
-                      options.timestamp_col: 3}
+        labels = list(dict.fromkeys(values))
+        code_of = {label: code for code, label in enumerate(labels)}
+        codes = np.fromiter(map(code_of.__getitem__, values), np.int64,
+                            len(values))
+    return EventChunk(users, items, labels, codes, times)
 
-        def cell(column: str) -> str | None:
-            idx = positional.get(column)
-            if idx is None or idx >= len(row):
-                return None
-            return row[idx].strip()
 
-    user = cell(options.user_col)
-    item = cell(options.item_col)
+def _column(rows: list[list[str]], idx: int) -> list[str]:
+    """Cell ``idx`` of every row; a row too short to have one gives ``""``."""
+    try:
+        return [row[idx] for row in rows]
+    except IndexError:
+        return [row[idx] if idx < len(row) else "" for row in rows]
+
+
+def _stripped(cells: list[str]) -> tuple[list[str], bool]:
+    """The column with every cell stripped — one ``strip`` per distinct
+    cell — and whether any cell came out empty."""
+    text_of = {cell: cell.strip() for cell in dict.fromkeys(cells)}
+    if any(cell != text for cell, text in text_of.items()):
+        cells = list(map(text_of.__getitem__, cells))
+    return cells, "" in text_of.values()
+
+
+def _floats(cells: list[str], empty: float) -> np.ndarray:
+    """The column as float64: a blank cell is ``empty``, an unparseable one
+    NaN (so ``isfinite`` flags it together with ``nan`` and ``inf`` cells)."""
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        def lenient(text: str) -> float:
+            try:
+                return float(text)
+            except ValueError:
+                return math.nan if text.strip() else empty
+        value_of = {cell: lenient(cell) for cell in dict.fromkeys(cells)}
+        return np.fromiter(map(value_of.__getitem__, cells), np.float64,
+                           len(cells))
+
+
+def _first_defect(row_num: int, user: str, item: str, value: str, stamp: str,
+                  options: IngestOptions) -> str:
+    """Name what is wrong with a row the column checks flagged: its first
+    defect in reading order (ids, behavior or rating, timestamp)."""
     if not user or not item:
-        raise BadRowError(f"row {row_num}: missing user/item id")
-    if rating_mode:
-        raw_rating = cell(options.rating_col)
-        if not raw_rating:
-            raise BadRowError(f"row {row_num}: missing column "
-                              f"{options.rating_col!r}")
-        rating = parse_rating(raw_rating, row_num)
-        behavior = str(map_ratings_to_behaviors(np.array([rating]))[0])
-    else:
-        behavior = cell(options.behavior_col)
-        if not behavior:
-            raise BadRowError(f"row {row_num}: missing column "
-                              f"{options.behavior_col!r}")
-    timestamp = 0.0
-    if options.timestamp_col is not None:
-        timestamp = parse_timestamp(cell(options.timestamp_col), row_num)
-    return user, item, behavior, timestamp
+        return f"row {row_num}: missing user/item id"
+    if not value:
+        return (f"row {row_num}: missing column "
+                f"{options.behavior_col or options.rating_col!r}")
+    checks = [("timestamp", stamp.strip())]
+    if options.rating_col is not None:
+        checks.insert(0, ("rating", value))
+    for what, text in checks:
+        try:
+            finite = math.isfinite(float(text))
+        except ValueError:
+            if text:
+                return f"row {row_num}: unparseable {what} {text!r}"
+        else:
+            if not finite:
+                return f"row {row_num}: non-finite {what} {text!r}"
+    raise AssertionError(f"row {row_num} was flagged but parses")
 
 
 def ingest_csv(path: str | Path, name: str, target_behavior: str,
                behavior_names: tuple[str, ...] | None = None,
                options: IngestOptions | None = None,
                **option_overrides) -> tuple[InteractionDataset, IngestReport]:
-    """Two-pass, chunked ingestion of an event log into a dataset.
+    """One-pass, chunked ingestion of an event log into a dataset.
 
-    Pass 1 scans the log to size everything (vocabularies over surviving
-    rows, exact per-behavior counts); pass 2 fills preallocated arrays.
-    Between the two passes nothing proportional to the log is resident
-    beyond the final arrays themselves.
+    Each chunk of :func:`iter_event_chunks` is filtered to
+    ``behavior_names`` (when given), its ids are made dense in order of
+    first surviving appearance, and the encoded rows go to a temporary
+    spill file; once the log is drained the per-behavior arrays are
+    allocated at their exact sizes and filled from that file. Nothing
+    proportional to the log is resident before that point.
 
-    Parameters mirror :func:`repro.data.loaders.load_interactions_csv`;
-    extra keyword overrides are applied onto ``options``.
+    ``options`` or keyword overrides of :class:`IngestOptions` fields, not
+    both.
     """
     if options is None:
         options = IngestOptions(**option_overrides)
@@ -221,90 +339,104 @@ def ingest_csv(path: str | Path, name: str, target_behavior: str,
 
     report = IngestReport()
     keep: set[str] | None = set(behavior_names) if behavior_names else None
-
-    # ---------------------------------------------------------- pass 1
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
-    counts: dict[str, int] = {}
-    discovered: dict[str, None] = {}
-    has_timestamps = False
-    for chunk in iter_event_chunks(path, options, report):
-        for user, item, behavior, timestamp in chunk:
-            discovered.setdefault(behavior, None)
-            if keep is not None and behavior not in keep:
-                report.rows_dropped_behavior += 1
-                continue
-            counts[behavior] = counts.get(behavior, 0) + 1
-            if user not in user_index:
-                user_index[user] = len(user_index)
-            if item not in item_index:
-                item_index[item] = len(item_index)
-            if timestamp != 0.0:
-                has_timestamps = True
+    discovered: dict[str, int] = {}
+    runs: list[tuple[list[int], list[int]]] = []
+    with tempfile.TemporaryFile() as spill:
+        for chunk in iter_event_chunks(path, options, report):
+            users, items, codes, times = (chunk.users, chunk.items,
+                                          chunk.codes, chunk.timestamps)
+            if not discovered.keys() >= set(chunk.labels):
+                # a behavior not met before: number the chunk's in order
+                # of first appearance, as a row-by-row reader would
+                _, first = np.unique(codes, return_index=True)
+                for code in codes[np.sort(first)].tolist():
+                    discovered.setdefault(chunk.labels[code], len(discovered))
+            if keep is not None:
+                kept = np.array([label in keep for label in chunk.labels])[codes]
+                report.rows_dropped_behavior += len(chunk) - int(kept.sum())
+                selectors = kept.tolist()
+                users = list(compress(users, selectors))
+                items = list(compress(items, selectors))
+                codes, times = codes[kept], times[kept]
+            # -1: a label the chunk names and none of its rows carries
+            codes = np.array([discovered.get(label, -1)
+                              for label in chunk.labels])[codes]
+            report.has_timestamps |= bool(times.any())
+            runs.append(_spill_chunk(spill, codes, _dense_ids(users, user_index),
+                                     _dense_ids(items, item_index), times))
 
-    if behavior_names is None:
-        behavior_names = tuple(discovered)
-    if target_behavior not in behavior_names:
-        raise ValueError(
-            f"target behavior {target_behavior!r} absent from data "
-            f"(saw {tuple(discovered)})")
+        if behavior_names is None:
+            behavior_names = tuple(discovered)
+        if target_behavior not in behavior_names:
+            raise ValueError(
+                f"target behavior {target_behavior!r} absent from data "
+                f"(saw {tuple(discovered)})")
+        by_code = _read_spill(spill, runs)
 
-    # ---------------------------------------------------------- pass 2
-    arrays = {
-        b: {
-            "users": np.empty(counts.get(b, 0), dtype=np.int64),
-            "items": np.empty(counts.get(b, 0), dtype=np.int64),
-            "timestamps": np.zeros(counts.get(b, 0), dtype=np.float64),
-        }
-        for b in behavior_names
-    }
-    offsets = {b: 0 for b in behavior_names}
-    buffers: dict[str, list[tuple[int, int, float]]] = {b: [] for b in behavior_names}
-
-    def flush(behavior: str) -> None:
-        buffer = buffers[behavior]
-        if not buffer:
-            return
-        start = offsets[behavior]
-        stop = start + len(buffer)
-        rec = arrays[behavior]
-        rec["users"][start:stop] = [entry[0] for entry in buffer]
-        rec["items"][start:stop] = [entry[1] for entry in buffer]
-        rec["timestamps"][start:stop] = [entry[2] for entry in buffer]
-        offsets[behavior] = stop
-        buffer.clear()
-
-    kept_behaviors = set(behavior_names)
-    for chunk in iter_event_chunks(path, options, report=None):
-        for user, item, behavior, timestamp in chunk:
-            if behavior not in kept_behaviors:
-                continue
-            buffers[behavior].append(
-                (user_index[user], item_index[item], timestamp))
-        for behavior in behavior_names:
-            flush(behavior)
-
-    for behavior in behavior_names:
-        if offsets[behavior] != counts.get(behavior, 0):
-            raise RuntimeError(
-                f"log changed between ingest passes: behavior {behavior!r} "
-                f"filled {offsets[behavior]} of {counts.get(behavior, 0)} rows")
-
-    report.rows_kept = sum(counts.values())
+    interactions = {b: by_code.get(discovered.get(b)) or _columns(0)
+                    for b in behavior_names}
+    report.per_behavior = {b: len(rec["users"]) for b, rec in interactions.items()}
+    report.rows_kept = sum(report.per_behavior.values())
     report.num_users = len(user_index)
     report.num_items = len(item_index)
-    report.has_timestamps = has_timestamps
-    report.per_behavior = {b: counts.get(b, 0) for b in behavior_names}
-
     dataset = InteractionDataset(
         name=name,
         num_users=len(user_index),
         num_items=len(item_index),
         behavior_names=behavior_names,
         target_behavior=target_behavior,
-        interactions=arrays,
+        interactions=interactions,
     )
     return dataset, report
+
+
+def _columns(rows: int) -> dict[str, np.ndarray]:
+    return {"users": np.empty(rows, dtype=np.int64),
+            "items": np.empty(rows, dtype=np.int64),
+            "timestamps": np.empty(rows, dtype=np.float64)}
+
+
+def _dense_ids(cells: Sequence[str], index: dict[str, int]) -> np.ndarray:
+    """The column's dense ids; a cell ``index`` has not met gets the next one."""
+    for cell in dict.fromkeys(cells):
+        index.setdefault(cell, len(index))
+    return np.fromiter(map(index.__getitem__, cells), np.int64, len(cells))
+
+
+def _spill_chunk(spill: BinaryIO, codes: np.ndarray, *columns: np.ndarray,
+                 ) -> tuple[list[int], list[int]]:
+    """Append a chunk's columns, each grouped by behavior code (file order
+    kept within a code); returns the codes present and the rows of each."""
+    order = np.argsort(codes, kind="stable")
+    counts = np.bincount(codes)
+    present = np.flatnonzero(counts)
+    for column in columns:
+        spill.write(column[order])
+    return present.tolist(), counts[present].tolist()
+
+
+def _read_spill(spill: BinaryIO, runs: list[tuple[list[int], list[int]]],
+                ) -> dict[int, dict[str, np.ndarray]]:
+    """Per behavior code, the spilled columns as exactly-sized arrays."""
+    totals: dict[int, int] = {}
+    for present, counts in runs:
+        for code, count in zip(present, counts):
+            totals[code] = totals.get(code, 0) + count
+    arrays = {code: _columns(total) for code, total in totals.items()}
+    filled = dict.fromkeys(totals, 0)
+    spill.seek(0)
+    for present, counts in runs:
+        for label in ("users", "items", "timestamps"):
+            for code, count in zip(present, counts):
+                run = arrays[code][label][filled[code]:filled[code] + count]
+                if spill.readinto(run) != run.nbytes:
+                    raise OSError("ingest spill file is shorter than what was "
+                                  "written to it")
+        for code, count in zip(present, counts):
+            filled[code] += count
+    return arrays
 
 
 # ----------------------------------------------------------------------

@@ -5,23 +5,24 @@ loaded with these helpers; the rating→behavior mapping reproduces §IV-A of
 the paper exactly. (The offline benchmark environment uses the synthetic
 generators instead; these loaders let real data be dropped in later.)
 
-These loaders are the simple, whole-file-in-memory path; for logs that do
-not fit comfortably in Python lists use the chunked, memory-bounded
-pipeline in :mod:`repro.data.ingest`, which shares the row-parsing rules
-defined here.
+The loaders are :func:`repro.data.ingest.ingest_csv` under its older
+names: one parser, one bad-row policy and one report for every log.
 """
 
 from __future__ import annotations
 
-import csv
-import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from repro.data.dataset import InteractionDataset
+from repro.data.ingest import (
+    RATING_BEHAVIORS,
+    IngestReport,
+    ingest_csv,
+    rating_codes,
+)
 
 # Paper §IV-A: r ≤ 2 → dislike, 2 < r < 4 → neutral, r ≥ 4 → like.
 RATING_BEHAVIOR_RULES: dict[str, Callable[[float], bool]] = {
@@ -33,256 +34,40 @@ RATING_BEHAVIOR_RULES: dict[str, Callable[[float], bool]] = {
 
 def map_ratings_to_behaviors(ratings: np.ndarray) -> np.ndarray:
     """Vectorized rating→behavior-name mapping (paper's partition)."""
-    ratings = np.asarray(ratings, dtype=np.float64)
-    out = np.where(ratings <= 2.0, "dislike",
-                   np.where(ratings >= 4.0, "like", "neutral"))
-    return out.astype("U7")
+    codes = rating_codes(np.asarray(ratings, dtype=np.float64))
+    return np.array(RATING_BEHAVIORS)[codes]
 
 
-class BadRowError(ValueError):
-    """A row failed to parse (missing column, NaN/garbage rating, ...)."""
-
-
-@dataclass
-class LoadReport:
-    """What happened to the rows of one loaded file.
-
-    Attributes
-    ----------
-    rows_read:
-        Data rows seen in the file (header and blank lines excluded).
-    rows_kept:
-        Rows that made it into the dataset.
-    rows_dropped_bad:
-        Rows dropped under ``on_bad_rows="skip"`` (unparseable rating or
-        timestamp, missing column). Always 0 under ``"raise"``.
-    rows_dropped_behavior:
-        Rows whose behavior was filtered out by an explicit
-        ``behavior_names``.
-    bad_row_examples:
-        Up to 5 (row number, reason) samples of dropped bad rows.
-    """
-
-    rows_read: int = 0
-    rows_kept: int = 0
-    rows_dropped_bad: int = 0
-    rows_dropped_behavior: int = 0
-    bad_row_examples: list[tuple[int, str]] = field(default_factory=list)
-
-    def note_bad(self, row_num: int, reason: str) -> None:
-        self.rows_dropped_bad += 1
-        if len(self.bad_row_examples) < 5:
-            self.bad_row_examples.append((row_num, reason))
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "rows_read": self.rows_read,
-            "rows_kept": self.rows_kept,
-            "rows_dropped_bad": self.rows_dropped_bad,
-            "rows_dropped_behavior": self.rows_dropped_behavior,
-        }
-
-
-def parse_rating(text: str, row_num: int) -> float:
-    """Parse a rating cell; NaN/inf/garbage is a :class:`BadRowError`.
-
-    A silently "neutral" NaN would fabricate interactions — the error
-    names the row so the log can be fixed (or skipped explicitly with
-    ``on_bad_rows="skip"``).
-    """
-    try:
-        value = float(text)
-    except (TypeError, ValueError):
-        raise BadRowError(
-            f"row {row_num}: unparseable rating {text!r}") from None
-    if not math.isfinite(value):
-        raise BadRowError(f"row {row_num}: non-finite rating {text!r}")
-    return value
-
-
-def parse_timestamp(text: str | None, row_num: int) -> float:
-    """Parse a timestamp cell; empty/missing means 0.0 ("no timestamp")."""
-    if text is None or text == "":
-        return 0.0
-    try:
-        value = float(text)
-    except (TypeError, ValueError):
-        raise BadRowError(
-            f"row {row_num}: unparseable timestamp {text!r}") from None
-    if not math.isfinite(value):
-        raise BadRowError(f"row {row_num}: non-finite timestamp {text!r}")
-    return value
-
-
-def load_interactions_csv(path: str | Path, name: str,
-                          target_behavior: str,
+def load_interactions_csv(path: str | Path, name: str, target_behavior: str,
                           behavior_names: tuple[str, ...] | None = None,
-                          delimiter: str = ",",
-                          user_col: str = "user",
-                          item_col: str = "item",
-                          behavior_col: str | None = "behavior",
-                          rating_col: str | None = None,
-                          timestamp_col: str | None = "timestamp",
-                          has_header: bool = True,
-                          on_bad_rows: str = "raise") -> InteractionDataset:
+                          **options) -> InteractionDataset:
     """Load a generic interaction file into an :class:`InteractionDataset`.
 
-    Two modes:
+    ``options`` are :class:`repro.data.ingest.IngestOptions` fields. Two
+    modes:
 
-    * ``behavior_col`` given — each row names its behavior type directly
-      (Taobao export style: ``user,item,behavior,timestamp``).
-    * ``rating_col`` given — behaviors are derived from the rating via the
-      paper's mapping (MovieLens / Yelp style).
+    * ``behavior_col`` given (the default, ``"behavior"``) — each row names
+      its behavior type directly (Taobao export style:
+      ``user,item,behavior,timestamp``).
+    * ``behavior_col=None, rating_col=...`` — behaviors are derived from the
+      rating via the paper's mapping (MovieLens / Yelp style).
 
     User and item ids are re-indexed densely in first-seen order, counting
     only rows that survive behavior filtering — filtered-out behaviors
     leave no phantom ids (and therefore no oversized embedding rows or
     zero-interaction eval users).
 
-    Unparseable/NaN ratings and timestamps raise :class:`BadRowError` by
-    default; ``on_bad_rows="skip"`` drops and counts them instead (see
+    Unparseable/NaN ratings and timestamps raise
+    :class:`~repro.data.ingest.BadRowError` by default;
+    ``on_bad_rows="skip"`` drops and counts them instead (see
     :func:`load_interactions_csv_with_report` for the counts).
     """
-    dataset, _ = load_interactions_csv_with_report(
-        path, name, target_behavior, behavior_names=behavior_names,
-        delimiter=delimiter, user_col=user_col, item_col=item_col,
-        behavior_col=behavior_col, rating_col=rating_col,
-        timestamp_col=timestamp_col, has_header=has_header,
-        on_bad_rows=on_bad_rows)
-    return dataset
+    return ingest_csv(path, name, target_behavior, behavior_names, **options)[0]
 
 
 def load_interactions_csv_with_report(
-        path: str | Path, name: str,
-        target_behavior: str,
+        path: str | Path, name: str, target_behavior: str,
         behavior_names: tuple[str, ...] | None = None,
-        delimiter: str = ",",
-        user_col: str = "user",
-        item_col: str = "item",
-        behavior_col: str | None = "behavior",
-        rating_col: str | None = None,
-        timestamp_col: str | None = "timestamp",
-        has_header: bool = True,
-        on_bad_rows: str = "raise") -> tuple[InteractionDataset, LoadReport]:
-    """:func:`load_interactions_csv` plus the :class:`LoadReport` of drops."""
-    if (behavior_col is None) == (rating_col is None):
-        raise ValueError("exactly one of behavior_col / rating_col must be given")
-    if on_bad_rows not in ("raise", "skip"):
-        raise ValueError("on_bad_rows must be 'raise' or 'skip'")
-    path = Path(path)
-    report = LoadReport()
-
-    users_raw: list[str] = []
-    items_raw: list[str] = []
-    behaviors: list[str] = []
-    timestamps: list[float] = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        header: list[str] | None = None
-        for row_num, row in enumerate(reader):
-            if not row:
-                continue
-            if row_num == 0 and has_header:
-                header = [c.strip() for c in row]
-                continue
-            report.rows_read += 1
-            try:
-                record = _row_to_record(row, row_num, header, user_col,
-                                        item_col, behavior_col, rating_col,
-                                        timestamp_col)
-                if behavior_col is not None:
-                    behavior = record["behavior"]
-                else:
-                    rating = parse_rating(record["rating"], row_num)
-                    behavior = str(map_ratings_to_behaviors(
-                        np.array([rating]))[0])
-                timestamp = parse_timestamp(record.get("timestamp"), row_num)
-            except BadRowError as exc:
-                if on_bad_rows == "raise":
-                    raise
-                report.note_bad(row_num, str(exc))
-                continue
-            users_raw.append(record["user"])
-            items_raw.append(record["item"])
-            behaviors.append(behavior)
-            timestamps.append(timestamp)
-
-    if behavior_names is None:
-        behavior_names = tuple(dict.fromkeys(behaviors))
-    if target_behavior not in behavior_names:
-        raise ValueError(f"target behavior {target_behavior!r} absent from data")
-
-    # behavior filtering happens BEFORE indexing: ids appearing only in
-    # filtered-out rows must not occupy embedding rows
-    keep_behaviors = set(behavior_names)
-    survivors = [idx for idx, b in enumerate(behaviors) if b in keep_behaviors]
-    report.rows_dropped_behavior = report.rows_read - report.rows_dropped_bad - len(survivors)
-    report.rows_kept = len(survivors)
-
-    user_index = _dense_index(users_raw[i] for i in survivors)
-    item_index = _dense_index(items_raw[i] for i in survivors)
-
-    grouped: dict[str, dict[str, list]] = {
-        b: {"users": [], "items": [], "timestamps": []} for b in behavior_names
-    }
-    for idx in survivors:
-        rec = grouped[behaviors[idx]]
-        rec["users"].append(user_index[users_raw[idx]])
-        rec["items"].append(item_index[items_raw[idx]])
-        rec["timestamps"].append(timestamps[idx])
-
-    interactions = {
-        b: {
-            "users": np.asarray(rec["users"], dtype=np.int64),
-            "items": np.asarray(rec["items"], dtype=np.int64),
-            "timestamps": np.asarray(rec["timestamps"], dtype=np.float64),
-        }
-        for b, rec in grouped.items()
-    }
-    dataset = InteractionDataset(
-        name=name,
-        num_users=len(user_index),
-        num_items=len(item_index),
-        behavior_names=behavior_names,
-        target_behavior=target_behavior,
-        interactions=interactions,
-    )
-    return dataset, report
-
-
-def _row_to_record(row: list[str], row_num: int, header: list[str] | None,
-                   user_col: str, item_col: str, behavior_col: str | None,
-                   rating_col: str | None, timestamp_col: str | None) -> dict[str, str]:
-    if header is not None:
-        lookup = {name: row[idx].strip() for idx, name in enumerate(header) if idx < len(row)}
-    else:
-        # positional: user, item, behavior-or-rating, [timestamp]
-        lookup = {user_col: row[0].strip(), item_col: row[1].strip()}
-        third = row[2].strip() if len(row) > 2 else ""
-        if behavior_col is not None:
-            lookup[behavior_col] = third
-        else:
-            lookup[rating_col] = third
-        if timestamp_col is not None and len(row) > 3:
-            lookup[timestamp_col] = row[3].strip()
-    required = [user_col, item_col]
-    required.append(behavior_col if behavior_col is not None else rating_col)
-    for column in required:
-        if column not in lookup or lookup[column] == "":
-            raise BadRowError(f"row {row_num}: missing column {column!r}")
-    record = {"user": lookup[user_col], "item": lookup[item_col]}
-    if behavior_col is not None:
-        record["behavior"] = lookup[behavior_col]
-    if rating_col is not None:
-        record["rating"] = lookup[rating_col]
-    if timestamp_col is not None and timestamp_col in lookup:
-        record["timestamp"] = lookup[timestamp_col]
-    return record
-
-
-def _dense_index(raw_ids) -> dict[str, int]:
-    index: dict[str, int] = {}
-    for raw in raw_ids:
-        if raw not in index:
-            index[raw] = len(index)
-    return index
+        **options) -> tuple[InteractionDataset, IngestReport]:
+    """:func:`load_interactions_csv` plus the :class:`IngestReport` of drops."""
+    return ingest_csv(path, name, target_behavior, behavior_names, **options)

@@ -1,5 +1,6 @@
 """Tests of the streaming, memory-bounded ingestion pipeline."""
 
+import hashlib
 import json
 import zipfile
 
@@ -54,7 +55,7 @@ class TestIterEventChunks:
         options = IngestOptions(behavior_col=None, rating_col="rating",
                                 chunk_rows=2)
         (chunk1, chunk2) = list(iter_event_chunks(path, options))
-        behaviors = [row[2] for row in chunk1 + chunk2]
+        behaviors = [row[2] for row in [*chunk1, *chunk2]]
         assert behaviors == ["like", "dislike", "neutral"]
 
     def test_bad_rows_raise_by_default(self, tmp_path):
@@ -81,7 +82,7 @@ class TestIterEventChunks:
 
 class TestIngestCsv:
     def test_matches_in_memory_loader(self, tmp_path):
-        """Chunked two-pass ingest == whole-file loader, chunk by chunk."""
+        """Any chunking == the whole file as one chunk (what the loader does)."""
         path = _write_log(tmp_path / "log.csv", _random_log_rows(500))
         reference = load_interactions_csv(path, name="ref",
                                           target_behavior="buy")
@@ -144,6 +145,111 @@ class TestIngestCsv:
             IngestOptions(on_bad_rows="ignore")
         with pytest.raises(ValueError):
             IngestOptions(chunk_rows=0)
+
+
+class TestHeaderAndEncoding:
+    @pytest.mark.parametrize("on_bad_rows", ["raise", "skip"])
+    @pytest.mark.parametrize("header,column", [
+        ("user,itm,behavior,timestamp", "item"),
+        ("uid,item,behavior,timestamp", "user"),
+        ("user,item,rating,timestamp", "behavior"),
+    ])
+    def test_missing_required_column_names_it(self, tmp_path, header, column,
+                                              on_bad_rows):
+        """Not one BadRowError per row — and under "skip" not an empty
+        dataset with "target behavior absent" either."""
+        path = _write_log(tmp_path / "log.csv", ["u1,i1,buy,1"], header=header)
+        for load in (ingest_csv, load_interactions_csv):
+            with pytest.raises(ValueError, match=f"column '{column}'") as raised:
+                load(path, name="x", target_behavior="buy",
+                     on_bad_rows=on_bad_rows)
+            assert not isinstance(raised.value, BadRowError)
+            assert str(header.split(",")) in str(raised.value)
+
+    def test_missing_rating_column_and_empty_file(self, tmp_path):
+        path = _write_log(tmp_path / "log.csv", ["u1,i1,buy,1"])
+        with pytest.raises(ValueError, match="column 'stars'"):
+            ingest_csv(path, name="x", target_behavior="like",
+                       behavior_col=None, rating_col="stars")
+        (tmp_path / "empty.csv").write_text("")
+        with pytest.raises(ValueError, match="column 'user'"):
+            ingest_csv(tmp_path / "empty.csv", name="x", target_behavior="buy")
+
+    def test_header_after_blank_lines(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("\n\nuser,item,behavior,timestamp\nu1,i1,buy,nan\n")
+        with pytest.raises(BadRowError, match="row 3: non-finite timestamp"):
+            ingest_csv(path, name="x", target_behavior="buy")
+
+    def test_line_endings_and_bom_do_not_change_the_dataset(self, tmp_path):
+        rows = _random_log_rows(120)
+        rows[5] = 'u1,"i 5, the ""big"" one",buy,77'
+        lines = ["user,item,behavior,timestamp"] + rows
+        plain = tmp_path / "lf.csv"
+        plain.write_bytes("".join(line + "\n" for line in lines).encode())
+        variants = {
+            "crlf": "".join(line + "\r\n" for line in lines).encode(),
+            "mixed": "".join(line + ("\r\n", "\n", "\r")[k % 3]
+                             for k, line in enumerate(lines)).encode(),
+            "bom": b"\xef\xbb\xbf" + plain.read_bytes(),
+            "bom-crlf-unterminated":
+                b"\xef\xbb\xbf" + "\r\n".join(lines).encode(),
+        }
+        dataset, report = ingest_csv(plain, name="d", target_behavior="buy")
+        want = save_dataset_npz(dataset, tmp_path / "lf.npz").read_bytes()
+        for label, payload in variants.items():
+            path = tmp_path / f"{label}.csv"
+            path.write_bytes(payload)
+            got, got_report = ingest_csv(path, name="d", target_behavior="buy",
+                                         chunk_rows=50)
+            assert got_report.rows_read == report.rows_read == 120, label
+            assert save_dataset_npz(
+                got, tmp_path / f"{label}.npz").read_bytes() == want, label
+
+
+def _fixture_log(path, rating_mode):
+    """A log written by arithmetic alone (no generator whose stream could
+    change): 900 events, a malformed row every 45th."""
+    behaviors = ("click", "click", "fav", "cart", "click", "buy")
+    lines = ["user,item,rating,timestamp" if rating_mode
+             else "user,item,behavior,timestamp"]
+    for k in range(900):
+        value = (f"{(k * 31 % 9 + 2) / 2:g}" if rating_mode
+                 else behaviors[k * 5 % 6 if k % 11 else 3])
+        item = f"i{(k * k + 3 * k) % 211}"
+        stamp = str(1_600_000_000 + k * 104_729 % 86_400)
+        if k % 45 == 44:
+            if k % 2:
+                item = ""
+            elif rating_mode:
+                value = "?"
+            else:
+                stamp = "soon"
+        lines.append(f"u{k * 7919 % 61},{item},{value},{stamp}")
+    return _write_log(path, lines[1:], header=lines[0])
+
+
+class TestArtifactPinnedAcrossParsers:
+    """sha256 of the artifact that the row-by-row parser (the commit before
+    the columnar one) wrote for the same log: first-seen id order and the
+    row order inside each behavior — what a seeded training run depends
+    on — are exactly what they were."""
+
+    @pytest.mark.parametrize("rating_mode,target,sha256", [
+        (False, "buy", "c4c10a8ec724aa35bdb396fa4d800881c64e5c584f6cf1bcbef7b534be97affe"),
+        (True, "like", "a95f338df5cf4127412cdb05a73cc310a5a710d74ec023f6c08632ae4224cedb"),
+    ])
+    def test_artifact_sha256(self, tmp_path, rating_mode, target, sha256):
+        path = _fixture_log(tmp_path / "fixture.csv", rating_mode)
+        options = IngestOptions(on_bad_rows="skip", chunk_rows=128)
+        if rating_mode:
+            options.behavior_col, options.rating_col = None, "rating"
+        dataset, report = ingest_csv(path, name="fixture",
+                                     target_behavior=target, options=options)
+        assert report.rows_dropped_bad == 20
+        artifact = save_dataset_npz(dataset, tmp_path / "fixture.npz",
+                                    has_timestamps=report.has_timestamps)
+        assert hashlib.sha256(artifact.read_bytes()).hexdigest() == sha256
 
 
 class TestDatasetArtifact:

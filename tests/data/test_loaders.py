@@ -148,6 +148,20 @@ class TestBadRowPolicy:
             load_interactions_csv(path, name="m", target_behavior="buy",
                                   timestamp_col=None)
 
+    def test_headerless_short_row_is_a_bad_row(self, tmp_path):
+        """Pinned regression: a positional row without an item cell used to
+        escape as a bare IndexError."""
+        path = tmp_path / "short.csv"
+        path.write_text("u1,i1,buy,1\nu2\nu1,i2,buy,2\n")
+        with pytest.raises(BadRowError, match="row 1: missing user/item id"):
+            load_interactions_csv(path, name="s", target_behavior="buy",
+                                  has_header=False)
+        data, report = load_interactions_csv_with_report(
+            path, name="s", target_behavior="buy", has_header=False,
+            on_bad_rows="skip")
+        assert data.interaction_count() == 2
+        assert report.rows_dropped_bad == 1
+
     def test_bad_policy_value_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("user,item,behavior\nu1,i1,buy\n")

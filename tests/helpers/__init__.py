@@ -1,1 +1,1 @@
-"""Shared test substrate (fault injection, crash hooks)."""
+"""Shared test substrate (fault injection, crash hooks, reference parser)."""

@@ -199,6 +199,15 @@ class TestIngest:
         assert code == 1
         assert "ingest failed" in capsys.readouterr().err
 
+    def test_ingest_wrong_column_name_fails_cleanly(self, event_log, tmp_path,
+                                                    capsys):
+        """Even under --on-bad-rows skip: the header lacks the column."""
+        code = main(["ingest", str(event_log), "--out", str(tmp_path / "x.npz"),
+                     "--target", "buy", "--item-col", "sku",
+                     "--on-bad-rows", "skip"])
+        assert code == 1
+        assert "column 'sku' is not in the header" in capsys.readouterr().err
+
     def test_ingest_bad_rows_skip(self, tmp_path, capsys):
         log = tmp_path / "bad.csv"
         log.write_text("user,item,rating,timestamp\n"
