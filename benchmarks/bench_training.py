@@ -1,44 +1,36 @@
-"""Training throughput benchmarks: full vs sampled vs async-pipelined steps.
+"""Training throughput benchmarks: full-graph vs mini-batch steps.
 
 Measures per-step wall time and steps/sec of GNMR pairwise training under
 ``TrainConfig.propagation="full"`` (whole-graph SpMM + dense optimizer
-sweep every step), ``"sampled"`` (fanout-capped monolithic subgraph,
-row-sparse embedding gradients, lazy per-row Adam), and ``"async"`` (the
-:mod:`repro.train.pipeline` path: pre-drawn batch stream, per-hop layered
-blocks extracted by a background worker, double-buffered ahead of the
-optimizer) at two synthetic graph scales, and emits
-``benchmarks/results/training_throughput.json`` for the CI regression
-gate (``benchmarks/check_regression.py``).
+sweep every step) and ``"async"`` (the :mod:`repro.train.pipeline` path:
+pre-drawn batch stream, fanout-capped per-hop layered blocks, row-sparse
+embedding gradients, lazy per-row Adam) at ``workers=0`` (extraction
+inline on the training thread) and ``workers=1`` (extraction
+double-buffered on a background thread) at two synthetic graph scales,
+and emits ``benchmarks/results/training_throughput.json`` for the CI
+regression gate (``benchmarks/check_regression.py``).
 
-Two headline numbers, both gated:
+The headline number, gated: ``speedup_sampled_large`` — the inline
+mini-batch step must be ≥ 3× faster than the full-graph step at batch 32
+on the large graph (best-of-N per-step time, as always): step cost must
+track batch size and fanout, not graph size. ``prefetch_gain`` (inline
+mean step / ``workers=1`` mean step) rides along ungated: it is what the
+background thread buys on this box, and never changes the trajectory.
 
-* ``speedup_sampled_large`` — the sampled step must be ≥ 3× faster than
-  the full-graph step at batch 32 on the large graph (best-of-N per-step
-  time, as always): step cost must track batch size and fanout, not graph
-  size.
-* ``speedup_async_large`` — the async-pipelined step must be ≥ 1.3× the
-  sync sampled step. This compares *mean* per-step time over the measured
-  window for both modes (a best-of comparison could flatter the async
-  path whenever a lucky step overlaps no extraction at all; means charge
-  every mode its full amortized cost). The win is structural: layered
-  blocks compute each propagation order only on the rows the next order
-  needs, and extraction runs on a worker thread while the optimizer is
-  busy.
-
-A third, bounded-overhead number rides along: ``shard_overhead_large`` —
-the sampled step with the embedding tables split across two shards
+A bounded-overhead number rides along: ``shard_overhead_large`` — the
+inline mini-batch step with the embedding tables split across two shards
 (``GNMRConfig(shards=2)``, parameter-server layout) versus the unsharded
-sampled step, on mean step time. Sharding routes every gather/gradient
-through per-shard tables, which costs some Python-level bookkeeping per
-step; the gate bounds that tax (``BENCH_SHARD_MAX``) so the sharded path
-stays a constant-factor overhead, never an asymptotic one.
+one, on mean step time. Sharding routes every gather/gradient through
+per-shard tables, which costs some Python-level bookkeeping per step; the
+gate bounds that tax (``BENCH_SHARD_MAX``) so the sharded path stays a
+constant-factor overhead, never an asymptotic one.
 
-A fourth section sweeps the multi-process parameter server
-(``repro.dist``): the sampled step with shard-owner processes applying
-optimizer updates over shared-memory gradient transport, across worker
-counts (sync mode) and staleness windows (async mode), against the
-single-process sharded sampled step on the same graph. The payload
-records ``cpu_count`` alongside the sweep because the speedup is real
+A third section sweeps the multi-process parameter server
+(``repro.dist``): the inline mini-batch step with shard-owner processes
+applying optimizer updates over shared-memory gradient transport, across
+worker counts (sync mode) and staleness windows (async mode), against the
+single-process sharded step on the same graph. The payload records
+``cpu_count`` alongside the sweep because the speedup is real
 concurrency: on a multi-core box (≥ 4 cores) sync dist must reach
 ``BENCH_DIST_MIN`` (1.6×); on fewer cores the sweep still runs and is
 recorded, but the gate skips — a single core can only measure the
@@ -64,8 +56,9 @@ RESULTS_PATH = Path(__file__).parent / "results" / "training_throughput.json"
 BATCH_USERS = 32
 PER_USER = 4
 #: per-(node, behavior) neighbor cap; with K=3 behaviors the per-hop
-#: branching factor is 3·FANOUT = 9, so a batch-32 block stays ~25k nodes
-#: regardless of graph size — the sublinearity the gate asserts
+#: branching factor is 3·FANOUT = 9, so a batch-32 block's widest level
+#: stays ~25k nodes regardless of graph size — the sublinearity the gate
+#: asserts
 FANOUT = 3
 SCALES = {
     "small": {"num_users": 6000, "num_items": 9000,
@@ -113,41 +106,9 @@ def _random_graph_dataset(num_users: int, num_items: int,
         target_behavior="purchase", interactions=interactions)
 
 
-def _measure_steps(model, data, propagation: str,
-                   steps: int) -> tuple[float, float]:
-    """(best, mean) per-step seconds over ``steps`` measured steps."""
-    from repro.graph.sampling import NegativeSampler, sample_pairwise_batch
-    from repro.nn.losses import l2_regularization, pairwise_hinge_loss
-    from repro.nn.optim import Adam
-
-    rng = np.random.default_rng(0)
-    graph = data.graph()
-    sampler = NegativeSampler(graph, data.target_behavior)
-    eligible = np.flatnonzero(graph.user_degree(data.target_behavior) > 0)
-    optimizer = Adam(model.parameters(), lr=1e-3)
-    model.train()
-
-    def one_step():
-        batch = sample_pairwise_batch(graph, data.target_behavior, sampler,
-                                      BATCH_USERS, PER_USER, rng,
-                                      eligible_users=eligible)
-        if propagation == "sampled":
-            pos, neg = model.sampled_batch_scores(
-                batch.users, batch.pos_items, batch.neg_items,
-                fanout=FANOUT, rng=rng)
-            reg = model.l2_batch(batch.users, batch.pos_items,
-                                 batch.neg_items, 1e-4)
-        else:
-            pos, neg = model.batch_scores(batch.users, batch.pos_items,
-                                          batch.neg_items)
-            reg = l2_regularization(model.parameters(), 1e-4)
-        loss = pairwise_hinge_loss(pos, neg) + reg
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
-        model.on_step_end()
-
-    one_step()  # warm up caches / lazy state
+def _time_steps(one_step, steps: int) -> tuple[float, float]:
+    """(best, mean) seconds of ``one_step()`` over ``steps`` calls."""
+    one_step()  # warm up caches / lazy state / prefetch buffers
     best = float("inf")
     total = 0.0
     for _ in range(steps):
@@ -159,59 +120,94 @@ def _measure_steps(model, data, propagation: str,
     return best, total / steps
 
 
-def _measure_async_steps(model, data, steps: int) -> tuple[float, float]:
-    """(best, mean) per-step seconds through the double-buffered pipeline.
-
-    Mirrors the trainer's ``propagation="async"`` loop: batches come from
-    the pipeline's pre-drawn stream, a background worker extracts per-hop
-    layered blocks, the training thread scores via ``block_batch_scores``.
-    """
-    from repro.nn.losses import pairwise_hinge_loss
-    from repro.nn.optim import Adam
-    from repro.train.pipeline import SampledBatchPipeline
+def _batch_drawer(data):
+    """``rng → PairwiseBatch`` over the dataset's target behavior."""
     from repro.graph.sampling import NegativeSampler, sample_pairwise_batch
 
     graph = data.graph()
     sampler = NegativeSampler(graph, data.target_behavior)
     eligible = np.flatnonzero(graph.user_degree(data.target_behavior) > 0)
-    optimizer = Adam(model.parameters(), lr=1e-3)
-    model.train()
 
     def draw(rng):
         return sample_pairwise_batch(graph, data.target_behavior, sampler,
                                      BATCH_USERS, PER_USER, rng,
                                      eligible_users=eligible)
 
-    def extract(batch, rng):
-        return model.extract_block(batch.users, batch.pos_items,
-                                   batch.neg_items, fanout=FANOUT, rng=rng)
+    return draw
 
-    def one_step(prepared):
-        batch = prepared.batch
-        pos, neg = model.block_batch_scores(
-            batch.users, batch.pos_items, batch.neg_items, prepared.block)
-        reg = model.l2_batch(batch.users, batch.pos_items,
-                             batch.neg_items, 1e-4)
-        loss = pairwise_hinge_loss(pos, neg) + reg
+
+def _measure_full_steps(model, data, steps: int) -> tuple[float, float]:
+    """(best, mean) per-step seconds of the full-graph training step."""
+    from repro.nn.losses import l2_regularization, pairwise_hinge_loss
+    from repro.nn.optim import Adam
+
+    rng = np.random.default_rng(0)
+    draw = _batch_drawer(data)
+    optimizer = Adam(model.parameters(), lr=1e-3)
+    model.train()
+
+    def one_step():
+        batch = draw(rng)
+        pos, neg = model.batch_scores(batch.users, batch.pos_items,
+                                      batch.neg_items)
+        loss = (pairwise_hinge_loss(pos, neg)
+                + l2_regularization(model.parameters(), 1e-4))
         optimizer.zero_grad()
         loss.backward()
         optimizer.step()
         model.on_step_end()
 
-    best = float("inf")
-    total = 0.0
-    with SampledBatchPipeline(draw, extract, total_steps=steps + 1,
-                              seed=0, workers=1, depth=2) as pipeline:
-        one_step(next(pipeline))  # warm up caches / prime the buffers
-        for _ in range(steps):
-            # time the blocking wait for the prefetched block too — stalls
-            # waiting on the worker are real per-step cost
-            start = time.perf_counter()
-            one_step(next(pipeline))
-            elapsed = time.perf_counter() - start
-            best = min(best, elapsed)
-            total += elapsed
-    return best, total / steps
+    return _time_steps(one_step, steps)
+
+
+def _block_pipeline(model, data, steps: int, workers: int):
+    """The trainer's mini-batch stream: ``steps`` measured + 1 warm-up."""
+    from repro.train.pipeline import SampledBatchPipeline
+
+    def extract(batch, rng):
+        return model.extract_block(batch.users, batch.pos_items,
+                                   batch.neg_items, fanout=FANOUT, rng=rng)
+
+    return SampledBatchPipeline(_batch_drawer(data), extract,
+                                total_steps=steps + 1, seed=0,
+                                workers=workers, depth=2)
+
+
+def _block_loss(model, prepared):
+    """Hinge + batch-local L2 over one prepared (batch, layered block)."""
+    from repro.nn.losses import pairwise_hinge_loss
+
+    batch = prepared.batch
+    pos, neg = model.block_batch_scores(
+        batch.users, batch.pos_items, batch.neg_items, prepared.block)
+    return pairwise_hinge_loss(pos, neg) + model.l2_batch(
+        batch.users, batch.pos_items, batch.neg_items, 1e-4)
+
+
+def _measure_block_steps(model, data, steps: int,
+                         workers: int) -> tuple[float, float]:
+    """(best, mean) per-step seconds of the mini-batch training step.
+
+    Mirrors the trainer's ``propagation="async"`` loop: batches come from
+    the pipeline's pre-drawn stream, per-hop layered blocks are extracted
+    inline (``workers=0``) or by a background worker, the training thread
+    scores via ``block_batch_scores``. The timed region includes the
+    ``next(pipeline)`` call — inline extraction, or the blocking wait for
+    the prefetched block, is real per-step cost.
+    """
+    from repro.nn.optim import Adam
+
+    optimizer = Adam(model.parameters(), lr=1e-3)
+    model.train()
+    with _block_pipeline(model, data, steps, workers) as pipeline:
+        def one_step():
+            loss = _block_loss(model, next(pipeline))
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            model.on_step_end()
+
+        return _time_steps(one_step, steps)
 
 
 #: dist sweep workload: the "small" graph with the tables in 4 shards —
@@ -225,48 +221,25 @@ def _measure_dist_steps(model, data, server, local_optimizer,
     """(best, mean) per-step seconds through the parameter-server loop.
 
     Mirrors the trainer's dist step: throttle on the staleness window,
-    forward/backward, push shard gradients, step the local optimizer over
-    whatever parameters are unsharded.
+    inline block extraction, forward/backward, push shard gradients, step
+    the local optimizer over whatever parameters are unsharded.
     """
-    from repro.graph.sampling import NegativeSampler, sample_pairwise_batch
-    from repro.nn.losses import pairwise_hinge_loss
-
-    rng = np.random.default_rng(0)
-    graph = data.graph()
-    sampler = NegativeSampler(graph, data.target_behavior)
-    eligible = np.flatnonzero(graph.user_degree(data.target_behavior) > 0)
     model.train()
+    with _block_pipeline(model, data, steps, workers=0) as pipeline:
+        def one_step():
+            server.throttle()
+            loss = _block_loss(model, next(pipeline))
+            if local_optimizer is not None:
+                local_optimizer.zero_grad()
+            loss.backward()
+            server.push(lr=1e-3)
+            if local_optimizer is not None:
+                local_optimizer.step()
+            model.on_step_end()
 
-    def one_step():
-        server.throttle()
-        batch = sample_pairwise_batch(graph, data.target_behavior, sampler,
-                                      BATCH_USERS, PER_USER, rng,
-                                      eligible_users=eligible)
-        pos, neg = model.sampled_batch_scores(
-            batch.users, batch.pos_items, batch.neg_items,
-            fanout=FANOUT, rng=rng)
-        reg = model.l2_batch(batch.users, batch.pos_items,
-                             batch.neg_items, 1e-4)
-        loss = pairwise_hinge_loss(pos, neg) + reg
-        if local_optimizer is not None:
-            local_optimizer.zero_grad()
-        loss.backward()
-        server.push(lr=1e-3)
-        if local_optimizer is not None:
-            local_optimizer.step()
-        model.on_step_end()
-
-    one_step()  # warm up caches / owner processes
-    best = float("inf")
-    total = 0.0
-    for _ in range(steps):
-        start = time.perf_counter()
-        one_step()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        total += elapsed
+        timing = _time_steps(one_step, steps)
     server.drain()
-    return best, total / steps
+    return timing
 
 
 def _dist_config_row(data, *, workers: int, staleness: int,
@@ -310,10 +283,10 @@ def measure_dist() -> dict:
     data = _random_graph_dataset(spec["num_users"], spec["num_items"],
                                  spec["edges_per_user"])
     cpu_count = os.cpu_count() or 1
-    # single-process baseline: the same sharded model, same sampled step
+    # single-process baseline: the same sharded model, same inline step
     model = GNMR(data, GNMRConfig(pretrain=False, seed=0, num_layers=2,
                                   dtype="float32", shards=DIST_SHARDS))
-    best, mean = _measure_steps(model, data, "sampled", DIST_STEPS)
+    best, mean = _measure_block_steps(model, data, DIST_STEPS, workers=0)
     single = {"step_ms": best * 1e3, "mean_step_ms": mean * 1e3,
               "steps_per_sec": 1.0 / mean}
 
@@ -357,7 +330,7 @@ def measure_scale(name: str, spec: dict) -> dict:
                                   dtype="float32"))
     def mode_row(best: float, mean: float) -> dict:
         # step_ms stays best-of (noise-robust, baseline-comparable for the
-        # sampled-vs-full gate); steps_per_sec reports the SUSTAINABLE
+        # mini-batch-vs-full gate); steps_per_sec reports the SUSTAINABLE
         # rate from the mean — a best-of rate would claim throughput a
         # mode only hits on its luckiest step
         return {
@@ -366,26 +339,26 @@ def measure_scale(name: str, spec: dict) -> dict:
             "steps_per_sec": 1.0 / mean,
         }
 
-    for propagation in ("full", "sampled"):
-        best, mean = _measure_steps(model, data, propagation, spec["steps"])
-        row[propagation] = mode_row(best, mean)
-    best, mean = _measure_async_steps(model, data, spec["steps"])
-    row["async"] = mode_row(best, mean)
+    steps = spec["steps"]
+    row["full"] = mode_row(*_measure_full_steps(model, data, steps))
+    for workers in (0, 1):
+        row[f"async_w{workers}"] = mode_row(
+            *_measure_block_steps(model, data, steps, workers))
     # same workload with the user/item tables split across two shards —
-    # the sampled path's constant-factor sharding tax, gated in CI
+    # the mini-batch path's constant-factor sharding tax, gated in CI
     sharded_model = GNMR(data, GNMRConfig(pretrain=False, seed=0,
                                           num_layers=2, dtype="float32",
                                           shards=2))
-    best, mean = _measure_steps(sharded_model, data, "sampled", spec["steps"])
-    row["sharded"] = mode_row(best, mean)
+    row["sharded"] = mode_row(
+        *_measure_block_steps(sharded_model, data, steps, workers=0))
     row["speedup_sampled"] = (row["full"]["step_ms"]
-                              / row["sampled"]["step_ms"])
-    # async vs sync sampled compares MEANS: every mode pays its amortized
+                              / row["async_w0"]["step_ms"])
+    # the ratios below compare MEANS: every mode pays its amortized
     # extraction cost, nothing hides between best-of windows
-    row["speedup_async"] = (row["sampled"]["mean_step_ms"]
-                            / row["async"]["mean_step_ms"])
+    row["prefetch_gain"] = (row["async_w0"]["mean_step_ms"]
+                            / row["async_w1"]["mean_step_ms"])
     row["shard_overhead"] = (row["sharded"]["mean_step_ms"]
-                             / row["sampled"]["mean_step_ms"])
+                             / row["async_w0"]["mean_step_ms"])
     return row
 
 
@@ -405,7 +378,6 @@ def collect() -> dict:
     }
     payload["dist_sync_speedup"] = payload["dist"]["sync_speedup"]
     payload["speedup_sampled_large"] = payload["scales"]["large"]["speedup_sampled"]
-    payload["speedup_async_large"] = payload["scales"]["large"]["speedup_async"]
     payload["shard_overhead_large"] = payload["scales"]["large"]["shard_overhead"]
     payload["reference_matmul_seconds"] = _reference_matmul_seconds()
     return payload
@@ -428,14 +400,13 @@ def test_bench_training_throughput(benchmark):
     save_results("training_throughput", results)
     for name, row in results["scales"].items():
         assert row["full"]["steps_per_sec"] > 0, name
-        assert row["sampled"]["steps_per_sec"] > 0, name
-        assert row["async"]["steps_per_sec"] > 0, name
-    # the whole point of the sampled path: step time must not track graph
-    # size — on the large graph it must beat full-graph by a wide margin
+        assert row["async_w0"]["steps_per_sec"] > 0, name
+        assert row["async_w1"]["steps_per_sec"] > 0, name
+    # the whole point of the mini-batch path: step time must not track
+    # graph size — on the large graph it must beat full-graph by a wide
+    # margin
     assert results["speedup_sampled_large"] >= 3.0
-    # and the async pipeline must beat sync sampled steps on mean step time
-    assert results["speedup_async_large"] >= 1.3
-    # sharding is a bounded constant-factor tax on the sampled step
+    # sharding is a bounded constant-factor tax on the mini-batch step
     assert results["shard_overhead_large"] <= 2.0
     dist = results["dist"]
     for row in dist["sync_sweep"] + dist["async_staleness_curve"]:

@@ -35,25 +35,23 @@ Compares a fresh benchmark run against the committed baselines and fails
   ``RecommendationService`` call (the HTTP tier is a transport, not a
   different answer). The speedup is a same-machine ratio inside one
   payload, so no cross-machine normalization is needed.
-* ``training_throughput.json`` — the sampled-propagation training step
+* ``training_throughput.json`` — the mini-batch training step (layered
+  per-hop blocks extracted inline, ``propagation="async", workers=0``)
   must stay ≥ 3× faster than the full-graph step on the large synthetic
   graph at batch 32 (the row-sparse mini-batch path's reason to exist),
-  the async-pipelined step must stay ≥ 1.3× faster than the sync sampled
-  step on mean per-step time (layered per-hop blocks + double-buffered
-  background extraction — see ``repro.train.pipeline``), the
-  sharded-table sampled step (``GNMRConfig(shards=2)``) must cost at
-  most ``BENCH_SHARD_MAX``× the unsharded sampled step (sharding is a
-  bounded constant-factor tax, never an asymptotic one — see
-  ``repro.shard``), and none of the ratios may lose more than the
-  tolerance versus the committed baseline. All are same-machine ratios,
-  so no normalization is needed. The payload must also carry the
-  ``repro.dist`` parameter-server sweep: every (workers × staleness)
-  configuration trains at a positive rate, and — only when the payload
-  was measured on ≥ 4 cores, since concurrent shard owners need real
-  cores — the best sync-mode configuration must reach
-  ``BENCH_DIST_MIN`` (1.6×) over the single-process sharded sampled
-  step. Payloads from smaller boxes record the sweep (labeled with
-  their ``cpu_count``) and skip the speedup bar.
+  the sharded-table mini-batch step (``GNMRConfig(shards=2)``) must cost
+  at most ``BENCH_SHARD_MAX``× the unsharded one (sharding is a bounded
+  constant-factor tax, never an asymptotic one — see ``repro.shard``),
+  and neither ratio may lose more than the tolerance versus the
+  committed baseline. Both are same-machine ratios, so no normalization
+  is needed. The payload must also carry the ``repro.dist``
+  parameter-server sweep: every (workers × staleness) configuration
+  trains at a positive rate, and — only when the payload was measured on
+  ≥ 4 cores, since concurrent shard owners need real cores — the best
+  sync-mode configuration must reach ``BENCH_DIST_MIN`` (1.6×) over the
+  single-process sharded mini-batch step. Payloads from smaller boxes
+  record the sweep (labeled with their ``cpu_count``) and skip the
+  speedup bar.
 * ``ingest.json`` — the streaming CSV ingestion (``repro.data.ingest``)
   must stay memory-bounded: on a log ≥ 10× the chunk size over the same
   entity universe, transient memory (tracemalloc peak minus what the
@@ -70,8 +68,8 @@ Usage (what CI runs after regenerating the fresh payloads)::
 
 Environment overrides: ``BENCH_TOLERANCE`` (default 0.20),
 ``BENCH_FLOAT32_MIN`` (default 1.3), ``BENCH_FUSED_MIN`` (default 0.9),
-``BENCH_SAMPLED_MIN`` (default 3.0), ``BENCH_ASYNC_MIN`` (default 1.3),
-``BENCH_SHARD_MAX`` (default 2.0), ``BENCH_DIST_MIN`` (default 1.6),
+``BENCH_SAMPLED_MIN`` (default 3.0), ``BENCH_SHARD_MAX`` (default 2.0),
+``BENCH_DIST_MIN`` (default 1.6),
 ``BENCH_MONO_MIN`` (default 0.75),
 ``BENCH_ANN_RECALL_MIN`` (default 0.95), ``BENCH_ANN_SPEEDUP_MIN``
 (default 3.0), ``BENCH_HTTP_BATCH_MIN`` (default 2.0),
@@ -90,7 +88,6 @@ TOLERANCE = float(os.environ.get("BENCH_TOLERANCE", "0.20"))
 FLOAT32_MIN = float(os.environ.get("BENCH_FLOAT32_MIN", "1.3"))
 FUSED_MIN = float(os.environ.get("BENCH_FUSED_MIN", "0.9"))
 SAMPLED_MIN = float(os.environ.get("BENCH_SAMPLED_MIN", "3.0"))
-ASYNC_MIN = float(os.environ.get("BENCH_ASYNC_MIN", "1.3"))
 SHARD_MAX = float(os.environ.get("BENCH_SHARD_MAX", "2.0"))
 DIST_MIN = float(os.environ.get("BENCH_DIST_MIN", "1.6"))
 MONO_MIN = float(os.environ.get("BENCH_MONO_MIN", "0.75"))
@@ -336,15 +333,6 @@ def run(fresh_dir: Path, baseline_dir: Path) -> int:
         speedup = float(training["speedup_sampled_large"])
         gate.check("sampled-training-speedup", speedup >= SAMPLED_MIN,
                    f"{speedup:.2f}x (floor {SAMPLED_MIN}x)")
-        async_speedup = training.get("speedup_async_large")
-        if async_speedup is None:
-            gate.check("async-training-speedup", False,
-                       "payload has no speedup_async_large")
-        else:
-            async_speedup = float(async_speedup)
-            gate.check("async-training-speedup", async_speedup >= ASYNC_MIN,
-                       f"{async_speedup:.2f}x vs sync sampled "
-                       f"(floor {ASYNC_MIN}x, mean step time)")
         shard_overhead = training.get("shard_overhead_large")
         if shard_overhead is None:
             gate.check("shard-overhead", False,
@@ -352,10 +340,10 @@ def run(fresh_dir: Path, baseline_dir: Path) -> int:
         else:
             shard_overhead = float(shard_overhead)
             gate.check("shard-overhead", shard_overhead <= SHARD_MAX,
-                       f"{shard_overhead:.2f}x vs unsharded sampled "
+                       f"{shard_overhead:.2f}x vs unsharded mini-batch "
                        f"(ceiling {SHARD_MAX}x, mean step time)")
         for scale, row in training["scales"].items():
-            for mode in ("full", "sampled", "async", "sharded"):
+            for mode in ("full", "async_w0", "async_w1", "sharded"):
                 if mode not in row:
                     gate.check(f"training-{scale}-{mode}", False,
                                "mode missing from payload")
@@ -379,7 +367,7 @@ def run(fresh_dir: Path, baseline_dir: Path) -> int:
             if int(dist["cpu_count"]) >= 4:
                 gate.check("dist-sync-speedup", dist_speedup >= DIST_MIN,
                            f"{dist_speedup:.2f}x vs single-process sharded "
-                           f"sampled at workers="
+                           f"mini-batch at workers="
                            f"{dist['sync_best_workers']} (floor "
                            f"{DIST_MIN}x on {dist['cpu_count']} cores)")
             else:
@@ -396,15 +384,6 @@ def run(fresh_dir: Path, baseline_dir: Path) -> int:
             gate.check("sampled-speedup-vs-baseline", speedup >= floor,
                        f"{speedup:.2f}x vs baseline {base:.2f}x "
                        f"(floor {floor:.2f}x)")
-        base_async = (training_base or {}).get("speedup_async_large")
-        if base_async is None:
-            # committed baselines from before the async pipeline landed
-            gate.skip("async-speedup-vs-baseline", "no committed baseline")
-        elif async_speedup is not None:
-            floor = float(base_async) * (1.0 - TOLERANCE)
-            gate.check("async-speedup-vs-baseline", async_speedup >= floor,
-                       f"{async_speedup:.2f}x vs baseline "
-                       f"{float(base_async):.2f}x (floor {floor:.2f}x)")
         base_shard = (training_base or {}).get("shard_overhead_large")
         if base_shard is None:
             # committed baselines from before sharded tables landed

@@ -44,7 +44,7 @@ _FANOUT_UNSET = object()
 
 def _fanout_arg(text: str):
     """argparse type for ``--fanout``: '10', '0' (no cap), or '10,5'."""
-    from repro.graph.subgraph import parse_fanout
+    from repro.graph.layered import parse_fanout
 
     try:
         return parse_fanout(text)
@@ -142,6 +142,14 @@ def cmd_train(args) -> int:
     from repro.tensor import default_dtype
     from repro.utils import save_checkpoint
 
+    if args.propagation != "async":
+        for flag, given in (("--fanout", args.fanout is not _FANOUT_UNSET),
+                            ("--workers", args.workers is not None)):
+            if given:
+                print(f"{flag} only applies to --propagation async "
+                      f"(got --propagation {args.propagation})",
+                      file=sys.stderr)
+                return 2
     scale = _scale_from_args(args)
     dataset, scale = _resolve_train_dataset(args, scale)
     split = _split_dataset(dataset, args.split, args.test_fraction, scale.seed)
@@ -483,22 +491,23 @@ def build_parser() -> argparse.ArgumentParser:
                          help="ranking protocol: sampled 99-negative "
                               "(paper) or full-catalog Recall@K/NDCG@K")
     p_train.add_argument("--propagation", default="full",
-                         choices=["full", "sampled", "async"],
+                         choices=["full", "async"],
                          help="training propagation: full graph every step "
-                              "(bit-reproducible), fanout-capped sampled "
-                              "subgraphs with row-sparse gradients (step "
-                              "cost scales with the batch), or the async "
-                              "double-buffered pipeline over per-hop "
-                              "layered blocks (fastest)")
+                              "(bit-reproducible), or mini-batch steps over "
+                              "fanout-capped per-hop layered blocks with "
+                              "row-sparse gradients (step cost scales with "
+                              "the batch; --workers picks inline or "
+                              "prefetched extraction)")
     p_train.add_argument("--fanout", type=_fanout_arg, default=_FANOUT_UNSET,
                          help="neighbors sampled per node per behavior per "
-                              "hop on the sampled/async paths: one int for "
+                              "hop under --propagation async: one int for "
                               "every hop, or a comma-separated per-hop "
                               "schedule like '10,5' (0 = no cap; "
                               "default 10)")
     p_train.add_argument("--workers", type=int, default=None,
                          help="background block-extraction threads for "
-                              "--propagation async (0 = inline; default 1)")
+                              "--propagation async (0 = inline; default 1; "
+                              "never changes the trajectory)")
     p_train.add_argument("--shards", type=int, default=None,
                          help="partition the user/item embedding tables "
                               "across K logical shards (parameter-server "

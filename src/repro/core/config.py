@@ -46,10 +46,10 @@ class GNMRConfig:
     pretrain_epochs, pretrain_lr:
         Autoencoder pre-training schedule.
     fanout:
-        The model's neighbor-sampling schedule for the sampled/async
-        training paths: an ``int`` applied at every hop, ``None`` for no
-        cap, or a per-hop schedule such as ``(10, 5)`` (GraphSAGE-style —
-        first hop away from the seeds first). Applies whenever the caller
+        The model's neighbor-sampling schedule for mini-batch
+        (``propagation="async"``) training: an ``int`` applied at every
+        hop, ``None`` for no cap, or a per-hop schedule such as ``(10, 5)``
+        (GraphSAGE-style — first hop away from the seeds first). Applies whenever the caller
         doesn't pass a fanout explicitly — including trainer runs, since
         :class:`~repro.train.TrainConfig` defaults to ``fanout="model"``
         (defer to this knob); an explicit ``TrainConfig.fanout`` wins for
@@ -128,7 +128,7 @@ class GNMRConfig:
             raise ValueError("layer_combination must be 'sum' or 'mean'")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        from repro.graph.subgraph import resolve_fanout, validate_fanout
+        from repro.graph.layered import resolve_fanout, validate_fanout
 
         validate_fanout(self.fanout)
         if isinstance(self.fanout, (list, tuple)):

@@ -4,7 +4,9 @@ Full-graph propagation: starting from (pre-trained) order-0 embeddings, L
 :class:`~repro.core.layers.GNMRPropagationLayer` applications produce
 multi-order user/item embeddings H⁰..H^L; the preference score is the
 multi-order matching Σ_l H^l_u · H^l_v, trained with the pairwise hinge
-loss of Eq. (7).
+loss of Eq. (7). Mini-batch steps run the same layer stack over a per-hop
+layered block instead (:meth:`GNMR.extract_block` +
+:meth:`GNMR.block_batch_scores`).
 
 All adjacency handling, the fused multi-behavior SpMM, and the propagation
 cache live in the shared :class:`~repro.graph.engine.PropagationEngine`;
@@ -167,10 +169,10 @@ class GNMR(Recommender):
 
         ``propagate_*(level, h)`` produces the level's ``(n, K, d)``
         message stack; ``restrict_*(level, h)`` maps the previous level's
-        tensor onto the rows the next level keeps (identity for full-graph
-        and monolithic blocks, a row gather for shrinking layered blocks).
-        Full, sampled, and async paths share this loop by construction —
-        change the layer recipe here and every mode follows.
+        tensor onto the rows the next level keeps (identity on the full
+        graph, a row gather for shrinking layered blocks). The full-graph
+        and mini-batch paths share this loop by construction — change the
+        layer recipe here and both follow.
         """
         user_layers: list[Tensor] = [h_user]
         item_layers: list[Tensor] = [h_item]
@@ -188,26 +190,15 @@ class GNMR(Recommender):
             h_user, h_item = next_user, next_item
         return user_layers, item_layers
 
-    def _propagate_layers(self, propagator, h_user: Tensor,
-                          h_item: Tensor) -> tuple[list[Tensor], list[Tensor]]:
-        """Layer stack over a level-uniform propagation provider.
-
-        ``propagator`` is either the full-graph engine or a sampled
-        :class:`~repro.graph.subgraph.SubgraphBlock` — both expose the same
-        ``propagate_user`` / ``propagate_item`` ``(n, K, d)`` contract at
-        every level, with no row restriction between levels.
-        """
-        return self._run_layer_stack(
-            h_user, h_item,
-            lambda level, h: propagator.propagate_user(h),
-            lambda level, h: propagator.propagate_item(h),
-            lambda level, h: h,
-            lambda level, h: h)
-
     def propagate(self) -> tuple[list[Tensor], list[Tensor]]:
         """Compute multi-order embeddings [H⁰..H^L] for users and items."""
         h_user, h_item = self._order0()
-        return self._propagate_layers(self.engine, h_user, h_item)
+        return self._run_layer_stack(
+            h_user, h_item,
+            lambda level, h: self.engine.propagate_user(h),
+            lambda level, h: self.engine.propagate_item(h),
+            lambda level, h: h,
+            lambda level, h: h)
 
     def _match(self, user_layers: list[Tensor], item_layers: list[Tensor],
                users: np.ndarray, items: np.ndarray) -> Tensor:
@@ -240,71 +231,21 @@ class GNMR(Recommender):
         return pos, neg
 
     # ------------------------------------------------------------------
-    # sampled (mini-batch) propagation
-    # ------------------------------------------------------------------
-    def _order0_rows(self, block) -> tuple[Tensor, Tensor]:
-        """Order-0 embeddings of the block's nodes, gathered row-sparsely.
-
-        ``embedding_rows`` makes the backward pass emit a
-        :class:`~repro.tensor.RowSparseGrad` holding only the block rows,
-        so Adam's per-step work scales with the subgraph, not the tables.
-        """
-        h_user = table_rows(self.user_embeddings, block.users)
-        h_item = table_rows(self.item_embeddings, block.items)
-        if self.user_feature_proj is not None:
-            h_user = h_user + self.user_feature_proj(
-                Tensor(self._user_feature_input.data[block.users],
-                       dtype=self.engine.dtype))
-            h_item = h_item + self.item_feature_proj(
-                Tensor(self._item_feature_input.data[block.items],
-                       dtype=self.engine.dtype))
-        return h_user, h_item
-
-    def propagate_block(self, block) -> tuple[list[Tensor], list[Tensor]]:
-        """Multi-order embeddings [H⁰..H^L] over a sampled subgraph block."""
-        h_user, h_item = self._order0_rows(block)
-        return self._propagate_layers(block, h_user, h_item)
-
-    def sampled_batch_scores(self, users: np.ndarray, pos_items: np.ndarray,
-                             neg_items: np.ndarray, *,
-                             fanout=_CONFIG_FANOUT,
-                             rng: np.random.Generator | None = None,
-                             ) -> tuple[Tensor, Tensor]:
-        """Batch scores from L-layer propagation over a sampled block only.
-
-        Seeds are the batch users plus their positive/negative items; the
-        engine expands them L hops with per-(node, behavior) fanout caps
-        (scalar or per-hop schedule; defaults to ``config.fanout``) and the
-        usual layer stack runs on the induced block. Step cost scales with
-        ``batch × fanout^L`` instead of the graph size.
-        """
-        if fanout is _CONFIG_FANOUT:
-            fanout = self.config.fanout
-        users = np.asarray(users, dtype=np.int64)
-        pos_items = np.asarray(pos_items, dtype=np.int64)
-        neg_items = np.asarray(neg_items, dtype=np.int64)
-        block = self.engine.subgraph(
-            users, np.concatenate([pos_items, neg_items]),
-            hops=self.config.num_layers, fanout=fanout, rng=rng)
-        user_layers, item_layers = self.propagate_block(block)
-        local_users = block.localize_users(users)
-        pos = self._match(user_layers, item_layers, local_users,
-                          block.localize_items(pos_items))
-        neg = self._match(user_layers, item_layers, local_users,
-                          block.localize_items(neg_items))
-        return pos, neg
-
-    # ------------------------------------------------------------------
-    # layered (async-pipeline) propagation
+    # layered (mini-batch) propagation
     # ------------------------------------------------------------------
     def extract_block(self, users: np.ndarray, pos_items: np.ndarray,
                       neg_items: np.ndarray, *, fanout=_CONFIG_FANOUT,
                       rng: np.random.Generator | None = None):
         """Prefetchable per-hop :class:`~repro.graph.LayeredBlock`.
 
-        Pure graph work — no parameters are read — so the training pipeline
-        runs it on a background worker while the optimizer applies the
-        previous step. :meth:`block_batch_scores` consumes the result.
+        Seeds are the batch users plus their positive/negative items; the
+        engine expands them L hops with per-(node, behavior) fanout caps
+        (scalar or per-hop schedule; defaults to ``config.fanout``), so the
+        step cost scales with ``batch × fanout^L`` instead of the graph
+        size. Pure graph work — no parameters are read — so the training
+        pipeline may run it on a background worker while the optimizer
+        applies the previous step. :meth:`block_batch_scores` consumes the
+        result.
         """
         if fanout is _CONFIG_FANOUT:
             fanout = self.config.fanout
@@ -321,8 +262,10 @@ class GNMR(Recommender):
 
         Level-``l`` tensors live on ``block.user_levels[l]`` /
         ``block.item_levels[l]`` — each layer computes only the rows the
-        next one aggregates, down to the seeds, instead of re-evaluating
-        the whole sampled node set at every order.
+        next one aggregates, down to the seeds. The order-0 rows are
+        gathered with ``embedding_rows``, so the backward pass emits a
+        :class:`~repro.tensor.RowSparseGrad` holding only the block rows
+        and Adam's per-step work scales with the block, not the tables.
         """
         h_user = table_rows(self.user_embeddings, block.user_levels[0])
         h_item = table_rows(self.item_embeddings, block.item_levels[0])

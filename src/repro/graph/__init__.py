@@ -8,10 +8,9 @@ every graph recommender builds on.
 
 from repro.graph.interaction_graph import MultiBehaviorGraph, GraphStats
 from repro.graph.engine import PropagationEngine, bipartite_laplacian
-from repro.graph.layered import LayeredBlock, LayeredNodeBlocks
-from repro.graph.subgraph import (
-    SubgraphBlock,
-    SingleSubgraph,
+from repro.graph.layered import (
+    LayeredBlock,
+    LayeredNodeBlocks,
     sample_neighbors,
     resolve_fanout,
     parse_fanout,
@@ -29,8 +28,6 @@ __all__ = [
     "GraphStats",
     "PropagationEngine",
     "bipartite_laplacian",
-    "SubgraphBlock",
-    "SingleSubgraph",
     "LayeredBlock",
     "LayeredNodeBlocks",
     "sample_neighbors",

@@ -41,12 +41,6 @@ from repro.graph.layered import (
     sample_layered_bipartite,
     sample_layered_square,
 )
-from repro.graph.subgraph import (
-    SingleSubgraph,
-    SubgraphBlock,
-    sample_bipartite_block,
-    sample_square_block,
-)
 from repro.tensor.sparse import SparseAdjacency
 from repro.tensor.tensor import Tensor, resolve_dtype
 
@@ -255,66 +249,24 @@ class PropagationEngine:
         return self.adjacency.matmul(h)
 
     # ------------------------------------------------------------------
-    # sampled-subgraph extraction (mini-batch training)
+    # layered block extraction (mini-batch training, cold-user serving)
     # ------------------------------------------------------------------
-    def subgraph(self, seed_users: np.ndarray, seed_items: np.ndarray,
-                 hops: int = 1, fanout=10,
-                 rng: np.random.Generator | None = None) -> SubgraphBlock:
-        """Fanout-capped L-hop sampled block around batch seeds.
-
-        Expands the seed users/items through every behavior's adjacency for
-        ``hops`` rounds, sampling at most ``fanout`` neighbors per (node,
-        behavior) (``None`` → no cap; a ``[10, 5]`` sequence schedules the
-        cap per hop — see :func:`~repro.graph.subgraph.resolve_fanout`),
-        then extracts the induced stacked-CSR sub-adjacencies with old↔new
-        index maps. Row-normalized engines re-normalize the sampled rows so
-        messages stay means over the included neighborhood.
-
-        The returned :class:`~repro.graph.subgraph.SubgraphBlock` exposes
-        ``propagate_user`` / ``propagate_item`` with the same ``(n, K, d)``
-        contract as the full-graph engine — models run their usual layer
-        stack on top, just at subgraph scale.
-        """
-        if self._user_stack is None:
-            raise RuntimeError("single-graph engine: use subgraph_nodes()")
-        rng = rng or np.random.default_rng()
-        return sample_bipartite_block(
-            [a.matrix for a in self.user_adjacencies],
-            [a.matrix for a in self.item_adjacencies],
-            seed_users, seed_items, hops, fanout, rng,
-            dtype=self.dtype,
-            renormalize=self.normalization == "row",
-        )
-
-    def subgraph_nodes(self, seed_nodes: np.ndarray, hops: int = 1,
-                       fanout=10,
-                       rng: np.random.Generator | None = None) -> SingleSubgraph:
-        """Sampled square block of a single-graph engine (NGCF mode).
-
-        ``seed_nodes`` live in the engine's joint index space (users then
-        items for a bipartite Laplacian). ``fanout`` accepts a scalar or a
-        per-hop schedule. Edge values keep their original normalization;
-        self-loops survive slicing, so every sampled node retains its
-        identity message.
-        """
-        if self._single is None:
-            raise RuntimeError("multi-behavior engine: use subgraph()")
-        rng = rng or np.random.default_rng()
-        return sample_square_block(self._single.matrix, seed_nodes,
-                                   hops, fanout, rng, dtype=self.dtype)
-
     def layered_subgraph(self, seed_users: np.ndarray,
                          seed_items: np.ndarray, hops: int = 1, fanout=10,
                          rng: np.random.Generator | None = None) -> LayeredBlock:
-        """Per-hop shrinking blocks for the async training pipeline.
+        """Fanout-capped L-hop per-hop blocks around batch seeds.
 
-        Where :meth:`subgraph` returns one monolithic block that every
-        layer propagates over in full, this returns a
-        :class:`~repro.graph.layered.LayeredBlock`: one bipartite slice per
-        hop, each aggregating only the rows the next layer actually needs,
-        down to the seeds at the top. Same sampling semantics (induced
-        slices, row re-normalization, per-hop ``fanout`` schedules); at
-        ``fanout=None`` the seed outputs are bit-exact full-graph values.
+        Expands the seed users/items backwards through every behavior's
+        adjacency for ``hops`` rounds, sampling at most ``fanout``
+        neighbors per (node, behavior) (``None`` → no cap; a ``[10, 5]``
+        sequence schedules the cap per hop — see
+        :func:`~repro.graph.layered.resolve_fanout`), and returns a
+        :class:`~repro.graph.layered.LayeredBlock`: one induced bipartite
+        slice per hop, each aggregating only the rows the next layer
+        actually needs, down to the seeds at the top. Row-normalized
+        engines re-normalize the sliced rows so messages stay means over
+        the included neighborhood; at ``fanout=None`` the seed outputs are
+        bit-exact full-graph values.
         """
         if self._user_stack is None:
             raise RuntimeError("single-graph engine: use layered_subgraph_nodes()")
@@ -331,7 +283,14 @@ class PropagationEngine:
                                fanout=10,
                                rng: np.random.Generator | None = None,
                                ) -> LayeredNodeBlocks:
-        """Layered counterpart of :meth:`subgraph_nodes` (single-graph)."""
+        """Per-hop blocks of a single-graph engine (NGCF mode).
+
+        ``seed_nodes`` live in the engine's joint index space (users then
+        items for a bipartite Laplacian). ``fanout`` accepts a scalar or a
+        per-hop schedule. Edge values keep their original normalization;
+        the level sets are nested, so self-loops survive slicing and every
+        node keeps its identity message.
+        """
         if self._single is None:
             raise RuntimeError("multi-behavior engine: use layered_subgraph()")
         rng = rng or np.random.default_rng()

@@ -1,32 +1,34 @@
-"""Layered (per-hop) sampled blocks — the async pipeline's block format.
+"""Layered (per-hop) sampled blocks — the mini-batch block format.
 
-The monolithic :class:`~repro.graph.subgraph.SubgraphBlock` runs every
-propagation layer over the *entire* sampled node set, yet layer ``l``'s
-output is only consumed where layer ``l+1`` aggregates — and the final
-matching reads seed rows alone. For a 2-layer model with a 25k-node block
-and a few hundred seeds, that is ~2×25k node-layer evaluations where ~3k
-would do. This module holds the GraphSAGE/DGL-"MFG"-style alternative: a
-*layered* block with one shrinking bipartite sub-adjacency per hop, so
+GNMR's Algorithm 1 trains on mini-batches of seed users, yet full-graph
+propagation pays ``A @ H`` over every node each step. This module holds the
+GraphSAGE/DGL-"MFG"-style alternative applied to our stacked-CSR substrate:
+fanout-capped L-hop neighbor sampling around the batch seeds, extracted as
+a *layered* block with one shrinking bipartite sub-adjacency per hop, so
 layer ``l`` computes exactly the rows layer ``l+1`` needs and the top
-layer computes seeds only.
+layer computes seeds only. Per-step propagation cost then scales with
+``batch × fanout^L`` instead of the graph size.
 
 Construction walks backwards from the seeds: with level sets
 ``S_L = seeds`` and ``S_{l-1} = S_l ∪ sampled-neighbors(S_l)``, the level-
 ``l`` computation aggregates ``S_l``-rows from ``S_{l-1}``-columns through
 the induced bipartite slice ``A[S_l][:, S_{l-1}]``. Induced slicing keeps
-every graph edge between the included node sets (the same estimator family
-as the monolithic block); row-normalized adjacencies are re-normalized
-over the included columns so messages stay means. With ``fanout=None`` the
-level sets cover every reachable neighbor, each re-normalized row equals
-the full-graph row, and the seed outputs are *bit-exact* full-graph values
-— the property the layered tests pin down.
+every graph edge between the included node sets. Row-normalized ("mean")
+adjacencies are re-normalized over the included columns, so each message
+is the mean of the neighbors actually included — the unbiased-as-fanout-
+grows estimator; other normalizations keep their original edge values (a
+subset sum; NGCF's self-loops keep the identity component intact). With
+``fanout=None`` the level sets cover every reachable neighbor, each
+re-normalized row equals the full-graph row, and the seed outputs are
+*bit-exact* full-graph values — the property the layered tests pin down.
 
 Per-hop fanout schedules compose naturally: ``fanout=[10, 5]`` caps the
 first expansion away from the seeds at 10 neighbors per (node, behavior)
 and the second at 5, bounding the deepest (cheapest-per-row, but largest)
 level set.
 
-Two shapes mirror the two engine modes:
+Two shapes mirror the two :class:`~repro.graph.engine.PropagationEngine`
+modes:
 
 * :class:`LayeredBlock` — multi-behavior (GNMR): per-level user-side and
   item-side stacked-CSR bipartite slices with the engine's fused
@@ -40,14 +42,172 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graph.subgraph import (
-    _expand,
-    _IndexMap,
-    _slice_block,
-    resolve_fanout,
-)
 from repro.tensor.sparse import SparseAdjacency
 from repro.tensor.tensor import Tensor
+
+
+def _check_fanout_entry(value, position: str) -> None:
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"fanout {position} must be an int or None, "
+                         f"got {value!r}")
+    if value < 1:
+        raise ValueError(f"fanout {position} must be >= 1 (or None for no "
+                         f"cap), got {value}")
+
+
+def validate_fanout(fanout) -> None:
+    """Validate a fanout spec without knowing the hop count.
+
+    Accepts a scalar (``int`` ≥ 1), ``None`` (no cap), or a sequence of
+    those (a per-hop schedule). Raises ``ValueError`` for anything else —
+    including an empty schedule, which would silently sample nothing.
+    """
+    if isinstance(fanout, (list, tuple)):
+        if len(fanout) == 0:
+            raise ValueError("fanout schedule must not be empty")
+        for i, entry in enumerate(fanout):
+            _check_fanout_entry(entry, f"schedule entry {i}")
+        return
+    _check_fanout_entry(fanout, "value")
+
+
+def resolve_fanout(fanout, hops: int) -> list[int | None]:
+    """Normalize a fanout spec into a per-hop schedule of length ``hops``.
+
+    A scalar (or ``None``) broadcasts to every hop; a sequence must match
+    ``hops`` exactly — a silent truncation or cycle would make ``fanout=[10,
+    5]`` mean different things at different model depths.
+
+    >>> resolve_fanout(10, 2)
+    [10, 10]
+    >>> resolve_fanout(None, 3)
+    [None, None, None]
+    >>> resolve_fanout([10, 5], 2)
+    [10, 5]
+    >>> resolve_fanout([10, 5], 3)
+    Traceback (most recent call last):
+        ...
+    ValueError: fanout schedule has 2 entries but the expansion runs 3 hops
+    """
+    validate_fanout(fanout)
+    if isinstance(fanout, (list, tuple)):
+        if len(fanout) != hops:
+            raise ValueError(f"fanout schedule has {len(fanout)} entries but "
+                             f"the expansion runs {hops} hops")
+        return [None if f is None else int(f) for f in fanout]
+    return [fanout] * hops
+
+
+def parse_fanout(text: str) -> int | None | tuple[int | None, ...]:
+    """Parse the CLI ``--fanout`` string into a fanout spec.
+
+    ``"10"`` → 10, ``"0"`` → None (no cap), ``"10,5"`` → ``(10, 5)`` with
+    per-hop semantics (``0`` entries mean "no cap on that hop").
+
+    >>> parse_fanout("10"), parse_fanout("0"), parse_fanout("10,5")
+    (10, None, (10, 5))
+    >>> parse_fanout("10,0,5")
+    (10, None, 5)
+    """
+    parts = [p.strip() for p in text.split(",")]
+    if any(not p for p in parts):
+        raise ValueError(f"invalid --fanout value {text!r}: empty entry")
+    try:
+        values = [int(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"invalid --fanout value {text!r}: entries must be "
+                         "integers") from None
+    if any(v < 0 for v in values):
+        raise ValueError(f"invalid --fanout value {text!r}: entries must be "
+                         ">= 0 (0 means no cap)")
+    resolved = [None if v == 0 else v for v in values]
+    if len(resolved) == 1:
+        return resolved[0]
+    return tuple(resolved)
+
+
+def sample_neighbors(matrix: sp.csr_matrix, nodes: np.ndarray,
+                     fanout: int | None,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Up-to-``fanout`` neighbors of each node from one CSR adjacency.
+
+    Returns the (non-unique) concatenation of the sampled neighbor ids;
+    ``fanout=None`` keeps every neighbor. Sampling is per node — a hub's
+    neighborhood is capped, a sparse node keeps everything it has — and
+    fully vectorized: every candidate edge gets a random key and a stable
+    ``lexsort`` ranks edges within their row, so selecting ``rank < fanout``
+    draws without replacement across all rows in one pass (no per-node
+    Python loop on the training hot path).
+    """
+    if fanout is not None and fanout < 1:
+        raise ValueError("fanout must be >= 1 (or None for no cap)")
+    indptr, indices = matrix.indptr, matrix.indices
+    starts = indptr[nodes]
+    lengths = indptr[nodes + 1] - starts
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=indices.dtype)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    # global CSR position of each candidate edge, frontier-row by row
+    pos = np.repeat(starts - offsets[:-1], lengths) + np.arange(total)
+    candidates = indices[pos]
+    if fanout is None or int(lengths.max()) <= fanout:
+        return candidates
+    row_of_edge = np.repeat(np.arange(nodes.size), lengths)
+    keys = rng.random(total)
+    order = np.lexsort((keys, row_of_edge))  # stable: rows stay contiguous
+    rank = np.arange(total) - np.repeat(offsets[:-1], lengths)
+    return candidates[order][rank < fanout]
+
+
+def _expand(matrices: list[sp.csr_matrix], frontier: np.ndarray,
+            fanout: int | None, rng: np.random.Generator) -> np.ndarray:
+    """Unique sampled neighbors of a frontier across K adjacencies."""
+    if frontier.size == 0:
+        return np.empty(0, dtype=np.int64)
+    gathered = [sample_neighbors(m, frontier, fanout, rng) for m in matrices]
+    merged = np.concatenate(gathered) if gathered else np.empty(0, dtype=np.int64)
+    return np.unique(merged.astype(np.int64, copy=False))
+
+
+def _renormalize_rows(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """Rescale each row to sum 1 (mean over the sampled neighborhood)."""
+    sums = np.asarray(matrix.sum(axis=1)).ravel()
+    inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
+    return (sp.diags(inv.astype(matrix.dtype)) @ matrix).tocsr()
+
+
+def _slice_block(matrix: sp.csr_matrix, rows: np.ndarray,
+                 cols: np.ndarray, renormalize: bool) -> sp.csr_matrix:
+    """Induced sub-adjacency ``matrix[rows][:, cols]`` as CSR."""
+    block = matrix[rows][:, cols].tocsr()
+    if renormalize:
+        block = _renormalize_rows(block)
+    return block
+
+
+class _IndexMap:
+    """Old→new index lookup over a sorted unique node array."""
+
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: np.ndarray):
+        self.nodes = nodes  # sorted unique int64
+
+    def localize(self, ids: np.ndarray, kind: str) -> np.ndarray:
+        """Map global ids to positions in the block (raises if absent)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        pos = np.searchsorted(self.nodes, ids)
+        # compare only in-range positions: an empty level has no row to
+        # clamp an out-of-range position onto
+        ok = pos < self.nodes.size
+        ok[ok] = self.nodes[pos[ok]] == ids[ok]
+        if not np.all(ok):
+            missing = np.unique(ids[~ok])[:5]
+            raise KeyError(f"{kind} ids not in block: {missing.tolist()}")
+        return pos
 
 
 class _BipartiteHop:
@@ -177,9 +337,9 @@ def sample_layered_bipartite(user_matrices: list[sp.csr_matrix],
                              renormalize: bool) -> LayeredBlock:
     """Build a :class:`LayeredBlock` by backward expansion from the seeds.
 
-    ``fanout`` follows :func:`~repro.graph.subgraph.resolve_fanout`
-    semantics: ``schedule[0]`` caps the first expansion away from the
-    seeds (i.e. the neighbors aggregated by the *last* layer).
+    ``fanout`` follows :func:`resolve_fanout` semantics: ``schedule[0]``
+    caps the first expansion away from the seeds (i.e. the neighbors
+    aggregated by the *last* layer).
     """
     schedule = resolve_fanout(fanout, hops)
     users = [np.unique(np.asarray(seed_users, dtype=np.int64))]
@@ -215,7 +375,12 @@ def sample_layered_square(matrix: sp.csr_matrix, seed_nodes: np.ndarray,
                           hops: int, fanout,
                           rng: np.random.Generator,
                           dtype) -> LayeredNodeBlocks:
-    """Layered counterpart of ``sample_square_block`` (single-graph mode)."""
+    """Build :class:`LayeredNodeBlocks` over one square adjacency.
+
+    ``seed_nodes`` live in the joint (users+items) index space; ``fanout``
+    accepts the same scalar-or-schedule forms as
+    :func:`sample_layered_bipartite`.
+    """
     schedule = resolve_fanout(fanout, hops)
     levels = [np.unique(np.asarray(seed_nodes, dtype=np.int64))]
     for hop_fanout in schedule:

@@ -49,58 +49,44 @@ class Recommender(Module):
         """
         return self.score_tensor(users, pos_items), self.score_tensor(users, neg_items)
 
-    def sampled_batch_scores(self, users: np.ndarray, pos_items: np.ndarray,
-                             neg_items: np.ndarray, *,
-                             fanout: int | None = 10,
-                             rng: np.random.Generator | None = None,
-                             ) -> tuple[Tensor, Tensor]:
-        """Batch scores under sampled (sublinear) propagation.
-
-        Graph models (GNMR, NGCF) override this to propagate over a
-        fanout-capped sampled subgraph and gather embeddings with the
-        row-sparse ``embedding_rows`` op, making the step cost a function
-        of batch size and fanout. The default is the brute-force fallback:
-        non-graph baselines have no propagation to sample — their
-        ``batch_scores`` already touches only batch-sized activations — so
-        the dense path is reused unchanged.
-        """
-        del fanout, rng  # no propagation to sample in the fallback
-        return self.batch_scores(users, pos_items, neg_items)
-
     def extract_block(self, users: np.ndarray, pos_items: np.ndarray,
                       neg_items: np.ndarray, *, fanout=10,
                       rng: np.random.Generator | None = None):
         """Parameter-free sampled-propagation block for one batch.
 
-        The async training pipeline (:mod:`repro.train.pipeline`) calls
-        this on a background worker — extraction reads only the graph
-        structure and the rng, never the parameters, so it can run while
-        the optimizer is still applying the previous step. Graph models
-        return a layered block consumed by :meth:`block_batch_scores`;
-        the default returns ``None`` — non-graph models have nothing to
+        The mini-batch training pipeline (:mod:`repro.train.pipeline`)
+        calls this inline or on a background worker — extraction reads
+        only the graph structure and the rng, never the parameters, so it
+        can run while the optimizer is still applying the previous step.
+        Graph models (GNMR, NGCF) return a fanout-capped layered block
+        consumed by :meth:`block_batch_scores`, making the step cost a
+        function of batch size and fanout; the default returns ``None`` —
+        non-graph models have no propagation to sample and nothing to
         prefetch beyond the batch itself.
         """
         del users, pos_items, neg_items, fanout, rng
         return None
 
     def block_batch_scores(self, users: np.ndarray, pos_items: np.ndarray,
-                           neg_items: np.ndarray, block,
+                           neg_items: np.ndarray, block=None,
                            ) -> tuple[Tensor, Tensor]:
         """Score one batch over a block prefetched by :meth:`extract_block`.
 
-        ``block=None`` (the non-graph fallback) routes to
-        :meth:`sampled_batch_scores`, which for embedding-table baselines
-        gathers with the row-sparse path.
+        The fallback for ``block=None`` is the dense :meth:`batch_scores`
+        — a non-graph model's forward already touches only batch-sized
+        activations. Embedding-table baselines (BiasMF, the NCF family)
+        override it to gather with the row-sparse ``embedding_rows`` op,
+        so their optimizer work scales with the batch too.
         """
         if block is not None:
             raise NotImplementedError(
                 f"{type(self).__name__} returned a block from extract_block "
                 "but does not implement block_batch_scores")
-        return self.sampled_batch_scores(users, pos_items, neg_items)
+        return self.batch_scores(users, pos_items, neg_items)
 
     def l2_batch(self, users: np.ndarray, pos_items: np.ndarray,
                  neg_items: np.ndarray, weight: float) -> Tensor:
-        """Batch-local λ‖Θ_batch‖² for the sampled training path.
+        """Batch-local λ‖Θ_batch‖² for the mini-batch training path.
 
         Models with embedding tables override this (via
         :func:`repro.nn.losses.l2_regularization_batch`) to penalize only

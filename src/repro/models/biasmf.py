@@ -2,7 +2,7 @@
 
 Matrix factorization with user/item bias terms:
 ``score(u, i) = μ + b_u + b_i + p_u · q_i``, trained on the target behavior
-with the shared pairwise objective. In sampled/async training mode every
+with the shared pairwise objective. In mini-batch (`async`) training every
 table — factors *and* the 1-D bias vectors — is gathered with the
 row-sparse ``embedding_rows`` op, so the optimizer touches only the batch
 rows instead of sweeping the full tables each step.
@@ -61,7 +61,7 @@ class BiasMF(Recommender):
                 + self.global_bias.gather_rows(np.zeros_like(users)))
 
     # ------------------------------------------------------------------
-    # sampled (row-sparse) training path
+    # mini-batch (row-sparse) training path
     # ------------------------------------------------------------------
     def _sparse_scores(self, users: np.ndarray, items: np.ndarray) -> Tensor:
         """``score_tensor`` with row-sparse gathers (1-D bias rows too)."""
@@ -73,19 +73,18 @@ class BiasMF(Recommender):
                 + table_rows(self.item_bias, items)
                 + self.global_bias.gather_rows(np.zeros_like(users)))
 
-    def sampled_batch_scores(self, users: np.ndarray, pos_items: np.ndarray,
-                             neg_items: np.ndarray, *,
-                             fanout=10,
-                             rng: np.random.Generator | None = None,
-                             ) -> tuple[Tensor, Tensor]:
+    def block_batch_scores(self, users: np.ndarray, pos_items: np.ndarray,
+                           neg_items: np.ndarray, block=None,
+                           ) -> tuple[Tensor, Tensor]:
         """Batch scores whose backward stays row-sparse on all four tables.
 
-        No propagation to sample (``fanout``/``rng`` are unused); the point
-        of overriding the fallback is that gradients reach ``P``/``Q`` and
-        the bias vectors as ``RowSparseGrad``s, so sampled-mode optimizer
-        work scales with the batch instead of the user/item counts.
+        No graph, so no block (``extract_block`` returns ``None``); the
+        point of overriding the dense fallback is that gradients reach
+        ``P``/``Q`` and the bias vectors as ``RowSparseGrad``s, so
+        mini-batch optimizer work scales with the batch instead of the
+        user/item counts.
         """
-        del fanout, rng
+        del block
         users = np.asarray(users, dtype=np.int64)
         pos_items = np.asarray(pos_items, dtype=np.int64)
         neg_items = np.asarray(neg_items, dtype=np.int64)

@@ -8,10 +8,10 @@ Three variants as evaluated in the paper's Table II:
   embeddings;
 * ``NCF-N`` (NeuMF) — fusion of a GMF branch and an MLP branch.
 
-All three override ``sampled_batch_scores`` to gather their embedding
+All three override ``block_batch_scores`` to gather their embedding
 tables with the row-sparse ``Embedding.rows`` lookup — same forward
 values as the dense path, but the backward emits ``RowSparseGrad``s so
-sampled-mode optimizer work scales with the batch, not the tables.
+mini-batch optimizer work scales with the batch, not the tables.
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ class NCFGMF(Recommender):
         return self._combine(self.user_embeddings(users),
                              self.item_embeddings(items))
 
-    def sampled_batch_scores(self, users, pos_items, neg_items, *,
-                             fanout=10, rng=None) -> tuple[Tensor, Tensor]:
-        """Row-sparse-gathered batch scores (no propagation to sample)."""
-        del fanout, rng
+    def block_batch_scores(self, users, pos_items, neg_items,
+                           block=None) -> tuple[Tensor, Tensor]:
+        """Row-sparse-gathered batch scores (no graph, so no block)."""
+        del block  # no graph: extract_block returns None
         users, pos_items, neg_items = _batch_arrays(users, pos_items, neg_items)
         p = self.user_embeddings.rows(users)
         return (self._combine(p, self.item_embeddings.rows(pos_items)),
@@ -106,10 +106,10 @@ class NCFMLP(Recommender):
         return self._combine(self.user_embeddings(users),
                              self.item_embeddings(items))
 
-    def sampled_batch_scores(self, users, pos_items, neg_items, *,
-                             fanout=10, rng=None) -> tuple[Tensor, Tensor]:
-        """Row-sparse-gathered batch scores (no propagation to sample)."""
-        del fanout, rng
+    def block_batch_scores(self, users, pos_items, neg_items,
+                           block=None) -> tuple[Tensor, Tensor]:
+        """Row-sparse-gathered batch scores (no graph, so no block)."""
+        del block  # no graph: extract_block returns None
         users, pos_items, neg_items = _batch_arrays(users, pos_items, neg_items)
         p = self.user_embeddings.rows(users)
         return (self._combine(p, self.item_embeddings.rows(pos_items)),
@@ -152,10 +152,10 @@ class NeuMF(Recommender):
         return self._combine(self.gmf_user(users), self.gmf_item(items),
                              self.mlp_user(users), self.mlp_item(items))
 
-    def sampled_batch_scores(self, users, pos_items, neg_items, *,
-                             fanout=10, rng=None) -> tuple[Tensor, Tensor]:
+    def block_batch_scores(self, users, pos_items, neg_items,
+                           block=None) -> tuple[Tensor, Tensor]:
         """Row-sparse gathers across all four embedding tables."""
-        del fanout, rng
+        del block  # no graph: extract_block returns None
         users, pos_items, neg_items = _batch_arrays(users, pos_items, neg_items)
         gmf_u = self.gmf_user.rows(users)
         mlp_u = self.mlp_user.rows(users)

@@ -76,9 +76,9 @@ class NGCF(Recommender):
 
         ``propagate(level, h)`` produces the level's aggregated messages;
         ``restrict(level, h)`` maps the previous level's tensor onto the
-        rows the next level keeps (identity for full-graph and monolithic
-        blocks, a row gather for shrinking layered blocks). Full, sampled,
-        and async paths share this loop by construction.
+        rows the next level keeps (identity on the full graph, a row gather
+        for shrinking layered blocks). The full-graph and mini-batch paths
+        share this loop by construction.
         """
         layers = [ego]
         current = ego
@@ -89,27 +89,15 @@ class NGCF(Recommender):
             layers.append(current)
         return layers
 
-    def _bi_interaction_layers(self, propagator, ego: Tensor) -> Tensor:
-        """W1/W2 bi-interaction stack, concatenated across layers (§3.3).
-
-        ``propagator`` exposes ``propagate(h)`` — the full-graph engine or a
-        sampled :class:`~repro.graph.subgraph.SingleSubgraph` — with no row
-        restriction between levels.
-        """
-        from repro.tensor.tensor import concat
-
-        layers = self._bi_interaction_stack(
-            ego, lambda level, h: propagator.propagate(h),
-            lambda level, h: h)
-        return concat(layers, axis=1)
-
     def propagate(self) -> tuple[Tensor, Tensor]:
         """Multi-order embeddings concatenated across layers (NGCF §3.3)."""
         from repro.tensor.tensor import concat
 
         ego = concat([table_tensor(self.user_embeddings),
                       table_tensor(self.item_embeddings)], axis=0)
-        all_layers = self._bi_interaction_layers(self.engine, ego)
+        all_layers = concat(self._bi_interaction_stack(
+            ego, lambda level, h: self.engine.propagate(h),
+            lambda level, h: h), axis=1)
         users = all_layers[np.arange(self.num_users)]
         items = all_layers[np.arange(self.num_users, self.num_users + self.num_items)]
         return users, items
@@ -129,40 +117,6 @@ class NGCF(Recommender):
         neg = (u * item_table.gather_rows(np.asarray(neg_items, dtype=np.int64))).sum(axis=1)
         return pos, neg
 
-    # ------------------------------------------------------------------
-    # sampled (mini-batch) propagation
-    # ------------------------------------------------------------------
-    def sampled_batch_scores(self, users: np.ndarray, pos_items: np.ndarray,
-                             neg_items: np.ndarray, *,
-                             fanout: int | None = 10,
-                             rng: np.random.Generator | None = None,
-                             ) -> tuple[Tensor, Tensor]:
-        """Batch scores propagated over a sampled square block only.
-
-        Seeds are the batch's user nodes and item nodes in the Laplacian's
-        joint (users+items) index space; the engine expands them
-        ``num_layers`` hops with a fanout cap. The block's local ego table
-        is gathered with row-sparse ``embedding_rows`` — node ids below
-        ``num_users`` from the user table, the rest from the item table —
-        and the usual W1/W2 bi-interaction layers run at block scale.
-        """
-        users = np.asarray(users, dtype=np.int64)
-        pos_items = np.asarray(pos_items, dtype=np.int64)
-        neg_items = np.asarray(neg_items, dtype=np.int64)
-        item_nodes = self.num_users + np.concatenate([pos_items, neg_items])
-        sub = self.engine.subgraph_nodes(
-            np.concatenate([users, item_nodes]),
-            hops=self.num_layers, fanout=fanout, rng=rng)
-        # sorted joint node ids split cleanly: user rows first, item rows after
-        ego = self._ego_rows(sub.nodes)
-        all_layers = self._bi_interaction_layers(sub, ego)
-        u = all_layers.gather_rows(sub.localize(users))
-        pos = (u * all_layers.gather_rows(
-            sub.localize(self.num_users + pos_items))).sum(axis=1)
-        neg = (u * all_layers.gather_rows(
-            sub.localize(self.num_users + neg_items))).sum(axis=1)
-        return pos, neg
-
     def l2_batch(self, users: np.ndarray, pos_items: np.ndarray,
                  neg_items: np.ndarray, weight: float) -> Tensor:
         """λ‖Θ_batch‖²: batch embedding rows + the W1/W2 layer weights."""
@@ -171,12 +125,17 @@ class NGCF(Recommender):
                                         users, pos_items, neg_items, weight)
 
     # ------------------------------------------------------------------
-    # layered (async-pipeline) propagation
+    # layered (mini-batch) propagation
     # ------------------------------------------------------------------
     def extract_block(self, users: np.ndarray, pos_items: np.ndarray,
                       neg_items: np.ndarray, *, fanout=10,
                       rng: np.random.Generator | None = None):
-        """Prefetchable per-hop blocks in the joint (users+items) space."""
+        """Prefetchable per-hop blocks in the joint (users+items) space.
+
+        Seeds are the batch's user nodes and item nodes in the Laplacian's
+        joint index space; the engine expands them ``num_layers`` hops
+        with a fanout cap.
+        """
         users = np.asarray(users, dtype=np.int64)
         item_nodes = self.num_users + np.concatenate([
             np.asarray(pos_items, dtype=np.int64),
@@ -203,8 +162,11 @@ class NGCF(Recommender):
                            ) -> tuple[Tensor, Tensor]:
         """Batch scores over prefetched per-hop blocks.
 
-        Each bi-interaction layer computes only the next (shrinking) level
-        set; the final NGCF concatenation gathers every level's seed rows.
+        The block's widest level is gathered with row-sparse
+        ``embedding_rows`` — node ids below ``num_users`` from the user
+        table, the rest from the item table. Each bi-interaction layer
+        computes only the next (shrinking) level set; the final NGCF
+        concatenation gathers every level's seed rows.
         """
         from repro.tensor.tensor import concat
 

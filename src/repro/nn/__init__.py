@@ -20,8 +20,6 @@ from repro.nn.losses import (
 from repro.nn.optim import (
     Optimizer,
     SGD,
-    Momentum,
-    Adagrad,
     Adam,
     clip_grad_norm,
     global_grad_norm,
@@ -49,8 +47,6 @@ __all__ = [
     "l2_regularization_batch",
     "Optimizer",
     "SGD",
-    "Momentum",
-    "Adagrad",
     "Adam",
     "clip_grad_norm",
     "global_grad_norm",

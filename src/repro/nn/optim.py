@@ -1,20 +1,20 @@
 """First-order optimizers.
 
-The paper trains GNMR with Adam (lr 1e-3, exponential decay 0.96); the
-other optimizers exist for baselines and for completeness of the substrate.
+The paper trains GNMR with Adam (lr 1e-3, exponential decay 0.96); plain
+SGD is the stateless reference the sharded bit-parity contract pins on.
 
 Optimizer state mirrors each parameter's dtype (``np.zeros_like``), and all
 updates are in-place, so float32 models keep float32 state and updates even
 if a stray float64 gradient reaches them.
 
-Every optimizer also understands :class:`~repro.tensor.RowSparseGrad` — the
-row-sparse gradients emitted by ``Tensor.embedding_rows`` on the sampled
-training path — and applies *lazy* per-row updates: only the rows present
-in the gradient are read or written, so the per-step optimizer cost scales
-with the batch instead of the embedding-table size. Rows a sparse step does
-not touch keep their state frozen (velocity, Adam moments, Adagrad
-accumulators), the standard lazy semantics of sparse optimizers. Dense
-gradients take the exact same code path as before, bit for bit.
+Both also understand :class:`~repro.tensor.RowSparseGrad` — the row-sparse
+gradients emitted by ``Tensor.embedding_rows`` on the mini-batch training
+path — and apply *lazy* per-row updates: only the rows present in the
+gradient are read or written, so the per-step optimizer cost scales with
+the batch instead of the embedding-table size. Rows a sparse step does not
+touch keep their state (the Adam moments) frozen, the standard lazy
+semantics of sparse optimizers. Dense gradients take the exact same code
+path as before, bit for bit.
 
 Parameter groups
 ----------------
@@ -198,71 +198,6 @@ class SGD(Optimizer):
                 p.data[g.indices] -= self.lr * g.values
             else:
                 p.data -= self.lr * p.grad
-
-
-class Momentum(Optimizer):
-    """SGD with classical momentum.
-
-    Sparse steps update velocity lazily: rows absent from the gradient keep
-    their velocity untouched (no decay) until the next time they appear.
-    """
-
-    def __init__(self, parameters: list[Parameter], lr: float, momentum: float = 0.9):
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self, shard=None) -> None:
-        for i in self._active(shard):
-            p, v = self.parameters[i], self._velocity[i]
-            if p.grad is None:
-                continue
-            if isinstance(p.grad, RowSparseGrad):
-                g = p.grad
-                rows = g.indices
-                v[rows] = self.momentum * v[rows] - self.lr * g.values
-                p.data[rows] += v[rows]
-            else:
-                v *= self.momentum
-                v -= self.lr * p.grad
-                p.data += v
-
-    def _param_state(self, i: int) -> dict:
-        return {"velocity": np.array(self._velocity[i])}
-
-    def _load_param_state(self, i: int, state: dict) -> None:
-        self._velocity[i][...] = state.pop("velocity")
-        super()._load_param_state(i, state)
-
-
-class Adagrad(Optimizer):
-    """Adagrad with accumulated squared gradients (naturally lazy)."""
-
-    def __init__(self, parameters: list[Parameter], lr: float, eps: float = 1e-10):
-        super().__init__(parameters, lr)
-        self.eps = eps
-        self._accum = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self, shard=None) -> None:
-        for i in self._active(shard):
-            p, acc = self.parameters[i], self._accum[i]
-            if p.grad is None:
-                continue
-            if isinstance(p.grad, RowSparseGrad):
-                g = p.grad
-                rows = g.indices
-                acc[rows] += g.values ** 2
-                p.data[rows] -= self.lr * g.values / (np.sqrt(acc[rows]) + self.eps)
-            else:
-                acc += p.grad ** 2
-                p.data -= self.lr * p.grad / (np.sqrt(acc) + self.eps)
-
-    def _param_state(self, i: int) -> dict:
-        return {"accum": np.array(self._accum[i])}
-
-    def _load_param_state(self, i: int, state: dict) -> None:
-        self._accum[i][...] = state.pop("accum")
-        super()._load_param_state(i, state)
 
 
 class Adam(Optimizer):

@@ -16,9 +16,9 @@ bit for bit:
   back as per-shard blocks), matching the unsharded dense-Adam semantics.
 
 Because each shard is its own ``Parameter``, every optimizer state slot —
-velocity, Adagrad accumulators, Adam moments *and the lazy per-row step
-counters* — is naturally shard-local: state never crosses shards, which
-is exactly the invariant a parameter-server deployment needs.
+the Adam moments *and the lazy per-row step counters* — is naturally
+shard-local: state never crosses shards, which is exactly the invariant a
+parameter-server deployment needs.
 
 Each shard parameter is tagged with ``.shard = k`` so
 :func:`repro.nn.optim.shard_param_groups` can build per-shard optimizer

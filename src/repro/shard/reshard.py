@@ -9,13 +9,12 @@ then re-split it under the new spec. No float is ever recomputed — rows
 move, bit for bit.
 
 Optimizer state moves *with its rows*. Every per-row slot (Adam moments
-``m``/``v``, lazy per-row step counters, exact-mode row timestamps,
-Momentum velocity, Adagrad accumulators) is assembled and re-split under
-the same specs as its table, so a row's clock and moments follow it to its
-new shard. Per-parameter scalars (the Adam step clock ``param_t``, the
-replay history) are validated equal across the old shards — the trainer
-advances every shard's clock on every step, so they must agree — and
-replicated to each new shard.
+``m``/``v``, lazy per-row step counters, exact-mode row timestamps) is
+assembled and re-split under the same specs as its table, so a row's clock
+and moments follow it to its new shard. Per-parameter scalars (the Adam
+step clock ``param_t``, the replay history) are validated equal across the
+old shards — the trainer advances every shard's clock on every step, so
+they must agree — and replicated to each new shard.
 
 The contract, pinned by ``tests/shard/test_reshard.py`` and the resume
 parity suite: training resumed from a resharded training state bit-matches
@@ -49,7 +48,7 @@ _SHARD_KEY = re.compile(r"^(?P<base>.+)\.shards\.(?P<k>\d+)$")
 #: optimizer-state slots indexed by table row (first dim == shard rows):
 #: these migrate with their rows; every other slot is per-parameter and
 #: must be identical across a table's shards
-ROW_SLOTS = ("m", "v", "velocity", "accum", "row_steps", "row_t")
+ROW_SLOTS = ("m", "v", "row_steps", "row_t")
 
 
 class ReshardError(ValueError):

@@ -8,7 +8,7 @@ moments and step clocks, per-row counters, the exact-mixed-mode replay
 history — all raw, nothing flushed), the learning-rate schedule position,
 the recorded history, and the early-stopping counters. Restoring all of it
 and continuing is bit-identical to never having stopped: ``train N epochs
-== train M + resume N-M`` for every propagation mode (full/sampled/async)
+== train M + resume N-M`` for both propagation modes (full/async, any workers)
 and for dist sync training, which is the oracle ``tests/train/test_resume``
 pins.
 

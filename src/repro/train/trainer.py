@@ -4,24 +4,23 @@ Each epoch: sample seed users, draw S positives and S negatives per user,
 score both sides, apply the margin loss of Eq. (7) plus λ‖Θ‖², and update
 with Adam under an exponential learning-rate decay (rate 0.96).
 
-Three propagation modes (``TrainConfig.propagation``):
+Two propagation modes (``TrainConfig.propagation``):
 
 * ``"full"`` — every step propagates over the whole graph and regularizes
   every parameter; float64 runs are bit-reproducible with the seed goldens.
-* ``"sampled"`` — graph models score through
-  ``model.sampled_batch_scores`` (fanout-capped L-hop monolithic subgraph,
-  row-sparse embedding gradients) and regularize batch-locally via
-  ``model.l2_batch`` (λ‖Θ_batch‖²); the optimizer applies lazy per-row
-  updates, so the step cost scales with batch size and fanout instead of
-  graph size.
-* ``"async"`` — the pipelined path (:mod:`repro.train.pipeline`): batches
-  come from a pre-drawn deterministic stream, background workers extract
-  per-hop *layered* blocks (each layer computes only the rows the next one
-  needs — see :mod:`repro.graph.layered`) double-buffered ahead of the
-  optimizer, and the model scores through ``block_batch_scores``. Same
-  estimator family as ``"sampled"``, materially faster per step, and
-  bit-reproducible across any worker count (extraction rngs are split
-  per step, not per worker).
+* ``"async"`` — the mini-batch path (:mod:`repro.train.pipeline`): batches
+  come from a pre-drawn deterministic stream, per-hop *layered* blocks are
+  extracted around each batch's seeds (fanout-capped L-hop sampling; each
+  layer computes only the rows the next one needs — see
+  :mod:`repro.graph.layered`), the model scores through
+  ``block_batch_scores`` with row-sparse embedding gradients and
+  regularizes batch-locally via ``model.l2_batch`` (λ‖Θ_batch‖²), and the
+  optimizer applies lazy per-row updates — so the step cost scales with
+  batch size and fanout instead of graph size. ``workers=0`` extracts
+  inline; ``workers>=1`` double-buffers extraction on background threads
+  ahead of the optimizer. The trajectory is bit-identical for any worker
+  count (extraction rngs are split per step, not per worker) — workers
+  change only how much extraction overlaps compute.
 """
 
 from __future__ import annotations
@@ -33,12 +32,18 @@ import numpy as np
 
 from repro.data.dataset import InteractionDataset
 from repro.graph.sampling import NegativeSampler, sample_pairwise_batch
-from repro.graph.subgraph import validate_fanout
+from repro.graph.layered import validate_fanout
 from repro.nn.losses import bpr_loss, l2_regularization, pairwise_hinge_loss
 from repro.nn.optim import SGD, Adam, clip_grad_norm, shard_param_groups
 from repro.nn.schedulers import ExponentialDecay
 from repro.train.callbacks import EarlyStopping, HistoryRecorder
 from repro.train.pipeline import SampledBatchPipeline
+
+
+_LOSSES: dict[str, Callable] = {
+    "hinge": lambda pos, neg, margin: pairwise_hinge_loss(pos, neg, margin=margin),
+    "bpr": lambda pos, neg, margin: bpr_loss(pos, neg),
+}
 
 
 @dataclass
@@ -73,12 +78,12 @@ class TrainConfig:
     #: ``None`` keeps the ambient tensor default dtype
     dtype: str | None = None
     #: "full" propagates over the whole graph each step (bit-reproducible
-    #: reference); "sampled" runs the fanout-capped subgraph path with
-    #: row-sparse gradients; "async" adds the double-buffered prefetch
-    #: pipeline over per-hop layered blocks (see the module docstring)
+    #: reference); "async" is the mini-batch path: fanout-capped per-hop
+    #: layered blocks with row-sparse gradients, extracted inline
+    #: (``workers=0``) or prefetched (see the module docstring)
     propagation: str = "full"
-    #: neighbors sampled per (node, behavior) per hop on the sampled/async
-    #: paths: an ``int`` for every hop, ``None`` for no cap, or a per-hop
+    #: neighbors sampled per (node, behavior) per hop on the async path:
+    #: an ``int`` for every hop, ``None`` for no cap, or a per-hop
     #: schedule such as ``(10, 5)`` — first hop away from the seeds first.
     #: The default ``"model"`` defers to the model's own configured
     #: schedule (e.g. ``GNMRConfig.fanout``, itself defaulting to 10);
@@ -136,8 +141,22 @@ class TrainConfig:
     save_every_steps: int | None = None
 
     def __post_init__(self):
+        if self.propagation not in ("full", "async"):
+            raise ValueError(
+                f"unknown propagation mode {self.propagation!r} (use 'full' "
+                "or 'async'; the inline mini-batch path is "
+                'propagation="async", workers=0)')
+        if self.loss not in _LOSSES:
+            raise ValueError(f"unknown loss {self.loss!r} "
+                             "(use 'hinge' or 'bpr')")
         if self.fanout != "model":
             validate_fanout(self.fanout)
+        if self.workers < 0:
+            raise ValueError("workers must be >= 0")
+        if self.prefetch_depth < 1:
+            raise ValueError("prefetch_depth must be >= 1")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r} "
                              "(use 'adam' or 'sgd')")
@@ -184,12 +203,6 @@ class EpochLog:
     metric: float | None = None
 
 
-_LOSSES: dict[str, Callable] = {
-    "hinge": lambda pos, neg, margin: pairwise_hinge_loss(pos, neg, margin=margin),
-    "bpr": lambda pos, neg, margin: bpr_loss(pos, neg),
-}
-
-
 class Trainer:
     """Drives pairwise training of any model exposing ``batch_scores``.
 
@@ -198,13 +211,12 @@ class Trainer:
     * ``parameters()`` — trainable parameters,
     * ``batch_scores(users, pos_items, neg_items)`` — differentiable
       (pos_scores, neg_scores) tensors,
-    * ``sampled_batch_scores(...)`` / ``l2_batch(...)`` — the sampled-mode
-      pair (the :class:`~repro.models.base.Recommender` base provides
-      brute-force fallbacks),
-    * ``extract_block(...)`` / ``block_batch_scores(...)`` — the async-mode
-      pair: parameter-free block extraction the pipeline can prefetch on a
-      worker thread, and scoring over the prefetched block (base fallback:
-      ``None`` block + dense scoring, so every model trains in async mode),
+    * ``extract_block(...)`` / ``block_batch_scores(...)`` / ``l2_batch(...)``
+      — the mini-batch (async-mode) entry point: parameter-free block
+      extraction the pipeline can prefetch on a worker thread, scoring over
+      the extracted block, and the batch-local regularizer (base fallback:
+      ``None`` block + dense scoring + full L2, so every model trains in
+      async mode),
     * ``train()`` / ``eval()`` — mode switching,
     * ``on_step_end()`` — optional cache-invalidation hook.
 
@@ -222,19 +234,6 @@ class Trainer:
     def __init__(self, model, train_data: InteractionDataset, config: TrainConfig,
                  eval_fn: Callable[[], float] | None = None,
                  step_hook: Callable[["Trainer", int], None] | None = None):
-        if config.loss not in _LOSSES:
-            raise ValueError(f"unknown loss {config.loss!r}")
-        if config.propagation not in ("full", "sampled", "async"):
-            raise ValueError(f"unknown propagation mode {config.propagation!r} "
-                             "(use 'full', 'sampled' or 'async')")
-        if config.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if config.fanout != "model":
-            validate_fanout(config.fanout)
-        if config.workers < 0:
-            raise ValueError("workers must be >= 0")
-        if config.prefetch_depth < 1:
-            raise ValueError("prefetch_depth must be >= 1")
         self.model = model
         self.data = train_data
         self.config = config
@@ -317,13 +316,8 @@ class Trainer:
                 batch.users, batch.pos_items, batch.neg_items)
             reg = l2_regularization(self.model.parameters(), cfg.l2_weight)
             return pos_scores, neg_scores, reg
-        if cfg.propagation == "async":
-            pos_scores, neg_scores = self.model.block_batch_scores(
-                batch.users, batch.pos_items, batch.neg_items, prepared.block)
-        else:
-            pos_scores, neg_scores = self.model.sampled_batch_scores(
-                batch.users, batch.pos_items, batch.neg_items,
-                rng=self._rng, **cfg.fanout_kwargs())
+        pos_scores, neg_scores = self.model.block_batch_scores(
+            batch.users, batch.pos_items, batch.neg_items, prepared.block)
         reg = self.model.l2_batch(
             batch.users, batch.pos_items, batch.neg_items, cfg.l2_weight)
         return pos_scores, neg_scores, reg

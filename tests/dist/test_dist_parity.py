@@ -27,12 +27,12 @@ def tiny_split():
 
 def _train_gnmr(split, *, shards=2, dist="off", transport="shm",
                 workers=None, staleness=2, optimizer="adam",
-                propagation="sampled"):
+                propagation="async"):
     config = GNMRConfig(pretrain=False, seed=0, num_layers=2, dropout=0.0,
                         shards=shards, shard_strategy="range")
     model = GNMR(split.train, config)
     tc = TrainConfig(epochs=2, steps_per_epoch=4, batch_users=8, per_user=2,
-                     propagation=propagation, fanout=5, seed=0,
+                     propagation=propagation, workers=0, fanout=5, seed=0,
                      optimizer=optimizer, shards=shards, dist=dist,
                      dist_workers=workers, dist_staleness=staleness,
                      dist_transport=transport)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.subgraph import parse_fanout, resolve_fanout, validate_fanout
+from repro.graph.layered import parse_fanout, resolve_fanout, validate_fanout
 
 
 class TestResolveFanout:
@@ -119,15 +119,15 @@ class TestScheduleThreading:
         model = GNMR(small_dataset, GNMRConfig(pretrain=False, seed=0,
                                                num_layers=2, fanout=(4, 2)))
         seen = []
-        original = model.engine.subgraph
+        original = model.engine.layered_subgraph
 
         def spy(*args, **kwargs):
             seen.append(kwargs.get("fanout"))
             return original(*args, **kwargs)
 
-        model.engine.subgraph = spy
+        model.engine.layered_subgraph = spy
         config = TrainConfig(epochs=1, steps_per_epoch=1, batch_users=4,
-                             per_user=1, propagation="sampled", seed=0)
+                             per_user=1, propagation="async", workers=0, seed=0)
         assert config.fanout == "model"
         Trainer(model, small_dataset, config).run()
         assert seen == [(4, 2)]
@@ -139,16 +139,16 @@ class TestScheduleThreading:
         model = GNMR(small_dataset, GNMRConfig(pretrain=False, seed=0,
                                                num_layers=2, fanout=(4, 2)))
         seen = []
-        original = model.engine.subgraph
+        original = model.engine.layered_subgraph
 
         def spy(*args, **kwargs):
             seen.append(kwargs.get("fanout"))
             return original(*args, **kwargs)
 
-        model.engine.subgraph = spy
+        model.engine.layered_subgraph = spy
         config = TrainConfig(epochs=1, steps_per_epoch=1, batch_users=4,
-                             per_user=1, propagation="sampled", seed=0,
-                             fanout=(6, 3))
+                             per_user=1, propagation="async", workers=0,
+                             seed=0, fanout=(6, 3))
         Trainer(model, small_dataset, config).run()
         assert seen == [(6, 3)]  # explicit TrainConfig schedule wins
 
@@ -158,7 +158,7 @@ class TestScheduleThreading:
         model = GNMR(small_dataset, GNMRConfig(pretrain=False, seed=0,
                                                num_layers=2))
         with pytest.raises(ValueError, match="hops"):
-            model.sampled_batch_scores(
+            model.extract_block(
                 np.array([0]), np.array([1]), np.array([2]),
                 fanout=(10, 5, 3), rng=np.random.default_rng(0))
 
@@ -169,12 +169,13 @@ class TestScheduleThreading:
         model = GNMR(small_dataset, GNMRConfig(pretrain=False, seed=0,
                                                num_layers=2))
         users = np.arange(4); items = np.arange(8)
-        wide = model.engine.subgraph(users, items, hops=2, fanout=(4, 4),
-                                     rng=np.random.default_rng(0))
-        narrow = model.engine.subgraph(users, items, hops=2, fanout=(4, 1),
-                                       rng=np.random.default_rng(0))
-        assert (narrow.num_users + narrow.num_items
-                <= wide.num_users + wide.num_items)
+        wide = model.engine.layered_subgraph(
+            users, items, hops=2, fanout=(4, 4), rng=np.random.default_rng(0))
+        narrow = model.engine.layered_subgraph(
+            users, items, hops=2, fanout=(4, 1), rng=np.random.default_rng(0))
+        # level 0 is the widest set: everything the deepest hop reached
+        assert (narrow.user_levels[0].size + narrow.item_levels[0].size
+                <= wide.user_levels[0].size + wide.item_levels[0].size)
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,26 @@
-"""Layered (per-hop) blocks: structure, exactness, and sparse gradients."""
+"""Layered (per-hop) blocks: sampling, structure, exactness, sparse grads."""
 
 import numpy as np
 import pytest
 
 from repro.core import GNMR, GNMRConfig
 from repro.data import leave_one_out_split, taobao_like
+from repro.graph import PropagationEngine
+from repro.graph.layered import sample_neighbors
 from repro.models import NGCF
-from repro.tensor import RowSparseGrad
+from repro.tensor import RowSparseGrad, Tensor
+
+
+@pytest.fixture(scope="module")
+def engine():
+    data = taobao_like(num_users=80, num_items=160, seed=3)
+    return PropagationEngine(data.graph(), normalization="row")
+
+
+@pytest.fixture(scope="module")
+def single_engine():
+    data = taobao_like(num_users=40, num_items=90, seed=3)
+    return PropagationEngine.bipartite(data.graph())
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +34,191 @@ def gnmr(tiny_split):
                                               dropout=0.0))
     model.eval()
     return model
+
+
+class TestSampleNeighbors:
+    def test_fanout_caps_each_row(self, engine):
+        matrix = engine.user_adjacencies[0].matrix
+        rng = np.random.default_rng(0)
+        nodes = np.arange(engine.num_users)
+        sampled = sample_neighbors(matrix, nodes, fanout=2, rng=rng)
+        degrees = np.diff(matrix.indptr)
+        assert sampled.size == int(np.minimum(degrees, 2).sum())
+
+    def test_none_fanout_keeps_everything(self, engine):
+        matrix = engine.user_adjacencies[0].matrix
+        nodes = np.arange(engine.num_users)
+        sampled = sample_neighbors(matrix, nodes, fanout=None,
+                                   rng=np.random.default_rng(0))
+        assert sampled.size == matrix.nnz
+
+    def test_sampled_ids_are_real_neighbors(self, engine):
+        matrix = engine.user_adjacencies[0].matrix
+        node = int(np.argmax(np.diff(matrix.indptr)))  # busiest user
+        row = set(matrix.indices[matrix.indptr[node]:matrix.indptr[node + 1]].tolist())
+        sampled = sample_neighbors(matrix, np.array([node]), fanout=3,
+                                   rng=np.random.default_rng(1))
+        assert set(sampled.tolist()) <= row
+
+
+class TestLayeredBlock:
+    """Block-structure properties of the multi-behavior (GNMR) shape."""
+
+    def test_seed_level_maps_round_trip(self, engine):
+        seeds_u = np.array([0, 5, 17])
+        seeds_i = np.array([2, 9])
+        block = engine.layered_subgraph(seeds_u, seeds_i, hops=2, fanout=3,
+                                        rng=np.random.default_rng(0))
+        for level in range(3):  # nested levels: seeds live at every level
+            local_u = block.localize_users(level, seeds_u)
+            local_i = block.localize_items(level, seeds_i)
+            np.testing.assert_array_equal(
+                block.user_levels[level][local_u], seeds_u)
+            np.testing.assert_array_equal(
+                block.item_levels[level][local_i], seeds_i)
+
+    def test_localize_rejects_absent_ids(self, engine):
+        block = engine.layered_subgraph(np.array([0]), np.array([0]), hops=0,
+                                        fanout=1, rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(block.user_levels[0], [0])
+        with pytest.raises(KeyError, match=r"user ids not in block: \[1, 2\]"):
+            block.localize_users(0, np.array([0, 2, 1]))
+
+    def test_localize_on_empty_level_names_missing_ids(self, engine):
+        # the cold-user block has no seed items, so its top item level is
+        # empty: a lookup there must name the ids, not trip an index error
+        block = engine.layered_subgraph(np.array([0, 3]),
+                                        np.empty(0, dtype=np.int64),
+                                        hops=2, fanout=None)
+        assert block.item_levels[2].size == 0
+        with pytest.raises(KeyError, match=r"item ids not in block: \[5\]"):
+            block.localize_items(2, np.array([5]))
+        assert block.localize_items(2, np.empty(0, dtype=np.int64)).size == 0
+
+    def test_hop_edges_are_subset_of_full_graph(self, engine):
+        block = engine.layered_subgraph(np.arange(6), np.arange(4), hops=2,
+                                        fanout=4, rng=np.random.default_rng(2))
+        sides = ((block.user_hops, block.user_levels, block.item_levels,
+                  engine.user_adjacencies),
+                 (block.item_hops, block.item_levels, block.user_levels,
+                  engine.item_adjacencies))
+        checked = 0
+        for hops, dst_levels, src_levels, adjacencies in sides:
+            for level, hop in enumerate(hops):
+                dst, src = dst_levels[level + 1], src_levels[level]
+                for k in range(block.num_behaviors):
+                    full = adjacencies[k].matrix
+                    coo = hop.stack.matrix[k * dst.size:(k + 1) * dst.size].tocoo()
+                    for r, c in zip(coo.row, coo.col):
+                        assert full[dst[r], src[c]] != 0.0
+                    checked += coo.nnz
+        assert checked > 0
+
+    def test_deterministic_under_seeded_rng(self, engine):
+        a = engine.layered_subgraph(np.arange(5), np.arange(5), hops=2,
+                                    fanout=3, rng=np.random.default_rng(7))
+        b = engine.layered_subgraph(np.arange(5), np.arange(5), hops=2,
+                                    fanout=3, rng=np.random.default_rng(7))
+        for level in range(3):
+            np.testing.assert_array_equal(a.user_levels[level],
+                                          b.user_levels[level])
+            np.testing.assert_array_equal(a.item_levels[level],
+                                          b.item_levels[level])
+        for hop_a, hop_b in zip(a.user_hops + a.item_hops,
+                                b.user_hops + b.item_hops):
+            assert (hop_a.stack.matrix != hop_b.stack.matrix).nnz == 0
+
+    def test_row_renormalization_gives_means(self, engine):
+        block = engine.layered_subgraph(np.arange(10), np.arange(10), hops=2,
+                                        fanout=3, rng=np.random.default_rng(0))
+        for hop in block.user_hops + block.item_hops:
+            sums = np.asarray(hop.stack.matrix.sum(axis=1)).ravel()
+            np.testing.assert_allclose(sums[sums > 0], 1.0)
+
+    def test_full_fanout_hop_matches_engine_messages(self, engine):
+        # with every node seeded and no cap, the one hop is the whole
+        # graph and the renormalization is the identity
+        rng = np.random.default_rng(0)
+        block = engine.layered_subgraph(np.arange(engine.num_users),
+                                        np.arange(engine.num_items),
+                                        hops=1, fanout=None, rng=rng)
+        assert block.user_levels[1].size == engine.num_users
+        h_item = Tensor(rng.standard_normal((engine.num_items, 8)))
+        full = engine.propagate_user(h_item)
+        hop = block.user_hops[0].propagate(h_item)
+        np.testing.assert_allclose(hop.data, full.data, atol=1e-12)
+
+    def test_hop_propagation_shapes_and_gradients(self, engine):
+        block = engine.layered_subgraph(np.arange(4), np.arange(4), hops=1,
+                                        fanout=2, rng=np.random.default_rng(0))
+        h_user = Tensor(np.random.default_rng(1).standard_normal(
+            (block.user_levels[0].size, 6)), requires_grad=True)
+        out = block.item_hops[0].propagate(h_user)
+        assert out.shape == (block.item_levels[1].size,
+                             block.num_behaviors, 6)
+        out.sum().backward()
+        assert h_user.grad.shape == h_user.shape
+
+    def test_multi_behavior_engine_rejects_single_api(self, engine):
+        with pytest.raises(RuntimeError, match="layered_subgraph\\(\\)"):
+            engine.layered_subgraph_nodes(np.array([0]))
+
+
+class TestLayeredNodeBlocks:
+    """Block-structure properties of the single-graph (NGCF) shape."""
+
+    def test_every_level_contains_seeds(self, single_engine):
+        seeds = np.array([0, 1, 50])
+        blocks = single_engine.layered_subgraph_nodes(
+            seeds, hops=2, fanout=3, rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(blocks.levels[2], seeds)
+        for level in range(3):
+            np.testing.assert_array_equal(
+                blocks.levels[level][blocks.localize(level, seeds)], seeds)
+        with pytest.raises(KeyError, match="node ids not in block"):
+            blocks.localize(2, np.array([2]))
+
+    def test_self_loops_survive_slicing(self, single_engine):
+        blocks = single_engine.layered_subgraph_nodes(
+            np.array([3, 60]), hops=2, fanout=2, rng=np.random.default_rng(0))
+        for level, hop in enumerate(blocks.hops):
+            # row r of the hop is node levels[level+1][r]; its own column
+            # in the (nested) wider level carries the identity message
+            own = hop.matrix[np.arange(hop.shape[0]),
+                             blocks.restrict(level + 1)]
+            assert np.all(np.asarray(own).ravel() > 0)
+
+    def test_hop_edges_are_subset_of_full_graph(self, single_engine):
+        blocks = single_engine.layered_subgraph_nodes(
+            np.array([0, 4, 45]), hops=2, fanout=3,
+            rng=np.random.default_rng(1))
+        full = single_engine.adjacency.matrix
+        for level, hop in enumerate(blocks.hops):
+            coo = hop.matrix.tocoo()
+            assert coo.nnz > 0
+            for r, c in zip(coo.row, coo.col):
+                assert (hop.matrix[r, c]
+                        == full[blocks.levels[level + 1][r],
+                                blocks.levels[level][c]])
+
+    def test_deterministic_under_seeded_rng(self, single_engine):
+        a, b = (single_engine.layered_subgraph_nodes(
+            np.array([0, 4]), hops=2, fanout=3, rng=np.random.default_rng(5))
+            for _ in range(2))
+        for level in range(3):
+            np.testing.assert_array_equal(a.levels[level], b.levels[level])
+        for hop_a, hop_b in zip(a.hops, b.hops):
+            assert (hop_a.matrix != hop_b.matrix).nnz == 0
+
+    def test_propagate_shape(self, single_engine):
+        blocks = single_engine.layered_subgraph_nodes(
+            np.array([0, 4]), hops=2, fanout=3, rng=np.random.default_rng(1))
+        h = Tensor(np.ones((blocks.levels[0].size, 5)))
+        assert blocks.propagate(0, h).shape == (blocks.levels[1].size, 5)
+
+    def test_single_engine_rejects_bipartite_api(self, single_engine):
+        with pytest.raises(RuntimeError, match="layered_subgraph_nodes"):
+            single_engine.layered_subgraph(np.array([0]), np.array([0]))
 
 
 class TestStructure:

@@ -1,4 +1,4 @@
-"""Row-sparse sampled paths of the embedding-table baselines (BiasMF, NCF)."""
+"""Row-sparse mini-batch paths of the embedding-table baselines (BiasMF, NCF)."""
 
 import numpy as np
 import pytest
@@ -26,18 +26,18 @@ def batch():
 
 @pytest.mark.parametrize("cls", ALL)
 class TestSparseBaselines:
-    def test_sampled_scores_match_dense(self, cls, batch):
+    def test_block_scores_match_dense(self, cls, batch):
         users, pos, neg = batch
         model = cls(20, 30, seed=0)
         dense_pos, dense_neg = model.batch_scores(users, pos, neg)
-        sparse_pos, sparse_neg = model.sampled_batch_scores(users, pos, neg)
+        sparse_pos, sparse_neg = model.block_batch_scores(users, pos, neg, None)
         np.testing.assert_allclose(sparse_pos.data, dense_pos.data)
         np.testing.assert_allclose(sparse_neg.data, dense_neg.data)
 
     def test_tables_get_row_sparse_grads(self, cls, batch):
         users, pos, neg = batch
         model = cls(20, 30, seed=0)
-        sparse_pos, sparse_neg = model.sampled_batch_scores(users, pos, neg)
+        sparse_pos, sparse_neg = model.block_batch_scores(users, pos, neg, None)
         loss = (sparse_pos - sparse_neg).sum()
         loss = loss + model.l2_batch(users, pos, neg, 1e-3)
         loss.backward()
@@ -51,10 +51,10 @@ class TestSparseBaselines:
     def test_sparse_grads_match_dense_grads(self, cls, batch):
         users, pos, neg = batch
 
-        def grads(use_sampled):
+        def grads(use_block):
             model = cls(20, 30, seed=0)
-            if use_sampled:
-                p, n = model.sampled_batch_scores(users, pos, neg)
+            if use_block:
+                p, n = model.block_batch_scores(users, pos, neg, None)
             else:
                 p, n = model.batch_scores(users, pos, neg)
             ((p - n) * (p - n)).sum().backward()
@@ -83,7 +83,7 @@ class TestSparseBaselines:
                 np.concatenate([users, pos, neg]))
             assert np.all(dense[untouched] == 0), name
 
-    def test_sampled_training_converges(self, cls):
+    def test_mini_batch_training_converges(self, cls):
         from repro.data import leave_one_out_split, taobao_like
         from repro.train import TrainConfig, Trainer
 
@@ -91,7 +91,8 @@ class TestSparseBaselines:
                                                 seed=0))
         model = cls(split.train.num_users, split.train.num_items, seed=0)
         config = TrainConfig(epochs=6, steps_per_epoch=4, batch_users=10,
-                             per_user=2, propagation="sampled", seed=0)
+                             per_user=2, propagation="async", workers=0,
+                             seed=0)
         history = Trainer(model, split.train, config).run()
         losses = history.series("loss")
         assert losses[-1] < losses[0]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adagrad, Adam, Momentum, SGD
+from repro.nn import Adam, SGD
 from repro.nn.module import Parameter
 
 
@@ -14,8 +14,6 @@ def quadratic_step(p):
 
 @pytest.mark.parametrize("opt_cls,kwargs,steps", [
     (SGD, {"lr": 0.1}, 200),
-    (Momentum, {"lr": 0.05, "momentum": 0.9}, 200),
-    (Adagrad, {"lr": 1.0}, 300),
     (Adam, {"lr": 0.2}, 300),
 ])
 def test_converges_on_quadratic(opt_cls, kwargs, steps):

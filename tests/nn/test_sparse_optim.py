@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    Adagrad,
     Adam,
-    Momentum,
     Parameter,
     SGD,
     clip_grad_norm,
@@ -54,24 +52,6 @@ class TestSGDParity:
 
 
 class TestLazyRowUpdates:
-    def test_momentum_untouched_rows_keep_velocity(self):
-        p, _, sparse, _ = _pair()
-        opt = Momentum([p], lr=0.1, momentum=0.9)
-        p.grad = sparse
-        opt.step()
-        untouched = np.setdiff1d(np.arange(8), sparse.indices)
-        assert np.all(opt._velocity[0][untouched] == 0.0)
-        assert np.any(opt._velocity[0][sparse.indices] != 0.0)
-
-    def test_adagrad_only_touched_rows_move(self):
-        p, _, sparse, _ = _pair()
-        before = p.data.copy()
-        p.grad = sparse
-        Adagrad([p], lr=0.1).step()
-        untouched = np.setdiff1d(np.arange(8), sparse.indices)
-        np.testing.assert_array_equal(p.data[untouched], before[untouched])
-        assert np.all(p.data[sparse.indices] != before[sparse.indices])
-
     def test_adam_per_row_step_counts(self):
         p, _, _, _ = _pair()
         opt = Adam([p], lr=0.01)

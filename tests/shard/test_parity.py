@@ -31,14 +31,14 @@ def tiny_split():
     return leave_one_out_split(taobao_like(num_users=50, num_items=120, seed=0))
 
 
-def _train_gnmr(split, shards, *, propagation="sampled", optimizer="adam",
-                strategy="range", epochs=2):
+def _train_gnmr(split, shards, *, propagation="async", workers=0,
+                optimizer="adam", strategy="range", epochs=2):
     config = GNMRConfig(pretrain=False, seed=0, num_layers=2, dropout=0.0,
                         shards=shards, shard_strategy=strategy)
     model = GNMR(split.train, config)
     tc = TrainConfig(epochs=epochs, steps_per_epoch=4, batch_users=8,
-                     per_user=2, propagation=propagation, fanout=5, seed=0,
-                     optimizer=optimizer, shards=shards)
+                     per_user=2, propagation=propagation, workers=workers,
+                     fanout=5, seed=0, optimizer=optimizer, shards=shards)
     losses = Trainer(model, split.train, tc).run().series("loss")
     return model, losses
 
@@ -102,32 +102,33 @@ class TestTrainingParity:
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("strategy", ["range", "hash"])
-    @pytest.mark.parametrize("propagation", ["full", "sampled", "async"])
-    def test_shardsK_exact_under_sgd(self, tiny_split, strategy, propagation):
+    @pytest.mark.parametrize("propagation, workers",
+                             [("full", 0), ("async", 0), ("async", 1)])
+    def test_shardsK_exact_under_sgd(self, tiny_split, strategy, propagation,
+                                     workers):
         ref, _ = _train_gnmr(tiny_split, 1, optimizer="sgd",
-                             propagation=propagation)
+                             propagation=propagation, workers=workers)
         sharded, _ = _train_gnmr(tiny_split, 3, optimizer="sgd",
-                                 strategy=strategy, propagation=propagation)
+                                 strategy=strategy, propagation=propagation,
+                                 workers=workers)
         for a, b in zip(_tables(ref), _tables(sharded)):
             np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("propagation", ["sampled", "async"])
-    def test_shardsK_within_tolerance_under_adam(self, tiny_split,
-                                                 propagation):
-        ref, _ = _train_gnmr(tiny_split, 1, optimizer="adam",
-                             propagation=propagation)
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_shardsK_within_tolerance_under_adam(self, tiny_split, workers):
+        ref, _ = _train_gnmr(tiny_split, 1, optimizer="adam", workers=workers)
         sharded, _ = _train_gnmr(tiny_split, 3, optimizer="adam",
-                                 propagation=propagation)
+                                 workers=workers)
         for a, b in zip(_tables(ref), _tables(sharded)):
             assert np.max(np.abs(a - b)) <= ADAM_TOL
 
-    def test_baselines_sampled_parity_under_sgd(self, tiny_split):
+    def test_baselines_mini_batch_parity_under_sgd(self, tiny_split):
         data = tiny_split.train
 
         def run(model):
             tc = TrainConfig(epochs=2, steps_per_epoch=4, batch_users=8,
-                             per_user=2, propagation="sampled", seed=0,
-                             optimizer="sgd")
+                             per_user=2, propagation="async", workers=0,
+                             seed=0, optimizer="sgd")
             Trainer(model, data, tc).run()
             return model.state_dict()
 

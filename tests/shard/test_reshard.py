@@ -185,7 +185,7 @@ class TestReshardedResumeParity:
     @classmethod
     def config(cls, shards, epochs, save=None, optimizer="sgd"):
         return TrainConfig(epochs=epochs, steps_per_epoch=4, batch_users=8,
-                           per_user=2, propagation="sampled", fanout=5,
+                           per_user=2, propagation="async", workers=0, fanout=5,
                            seed=0, optimizer=optimizer, shards=shards,
                            save_state=save)
 

@@ -64,6 +64,18 @@ class TestCommands:
         assert code == 0
         assert "Recall@10" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [("--fanout", "5"),
+                                             ("--workers", "3")])
+    def test_async_only_flag_without_async_mode_exits_2(self, capsys, flag,
+                                                        value):
+        # these flags used to be dropped silently under --propagation full
+        code = main(["train", "--model", "BiasMF", "--users", "30",
+                     "--items", "80", "--epochs", "1", flag, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"{flag} only applies to --propagation async" in captured.err
+        assert "training" not in captured.out  # refused before any work
+
 
 class TestRecommend:
     @pytest.fixture(scope="class")

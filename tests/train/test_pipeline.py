@@ -235,13 +235,3 @@ class TestAsyncTraining:
         while threading.active_count() > before and time.time() < deadline:
             time.sleep(0.01)
         assert threading.active_count() <= before
-
-    def test_trainer_validates_pipeline_knobs(self, tiny_split):
-        model = BiasMF(tiny_split.train.num_users,
-                       tiny_split.train.num_items, seed=0)
-        with pytest.raises(ValueError):
-            Trainer(model, tiny_split.train, TrainConfig(workers=-1))
-        with pytest.raises(ValueError):
-            Trainer(model, tiny_split.train, TrainConfig(prefetch_depth=0))
-        with pytest.raises(ValueError):
-            Trainer(model, tiny_split.train, TrainConfig(propagation="warp"))

@@ -4,8 +4,8 @@ The oracle behind the whole resume subsystem: a training state written by
 ``TrainConfig.save_state`` and continued with ``fit(resume_from=...)``
 must reproduce the uninterrupted run *bit for bit* — final parameters,
 optimizer state, loss trace, eval history, rng consumption — across every
-propagation mode (full graph, sampled subgraphs, the async prefetch
-pipeline) and dist sync training. The crash flavor uses the
+propagation mode (full graph; mini-batch layered blocks, extracted inline
+or by the prefetch pipeline) and dist sync training. The crash flavor uses the
 :class:`helpers.faults.CrashAtStep` hook: die right after a mid-epoch
 save, resume from the partial epoch, and still match.
 """
@@ -108,13 +108,15 @@ class TestCrashResume:
         h_resumed = resumed.fit(SPLIT.train, config(5), resume_from=state)
         assert_states_equal(full, resumed, h_full, h_resumed)
 
-    @pytest.mark.parametrize("propagation,dist", [
-        ("full", "off"), ("sampled", "off"), ("async", "off"),
-        ("sampled", "sync"), ("async", "sync"),
+    @pytest.mark.parametrize("propagation,workers,dist", [
+        ("full", 0, "off"), ("async", 0, "off"), ("async", 1, "off"),
+        ("async", 0, "sync"), ("async", 1, "sync"),
     ])
-    def test_gnmr_modes_mid_epoch_crash(self, tmp_path, propagation, dist):
+    def test_gnmr_modes_mid_epoch_crash(self, tmp_path, propagation, workers,
+                                        dist):
         state = str(tmp_path / "state.npz")
-        overrides = dict(propagation=propagation, fanout=5, shards=3)
+        overrides = dict(propagation=propagation, workers=workers, fanout=5,
+                         shards=3)
         if dist != "off":
             overrides.update(dist=dist, dist_transport="inline")
         full = gnmr(shards=3)
@@ -136,7 +138,7 @@ class TestCrashResume:
     def test_real_process_dist_resume(self, tmp_path):
         """End-of-epoch save with real shard-owner processes over shm."""
         state = str(tmp_path / "state.npz")
-        overrides = dict(propagation="sampled", fanout=5, shards=2,
+        overrides = dict(propagation="async", workers=0, fanout=5, shards=2,
                          dist="sync", dist_transport="shm")
         full = gnmr(shards=2)
         full.fit(SPLIT.train, config(3, **overrides))

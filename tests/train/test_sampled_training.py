@@ -1,4 +1,4 @@
-"""Sampled-propagation training: config plumbing, parity, GNMR smoke test."""
+"""Mini-batch (sampled-propagation) training: config plumbing, parity, smoke."""
 
 import numpy as np
 import pytest
@@ -17,24 +17,22 @@ def tiny_split():
 
 
 class TestConfigPlumbing:
-    def test_unknown_propagation_rejected(self, tiny_split):
-        model = BiasMF(tiny_split.train.num_users, tiny_split.train.num_items, seed=0)
-        with pytest.raises(ValueError):
-            Trainer(model, tiny_split.train,
-                    TrainConfig(propagation="half")).run()
-
-    def test_bad_eval_every_rejected(self, tiny_split):
-        model = BiasMF(tiny_split.train.num_users, tiny_split.train.num_items, seed=0)
-        with pytest.raises(ValueError):
-            Trainer(model, tiny_split.train, TrainConfig(eval_every=0))
-
-    def test_zero_fanout_rejected(self, tiny_split):
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(propagation="half"), "unknown propagation mode 'half'"),
+        (dict(propagation="sampled"), 'propagation="async", workers=0'),
+        (dict(loss="nope"), "unknown loss 'nope'"),
+        (dict(workers=-1), "workers must be >= 0"),
+        (dict(prefetch_depth=0), "prefetch_depth must be >= 1"),
+        (dict(eval_every=0), "eval_every must be >= 1"),
         # 0 means "no cap" only on the CLI (mapped to None there); in the
-        # API it would silently sample nothing, so the trainer rejects it
-        model = BiasMF(tiny_split.train.num_users, tiny_split.train.num_items, seed=0)
-        with pytest.raises(ValueError):
-            Trainer(model, tiny_split.train,
-                    TrainConfig(propagation="sampled", fanout=0))
+        # API it would silently sample nothing
+        (dict(propagation="async", fanout=0), "fanout value must be >= 1"),
+    ])
+    def test_bad_field_rejected_at_construction(self, overrides, message):
+        # every enum/range field fails in TrainConfig itself, before a
+        # Trainer (or a background worker) ever sees it
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**overrides)
 
     def test_eval_every_skips_intermediate_epochs(self, tiny_split):
         model = BiasMF(tiny_split.train.num_users, tiny_split.train.num_items, seed=0)
@@ -77,11 +75,12 @@ class TestConfigPlumbing:
         assert history.rows[0]["loss"] > 2.0
 
 
-class TestSampledFallback:
-    def test_non_graph_model_trains_in_sampled_mode(self, tiny_split):
+class TestMiniBatchFallback:
+    def test_non_graph_model_trains_in_async_mode(self, tiny_split):
         model = BiasMF(tiny_split.train.num_users, tiny_split.train.num_items, seed=0)
         config = TrainConfig(epochs=6, steps_per_epoch=4, batch_users=12,
-                             per_user=2, propagation="sampled", seed=0)
+                             per_user=2, propagation="async", workers=0,
+                             seed=0)
         history = Trainer(model, tiny_split.train, config).run()
         losses = history.series("loss")
         assert losses[-1] < losses[0]
@@ -107,12 +106,13 @@ class TestSampledFallback:
         assert batch.item() == pytest.approx(full.item())
 
 
-class TestSampledGNMR:
+class TestMiniBatchGNMR:
     def test_row_sparse_grads_reach_tables(self, tiny_split):
         model = GNMR(tiny_split.train, GNMRConfig(pretrain=False, seed=0))
         users = np.arange(6); pos = np.arange(6); neg = np.arange(6, 12)
-        pos_s, neg_s = model.sampled_batch_scores(
-            users, pos, neg, fanout=3, rng=np.random.default_rng(0))
+        block = model.extract_block(users, pos, neg, fanout=3,
+                                    rng=np.random.default_rng(0))
+        pos_s, neg_s = model.block_batch_scores(users, pos, neg, block)
         loss = (1.0 - pos_s + neg_s).relu().sum()
         loss = loss + model.l2_batch(users, pos, neg, 1e-4)
         loss.backward()
@@ -121,23 +121,6 @@ class TestSampledGNMR:
         # layer parameters still get dense gradients
         layer_param = model.layers[0].aggregation.w3
         assert isinstance(layer_param.grad, np.ndarray)
-
-    def test_sampled_scores_match_full_at_unlimited_fanout(self, tiny_split):
-        # fanout=None with enough hops covers the full reachable graph; the
-        # sampled forward then reproduces full-graph scores up to the
-        # boundary effect of unreached nodes — on this tiny graph the
-        # 2-layer expansion reaches everything, so scores agree closely
-        model = GNMR(tiny_split.train, GNMRConfig(pretrain=False, seed=0,
-                                                  dropout=0.0))
-        model.eval()
-        users = np.arange(10)
-        pos = np.arange(10)
-        neg = np.arange(10, 20)
-        full_pos, full_neg = model.batch_scores(users, pos, neg)
-        s_pos, s_neg = model.sampled_batch_scores(
-            users, pos, neg, fanout=None, rng=np.random.default_rng(0))
-        np.testing.assert_allclose(s_pos.data, full_pos.data, rtol=1e-6, atol=1e-8)
-        np.testing.assert_allclose(s_neg.data, full_neg.data, rtol=1e-6, atol=1e-8)
 
     def test_sampled_vs_full_metric_within_tolerance(self, tiny_split):
         candidates = build_eval_candidates(
@@ -149,13 +132,13 @@ class TestSampledGNMR:
                          GNMRConfig(pretrain=False, seed=0, num_layers=1))
             config = TrainConfig(epochs=8, steps_per_epoch=6, batch_users=16,
                                  per_user=2, seed=0, propagation=propagation,
-                                 fanout=8)
+                                 workers=0, fanout=8)
             history = Trainer(model, tiny_split.train, config).run()
             outcome = evaluate_model(model, candidates)
             return history.series("loss"), outcome.hr(10)
 
         full_losses, full_hr = train_one("full")
-        sampled_losses, sampled_hr = train_one("sampled")
+        sampled_losses, sampled_hr = train_one("async")
         assert full_losses[-1] < full_losses[0]
         assert sampled_losses[-1] < sampled_losses[0]
         assert abs(full_hr - sampled_hr) <= 0.25
@@ -163,8 +146,8 @@ class TestSampledGNMR:
     def test_sampled_ngcf_trains(self, tiny_split):
         model = NGCF(tiny_split.train, seed=0, num_layers=1)
         config = TrainConfig(epochs=4, steps_per_epoch=4, batch_users=12,
-                             per_user=2, propagation="sampled", fanout=5,
-                             seed=0)
+                             per_user=2, propagation="async", workers=0,
+                             fanout=5, seed=0)
         history = Trainer(model, tiny_split.train, config).run()
         losses = history.series("loss")
         assert losses[-1] < losses[0]

@@ -49,8 +49,9 @@ def config(save_state=None):
     from repro.train import TrainConfig
 
     return TrainConfig(epochs=EPOCHS, steps_per_epoch=4, batch_users=8,
-                       per_user=2, propagation="sampled", fanout=5, seed=0,
-                       optimizer="adam", shards=2, save_state=save_state,
+                       per_user=2, propagation="async", workers=0, fanout=5,
+                       seed=0, optimizer="adam", shards=2,
+                       save_state=save_state,
                        save_every_steps=SAVE_EVERY if save_state else None)
 
 
