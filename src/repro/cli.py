@@ -34,6 +34,7 @@ from repro.experiments import (
     run_table2,
     run_table4,
 )
+from repro.utils.artifact import ArtifactError
 
 
 #: distinguishes "--fanout not given" from "--fanout 0" (which parses to
@@ -526,10 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="max steps the trainer may lead the slowest "
                               "shard owner under --dist async (0 = sync)")
     p_train.add_argument("--dist-transport", default="shm",
-                         choices=["shm", "pipe", "inline"],
+                         choices=["shm", "inline"],
                          help="gradient transport for --dist: shared-memory "
-                              "rings (default), pipe fallback, or in-process "
-                              "inline mode")
+                              "rings (default) or in-process inline mode")
     p_train.add_argument("--shard-strategy", default="range",
                          choices=["range", "hash"],
                          help="row partitioning: contiguous ranges or "
@@ -698,7 +698,13 @@ def main(argv: list[str] | None = None) -> int:
                 "recommend": cmd_recommend, "serve": cmd_serve,
                 "reshard": cmd_reshard, "report": cmd_report,
                 "scenarios": cmd_scenarios, "ingest": cmd_ingest}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ArtifactError as exc:
+        # a damaged, tampered or wrong-kind file (--checkpoint, --scenario,
+        # --resume): one line naming it, not a traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

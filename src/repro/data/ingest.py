@@ -29,12 +29,9 @@ through this module, in **one pass** over the file:
 from __future__ import annotations
 
 import csv
-import io
-import json
 import math
 import operator
 import tempfile
-import zipfile
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from pathlib import Path
@@ -43,13 +40,11 @@ from typing import BinaryIO, Iterator, Sequence
 import numpy as np
 
 from repro.data.dataset import InteractionDataset
+from repro.utils.artifact import ArtifactError, read_artifact, write_artifact
 
-#: artifact format version (bumped on any byte-layout change)
+#: dataset-artifact ``format`` tag (bumped when a reader of the previous
+#: version could no longer load the file)
 ARTIFACT_FORMAT = "repro-dataset-npz-v1"
-
-#: fixed zip entry date — np.savez stamps wall-clock time into the zip
-#: members, which would break byte-identical re-ingest
-_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 #: the behaviors of the paper's §IV-A rating partition, as indexed by
 #: :func:`rating_codes`
@@ -443,16 +438,17 @@ def _read_spill(spill: BinaryIO, runs: list[tuple[list[int], list[int]]],
 # Deterministic dataset artifacts
 # ----------------------------------------------------------------------
 
+_COLUMNS = ("users", "items", "timestamps")
+
+
 def save_dataset_npz(dataset: InteractionDataset, path: str | Path,
                      has_timestamps: bool | None = None) -> Path:
-    """Persist a dataset as a deterministic ``.npz``-compatible archive.
+    """Persist a dataset as a deterministic ``.npz``-compatible artifact.
 
-    Byte-identical for identical datasets: entries are stored uncompressed
-    in a fixed order with a fixed timestamp (``np.savez`` stamps wall-clock
-    time, which would make every re-ingest differ). Readable with
-    :func:`load_dataset_npz` (or plain ``np.load`` for the arrays).
+    Byte-identical for identical datasets (a :mod:`repro.utils.artifact`
+    container). Readable with :func:`load_dataset_npz` (or plain
+    ``np.load`` for the arrays).
     """
-    path = Path(path)
     if has_timestamps is None:
         has_timestamps = any(
             bool(np.any(dataset.arrays(b)[2] != 0.0))
@@ -466,69 +462,69 @@ def save_dataset_npz(dataset: InteractionDataset, path: str | Path,
         "num_items": dataset.num_items,
         "has_timestamps": bool(has_timestamps),
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
-        _write_member(archive, "meta.json",
-                      json.dumps(meta, indent=2, sort_keys=True).encode())
-        for index, behavior in enumerate(dataset.behavior_names):
-            users, items, timestamps = dataset.arrays(behavior)
-            # index prefix keeps member order stable and behavior names
-            # free of path-separator constraints
-            for label, array in (("users", users), ("items", items),
-                                 ("timestamps", timestamps)):
-                _write_member(archive, f"b{index}_{label}.npy",
-                              _npy_bytes(array))
-    return path
+    # index prefix keeps member order stable and behavior names free of
+    # path-separator constraints
+    arrays = {f"b{index}_{label}": column
+              for index, behavior in enumerate(dataset.behavior_names)
+              for label, column in zip(_COLUMNS, dataset.arrays(behavior))}
+    return write_artifact(path, arrays, meta)
 
 
 def load_dataset_npz(path: str | Path) -> tuple[InteractionDataset, dict]:
     """Load a dataset artifact written by :func:`save_dataset_npz`.
 
     Returns ``(dataset, meta)`` where ``meta`` carries the artifact
-    header (including ``has_timestamps``).
+    header (including ``has_timestamps``). The header is not covered by
+    the container's fingerprints, so what it declares is checked against
+    the arrays here, at the file boundary: a file whose ids exceed its
+    ``num_users``/``num_items`` is an
+    :class:`~repro.utils.artifact.ArtifactError` naming the first
+    offending value, not a failure inside graph construction.
     """
-    path = Path(path)
-    with zipfile.ZipFile(path, "r") as archive:
-        try:
-            meta = json.loads(archive.read("meta.json"))
-        except KeyError:
-            raise ValueError(f"{path} is not a repro dataset artifact "
-                             "(missing meta.json)") from None
-        if meta.get("format") != ARTIFACT_FORMAT:
-            raise ValueError(f"{path}: unsupported artifact format "
-                             f"{meta.get('format')!r}")
+    arrays, meta = read_artifact(path)
+    if meta.get("format") != ARTIFACT_FORMAT:
+        raise ArtifactError(f"{path} is not a dataset artifact "
+                            f"(format={meta.get('format')!r})")
+    try:
+        bounds = {"users": int(meta["num_users"]),
+                  "items": int(meta["num_items"])}
         interactions = {}
         for index, behavior in enumerate(meta["behavior_names"]):
-            interactions[behavior] = {
-                label: _read_member(archive, f"b{index}_{label}.npy")
-                for label in ("users", "items", "timestamps")
-            }
-    dataset = InteractionDataset(
-        name=meta["name"],
-        num_users=int(meta["num_users"]),
-        num_items=int(meta["num_items"]),
-        behavior_names=tuple(meta["behavior_names"]),
-        target_behavior=meta["target_behavior"],
-        interactions=interactions,
-    )
+            columns = {label: arrays[f"b{index}_{label}"]
+                       for label in _COLUMNS}
+            _check_columns(path, behavior, columns, bounds)
+            interactions[behavior] = columns
+        dataset = InteractionDataset(
+            name=meta["name"],
+            num_users=bounds["users"],
+            num_items=bounds["items"],
+            behavior_names=tuple(meta["behavior_names"]),
+            target_behavior=meta["target_behavior"],
+            interactions=interactions,
+        )
+    except ArtifactError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path}: header and members of the dataset "
+                            f"artifact disagree ({exc!r})") from None
     return dataset, meta
 
 
-def _npy_bytes(array: np.ndarray) -> bytes:
-    buffer = io.BytesIO()
-    np.lib.format.write_array(buffer, np.ascontiguousarray(array),
-                              allow_pickle=False)
-    return buffer.getvalue()
-
-
-def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
-    with archive.open(name) as member:
-        return np.lib.format.read_array(io.BytesIO(member.read()),
-                                        allow_pickle=False)
-
-
-def _write_member(archive: zipfile.ZipFile, name: str, payload: bytes) -> None:
-    info = zipfile.ZipInfo(name, date_time=_EPOCH)
-    info.compress_type = zipfile.ZIP_STORED
-    info.external_attr = 0o600 << 16
-    archive.writestr(info, payload)
+def _check_columns(path: str | Path, behavior: str,
+                   columns: dict[str, np.ndarray],
+                   bounds: dict[str, int]) -> None:
+    lengths = {label: column.shape for label, column in columns.items()}
+    if len(set(lengths.values())) != 1 or columns["users"].ndim != 1:
+        raise ArtifactError(f"{path}: behavior {behavior!r} columns must be "
+                            f"equally long 1-d arrays, got shapes {lengths}")
+    for label, bound in bounds.items():
+        ids = columns[label]
+        if ids.dtype.kind not in "iu":
+            raise ArtifactError(f"{path}: behavior {behavior!r} {label} must "
+                                f"be integer ids, got dtype {ids.dtype}")
+        bad = np.flatnonzero((ids < 0) | (ids >= bound))
+        if bad.size:
+            raise ArtifactError(
+                f"{path}: behavior {behavior!r} {label}[{bad[0]}] = "
+                f"{ids[bad[0]]} is outside [0, {bound}), the header's "
+                f"num_{label}")

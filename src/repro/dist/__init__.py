@@ -4,7 +4,7 @@ The cross-process half of the ``repro.shard`` layout: shard-owner
 processes apply optimizer steps concurrently while the trainer keeps
 extraction and forward/backward on the async pipeline. Gradients travel
 as length-prefixed :mod:`~repro.dist.codec` frames over shared-memory
-rings (:class:`~repro.dist.transport.ShmRing`, with a pipe fallback);
+rings (:class:`~repro.dist.transport.ShmRing`);
 parameters live in shared memory so pulls are zero-copy. ``staleness=0``
 bit-matches in-process ``shards=K`` training; a bounded staleness window
 unlocks async throughput. See ``docs/distributed.md``.
@@ -26,7 +26,6 @@ from repro.dist.server import (
     default_dist_workers,
 )
 from repro.dist.transport import (
-    PipeChannel,
     SharedBlock,
     ShmRing,
     TransportError,
@@ -35,7 +34,6 @@ from repro.dist.transport import (
 __all__ = [
     "DistParameterServer",
     "FrameError",
-    "PipeChannel",
     "SharedBlock",
     "ShardOwner",
     "ShmRing",

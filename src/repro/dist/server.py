@@ -12,8 +12,8 @@ Topology (K shards over W ≤ K owner processes, round-robin)::
 Parameter tables live in :class:`~repro.dist.transport.SharedBlock`
 segments: the trainer's ``Parameter.data`` *is* the shared view, so the
 forward pass always reads owner-updated rows with zero copies ("parameter
-pull" is a memory read). Gradients cross per-worker SPSC rings (or the
-pipe fallback) as length-prefixed :mod:`repro.dist.codec` frames.
+pull" is a memory read). Gradients cross per-worker SPSC rings as
+length-prefixed :mod:`repro.dist.codec` frames.
 
 Synchronization is a bounded-staleness window over per-worker applied-step
 clocks: before forward for step ``t`` the trainer waits until every owner
@@ -51,17 +51,11 @@ from repro.dist.codec import (
     encode_stop,
     frame,
 )
-from repro.dist.transport import (
-    PipeChannel,
-    RingHandle,
-    SharedBlock,
-    ShmRing,
-    TransportError,
-)
+from repro.dist.transport import SharedBlock, ShmRing, TransportError
 from repro.nn.module import Parameter
 from repro.nn.optim import SGD, Adam
 
-TRANSPORTS = ("shm", "pipe", "inline")
+TRANSPORTS = ("shm", "inline")
 
 
 def _make_optimizer(kind: str, params, lr: float):
@@ -133,12 +127,12 @@ class ShardOwner:
         self.optimizer.load_state_dict(states)
 
 
-def _owner_main(worker_id, optimizer, lr, block_handles, channel,
+def _owner_main(worker_id, optimizer, lr, block_handles, ring_handle,
                 clock_handle, ack, state_conn=None,
                 initial_state=None):  # pragma: no cover - subprocess body
     """Owner process entrypoint (runs in the worker, never the trainer)."""
     blocks = [SharedBlock.attach(h) for h in block_handles]
-    chan = ShmRing.attach(channel) if isinstance(channel, RingHandle) else channel
+    chan = ShmRing.attach(ring_handle)
     clock_block = SharedBlock.attach(clock_handle)
     params = []
     for block in blocks:
@@ -190,10 +184,10 @@ class DistParameterServer:
         Bounded-staleness window: :meth:`throttle` lets the trainer lead
         the slowest owner by at most this many steps. ``0`` = synchronous.
     transport:
-        ``"shm"`` (shared-memory rings, default), ``"pipe"`` (socket/pipe
-        fallback), or ``"inline"`` (owners run inside the trainer process
-        through the full encode→decode→apply path — no concurrency, used
-        by tests and as a no-subprocess fallback).
+        ``"shm"`` (shared-memory rings, default) or ``"inline"`` (owners
+        run inside the trainer process through the full
+        encode→decode→apply path — no concurrency, used by tests and as a
+        no-subprocess fallback).
     """
 
     def __init__(self, shard_groups: list, *, optimizer: str = "adam",
@@ -276,12 +270,8 @@ class DistParameterServer:
         self._state_conns = []
         self._procs = []
         for w, blocks in enumerate(self._param_blocks):
-            if self.transport == "shm":
-                ring = ShmRing.create(ctx, capacity=ring_capacity)
-                sender, child_arg = ring, ring.handle
-            else:
-                sender, child_arg = PipeChannel.pair(ctx)
-            self._channels.append(sender)
+            ring = ShmRing.create(ctx, capacity=ring_capacity)
+            self._channels.append(ring)
             # control plane for state pulls: tiny, rare, and pickled — the
             # struct codec stays the data plane for every gradient frame
             state_recv, state_send = ctx.Pipe(duplex=False)
@@ -291,7 +281,7 @@ class DistParameterServer:
             proc = ctx.Process(
                 target=_owner_main,
                 args=(w, self._optimizer_kind, self.lr,
-                      [b.handle for b in blocks], child_arg,
+                      [b.handle for b in blocks], ring.handle,
                       self._clock.handle, self._acks[w], state_send,
                       initial),
                 daemon=True, name=f"shard-owner-{w}")

@@ -1,6 +1,6 @@
 """Shared-memory transport primitives for the parameter server.
 
-Three pieces, all picklable-by-handle so they cross both ``fork`` and
+Two pieces, both picklable-by-handle so they cross both ``fork`` and
 ``spawn`` start methods:
 
 * :class:`SharedBlock` — a numpy array backed by
@@ -13,9 +13,6 @@ Three pieces, all picklable-by-handle so they cross both ``fork`` and
   two semaphores (frames available / frames consumed) provide blocking
   without spinning. This is the gradient push queue: one ring per
   shard-owner worker.
-* :class:`PipeChannel` — the portability fallback over
-  ``multiprocessing.connection`` (sockets/pipes do their own framing).
-  Same ``send``/``recv`` surface, so the owner loop is transport-blind.
 
 Cursors are 8-byte aligned single-word stores; CPython writes them with
 one memcpy, which is atomic on every platform this project targets (the
@@ -206,41 +203,3 @@ class ShmRing:
                 self._shm.unlink()
             except FileNotFoundError:  # pragma: no cover - double close
                 pass
-
-
-class PipeChannel:
-    """The socket/pipe fallback with the ring's send/recv surface.
-
-    ``multiprocessing.connection`` does its own length framing, so this
-    channel moves frame *bodies*; ``send`` still accepts the framed bytes
-    and validates/strips the prefix to keep one producer code path.
-    """
-
-    def __init__(self, conn, owner: bool = True):
-        self._conn = conn
-        self._owner = owner
-
-    @classmethod
-    def pair(cls, ctx) -> "tuple[PipeChannel, PipeChannel]":
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        return cls(send_conn), cls(recv_conn)
-
-    def send(self, framed: bytes, timeout: float | None = None,
-             alive: "callable | None" = None) -> None:
-        from repro.dist.codec import unframe
-
-        try:
-            self._conn.send_bytes(unframe(framed))
-        except (BrokenPipeError, OSError) as exc:
-            raise TransportError(f"pipe send failed: {exc}") from exc
-
-    def recv(self, timeout: float | None = None) -> bytes | None:
-        try:
-            if timeout is not None and not self._conn.poll(timeout):
-                return None
-            return self._conn.recv_bytes()
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            raise TransportError(f"pipe recv failed: {exc}") from exc
-
-    def close(self) -> None:
-        self._conn.close()

@@ -150,11 +150,11 @@ class Optimizer:
         raise NotImplementedError
 
     def sync(self) -> None:
-        """Flush any deferred lazy state so parameters are final.
+        """No-op, kept for callers written against it.
 
-        Stateless and purely-lazy optimizers have nothing deferred; Adam's
-        exact mixed dense/sparse mode overrides this to replay the dense
-        updates it skipped on rows absent from sparse gradients.
+        Nothing is deferred: SGD is stateless, and rows a lazy Adam step
+        does not touch simply keep their state, so parameters are final
+        after every ``step()``.
         """
 
     # -- state serialization (mid-run checkpointing / resharding) --------
@@ -213,21 +213,10 @@ class Adam(Optimizer):
     rarely-sampled rows. Parameters that only ever receive dense gradients
     never allocate the per-row counters.
 
-    Mixed dense/sparse interop on one parameter is *exact*: once a
-    parameter that already took a dense step receives a row-sparse
-    gradient, the optimizer switches that parameter to a timestamped
-    regime — every row carries the step it was last updated through, each
-    covering step's ``(had_grad, lr)`` is recorded, and before a row is
-    read or written its skipped dense updates (zero gradient, decaying
-    moments) are replayed with the exact arithmetic and learning rate of
-    the steps it missed. The result is bit-identical to running dense Adam
-    on densified gradients, at sparse per-step cost. :meth:`sync` replays
-    every lagging row, which :class:`~repro.train.trainer.Trainer` calls at
-    the end of a run so final parameters never depend on which rows the
-    last batches happened to sample. Parameters whose first sparse
-    gradient precedes any dense gradient keep the per-row-count lazy
-    semantics above (the standard sparse-optimizer contract the sampled
-    trainer and all goldens rely on).
+    A parameter may mix the two: a dense step advances every row's
+    counter, and the counters are seeded with the parameter's step count at
+    the first row-sparse gradient, so rows already advanced by earlier
+    dense steps keep a monotone bias correction.
 
     With per-shard parameter groups the step counts are kept per parameter,
     so ``step(shard=k)`` advances only shard ``k``'s clocks — moments, row
@@ -244,19 +233,6 @@ class Adam(Optimizer):
         self._v = [np.zeros_like(p.data) for p in self.parameters]
         self._param_t = [0] * len(self.parameters)
         self._row_steps: list[np.ndarray | None] = [None] * len(self.parameters)
-        # exact mixed-mode state (allocated on first sparse grad after a
-        # dense step): per-row last-processed step, and per-step history of
-        # (had_grad, lr) from _hist_base onward for replaying skipped steps
-        self._saw_dense = [False] * len(self.parameters)
-        self._row_t: list[np.ndarray | None] = [None] * len(self.parameters)
-        self._lr_hist: list[list | None] = [None] * len(self.parameters)
-        self._hist_base = [0] * len(self.parameters)
-
-    @property
-    def _t(self) -> int:
-        """Max per-parameter step count (the classic global ``t`` when no
-        shard-filtered steps have run)."""
-        return max(self._param_t)
 
     def _sparse_step(self, i: int, p: Parameter, g: RowSparseGrad) -> None:
         m, v = self._m[i], self._v[i]
@@ -279,99 +255,18 @@ class Adam(Optimizer):
         v_hat = v[rows] / bias2
         p.data[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def _catch_up(self, i: int, p: Parameter, rows: np.ndarray | None,
-                  upto: int) -> None:
-        """Replay the dense zero-gradient updates ``rows`` missed.
-
-        Brings each row's state through step ``upto`` by applying, in step
-        order and with each step's recorded learning rate, exactly what the
-        dense path would have done with a zero gradient on that row:
-        moments decay by beta, and the bias-corrected update still moves
-        the row while ``m`` is nonzero. Bit-matches the dense path because
-        the arithmetic (scalar Python-pow bias corrections, scalar-array
-        multiply order) mirrors it operation for operation.
-        """
-        ts = self._row_t[i]
-        if rows is None:
-            lagging = np.flatnonzero(ts < upto)
-        else:
-            lagging = rows[ts[rows] < upto]
-        if lagging.size == 0:
-            return
-        m, v = self._m[i], self._v[i]
-        hist, base = self._lr_hist[i], self._hist_base[i]
-        for s in range(int(ts[lagging].min()) + 1, upto + 1):
-            had_grad, lr = hist[s - base]
-            if not had_grad:
-                continue
-            sel = lagging[ts[lagging] < s]
-            mm = self.beta1 * m[sel] + 0.0
-            vv = self.beta2 * v[sel] + 0.0
-            m[sel] = mm
-            v[sel] = vv
-            bias1 = 1.0 - self.beta1 ** s
-            bias2 = 1.0 - self.beta2 ** s
-            p.data[sel] -= lr * (mm / bias1) / (np.sqrt(vv / bias2) + self.eps)
-        ts[lagging] = upto
-
-    def _exact_sparse_step(self, i: int, p: Parameter, g: RowSparseGrad) -> None:
-        t = self._param_t[i]
-        rows = g.indices
-        self._catch_up(i, p, rows, t - 1)
-        m, v = self._m[i], self._v[i]
-        values = g.values
-        m[rows] = self.beta1 * m[rows] + (1.0 - self.beta1) * values
-        v[rows] = self.beta2 * v[rows] + (1.0 - self.beta2) * values ** 2
-        bias1 = 1.0 - self.beta1 ** t
-        bias2 = 1.0 - self.beta2 ** t
-        m_hat = m[rows] / bias1
-        v_hat = v[rows] / bias2
-        p.data[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        self._row_t[i][rows] = t
-
-    def sync(self) -> None:
-        """Replay every lagging row in exact mixed-mode parameters.
-
-        After this, each such parameter is bit-identical to one trained
-        with dense Adam on densified gradients; pure-sparse and pure-dense
-        parameters are untouched. Safe to call at any point mid-training.
-        """
-        for i, p in enumerate(self.parameters):
-            if self._row_t[i] is not None:
-                self._catch_up(i, p, None, self._param_t[i])
-
     def step(self, shard=None) -> None:
         for i in self._active(shard):
             # the parameter's clock advances on every step that covers it,
             # grad or not — identical to the old global `t` for full steps
             self._param_t[i] += 1
             p, m, v = self.parameters[i], self._m[i], self._v[i]
-            exact = self._row_t[i] is not None
-            if exact:
-                self._lr_hist[i].append((p.grad is not None, self.lr))
             if p.grad is None:
                 continue
             if isinstance(p.grad, RowSparseGrad):
-                if not exact and self._saw_dense[i] and self._row_steps[i] is None:
-                    # dense-then-sparse interop: switch to the timestamped
-                    # exact regime — all rows are current through t-1
-                    exact = True
-                    self._row_t[i] = np.full(p.data.shape[0], self._param_t[i] - 1,
-                                             dtype=np.int64)
-                    self._hist_base[i] = self._param_t[i]
-                    self._lr_hist[i] = [(True, self.lr)]
-                if exact:
-                    self._exact_sparse_step(i, p, p.grad)
-                else:
-                    self._sparse_step(i, p, p.grad)
+                self._sparse_step(i, p, p.grad)
                 continue
-            self._saw_dense[i] = True
-            if exact:
-                # dense step on a timestamped parameter: bring every row
-                # current first, then the plain dense update below
-                self._catch_up(i, p, None, self._param_t[i] - 1)
-                self._row_t[i][:] = self._param_t[i]
-            elif self._row_steps[i] is not None:
+            if self._row_steps[i] is not None:
                 # dense step on a row-counted parameter advances every row
                 self._row_steps[i] += 1
             bias1 = 1.0 - self.beta1 ** self._param_t[i]
@@ -385,44 +280,22 @@ class Adam(Optimizer):
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def _param_state(self, i: int) -> dict:
-        """Full Adam state for parameter ``i``, including the exact
-        mixed-mode regime raw (un-synced) — loading it back continues the
-        deferred replay bit-exactly."""
         state = {
             "m": np.array(self._m[i]),
             "v": np.array(self._v[i]),
             "param_t": int(self._param_t[i]),
-            "saw_dense": bool(self._saw_dense[i]),
-            "hist_base": int(self._hist_base[i]),
         }
         if self._row_steps[i] is not None:
             state["row_steps"] = np.array(self._row_steps[i])
-        if self._row_t[i] is not None:
-            state["row_t"] = np.array(self._row_t[i])
-            # (had_grad, lr) pairs as a (n, 2) float64 block; lr round-trips
-            # exactly (float64 in, float64 out) and had_grad is 0.0/1.0
-            hist = self._lr_hist[i]
-            state["lr_hist"] = np.array(
-                [(1.0 if had else 0.0, lr) for had, lr in hist],
-                dtype=np.float64).reshape(len(hist), 2)
         return state
 
     def _load_param_state(self, i: int, state: dict) -> None:
         self._m[i][...] = state.pop("m")
         self._v[i][...] = state.pop("v")
         self._param_t[i] = int(state.pop("param_t"))
-        self._saw_dense[i] = bool(state.pop("saw_dense"))
-        self._hist_base[i] = int(state.pop("hist_base"))
         if "row_steps" in state:
             self._row_steps[i] = np.array(state.pop("row_steps"),
                                           dtype=np.int64)
         else:
             self._row_steps[i] = None
-        if "row_t" in state:
-            self._row_t[i] = np.array(state.pop("row_t"), dtype=np.int64)
-            hist = np.asarray(state.pop("lr_hist"), dtype=np.float64)
-            self._lr_hist[i] = [(bool(had), float(lr)) for had, lr in hist]
-        else:
-            self._row_t[i] = None
-            self._lr_hist[i] = None
         super()._load_param_state(i, state)

@@ -9,12 +9,11 @@ then re-split it under the new spec. No float is ever recomputed — rows
 move, bit for bit.
 
 Optimizer state moves *with its rows*. Every per-row slot (Adam moments
-``m``/``v``, lazy per-row step counters, exact-mode row timestamps) is
-assembled and re-split under the same specs as its table, so a row's clock
-and moments follow it to its new shard. Per-parameter scalars (the Adam
-step clock ``param_t``, the replay history) are validated equal across the
-old shards — the trainer advances every shard's clock on every step, so
-they must agree — and replicated to each new shard.
+``m``/``v``, lazy per-row step counters) is assembled and re-split under
+the same specs as its table, so a row's clock and moments follow it to its
+new shard. Per-parameter scalars (the Adam step clock ``param_t``) are
+validated equal across the old shards — the trainer advances every shard's
+clock on every step, so they must agree — and replicated to each new shard.
 
 The contract, pinned by ``tests/shard/test_reshard.py`` and the resume
 parity suite: training resumed from a resharded training state bit-matches
@@ -48,7 +47,7 @@ _SHARD_KEY = re.compile(r"^(?P<base>.+)\.shards\.(?P<k>\d+)$")
 #: optimizer-state slots indexed by table row (first dim == shard rows):
 #: these migrate with their rows; every other slot is per-parameter and
 #: must be identical across a table's shards
-ROW_SLOTS = ("m", "v", "row_steps", "row_t")
+ROW_SLOTS = ("m", "v", "row_steps")
 
 
 class ReshardError(ValueError):
@@ -125,15 +124,12 @@ def _reshard_param_states(base: str, states: list[dict], old_spec: ShardSpec,
                                "from some shards")
         first = states[0][slot]
         for k, state in enumerate(states[1:], start=1):
-            value = state[slot]
-            same = (np.array_equal(first, value)
-                    if isinstance(first, np.ndarray) else first == value)
-            if not same:
+            if state[slot] != first:
                 raise ReshardError(
                     f"table {base!r} slot {slot!r} differs between shard 0 "
-                    f"and shard {k} ({first!r} vs {value!r}) — the shards "
-                    "were not stepped in lockstep, so their clocks cannot "
-                    "be replicated to a new layout")
+                    f"and shard {k} ({first!r} vs {state[slot]!r}) — the "
+                    "shards were not stepped in lockstep, so their clocks "
+                    "cannot be replicated to a new layout")
         for state in new_states:
             state[slot] = first
     return new_states
@@ -213,40 +209,36 @@ def reshard_file(input_path: str | Path, output_path: str | Path,
     """
     from repro.train.resume import (
         TRAIN_STATE_FORMAT,
-        load_training_state,
         save_training_state,
+        unpack_training_state,
     )
-    from repro.utils.checkpoint import load_arrays, save_arrays
+    from repro.utils.artifact import ArtifactError, read_artifact, write_artifact
+    from repro.utils.checkpoint import CHECKPOINT_FORMAT
 
     if num_shards < 1:
         raise ReshardError("num_shards must be >= 1")
-    arrays, meta = load_arrays(input_path, verify=verify)
-    recorded = meta.get("shard_strategy") or "range"
-    old_strategy = old_strategy or recorded
+    arrays, meta = read_artifact(input_path, verify=verify)
+    kind = meta.get("format")
+    if kind not in (TRAIN_STATE_FORMAT, CHECKPOINT_FORMAT):
+        raise ArtifactError(f"{input_path} is neither a checkpoint nor a "
+                            f"training state (format={kind!r})")
+    old_strategy = old_strategy or meta.get("shard_strategy") or "range"
     strategy = strategy or old_strategy
-    is_train_state = meta.get("format") == TRAIN_STATE_FORMAT
-    if is_train_state:
-        state = load_training_state(input_path, verify=verify)
+    if kind == TRAIN_STATE_FORMAT:
+        state = unpack_training_state(input_path, arrays, meta)
         new_model, new_opt, tables = reshard_state(
             state.model_state, state.optimizer_states,
             num_shards=num_shards, strategy=strategy,
             old_strategy=old_strategy)
-        new_meta = {key: value for key, value in state.meta.items()
-                    if key not in ("format", "state_version",
-                                   "optim_scalars", "array_sha256")}
-        new_meta["config"] = dict(new_meta.get("config", {}),
-                                  shards=num_shards)
-        new_meta["shard_strategy"] = strategy
+        new_meta = dict(meta, shard_strategy=strategy,
+                        config=dict(meta.get("config", {}),
+                                    shards=num_shards))
         save_training_state(output_path, new_model, new_opt, new_meta)
     else:
         new_model, _, tables = reshard_state(
             arrays, None, num_shards=num_shards, strategy=strategy,
             old_strategy=old_strategy)
-        new_meta = {key: value for key, value in meta.items()
-                    if key != "array_sha256"}
-        new_meta["shards"] = num_shards
-        new_meta["shard_strategy"] = strategy
-        save_arrays(output_path, new_model, new_meta)
-    return {"format": "train-state" if is_train_state else "checkpoint",
-            "tables": tables, "shards": num_shards, "strategy": strategy,
-            "old_strategy": old_strategy}
+        write_artifact(output_path, new_model,
+                       dict(meta, shards=num_shards, shard_strategy=strategy))
+    return {"format": kind, "tables": tables, "shards": num_shards,
+            "strategy": strategy, "old_strategy": old_strategy}

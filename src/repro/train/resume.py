@@ -4,26 +4,25 @@ A *training state* is a superset of a model checkpoint: besides every
 parameter table it persists the pieces that make a training run a pure
 function of its config — the trainer's rng stream, the epoch/step cursor
 into the step-ordered batch stream, per-parameter optimizer state (Adam
-moments and step clocks, per-row counters, the exact-mixed-mode replay
-history — all raw, nothing flushed), the learning-rate schedule position,
-the recorded history, and the early-stopping counters. Restoring all of it
-and continuing is bit-identical to never having stopped: ``train N epochs
-== train M + resume N-M`` for both propagation modes (full/async, any workers)
-and for dist sync training, which is the oracle ``tests/train/test_resume``
-pins.
+moments, step clocks and per-row counters), the learning-rate schedule
+position, the recorded history, and the early-stopping counters. Restoring
+all of it and continuing is bit-identical to never having stopped:
+``train N epochs == train M + resume N-M`` for both propagation modes
+(full/async, any workers) and for dist sync training, which is the oracle
+``tests/train/test_resume`` pins.
 
-Files are written atomically (:func:`repro.utils.checkpoint.save_arrays`:
-temp file + ``os.replace``), so a crash — including SIGKILL — mid-save
-leaves either the previous complete state or the new one, never a torn
-file, and every array carries a sha256 fingerprint verified on load.
+The file is a :mod:`repro.utils.artifact` container: written atomically
+(a crash — including SIGKILL — mid-save leaves the previous complete state
+or the new one, never a torn file), every array fingerprinted and verified
+on load.
 
-Layout inside the ``.npz``:
+Array names and metadata:
 
 * ``model::{param}`` — one array per model parameter (``state_dict``),
 * ``optim::{param}::{slot}`` — array-valued optimizer slots (Adam ``m``,
   ``v``, ``row_steps``, …), keyed by the owning parameter's name,
-* scalar optimizer slots and all trainer scalars ride in the JSON
-  metadata block under the archive's reserved key.
+* scalar optimizer slots (``optim_scalars``) and all trainer scalars ride
+  in the artifact's metadata.
 """
 
 from __future__ import annotations
@@ -33,11 +32,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.utils.checkpoint import load_arrays, save_arrays
+from repro.utils.artifact import ArtifactError, read_artifact, write_artifact
 
 #: metadata ``format`` tag distinguishing training states from checkpoints
 TRAIN_STATE_FORMAT = "train-state"
-TRAIN_STATE_VERSION = 1
+#: 2: Adam lost its timestamped dense-then-sparse regime and with it the
+#: ``row_t``/``lr_hist`` arrays and ``saw_dense``/``hist_base`` scalars
+TRAIN_STATE_VERSION = 2
 
 _MODEL_PREFIX = "model::"
 _OPTIM_PREFIX = "optim::"
@@ -121,14 +122,14 @@ def save_training_state(path: str | Path, model_state: dict[str, np.ndarray],
     meta["format"] = TRAIN_STATE_FORMAT
     meta["state_version"] = TRAIN_STATE_VERSION
     meta["optim_scalars"] = scalars
-    return save_arrays(path, arrays, meta)
+    return write_artifact(path, arrays, meta)
 
 
-def load_training_state(path: str | Path, verify: bool = True) -> TrainState:
-    """Read a file written by :func:`save_training_state` (verified)."""
-    arrays, meta = load_arrays(path, verify=verify)
+def unpack_training_state(path: str | Path, arrays: dict[str, np.ndarray],
+                          meta: dict) -> TrainState:
+    """Split an artifact read from ``path`` into a :class:`TrainState`."""
     if meta.get("format") != TRAIN_STATE_FORMAT:
-        raise ValueError(
+        raise ArtifactError(
             f"{path} is not a training state (format="
             f"{meta.get('format')!r}); plain checkpoints hold no resume "
             "cursor — pass a file written by TrainConfig.save_state")
@@ -143,9 +144,26 @@ def load_training_state(path: str | Path, verify: bool = True) -> TrainState:
             pname, slot = key[len(_OPTIM_PREFIX):].rsplit("::", 1)
             optimizer_states.setdefault(pname, {})[slot] = value
         else:
-            raise ValueError(f"unrecognized training-state array {key!r}")
+            raise ArtifactError(f"{path}: unrecognized training-state "
+                                f"array {key!r}")
+    if meta.get("state_version") == 1:
+        for pname, slots in optimizer_states.items():
+            if "row_t" in slots:
+                raise ArtifactError(
+                    f"{path}: version-1 training state holds Adam 'row_t' "
+                    f"for parameter {pname!r} — the timestamped mixed "
+                    "dense/sparse regime no longer exists, so this run "
+                    "cannot be continued bit-exactly; resume it with the "
+                    "build that wrote it")
+            slots.pop("saw_dense", None)
+            slots.pop("hist_base", None)
     return TrainState(model_state=model_state,
                       optimizer_states=optimizer_states, meta=meta)
+
+
+def load_training_state(path: str | Path, verify: bool = True) -> TrainState:
+    """Read a file written by :func:`save_training_state` (verified)."""
+    return unpack_training_state(path, *read_artifact(path, verify=verify))
 
 
 def check_resume_config(saved: dict, config) -> None:

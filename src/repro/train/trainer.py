@@ -128,8 +128,8 @@ class TrainConfig:
     #: synchronous barrier
     dist_staleness: int = 2
     #: gradient transport for dist modes: "shm" (shared-memory rings,
-    #: default), "pipe" (socket/pipe fallback), or "inline" (owners run
-    #: in-process through the full wire codec — tests/fallback)
+    #: default) or "inline" (owners run in-process through the full wire
+    #: codec — tests/fallback)
     dist_transport: str = "shm"
     #: path of the training-state file (:mod:`repro.train.resume`) this run
     #: maintains: written atomically every ``save_every_steps`` steps and
@@ -169,10 +169,10 @@ class TrainConfig:
             if self.shards is None:
                 raise ValueError("dist training requires shards "
                                  "(the parameter-server partition)")
-            if self.dist_transport not in ("shm", "pipe", "inline"):
+            if self.dist_transport not in ("shm", "inline"):
                 raise ValueError(
                     f"unknown dist transport {self.dist_transport!r} "
-                    "(use 'shm', 'pipe' or 'inline')")
+                    "(use 'shm' or 'inline')")
             if self.dist_workers is not None and self.dist_workers < 1:
                 raise ValueError("dist_workers must be >= 1 (or None)")
             if self.dist_staleness < 0:
@@ -515,10 +515,6 @@ class Trainer:
                 break
         if dist is not None:
             dist.drain()
-        if optimizer is not None:
-            # flush exact-mixed Adam's deferred per-row replays so final
-            # parameters don't depend on which rows the last batches drew
-            optimizer.sync()
         self.model.eval()
         if cfg.save_state is not None:
             # end-of-run state: resuming it with a larger epoch budget

@@ -1,7 +1,7 @@
-"""Utility helpers: checkpointing, content hashing, and timing."""
+"""Utility helpers: the artifact container, checkpointing, hashing, timing."""
 
+from repro.utils.artifact import ArtifactError
 from repro.utils.checkpoint import (
-    CheckpointIntegrityError,
     load_checkpoint,
     peek_checkpoint,
     save_checkpoint,
@@ -10,4 +10,4 @@ from repro.utils.integrity import array_sha256
 from repro.utils.timing import Timer
 
 __all__ = ["save_checkpoint", "load_checkpoint", "peek_checkpoint",
-           "CheckpointIntegrityError", "array_sha256", "Timer"]
+           "ArtifactError", "array_sha256", "Timer"]

@@ -1,96 +1,30 @@
-"""Model checkpointing: state dicts ↔ compressed ``.npz`` files.
+"""Model checkpointing: ``state_dict`` ↔ one :mod:`repro.utils.artifact` file.
 
-Parameter names contain dots (module paths), which ``np.savez`` handles
-fine as keys; metadata (model name, step, metrics) rides along as a JSON
-string under a reserved key. Every save also records a per-array sha256
-fingerprint (``array_sha256`` metadata key) that :func:`load_checkpoint`
-verifies, so a corrupted or hand-edited archive fails loudly instead of
-silently serving garbage embeddings. Checkpoints written before the
-fingerprints existed still load (no hashes → no verification).
+Parameter names (module paths, with dots) are the array names; metadata
+(model name, step, metrics) is the artifact header. The container —
+layout, atomic write, per-array fingerprints verified on load, what older
+files still load — is :mod:`repro.utils.artifact`'s business.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from pathlib import Path
 
-import numpy as np
+from repro.utils.artifact import (
+    ArtifactError,
+    read_artifact,
+    read_meta,
+    write_artifact,
+)
 
-from repro.utils.integrity import array_sha256
-
-_META_KEY = "__checkpoint_meta__"
-_HASH_KEY = "array_sha256"
-
-
-class CheckpointIntegrityError(ValueError):
-    """A checkpoint array's content hash did not match its metadata."""
-
-
-def save_arrays(path: str | Path, arrays: dict[str, np.ndarray],
-                metadata: dict | None = None) -> Path:
-    """Atomically write a named-array archive (.npz) with fingerprints.
-
-    The archive is written to a temp file in the destination directory and
-    moved into place with ``os.replace``, so a crash (even SIGKILL) mid-save
-    leaves either the previous file or the complete new one — never a torn
-    archive. Every array gets a sha256 fingerprint in the metadata that
-    :func:`load_arrays` verifies on read.
-    """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(".npz")
-    arrays = dict(arrays)
-    if _META_KEY in arrays:
-        raise ValueError(f"array name collides with reserved key {_META_KEY}")
-    meta = dict(metadata or {})
-    meta[_HASH_KEY] = {name: array_sha256(np.asarray(value))
-                       for name, value in arrays.items()}
-    payload = dict(arrays)
-    payload[_META_KEY] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
+#: metadata ``format`` tag of a model checkpoint
+CHECKPOINT_FORMAT = "checkpoint"
 
 
-def load_arrays(path: str | Path,
-                verify: bool = True) -> tuple[dict[str, np.ndarray], dict]:
-    """Read an archive written by :func:`save_arrays` → (arrays, metadata).
-
-    Verifies each array's sha256 fingerprint unless ``verify=False``;
-    a mismatch raises :class:`CheckpointIntegrityError`.
-    """
-    path = Path(path)
-    if not path.exists() and path.suffix != ".npz":
-        path = path.with_suffix(".npz")
-    with np.load(path) as archive:
-        metadata: dict = {}
-        arrays: dict[str, np.ndarray] = {}
-        for key in archive.files:
-            if key == _META_KEY:
-                metadata = json.loads(bytes(archive[key]).decode("utf-8"))
-            else:
-                arrays[key] = archive[key]
-    expected = metadata.get(_HASH_KEY)
-    if verify and expected:
-        bad = [name for name, value in arrays.items()
-               if expected.get(name) not in (None, array_sha256(value))]
-        if bad:
-            raise CheckpointIntegrityError(
-                f"archive {path} failed integrity verification: array "
-                f"content hash mismatch for {sorted(bad)} — the file was "
-                "corrupted or modified after save_arrays wrote it")
-    return arrays, metadata
+def _check_format(path: str | Path, meta: dict) -> None:
+    if meta.get("format") != CHECKPOINT_FORMAT:
+        raise ArtifactError(f"{path} is not a model checkpoint "
+                            f"(format={meta.get('format')!r})")
 
 
 def save_checkpoint(model, path: str | Path,
@@ -104,21 +38,10 @@ def save_checkpoint(model, path: str | Path,
     metadata:
         JSON-serializable extras (epoch, metrics, config echo, ...).
     """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(".npz")
     state = model.state_dict()
-    if _META_KEY in state:
-        raise ValueError(f"parameter name collides with reserved key {_META_KEY}")
-    payload = dict(state)
-    meta = dict(metadata or {})
+    meta = dict(metadata or {}, format=CHECKPOINT_FORMAT)
     meta.setdefault("num_parameters", int(sum(v.size for v in state.values())))
-    meta[_HASH_KEY] = {name: array_sha256(value) for name, value in state.items()}
-    payload[_META_KEY] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **payload)
-    return path
+    return write_artifact(path, state, meta)
 
 
 def peek_checkpoint(path: str | Path) -> dict:
@@ -127,43 +50,20 @@ def peek_checkpoint(path: str | Path) -> dict:
     Lets tools (the CLI ``recommend`` command) discover how to reconstruct
     the model — name, dataset, scale, dtype — before building anything.
     """
-    path = Path(path)
-    if not path.exists() and path.suffix != ".npz":
-        path = path.with_suffix(".npz")
-    with np.load(path) as archive:
-        if _META_KEY in archive.files:
-            return json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
-    return {}
+    meta = read_meta(path)
+    _check_format(path, meta)
+    return meta
 
 
 def load_checkpoint(model, path: str | Path, verify: bool = True) -> dict:
     """Load parameters saved by :func:`save_checkpoint`; returns metadata.
 
-    When the metadata carries per-array fingerprints (every checkpoint
-    written since they were introduced), each array is re-hashed before it
-    reaches the model and a mismatch raises
-    :class:`CheckpointIntegrityError`. Pass ``verify=False`` to skip the
-    check (e.g. deliberately patched archives).
+    Every array is re-hashed against the file's manifest before it reaches
+    the model; a damaged or edited file raises
+    :class:`~repro.utils.artifact.ArtifactError`. Pass ``verify=False`` to
+    skip the hash check (e.g. deliberately patched archives).
     """
-    path = Path(path)
-    if not path.exists() and path.suffix != ".npz":
-        path = path.with_suffix(".npz")
-    with np.load(path) as archive:
-        metadata: dict = {}
-        state: dict[str, np.ndarray] = {}
-        for key in archive.files:
-            if key == _META_KEY:
-                metadata = json.loads(bytes(archive[key]).decode("utf-8"))
-            else:
-                state[key] = archive[key]
-    expected = metadata.get(_HASH_KEY)
-    if verify and expected:
-        bad = [name for name, value in state.items()
-               if expected.get(name) not in (None, array_sha256(value))]
-        if bad:
-            raise CheckpointIntegrityError(
-                f"checkpoint {path} failed integrity verification: "
-                f"array content hash mismatch for {sorted(bad)} — the file "
-                "was corrupted or modified after save_checkpoint wrote it")
+    state, meta = read_artifact(path, verify=verify)
+    _check_format(path, meta)
     model.load_state_dict(state)
-    return metadata
+    return meta

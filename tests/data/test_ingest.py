@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import zipfile
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.data import (
     temporal_split,
 )
 from repro.data.ingest import IngestReport
+from repro.utils.artifact import ArtifactError, read_meta, write_artifact
 
 
 def _write_log(path, rows, header="user,item,behavior,timestamp"):
@@ -230,14 +232,17 @@ def _fixture_log(path, rating_mode):
 
 
 class TestArtifactPinnedAcrossParsers:
-    """sha256 of the artifact that the row-by-row parser (the commit before
-    the columnar one) wrote for the same log: first-seen id order and the
+    """sha256 of the artifact for a fixed log: first-seen id order and the
     row order inside each behavior — what a seeded training run depends
-    on — are exactly what they were."""
+    on — are exactly what the row-by-row parser (the commit before the
+    columnar one) produced. Re-pinned once when the file gained its
+    ``array_sha256`` manifest (repro.utils.artifact); the arrays and header
+    behind the old pins (c4c10a8e…, a95f338d…) were checked equal to the
+    ones behind these."""
 
     @pytest.mark.parametrize("rating_mode,target,sha256", [
-        (False, "buy", "c4c10a8ec724aa35bdb396fa4d800881c64e5c584f6cf1bcbef7b534be97affe"),
-        (True, "like", "a95f338df5cf4127412cdb05a73cc310a5a710d74ec023f6c08632ae4224cedb"),
+        (False, "buy", "a88b6493a8ccfc129f3af2261a49e3601f416a614803be40a35bbe9a1f330ab1"),
+        (True, "like", "952b225b9a8955d8af2fd2446f01da367279a0a6976e6f100609bb2dae756bc7"),
     ])
     def test_artifact_sha256(self, tmp_path, rating_mode, target, sha256):
         path = _fixture_log(tmp_path / "fixture.csv", rating_mode)
@@ -273,6 +278,50 @@ class TestDatasetArtifact:
         a = save_dataset_npz(dataset, tmp_path / "a.npz")
         b = save_dataset_npz(dataset, tmp_path / "b.npz")
         assert a.read_bytes() == b.read_bytes()
+
+    @staticmethod
+    def _columns(dataset):
+        return {f"b{index}_{label}": column
+                for index, behavior in enumerate(dataset.behavior_names)
+                for label, column in zip(("users", "items", "timestamps"),
+                                         dataset.arrays(behavior))}
+
+    def test_header_smaller_than_the_ids_is_refused(self, tmp_path):
+        """The header is outside the manifest: shrink ``num_items`` and
+        re-zip. Used to load, and fail later inside graph construction."""
+        dataset = taobao_like(num_users=20, num_items=35, seed=3)
+        path = save_dataset_npz(dataset, tmp_path / "d.npz")
+        with zipfile.ZipFile(path) as archive:
+            members = {n: archive.read(n) for n in archive.namelist()}
+        meta = json.loads(members["meta.json"])
+        meta["num_items"] = 5
+        members["meta.json"] = json.dumps(meta).encode()
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, payload in members.items():
+                archive.writestr(name, payload)
+        items = dataset.arrays(dataset.behavior_names[0])[1]
+        first = int(np.flatnonzero(items >= 5)[0])
+        with pytest.raises(ArtifactError, match=re.escape(
+                f"d.npz: behavior {dataset.behavior_names[0]!r} "
+                f"items[{first}] = {items[first]} is outside [0, 5)")):
+            load_dataset_npz(path)
+
+    @pytest.mark.parametrize("label,edit,message", [
+        ("users", lambda c: np.where(np.arange(c.size) == 2, -1, c),
+         r"users\[2\] = -1 is outside \[0, 20\)"),
+        ("timestamps", lambda c: c[:-1], "equally long"),
+        ("items", lambda c: c.astype(np.float64), "integer ids.*float64"),
+    ])
+    def test_arrays_that_contradict_the_header_are_refused(
+            self, tmp_path, label, edit, message):
+        dataset = taobao_like(num_users=20, num_items=35, seed=3)
+        good = save_dataset_npz(dataset, tmp_path / "good.npz")
+        columns = self._columns(dataset)
+        columns[f"b1_{label}"] = edit(columns[f"b1_{label}"])
+        bad = write_artifact(tmp_path / "bad.npz", columns, read_meta(good))
+        with pytest.raises(ArtifactError,
+                           match=f"bad.npz: behavior 'favorite'.*{message}"):
+            load_dataset_npz(bad)
 
     def test_rejects_foreign_zip(self, tmp_path):
         path = tmp_path / "not_dataset.npz"

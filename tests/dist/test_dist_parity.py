@@ -71,11 +71,6 @@ class TestSyncParity:
                                     workers=2)
         assert_bit_parity(model, losses, baseline)
 
-    def test_pipe_transport(self, tiny_split, baseline):
-        model, losses = _train_gnmr(tiny_split, dist="sync",
-                                    transport="pipe", workers=2)
-        assert_bit_parity(model, losses, baseline)
-
     def test_single_worker_owns_all_shards(self, tiny_split, baseline):
         """W < K: round-robin multiplexing must not disturb parity."""
         model, losses = _train_gnmr(tiny_split, dist="sync", transport="shm",

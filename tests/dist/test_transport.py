@@ -1,4 +1,4 @@
-"""Transport-layer tests: shared blocks, SPSC rings, and the pipe fallback.
+"""Transport-layer tests: shared blocks and SPSC rings.
 
 These run producer and consumer in one process (plus threads for the
 blocking paths) — the cross-*process* behaviour is covered by the server
@@ -14,7 +14,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.dist import PipeChannel, SharedBlock, ShmRing, TransportError
+from repro.dist import SharedBlock, ShmRing, TransportError
 from repro.dist.codec import frame
 
 
@@ -143,38 +143,3 @@ class TestShmRing:
             peer.close()
         finally:
             ring.close()
-
-
-class TestPipeChannel:
-    def test_roundtrip(self):
-        sender, receiver = PipeChannel.pair(multiprocessing)
-        try:
-            sender.send(frame(b"hello"))
-            assert receiver.recv(timeout=1.0) == b"hello"
-        finally:
-            sender.close()
-            receiver.close()
-
-    def test_recv_timeout_returns_none(self):
-        sender, receiver = PipeChannel.pair(multiprocessing)
-        try:
-            assert receiver.recv(timeout=0.01) is None
-        finally:
-            sender.close()
-            receiver.close()
-
-    def test_recv_after_sender_closed_raises(self):
-        sender, receiver = PipeChannel.pair(multiprocessing)
-        sender.close()
-        with pytest.raises(TransportError, match="pipe recv"):
-            receiver.recv(timeout=1.0)
-        receiver.close()
-
-    def test_send_after_receiver_closed_raises(self):
-        sender, receiver = PipeChannel.pair(multiprocessing)
-        receiver.close()
-        with pytest.raises(TransportError, match="pipe send"):
-            # a pipe buffers; the break may need more than one write
-            for _ in range(64):
-                sender.send(frame(b"x" * 4096))
-        sender.close()

@@ -1,13 +1,15 @@
 """Fault-injection substrate for the dist transport and the trainer.
 
-Two deliberately tiny tools:
+Three deliberately tiny tools:
 
-* :class:`FaultyChannel` wraps any transport channel (``ShmRing``,
-  ``PipeChannel``, or a plain in-process queue shim) and injects the
-  classic network failure modes at chosen frame indices — *drop* (the
-  frame never arrives), *truncate* (the frame arrives short, with intact
-  transport framing so the corruption surfaces at the codec layer, not as
-  a transport error), and *duplicate* (the frame arrives twice). The
+* :class:`QueueChannel` is the plain in-process carrier: a queue of frame
+  bodies behind the transport's ``send``/``recv``/``close`` surface.
+* :class:`FaultyChannel` wraps any transport channel (``ShmRing`` or a
+  :class:`QueueChannel`) and injects the classic network failure modes at
+  chosen frame indices — *drop* (the frame never arrives), *truncate* (the
+  frame arrives short, with intact transport framing so the corruption
+  surfaces at the codec layer, not as a transport error), and *duplicate*
+  (the frame arrives twice). The
   strict push-sequence check in ``ShardOwner`` and the bounds-checked
   codec must turn every one of these into a loud error rather than a
   silently wrong table.
@@ -18,6 +20,8 @@ Two deliberately tiny tools:
 """
 
 from __future__ import annotations
+
+import queue
 
 from repro.dist.codec import frame, unframe
 
@@ -40,6 +44,26 @@ class CrashAtStep:
     def __call__(self, trainer, global_step: int) -> None:
         if global_step == self.at_step:
             raise TrainerKilled(f"simulated crash after step {global_step}")
+
+
+class QueueChannel:
+    """In-process channel with ``ShmRing``'s surface: ``send`` takes a
+    framed message, ``recv`` returns its body (``None`` on timeout)."""
+
+    def __init__(self):
+        self._bodies = queue.SimpleQueue()
+
+    def send(self, framed: bytes, timeout=None, alive=None) -> None:
+        self._bodies.put(unframe(framed))
+
+    def recv(self, timeout=None):
+        try:
+            return self._bodies.get(timeout=timeout)
+        except queue.Empty:
+            return None
+
+    def close(self) -> None:
+        pass
 
 
 class FaultyChannel:

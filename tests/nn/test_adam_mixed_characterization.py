@@ -1,21 +1,16 @@
-"""Mixed dense/sparse Adam interop — now exact (timestamped dense path).
+"""Mixed dense/sparse Adam on one parameter: the per-row-count rule.
 
-The carried-over ROADMAP approximation is gone: when one parameter sees a
-dense gradient and then row-sparse ones, Adam switches that parameter to a
-timestamped regime (per-row last-updated step + per-step lr history) and
-replays the dense updates a row missed before touching it again. After
-``sync()`` the result is **bit-identical** to dense Adam fed densified
-gradients — the old deviation band collapses to 0. These tests are the
-regression anchor for the exact semantics:
-
-* the timestamp bookkeeping is asserted literally;
-* a pure-dense Adam run on densified gradients must match the mixed run
-  bit for bit after ``sync()`` (the exactness anchor);
-* sparse-first parameters keep the legacy per-row-count lazy semantics
-  (the sampled-trainer contract), pinned by the mirror implementation.
+Whatever order a parameter's dense and row-sparse gradients arrive in, Adam
+applies one rule (the sampled trainer's contract, which the goldens depend
+on): dense steps use the parameter's step count and advance every row's
+counter; sparse steps use per-row counters, seeded with the step count at
+the first sparse touch; moments stay frozen on rows a sparse step skips.
+:class:`MirrorAdam` is an independent reimplementation of that rule and
+pins it bit for bit, for sparse-first and dense-first schedules alike.
 """
 
 import numpy as np
+import pytest
 
 from repro.nn import Adam, Parameter
 from repro.tensor import RowSparseGrad
@@ -24,19 +19,10 @@ SHAPE = (6, 3)
 LR = 0.05
 
 
-def _dense_from(rows, values, num_rows=SHAPE[0]):
-    grad = np.zeros((num_rows,) + np.asarray(values).shape[1:])
-    np.add.at(grad, rows, values)
-    return grad
-
-
 class MirrorAdam:
-    """Reimplementation of the *legacy* lazy mixed semantics.
-
-    Still the characterization for sparse-first parameters: global step
-    count for dense updates, per-row counts for sparse ones, counters
-    seeded from the global step at first sparse touch, moments frozen on
-    skipped rows.
+    """Reimplementation of the lazy mixed semantics: global step count
+    for dense updates, per-row counts for sparse ones, counters seeded from
+    the global step at first sparse touch, moments frozen on skipped rows.
     """
 
     def __init__(self, data, lr=LR, betas=(0.9, 0.999), eps=1e-8):
@@ -71,12 +57,12 @@ class MirrorAdam:
         self.data[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _mixed_schedule(seed=0, steps=12):
+def _schedule(dense_first: bool, seed: int = 2, steps: int = 12):
     """A reproducible dense/sparse interleaving with partial row touches."""
     rng = np.random.default_rng(seed)
     schedule = []
     for step in range(steps):
-        if step < 3 or step % 3 == 0:
+        if step < 3 * dense_first or step % 3 == 2:
             schedule.append(("dense", rng.standard_normal(SHAPE)))
         else:
             rows = np.sort(rng.choice(SHAPE[0], size=3, replace=False))
@@ -84,7 +70,7 @@ def _mixed_schedule(seed=0, steps=12):
     return schedule
 
 
-def _run_optimizer(schedule, sync=True):
+def _run_optimizer(schedule):
     p = Parameter(np.zeros(SHAPE))
     opt = Adam([p], lr=LR)
     for kind, payload in schedule:
@@ -94,45 +80,11 @@ def _run_optimizer(schedule, sync=True):
             rows, values = payload
             p.grad = RowSparseGrad(rows, values.copy(), SHAPE[0])
         opt.step()
-    if sync:
-        opt.sync()
     return p, opt
 
 
-def _run_dense_reference(schedule):
-    p = Parameter(np.zeros(SHAPE))
-    opt = Adam([p], lr=LR)
-    for kind, payload in schedule:
-        if kind == "dense":
-            p.grad = payload.copy()
-        else:
-            rows, values = payload
-            p.grad = _dense_from(rows, values)
-        opt.step()
-    return p
-
-
-class TestTimestampBookkeeping:
-    def test_first_sparse_touch_after_dense_switches_to_timestamps(self):
-        p = Parameter(np.zeros(SHAPE))
-        opt = Adam([p], lr=LR)
-        for _ in range(4):  # 4 dense steps advance the global clock
-            p.grad = np.ones(SHAPE)
-            opt.step()
-        p.grad = RowSparseGrad([1, 3], np.ones((2, 3)), SHAPE[0])
-        opt.step()
-        # exact regime: no legacy counters; touched rows stamped at step 5,
-        # the rest still current through the last dense step (4)
-        assert opt._row_steps[0] is None
-        assert opt._row_t[0].tolist() == [4, 5, 4, 5, 4, 4]
-
-    def test_sync_brings_every_row_current(self):
-        schedule = _mixed_schedule()
-        p, opt = _run_optimizer(schedule, sync=True)
-        assert np.all(opt._row_t[0] == opt._param_t[0])
-
+class TestRowCounters:
     def test_dense_steps_advance_all_row_counters(self):
-        # sparse-first parameters keep the legacy per-row-count semantics
         p = Parameter(np.zeros(SHAPE))
         opt = Adam([p], lr=LR)
         p.grad = RowSparseGrad([0], np.ones((1, 3)), SHAPE[0])
@@ -140,145 +92,31 @@ class TestTimestampBookkeeping:
         p.grad = np.ones(SHAPE)
         opt.step()
         assert opt._row_steps[0].tolist() == [2, 1, 1, 1, 1, 1]
-        assert opt._row_t[0] is None
 
-
-class TestExactnessAnchor:
-    def test_mixed_schedule_matches_dense_reference_bitwise(self):
-        """THE acceptance check: the old deviation band is now exactly 0."""
-        schedule = _mixed_schedule()
-        p_mixed, _ = _run_optimizer(schedule, sync=True)
-        p_ref = _run_dense_reference(schedule)
-        np.testing.assert_array_equal(p_mixed.data, p_ref.data)
-
-    def test_exactness_holds_under_lr_changes(self):
-        """The per-step lr history replays scheduler-decayed rates."""
-        schedule = _mixed_schedule(seed=3, steps=9)
+    def test_first_sparse_touch_after_dense_seeds_counters(self):
         p = Parameter(np.zeros(SHAPE))
         opt = Adam([p], lr=LR)
-        p_ref = Parameter(np.zeros(SHAPE))
-        opt_ref = Adam([p_ref], lr=LR)
-        for step, (kind, payload) in enumerate(schedule):
-            lr = LR * 0.9 ** step
-            opt.lr = opt_ref.lr = lr
-            if kind == "dense":
-                p.grad = payload.copy()
-                p_ref.grad = payload.copy()
-            else:
-                rows, values = payload
-                p.grad = RowSparseGrad(rows, values.copy(), SHAPE[0])
-                p_ref.grad = _dense_from(rows, values)
+        for _ in range(4):  # 4 dense steps advance the parameter's clock
+            p.grad = np.ones(SHAPE)
             opt.step()
-            opt_ref.step()
-        opt.sync()
-        np.testing.assert_array_equal(p.data, p_ref.data)
-
-    def test_exactness_with_skipped_steps(self):
-        """Steps where the parameter has no grad advance the clock but
-        apply nothing — the replay must honor that."""
-        rng = np.random.default_rng(7)
-        p = Parameter(np.zeros(SHAPE))
-        opt = Adam([p], lr=LR)
-        p_ref = Parameter(np.zeros(SHAPE))
-        opt_ref = Adam([p_ref], lr=LR)
-        moves = ["dense", "sparse", None, "sparse", None, "dense", "sparse"]
-        for kind in moves:
-            if kind == "dense":
-                g = rng.standard_normal(SHAPE)
-                p.grad = g.copy()
-                p_ref.grad = g.copy()
-            elif kind == "sparse":
-                rows = np.sort(rng.choice(SHAPE[0], size=2, replace=False))
-                values = rng.standard_normal((2, 3))
-                p.grad = RowSparseGrad(rows, values.copy(), SHAPE[0])
-                p_ref.grad = _dense_from(rows, values)
-            else:
-                p.grad = None
-                p_ref.grad = None
-            opt.step()
-            opt_ref.step()
-        opt.sync()
-        np.testing.assert_array_equal(p.data, p_ref.data)
-
-    def test_float32_stays_exact(self):
-        schedule = _mixed_schedule(seed=5, steps=8)
-        p = Parameter(np.zeros(SHAPE, dtype=np.float32))
-        opt = Adam([p], lr=LR)
-        p_ref = Parameter(np.zeros(SHAPE, dtype=np.float32))
-        opt_ref = Adam([p_ref], lr=LR)
-        for kind, payload in schedule:
-            if kind == "dense":
-                p.grad = payload.astype(np.float32)
-                p_ref.grad = payload.astype(np.float32)
-            else:
-                rows, values = payload
-                p.grad = RowSparseGrad(rows, values.astype(np.float32),
-                                       SHAPE[0])
-                p_ref.grad = _dense_from(rows, values).astype(np.float32)
-            opt.step()
-            opt_ref.step()
-        opt.sync()
-        np.testing.assert_array_equal(p.data, p_ref.data)
-
-    def test_sync_is_idempotent_and_mid_run_safe(self):
-        schedule = _mixed_schedule(seed=11, steps=10)
-        p_a = Parameter(np.zeros(SHAPE))
-        opt_a = Adam([p_a], lr=LR)
-        for step, (kind, payload) in enumerate(schedule):
-            if kind == "dense":
-                p_a.grad = payload.copy()
-            else:
-                rows, values = payload
-                p_a.grad = RowSparseGrad(rows, values.copy(), SHAPE[0])
-            opt_a.step()
-            if step == 4:
-                opt_a.sync()  # mid-run sync must not change the outcome
-        opt_a.sync()
-        opt_a.sync()
-        p_ref = _run_dense_reference(schedule)
-        np.testing.assert_array_equal(p_a.data, p_ref.data)
-
-    def test_all_rows_sparse_step_matches_dense_exactly(self):
-        rng = np.random.default_rng(1)
-        grads = [rng.standard_normal(SHAPE) for _ in range(6)]
-        p_dense = Parameter(np.zeros(SHAPE))
-        opt_dense = Adam([p_dense], lr=LR)
-        p_sparse = Parameter(np.zeros(SHAPE))
-        opt_sparse = Adam([p_sparse], lr=LR)
-        all_rows = np.arange(SHAPE[0])
-        for step, grad in enumerate(grads):
-            p_dense.grad = grad.copy()
-            opt_dense.step()
-            if step < 2:  # dense prefix on both sides
-                p_sparse.grad = grad.copy()
-            else:         # then sparse steps touching every row
-                p_sparse.grad = RowSparseGrad(all_rows, grad.copy(), SHAPE[0])
-            opt_sparse.step()
-        np.testing.assert_array_equal(p_sparse.data, p_dense.data)
+        assert opt._row_steps[0] is None  # dense-only: never allocated
+        p.grad = RowSparseGrad([1, 3], np.ones((2, 3)), SHAPE[0])
+        opt.step()
+        assert opt._row_steps[0].tolist() == [4, 5, 4, 5, 4, 4]
 
 
-class TestLegacySparseFirstCharacterization:
-    def test_mirror_implementation_matches_bitwise(self):
-        """Sparse-first mixing keeps the legacy lazy semantics, pinned by
-        the mirror implementation (the sampled-trainer contract: goldens
-        depend on per-row-count bias corrections)."""
-        rng = np.random.default_rng(2)
-        schedule = []
-        for step in range(10):
-            if step % 3 == 2:  # sparse first, occasional dense afterwards
-                schedule.append(("dense", rng.standard_normal(SHAPE)))
-            else:
-                rows = np.sort(rng.choice(SHAPE[0], size=3, replace=False))
-                schedule.append(("sparse", (rows, rng.standard_normal((3, 3)))))
-        p, opt = _run_optimizer(schedule, sync=False)
-        assert opt._row_t[0] is None  # never entered the exact regime
+class TestMirrorCharacterization:
+    @pytest.mark.parametrize("dense_first", [False, True])
+    def test_mirror_implementation_matches_bitwise(self, dense_first):
+        schedule = _schedule(dense_first)
+        assert schedule[0][0] == ("dense" if dense_first else "sparse")
+        p, opt = _run_optimizer(schedule)
         mirror = MirrorAdam(np.zeros(SHAPE))
         for kind, payload in schedule:
             if kind == "dense":
                 mirror.dense_step(payload)
             else:
-                rows, values = payload
-                mirror.sparse_step(rows, values)
+                mirror.sparse_step(*payload)
         np.testing.assert_array_equal(p.data, mirror.data)
-        opt.sync()  # no-op for legacy-mode parameters
+        opt.sync()  # the documented no-op
         np.testing.assert_array_equal(p.data, mirror.data)

@@ -107,7 +107,7 @@ class TestReshardState:
                    "v": np.ascontiguousarray(v_full[old_spec.shard_rows(k)]),
                    "row_steps": np.ascontiguousarray(
                        steps_full[old_spec.shard_rows(k)]),
-                   "param_t": 50, "saw_dense": False, "hist_base": 0}
+                   "param_t": 50}
                for k in range(old_k)}
         _, new_opt, _ = reshard_state(state, opt, num_shards=new_k,
                                       strategy="hash", old_strategy="range")
@@ -121,7 +121,6 @@ class TestReshardState:
                                           steps_full[shard_rows])
             # per-parameter clocks replicate to every new shard
             assert slots["param_t"] == 50
-            assert slots["saw_dense"] is False
 
     def test_mixed_row_slot_presence_raises(self):
         rng = np.random.default_rng(5)
@@ -243,7 +242,7 @@ class TestReshardedResumeParity:
 
 class TestReshardFile:
     def test_plain_checkpoint_reshard(self, tmp_path):
-        from repro.utils.checkpoint import load_arrays, save_checkpoint
+        from repro.utils.checkpoint import peek_checkpoint, save_checkpoint
 
         model = TestReshardedResumeParity.build(2)
         before = {base: np.array(table) for base, table in
@@ -255,7 +254,7 @@ class TestReshardFile:
         out = str(tmp_path / "ckpt4.npz")
         info = reshard_file(path, out, 4)
         assert info["format"] == "checkpoint"
-        _, meta = load_arrays(out)
+        meta = peek_checkpoint(out)
         assert meta["shards"] == 4 and meta["shard_strategy"] == "range"
         rebuilt = TestReshardedResumeParity.build(4)
         from repro.utils.checkpoint import load_checkpoint

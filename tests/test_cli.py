@@ -231,3 +231,24 @@ class TestIngest:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["rows_dropped_bad"] == 1
+
+
+class TestHostileFiles:
+    """A file that is not an artifact is one line on stderr and exit 2 —
+    from whichever flag it came in through — not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["recommend", "--checkpoint", "{junk}"],
+        ["reshard", "--checkpoint", "{junk}", "--shards", "2"],
+        ["train", "--scenario", "{junk}", "--epochs", "1"],
+        ["train", "--model", "BiasMF", "--users", "30", "--items", "80",
+         "--epochs", "1", "--resume", "{junk}"],
+    ], ids=["recommend", "reshard", "train-scenario", "train-resume"])
+    def test_junk_file_exits_2_naming_it(self, argv, tmp_path, capsys):
+        junk = tmp_path / "junk.npz"
+        junk.write_bytes(bytes(range(256)) + b"\x00" * 44)  # 300 bytes
+        code = main([arg.format(junk=junk) for arg in argv])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert str(junk) in err[0] and "not a readable artifact" in err[0]

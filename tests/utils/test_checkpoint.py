@@ -1,4 +1,4 @@
-"""Tests of npz checkpointing."""
+"""Tests of model checkpointing (state_dict ↔ artifact file)."""
 
 import numpy as np
 import pytest
@@ -52,46 +52,8 @@ class TestRoundtrip:
 
 
 class TestIntegrity:
-    def test_hashes_recorded_and_verified(self, model, tmp_path):
-        from repro.utils import array_sha256
-
-        path = save_checkpoint(model, tmp_path / "h")
-        meta = load_checkpoint(model, path)
-        hashes = meta["array_sha256"]
-        state = model.state_dict()
-        assert set(hashes) == set(state)
-        for name, value in state.items():
-            assert hashes[name] == array_sha256(value)
-
-    def test_corrupted_array_raises(self, model, tmp_path):
-        from repro.utils import CheckpointIntegrityError
-
-        path = save_checkpoint(model, tmp_path / "c")
-        with np.load(path) as archive:
-            payload = {k: archive[k] for k in archive.files}
-        name = next(k for k in payload if not k.startswith("__"))
-        payload[name] = payload[name].copy()
-        payload[name].flat[0] += 1.0
-        np.savez_compressed(path, **payload)
-        with pytest.raises(CheckpointIntegrityError, match="hash mismatch"):
-            load_checkpoint(model, path)
-        # verify=False loads the patched archive anyway
-        meta = load_checkpoint(model, path, verify=False)
-        assert "array_sha256" in meta
-
-    def test_legacy_checkpoint_without_hashes_loads(self, model, tmp_path):
-        import json
-
-        path = save_checkpoint(model, tmp_path / "legacy")
-        with np.load(path) as archive:
-            payload = {k: archive[k] for k in archive.files}
-        meta = json.loads(bytes(payload["__checkpoint_meta__"]).decode())
-        del meta["array_sha256"]
-        payload["__checkpoint_meta__"] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez_compressed(path, **payload)
-        meta = load_checkpoint(model, path)
-        assert "array_sha256" not in meta
+    """Damaged, edited and pre-manifest checkpoints: tests/utils/test_artifact.py
+    (every artifact kind shares the container, so they share the suite)."""
 
     def test_array_sha256_sensitive_to_dtype_and_shape(self):
         from repro.utils import array_sha256
