@@ -184,30 +184,37 @@ def _block_loss(model, prepared):
         batch.users, batch.pos_items, batch.neg_items, 1e-4)
 
 
-def _measure_block_steps(model, data, steps: int,
-                         workers: int) -> tuple[float, float]:
+def _measure_block_steps(model, data, steps: int, workers: int,
+                         optimizer=None, window: int = 0) -> tuple[float, float]:
     """(best, mean) per-step seconds of the mini-batch training step.
 
     Mirrors the trainer's ``propagation="async"`` loop: batches come from
     the pipeline's pre-drawn stream, per-hop layered blocks are extracted
     inline (``workers=0``) or by a background worker, the training thread
-    scores via ``block_batch_scores``. The timed region includes the
+    scores via ``block_batch_scores``, and the optimizer — in-process Adam
+    by default, the parameter-server bridge for the dist rows — gets the
+    trainer's four calls: ``sync(window)`` before forward, ``zero_grad``,
+    ``step``, and a final ``sync()``. The timed region includes the
     ``next(pipeline)`` call — inline extraction, or the blocking wait for
     the prefetched block, is real per-step cost.
     """
     from repro.nn.optim import Adam
 
-    optimizer = Adam(model.parameters(), lr=1e-3)
+    optimizer = optimizer or Adam(model.parameters(), lr=1e-3)
     model.train()
     with _block_pipeline(model, data, steps, workers) as pipeline:
         def one_step():
-            loss = _block_loss(model, next(pipeline))
+            prepared = next(pipeline)
+            optimizer.sync(window)
+            loss = _block_loss(model, prepared)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
             model.on_step_end()
 
-        return _time_steps(one_step, steps)
+        timing = _time_steps(one_step, steps)
+    optimizer.sync()
+    return timing
 
 
 #: dist sweep workload: the "small" graph with the tables in 4 shards —
@@ -216,53 +223,17 @@ DIST_SHARDS = 4
 DIST_STEPS = 8
 
 
-def _measure_dist_steps(model, data, server, local_optimizer,
-                        steps: int) -> tuple[float, float]:
-    """(best, mean) per-step seconds through the parameter-server loop.
-
-    Mirrors the trainer's dist step: throttle on the staleness window,
-    inline block extraction, forward/backward, push shard gradients, step
-    the local optimizer over whatever parameters are unsharded.
-    """
-    model.train()
-    with _block_pipeline(model, data, steps, workers=0) as pipeline:
-        def one_step():
-            server.throttle()
-            loss = _block_loss(model, next(pipeline))
-            if local_optimizer is not None:
-                local_optimizer.zero_grad()
-            loss.backward()
-            server.push(lr=1e-3)
-            if local_optimizer is not None:
-                local_optimizer.step()
-            model.on_step_end()
-
-        timing = _time_steps(one_step, steps)
-    server.drain()
-    return timing
-
-
 def _dist_config_row(data, *, workers: int, staleness: int,
                      transport: str = "shm") -> dict:
     from repro.core import GNMR, GNMRConfig
     from repro.dist import DistParameterServer
-    from repro.nn.optim import Adam, shard_param_groups
 
     model = GNMR(data, GNMRConfig(pretrain=False, seed=0, num_layers=2,
                                   dtype="float32", shards=DIST_SHARDS))
-    groups = shard_param_groups(model)
-    shard_groups = [g for g in groups if g.get("shard") is not None]
-    local = [p for g in groups if g.get("shard") is None
-             for p in g["params"]]
-    local_optimizer = Adam(local, lr=1e-3) if local else None
-    server = DistParameterServer(shard_groups, optimizer="adam", lr=1e-3,
-                                 workers=workers, staleness=staleness,
-                                 transport=transport)
-    try:
-        best, mean = _measure_dist_steps(model, data, server,
-                                         local_optimizer, DIST_STEPS)
-    finally:
-        server.close()
+    with DistParameterServer(model.parameters(), optimizer="adam", lr=1e-3,
+                             workers=workers, transport=transport) as server:
+        best, mean = _measure_block_steps(model, data, DIST_STEPS, workers=0,
+                                          optimizer=server, window=staleness)
     return {
         "workers": server.num_workers,
         "staleness": staleness,

@@ -151,6 +151,10 @@ def cmd_train(args) -> int:
                       f"(got --propagation {args.propagation})",
                       file=sys.stderr)
                 return 2
+    if args.dist != "off" and args.shards is None:
+        print(f"--dist {args.dist} needs --shards: dist training needs a "
+              "model built with sharded tables", file=sys.stderr)
+        return 2
     scale = _scale_from_args(args)
     dataset, scale = _resolve_train_dataset(args, scale)
     split = _split_dataset(dataset, args.split, args.test_fraction, scale.seed)
@@ -175,9 +179,6 @@ def cmd_train(args) -> int:
         train_overrides["fanout"] = args.fanout
     if args.workers is not None:
         train_overrides["workers"] = args.workers
-    if args.shards is not None:
-        # per-shard optimizer parameter groups (state stays shard-local)
-        train_overrides["shards"] = args.shards
     if args.dist != "off":
         # multi-process parameter server: shard-owner processes apply the
         # optimizer steps, gradients cross the repro.dist transport
@@ -190,8 +191,15 @@ def cmd_train(args) -> int:
         train_overrides["save_state"] = args.save_state
         if args.save_every_steps is not None:
             train_overrides["save_every_steps"] = args.save_every_steps
-    model.fit(split.train, scale.train_config(**train_overrides),
-              resume_from=args.resume)
+    try:
+        model.fit(split.train, scale.train_config(**train_overrides),
+                  resume_from=args.resume)
+    except ValueError as exc:
+        # a flag combination training refuses: --resume under a different
+        # config, --save-state on a model with its own loop, --dist on a
+        # model that has no table to shard, ...
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.eval == "full":
         outcome = evaluate_full_ranking(model, split.train,
                                         split.test_users, split.test_items)
@@ -203,7 +211,9 @@ def cmd_train(args) -> int:
         print(f"HR@10={outcome.hr(10):.3f} NDCG@10={outcome.ndcg(10):.3f} "
               f"MRR={outcome.mrr():.3f}")
     if args.checkpoint:
-        # scale/dtype ride along so `recommend` can rebuild this exact model
+        # scale/dtype/split ride along so `recommend` can rebuild this exact
+        # model over the graph it was trained on (the shard layout is
+        # recorded from the model itself)
         path = save_checkpoint(model, args.checkpoint,
                                metadata={"model": args.model,
                                          "dataset": dataset.name,
@@ -211,8 +221,9 @@ def cmd_train(args) -> int:
                                          "num_users": scale.num_users,
                                          "num_items": scale.num_items,
                                          "dtype": args.dtype,
-                                         "shards": args.shards,
-                                         "shard_strategy": args.shard_strategy,
+                                         "split": args.split,
+                                         "test_fraction": args.test_fraction,
+                                         "split_seed": scale.seed,
                                          "HR@10": outcome.hr(10)})
         print(f"checkpoint written to {path}")
     return 0
@@ -221,12 +232,11 @@ def cmd_train(args) -> int:
 def _rebuild_serving_model(args):
     """Model + split for the serving commands (checkpoint or in-process).
 
-    Checkpoint metadata restores the model class, dataset, scale, dtype
-    and shard layout, so a serving process needs no training-side
+    Checkpoint metadata restores the model class, dataset, split, scale,
+    dtype and shard layout, so a serving process needs no training-side
     configuration; without a checkpoint the model is trained in-process
     at the requested scale. Returns ``(model, split, dataset, name)``.
     """
-    from repro.data import leave_one_out_split
     from repro.tensor import default_dtype
     from repro.utils import load_checkpoint, peek_checkpoint
 
@@ -246,7 +256,12 @@ def _rebuild_serving_model(args):
         dataset = resolve_scenario(dataset_name)
     else:
         dataset = dataset_by_name(dataset_name, scale)
-    split = leave_one_out_split(dataset)
+    # the split the model was trained on — its train graph and exclusion
+    # mask; a checkpoint that predates the record was served leave-one-out
+    # from rng(0), and still is
+    split = _split_dataset(dataset, meta.get("split", "loo"),
+                           meta.get("test_fraction", 0.2),
+                           meta.get("split_seed", 0))
 
     overrides = dict({"dtype": dtype} if dtype else {})
     if args.checkpoint and model_name == "GNMR":

@@ -5,9 +5,10 @@ processes apply optimizer steps concurrently while the trainer keeps
 extraction and forward/backward on the async pipeline. Gradients travel
 as length-prefixed :mod:`~repro.dist.codec` frames over shared-memory
 rings (:class:`~repro.dist.transport.ShmRing`);
-parameters live in shared memory so pulls are zero-copy. ``staleness=0``
-bit-matches in-process ``shards=K`` training; a bounded staleness window
-unlocks async throughput. See ``docs/distributed.md``.
+parameters live in shared memory so pulls are zero-copy. The bridge is the
+trainer's optimizer; ``sync(window=0)`` before every forward bit-matches
+in-process ``shards=K`` training, a wider window unlocks async throughput.
+See ``docs/distributed.md``.
 """
 
 from repro.dist.codec import (
@@ -20,11 +21,7 @@ from repro.dist.codec import (
     frame,
     unframe,
 )
-from repro.dist.server import (
-    DistParameterServer,
-    ShardOwner,
-    default_dist_workers,
-)
+from repro.dist.server import DistParameterServer, ShardOwner
 from repro.dist.transport import (
     SharedBlock,
     ShmRing,
@@ -40,7 +37,6 @@ __all__ = [
     "TransportError",
     "decode",
     "decode_grad",
-    "default_dist_workers",
     "encode_grad",
     "encode_push",
     "encode_stop",

@@ -1,13 +1,19 @@
 """Multi-process parameter server: shard-owner processes + trainer bridge.
 
+The bridge, :class:`DistParameterServer`, *is* the trainer's optimizer: it
+takes the model's parameters, hands the shard-tagged ones to the owner
+pool and steps the untagged rest in-process, behind the
+:class:`~repro.nn.optim.Optimizer` surface (``lr``, ``zero_grad``,
+``step``, ``sync``, ``state_dict``, ``close``).
+
 Topology (K shards over W ≤ K owner processes, round-robin)::
 
     trainer process                      owner process w
     ───────────────                      ───────────────
     extraction + forward/backward        ShmRing.recv → codec.decode
-    clip → codec.encode → ring.send  ──▶ ShardOwner.apply:
-    local step (unsharded params)          optimizer.step() on owned shards
-    throttle on applied clock        ◀──   applied[w] = step; ack.release()
+    step(): codec.encode → ring.send ──▶ ShardOwner.apply:
+            local step (unsharded)         optimizer.step() on owned shards
+    sync(window) on applied clock    ◀──   applied[w] = step; ack.release()
 
 Parameter tables live in :class:`~repro.dist.transport.SharedBlock`
 segments: the trainer's ``Parameter.data`` *is* the shared view, so the
@@ -16,27 +22,26 @@ pull" is a memory read). Gradients cross per-worker SPSC rings as
 length-prefixed :mod:`repro.dist.codec` frames.
 
 Synchronization is a bounded-staleness window over per-worker applied-step
-clocks: before forward for step ``t`` the trainer waits until every owner
-has applied step ``t - 1 - staleness``. ``staleness=0`` is the synchronous
-mode — every push is applied before the next forward, which makes
-cross-process training bit-identical to in-process ``shards=K`` training
-(same loss trace, same final parameters; the tests/shard parity suite is
-the oracle). ``staleness ≥ 1`` is the async stale-push mode: the trainer
-runs ahead while owners apply concurrently, trading determinism for
-throughput.
+clocks: before forward for step ``t`` the trainer calls ``sync(window)``,
+which waits until every owner has applied step ``t - 1 - window``.
+``window=0`` is the synchronous mode — every push is applied before the
+next forward, which makes cross-process training bit-identical to
+in-process ``shards=K`` training (same loss trace, same final parameters;
+the tests/shard parity suite is the oracle). ``window ≥ 1`` is the async
+stale-push mode: the trainer runs ahead while owners apply concurrently,
+trading determinism for throughput.
 
 Each owner builds its optimizer over exactly the parameters it owns.
 Optimizer state in this codebase is strictly per-parameter (clocks,
 moments, row counters), so partitioning the parameters across processes
-partitions the state with no seam: an owner calling ``step()`` on its flat
-parameter list evolves each parameter bit-identically to the in-process
-grouped optimizer's ``step()``.
+partitions the state with no seam: an owner calling ``step()`` on its
+parameter list evolves each parameter bit-identically to one in-process
+optimizer stepping the whole model.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 
 import numpy as np
@@ -44,7 +49,6 @@ import numpy as np
 from repro.dist.codec import (
     KIND_PUSH,
     KIND_STATE,
-    KIND_STOP,
     decode,
     encode_push,
     encode_state_request,
@@ -53,18 +57,9 @@ from repro.dist.codec import (
 )
 from repro.dist.transport import SharedBlock, ShmRing, TransportError
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import make_optimizer, shard_param_groups
 
 TRANSPORTS = ("shm", "inline")
-
-
-def _make_optimizer(kind: str, params, lr: float):
-    """The same optimizer the trainer builds — hyperparameters and all."""
-    if kind == "sgd":
-        return SGD(params, lr=lr)
-    if kind == "adam":
-        return Adam(params, lr=lr)
-    raise ValueError(f"unknown optimizer {kind!r} (use 'adam' or 'sgd')")
 
 
 class ShardOwner:
@@ -80,7 +75,7 @@ class ShardOwner:
         if not params:
             raise ValueError("shard owner needs at least one parameter")
         self.params = list(params)
-        self.optimizer = _make_optimizer(optimizer, self.params, lr)
+        self.optimizer = make_optimizer(optimizer, self.params, lr)
         self.applied = -1
 
     def apply(self, step: int, lr: float, grads: list) -> int:
@@ -164,74 +159,79 @@ def _owner_main(worker_id, optimizer, lr, block_handles, ring_handle,
 
 
 class DistParameterServer:
-    """Trainer-side bridge to the shard-owner worker pool.
+    """The optimizer whose shard steps are applied by owner processes.
 
     Parameters
     ----------
-    shard_groups:
-        Shard-labeled parameter groups (the non-``None`` entries of
-        :func:`repro.nn.optim.shard_param_groups`), in ascending shard
-        order. The bridge repoints each parameter's ``.data`` into shared
-        memory for its lifetime; :meth:`close` copies the final values
-        back into private arrays.
+    parameters:
+        The model's parameters (``model.parameters()``). The ones tagged
+        with a ``.shard`` id (:class:`~repro.shard.ShardedEmbedding` sets
+        it) go to the owner pool: the bridge repoints each one's ``.data``
+        into shared memory for its lifetime and :meth:`close` copies the
+        final values back into private arrays. The untagged rest step on
+        an in-process optimizer of the same kind. This order is the order
+        of :meth:`state_dict` and ``initial_state``.
     optimizer, lr:
-        What each owner builds over its shards — must match the trainer's
-        configuration for the parity contract to hold.
+        What each owner (and the in-process remainder) builds — ``lr`` is
+        mutable (schedulers set it) and every push carries the current
+        rate.
     workers:
         Owner process count (default: one per shard, capped at the shard
         count). Shards are assigned round-robin.
-    staleness:
-        Bounded-staleness window: :meth:`throttle` lets the trainer lead
-        the slowest owner by at most this many steps. ``0`` = synchronous.
     transport:
         ``"shm"`` (shared-memory rings, default) or ``"inline"`` (owners
         run inside the trainer process through the full
         encode→decode→apply path — no concurrency, used by tests and as a
         no-subprocess fallback).
+    initial_state:
+        Per-parameter optimizer state, as a previous run's
+        :meth:`state_dict` returned it; owners receive their share at
+        spawn, so a fresh bridge continues bit-exactly.
     """
 
-    def __init__(self, shard_groups: list, *, optimizer: str = "adam",
+    def __init__(self, parameters, *, optimizer: str = "adam",
                  lr: float = 1e-3, workers: int | None = None,
-                 staleness: int = 0, transport: str = "shm",
-                 ring_capacity: int = 1 << 22, start_method: str | None = None,
-                 timeout: float = 120.0, initial_state: list | None = None):
+                 transport: str = "shm", ring_capacity: int = 1 << 22,
+                 start_method: str | None = None, timeout: float = 120.0,
+                 initial_state: list | None = None):
         if transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {transport!r} "
                              f"(use one of {TRANSPORTS})")
-        if staleness < 0:
-            raise ValueError("staleness must be >= 0")
-        groups = [g for g in shard_groups if g.get("shard") is not None]
+        self.parameters = list(parameters)
+        groups = shard_param_groups(self.parameters)
+        local = [p for g in groups if g["shard"] is None for p in g["params"]]
+        groups = [g for g in groups if g["shard"] is not None]
         if not groups:
-            raise ValueError("DistParameterServer needs shard-labeled "
-                             "parameter groups (a model built with shards)")
+            raise ValueError(
+                "dist training needs a model built with sharded tables "
+                "(e.g. GNMRConfig(shards=K)) — no shard-labeled "
+                "parameters found")
         num_shards = len(groups)
         self.num_shards = num_shards
         self.num_workers = max(1, min(workers or num_shards, num_shards))
-        self.staleness = int(staleness)
         self.transport = transport
         self.lr = float(lr)  # scheduler hook: ExponentialDecay mutates .lr
         self._optimizer_kind = optimizer
         self._timeout = timeout
         self._pushed = 0
         self._closed = False
-        #: owned parameters in flat group order — the order
-        #: :meth:`pull_state` reports and ``initial_state`` expects
-        self.flat_params: list = [p for g in groups for p in g["params"]]
         # round-robin shard → worker assignment, shard order preserved
         self._owned_params: list[list] = [
             [p for g in groups[w::self.num_workers] for p in g["params"]]
             for w in range(self.num_workers)]
+        self._local = make_optimizer(optimizer, local, lr) if local else None
+        self._initial_state = None
         if initial_state is not None:
             initial_state = list(initial_state)
-            if len(initial_state) != len(self.flat_params):
+            if len(initial_state) != len(self.parameters):
                 raise ValueError(
                     f"initial_state covers {len(initial_state)} parameters, "
-                    f"bridge owns {len(self.flat_params)}")
-            by_id = {id(p): s for p, s in zip(self.flat_params, initial_state)}
+                    f"bridge holds {len(self.parameters)}")
+            by_id = {id(p): s for p, s in zip(self.parameters, initial_state)}
             self._initial_state = [[by_id[id(p)] for p in params]
                                    for params in self._owned_params]
-        else:
-            self._initial_state = None
+            if self._local is not None:
+                self._local.load_state_dict([by_id[id(p)] for p in local])
         ctx = (multiprocessing.get_context(start_method)
                if start_method or transport != "inline"
                else multiprocessing)
@@ -289,20 +289,24 @@ class DistParameterServer:
             self._procs.append(proc)
             state_send.close()  # the child keeps its end
 
-    # -- the step protocol ---------------------------------------------
-    def push(self, lr: float | None = None) -> int:
-        """Ship this step's shard gradients; clears them trainer-side.
+    # -- the optimizer surface -----------------------------------------
+    def zero_grad(self) -> None:
+        for p in self.parameters:
+            p.zero_grad()
+
+    def step(self) -> None:
+        """Ship this step's shard gradients at the current rate, then step
+        the unsharded parameters here.
 
         Must be called after ``backward`` (and clipping): reads each owned
-        parameter's ``.grad`` — row-sparse, dense, or ``None`` — and sends
-        one frame per worker. Returns the step index pushed.
+        parameter's ``.grad`` — row-sparse, dense, or ``None`` — sends one
+        frame per worker and clears the gradients trainer-side.
         """
         if self._closed:
             raise TransportError("parameter server is closed")
-        step = self._pushed
-        lr = self.lr if lr is None else float(lr)
         for w, params in enumerate(self._owned_params):
-            body = encode_push(step, lr, [p.grad for p in params])
+            body = encode_push(self._pushed, self.lr,
+                               [p.grad for p in params])
             if self._owners is not None:  # inline
                 self._owners[w].apply_frame(body)
             else:
@@ -310,17 +314,28 @@ class DistParameterServer:
                                        alive=self._procs[w].is_alive)
             for p in params:
                 p.grad = None
-        self._pushed = step + 1
-        return step
+        self._pushed += 1
+        if self._local is not None:
+            self._local.lr = self.lr
+            self._local.step()
 
-    def wait_applied(self, step: int) -> None:
-        """Block until every owner has applied ``step`` (no-op if < 0)."""
-        if step < 0 or self._closed:
-            return
-        if self._owners is not None:  # inline applies synchronously
+    def sync(self, window: int = 0) -> None:
+        """Block until all but the newest ``window`` pushes are applied.
+
+        Called before forward, this is the staleness window: forward for
+        step ``t`` may only read tables the owners have caught up to
+        within ``window`` steps, so ``window=0`` barriers on *every* push —
+        the synchronous, bit-parity mode. With no argument it drains every
+        in-flight push (eval, checkpoint, end of run).
+        """
+        if window < 0:
+            raise ValueError("sync window must be >= 0")
+        step = self._pushed - 1 - window
+        # nothing to wait for: inline owners apply synchronously
+        if step < 0 or self._closed or self._owners is not None:
             return
         clock = self._clock.array
-        for w in range((self.num_workers)):
+        for w in range(self.num_workers):
             deadline = time.monotonic() + self._timeout
             while clock[w] < step:
                 if not self._procs[w].is_alive():
@@ -336,31 +351,18 @@ class DistParameterServer:
             while self._acks[w].acquire(block=False):
                 pass  # drain stale tokens; the clock is the truth
 
-    def throttle(self) -> None:
-        """Enforce the staleness window before the next forward pass.
-
-        With window ``s``, forward for step ``t`` may only run once step
-        ``t - 1 - s`` is applied everywhere; ``s=0`` therefore barriers on
-        *every* push — the synchronous, bit-parity mode.
-        """
-        self.wait_applied(self._pushed - 1 - self.staleness)
-
-    def drain(self) -> None:
-        """Wait until every in-flight push is applied (eval/checkpoint)."""
-        self.wait_applied(self._pushed - 1)
-
-    def pull_state(self) -> list[dict]:
-        """Optimizer state per owned parameter, in ``flat_params`` order.
+    def state_dict(self) -> list[dict]:
+        """Optimizer state per parameter, in ``parameters`` order.
 
         Drains first so the state reflects every push made so far, then
         asks each owner process for its optimizer's
         :meth:`~repro.nn.optim.Optimizer.state_dict` over the control
-        pipe. Feeding the result back as ``initial_state`` (same parameter
-        order) makes a fresh bridge continue bit-exactly.
+        pipe. Feeding the result back as ``initial_state`` makes a fresh
+        bridge continue bit-exactly.
         """
         if self._closed:
             raise TransportError("parameter server is closed")
-        self.drain()
+        self.sync()
         if self._owners is not None:  # inline: the state is right here
             per_worker = [o.state_dict() for o in self._owners]
         else:
@@ -381,7 +383,10 @@ class DistParameterServer:
                     f"{len(params)} owned parameters")
             for p, s in zip(params, states):
                 by_id[id(p)] = s
-        return [by_id[id(p)] for p in self.flat_params]
+        if self._local is not None:
+            by_id.update((id(p), s) for p, s in zip(
+                self._local.parameters, self._local.state_dict()))
+        return [by_id[id(p)] for p in self.parameters]
 
     # -- teardown ------------------------------------------------------
     def applied_steps(self) -> list[int]:
@@ -402,7 +407,7 @@ class DistParameterServer:
             return
         try:
             if self._procs:
-                self.drain()
+                self.sync()
         finally:
             self._closed = True
             if self._owners is not None:
@@ -436,8 +441,3 @@ class DistParameterServer:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def default_dist_workers() -> int:
-    """A sensible owner count for this machine: cores minus the trainer."""
-    return max(1, (os.cpu_count() or 2) - 1)

@@ -40,9 +40,10 @@ class AutoRec(Recommender):
 
     # ------------------------------------------------------------------
     def fit(self, train: InteractionDataset, config: TrainConfig | None = None,
-            eval_fn=None) -> HistoryRecorder:
+            eval_fn=None, resume_from: str | None = None) -> HistoryRecorder:
         """Reconstruction training over user profiles."""
         config = config or TrainConfig()
+        self._refuse_trainer_settings(config, resume_from)
         rng = np.random.default_rng(config.seed)
         optimizer = Adam(self.parameters(), lr=config.lr)
         history = HistoryRecorder()

@@ -157,6 +157,19 @@ class Recommender(Module):
         trainer = Trainer(self, train, config, eval_fn=eval_fn)
         return trainer.run(resume_from=resume_from)
 
+    def _refuse_trainer_settings(self, config: TrainConfig,
+                                 resume_from: str | None) -> None:
+        """For the models that override :meth:`fit` with their own loop:
+        what only :class:`Trainer` implements is refused, not ignored."""
+        for setting, given in (("resume_from", resume_from is not None),
+                               ("save_state", config.save_state is not None),
+                               ("dist", config.dist != "off")):
+            if given:
+                raise ValueError(
+                    f"{self.name} trains with its own loop, not through "
+                    f"Trainer, which is what implements {setting} — "
+                    "train it without that setting")
+
     # ------------------------------------------------------------------
     # serving API
     # ------------------------------------------------------------------

@@ -68,9 +68,10 @@ class NMTR(Recommender):
 
     # ------------------------------------------------------------------
     def fit(self, train: InteractionDataset, config: TrainConfig | None = None,
-            eval_fn=None) -> HistoryRecorder:
+            eval_fn=None, resume_from: str | None = None) -> HistoryRecorder:
         """Multi-task pairwise training across all behavior types."""
         config = config or TrainConfig()
+        self._refuse_trainer_settings(config, resume_from)
         rng = np.random.default_rng(config.seed)
         graph = train.graph()
         samplers = {b: NegativeSampler(graph, b) for b in self.behavior_names}

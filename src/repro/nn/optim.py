@@ -16,18 +16,11 @@ touch keep their state (the Adam moments) frozen, the standard lazy
 semantics of sparse optimizers. Dense gradients take the exact same code
 path as before, bit for bit.
 
-Parameter groups
-----------------
-Optimizers accept either a flat parameter list or a list of *groups*
-(``{"params": [...], "shard": label}``), the hook the sharded-embedding
-subsystem (:mod:`repro.shard`) uses: each shard's parameters form one
-group, so optimizer state is attributable per shard and ``step(shard=k)``
-applies exactly one shard's updates — the parameter-server execution
-model where each server steps the rows it owns. A plain ``step()`` updates
-every group in declaration order, bit-identical to the ungrouped path.
-:func:`shard_param_groups` builds the grouping from any module whose
-parameters carry the ``.shard`` tag :class:`~repro.shard.ShardedEmbedding`
-sets.
+All state is strictly per parameter (moments, step clock, row counters),
+so splitting a parameter list across optimizers — what
+:class:`repro.dist.DistParameterServer` does with the shard-tagged tables
+(:func:`shard_param_groups`) — evolves every parameter exactly as one
+optimizer over the whole list would.
 """
 
 from __future__ import annotations
@@ -42,11 +35,11 @@ def shard_param_groups(module_or_params) -> list[dict]:
     """Group parameters by their ``.shard`` tag (``None`` = unsharded).
 
     Accepts a :class:`~repro.nn.module.Module` or a parameter iterable and
-    returns optimizer parameter groups: the untagged parameters first
-    (one group, ``shard=None``), then one group per shard id in ascending
-    order. Declaration order inside each group follows the module's
-    parameter walk, so a model with no sharded tables yields a single
-    group equivalent to the flat list.
+    returns ``{"params": [...], "shard": label}`` groups: the untagged
+    parameters first (one group, ``shard=None``), then one group per shard
+    id in ascending order. Declaration order inside each group follows the
+    module's parameter walk, so a model with no sharded tables yields a
+    single group equivalent to the flat list.
     """
     params = (module_or_params.parameters()
               if isinstance(module_or_params, Module)
@@ -105,57 +98,39 @@ def clip_grad_norm(parameters: list[Parameter], max_norm: float) -> float:
 
 
 class Optimizer:
-    """Base optimizer over a flat parameter list or parameter groups."""
+    """Base optimizer over a flat parameter list.
+
+    The surface the trainer drives — ``lr``, :meth:`zero_grad`,
+    :meth:`step`, :meth:`sync`, :meth:`state_dict`, :meth:`close` — is also
+    what :class:`repro.dist.DistParameterServer` exposes, so who applies a
+    step is decided by which optimizer is built, not by the loop.
+    """
 
     def __init__(self, parameters, lr: float):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
-        parameters = list(parameters)
-        if parameters and isinstance(parameters[0], dict):
-            self.param_groups = [{"params": list(g["params"]),
-                                  "shard": g.get("shard")}
-                                 for g in parameters]
-        else:
-            self.param_groups = [{"params": parameters, "shard": None}]
-        self.parameters = [p for g in self.param_groups for p in g["params"]]
-        self._shard_of = [g["shard"] for g in self.param_groups
-                          for _ in g["params"]]
+        self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
         self.lr = float(lr)
-
-    def shards(self) -> list:
-        """Distinct shard labels across the groups (``None`` excluded)."""
-        seen: list = []
-        for g in self.param_groups:
-            if g["shard"] is not None and g["shard"] not in seen:
-                seen.append(g["shard"])
-        return seen
-
-    def _active(self, shard) -> list[int]:
-        """Parameter indices a ``step(shard=...)`` call updates."""
-        if shard is None:
-            return list(range(len(self.parameters)))
-        indices = [i for i, label in enumerate(self._shard_of)
-                   if label == shard]
-        if not indices:
-            raise ValueError(f"no parameter group with shard {shard!r}")
-        return indices
 
     def zero_grad(self) -> None:
         for p in self.parameters:
             p.zero_grad()
 
-    def step(self, shard=None) -> None:
+    def step(self) -> None:
         raise NotImplementedError
 
-    def sync(self) -> None:
-        """No-op, kept for callers written against it.
+    def sync(self, window: int = 0) -> None:
+        """Block until all but the newest ``window`` updates are applied.
 
-        Nothing is deferred: SGD is stateless, and rows a lazy Adam step
-        does not touch simply keep their state, so parameters are final
-        after every ``step()``.
+        A no-op here: nothing is deferred — SGD is stateless, and rows a
+        lazy Adam step does not touch simply keep their state, so
+        parameters are final after every ``step()``.
         """
+
+    def close(self) -> None:
+        """Release what the optimizer holds (nothing, in-process)."""
 
     # -- state serialization (mid-run checkpointing / resharding) --------
     def _param_state(self, i: int) -> dict:
@@ -188,9 +163,8 @@ class Optimizer:
 class SGD(Optimizer):
     """Vanilla stochastic gradient descent."""
 
-    def step(self, shard=None) -> None:
-        for i in self._active(shard):
-            p = self.parameters[i]
+    def step(self) -> None:
+        for p in self.parameters:
             if p.grad is None:
                 continue
             if isinstance(p.grad, RowSparseGrad):
@@ -204,8 +178,8 @@ class Adam(Optimizer):
     """Adam with bias correction (Kingma & Ba, 2015).
 
     Dense gradients use the parameter's step count ``t`` exactly as the
-    original implementation did (with a flat parameter list every ``t``
-    advances on every ``step()``, so this *is* the classic global count).
+    original implementation did (every ``t`` advances on every ``step()``,
+    so this *is* the classic global count).
     Row-sparse gradients run *lazy Adam*: moments are updated only on the
     touched rows, and bias correction uses a per-row step count (how many
     times that row has actually been updated) — the correction a fresh row
@@ -217,11 +191,6 @@ class Adam(Optimizer):
     counter, and the counters are seeded with the parameter's step count at
     the first row-sparse gradient, so rows already advanced by earlier
     dense steps keep a monotone bias correction.
-
-    With per-shard parameter groups the step counts are kept per parameter,
-    so ``step(shard=k)`` advances only shard ``k``'s clocks — moments, row
-    counters and bias corrections stay shard-local, never mixing state
-    across shards.
     """
 
     def __init__(self, parameters, lr: float = 1e-3,
@@ -255,12 +224,11 @@ class Adam(Optimizer):
         v_hat = v[rows] / bias2
         p.data[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def step(self, shard=None) -> None:
-        for i in self._active(shard):
-            # the parameter's clock advances on every step that covers it,
-            # grad or not — identical to the old global `t` for full steps
+    def step(self) -> None:
+        for i, p in enumerate(self.parameters):
+            # the parameter's clock advances on every step, grad or not
             self._param_t[i] += 1
-            p, m, v = self.parameters[i], self._m[i], self._v[i]
+            m, v = self._m[i], self._v[i]
             if p.grad is None:
                 continue
             if isinstance(p.grad, RowSparseGrad):
@@ -299,3 +267,14 @@ class Adam(Optimizer):
         else:
             self._row_steps[i] = None
         super()._load_param_state(i, state)
+
+
+def make_optimizer(kind: str, parameters, lr: float) -> Optimizer:
+    """The optimizer ``TrainConfig.optimizer`` names, default
+    hyperparameters — one constructor for the trainer and for every shard
+    owner, so both sides of the parity contract build the same thing."""
+    if kind == "sgd":
+        return SGD(parameters, lr=lr)
+    if kind == "adam":
+        return Adam(parameters, lr=lr)
+    raise ValueError(f"unknown optimizer {kind!r} (use 'adam' or 'sgd')")

@@ -12,8 +12,6 @@ that partitioning, kept bit-compatible with the unsharded path:
 * :class:`ShardedEmbedding` — one logical table as K shard-local
   parameters with the same ``rows()`` / forward surface as
   ``nn.Embedding`` (and raw ``Parameter`` tables);
-* :class:`GradRouter` — split/merge/apply between full-table gradients
-  and shard-local ones;
 * :mod:`repro.shard.reshard` — exact K→K' migration of checkpoints and
   training states (rows and their optimizer state move bit-for-bit).
 
@@ -27,22 +25,22 @@ contract, the exactness an implementation detail).
 from repro.shard.spec import ShardSpec, STRATEGIES
 from repro.shard.embedding import (
     ShardedEmbedding,
+    shard_layout,
     table_array,
     table_parameters,
     table_rows,
     table_tensor,
 )
-from repro.shard.router import GradRouter
 from repro.shard.reshard import ReshardError, reshard_file, reshard_state
 
 __all__ = [
     "ShardSpec",
     "STRATEGIES",
     "ShardedEmbedding",
-    "GradRouter",
     "ReshardError",
     "reshard_file",
     "reshard_state",
+    "shard_layout",
     "table_array",
     "table_parameters",
     "table_rows",

@@ -21,8 +21,9 @@ shard-local: state never crosses shards, which is exactly the invariant a
 parameter-server deployment needs.
 
 Each shard parameter is tagged with ``.shard = k`` so
-:func:`repro.nn.optim.shard_param_groups` can build per-shard optimizer
-parameter groups without knowing about this class.
+:func:`repro.nn.optim.shard_param_groups` — and through it the
+:mod:`repro.dist` bridge — can partition a model's parameters by owner
+without knowing about this class.
 """
 
 from __future__ import annotations
@@ -208,6 +209,21 @@ class ShardedEmbedding(Module):
     def dense_table(self) -> np.ndarray:
         """The assembled logical table as a plain array (copy)."""
         return self.spec.assemble(self.shard_arrays())
+
+
+def shard_layout(module: Module) -> dict:
+    """``{"shards": K, "shard_strategy": s}`` of a model's sharded tables.
+
+    Read from the first :class:`ShardedEmbedding` in the module tree (a
+    model shards all its tables alike); ``{}`` for an unsharded model.
+    What checkpoints and training states record, so the files say which
+    layout their ``<base>.shards.<k>`` arrays are stored under.
+    """
+    for sub in module.modules():
+        if isinstance(sub, ShardedEmbedding):
+            return {"shards": sub.spec.num_shards,
+                    "shard_strategy": sub.spec.strategy}
+    return {}
 
 
 def table_tensor(table) -> Tensor:

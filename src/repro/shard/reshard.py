@@ -146,13 +146,13 @@ def reshard_state(model_state: dict[str, np.ndarray],
     ``tables`` maps each migrated base name to its row count and old shard
     count. Unsharded entries pass through untouched (same objects).
     """
-    if strategy not in STRATEGIES or old_strategy not in STRATEGIES:
-        raise ReshardError(f"strategy must be one of {STRATEGIES}")
     tables = find_sharded_tables(model_state)
     if not tables:
         raise ReshardError(
             "no sharded tables found (no '<base>.shards.<k>' keys) — only "
             "models built with shards (e.g. --shards K) can be resharded")
+    if strategy not in STRATEGIES or old_strategy not in STRATEGIES:
+        raise ReshardError(f"strategy must be one of {STRATEGIES}")
     new_model = {key: value for key, value in model_state.items()
                  if _SHARD_KEY.match(key) is None}
     new_opt = None
@@ -193,19 +193,21 @@ def reshard_file(input_path: str | Path, output_path: str | Path,
                  old_strategy: str | None = None, verify: bool = True) -> dict:
     """Reshard a checkpoint or training-state file on disk.
 
-    Accepts both artifact kinds (they share the archive format):
-
-    * a model checkpoint written by
-      :func:`repro.utils.checkpoint.save_checkpoint` — tables are
-      migrated and the ``shards``/``shard_strategy`` metadata updated so
-      the serving CLI rebuilds the right layout;
-    * a training state written by ``TrainConfig.save_state`` — tables
-      *and* per-row optimizer state are migrated, and the embedded config
-      echo's ``shards`` updated so ``--resume`` accepts it.
+    Accepts both artifact kinds (they share the archive format): a model
+    checkpoint written by :func:`repro.utils.checkpoint.save_checkpoint`
+    (tables are migrated) and a training state written by
+    ``TrainConfig.save_state`` (tables *and* per-row optimizer state are
+    migrated). Either way the file's ``shards`` / ``shard_strategy``
+    metadata is updated, so the serving CLI rebuilds the right layout and
+    the next reshard knows what it reads.
 
     Strategies default to the file's recorded ``shard_strategy`` (both
     old and new), so a plain ``reshard --shards K'`` keeps the layout
-    family. The output is written atomically; returns a summary dict.
+    family. Range and hash shards of one table have the same sizes, so
+    nothing in the arrays tells them apart: a file with sharded tables and
+    no recorded strategy (written before the layout was recorded) raises
+    :class:`ReshardError` until ``old_strategy`` says which it is. The
+    output is written atomically; returns a summary dict.
     """
     from repro.train.resume import (
         TRAIN_STATE_FORMAT,
@@ -219,26 +221,28 @@ def reshard_file(input_path: str | Path, output_path: str | Path,
         raise ReshardError("num_shards must be >= 1")
     arrays, meta = read_artifact(input_path, verify=verify)
     kind = meta.get("format")
-    if kind not in (TRAIN_STATE_FORMAT, CHECKPOINT_FORMAT):
-        raise ArtifactError(f"{input_path} is neither a checkpoint nor a "
-                            f"training state (format={kind!r})")
-    old_strategy = old_strategy or meta.get("shard_strategy") or "range"
-    strategy = strategy or old_strategy
     if kind == TRAIN_STATE_FORMAT:
         state = unpack_training_state(input_path, arrays, meta)
-        new_model, new_opt, tables = reshard_state(
-            state.model_state, state.optimizer_states,
-            num_shards=num_shards, strategy=strategy,
-            old_strategy=old_strategy)
-        new_meta = dict(meta, shard_strategy=strategy,
-                        config=dict(meta.get("config", {}),
-                                    shards=num_shards))
+        model_state, optimizer_states = state.model_state, state.optimizer_states
+    elif kind == CHECKPOINT_FORMAT:
+        model_state, optimizer_states = arrays, None
+    else:
+        raise ArtifactError(f"{input_path} is neither a checkpoint nor a "
+                            f"training state (format={kind!r})")
+    old_strategy = old_strategy or meta.get("shard_strategy")
+    if old_strategy is None and find_sharded_tables(model_state):
+        raise ReshardError(
+            f"{input_path} does not record the shard_strategy its tables "
+            "were written under, and range and hash shards have the same "
+            "sizes — pass --old-strategy range|hash")
+    strategy = strategy or old_strategy
+    new_model, new_opt, tables = reshard_state(
+        model_state, optimizer_states, num_shards=num_shards,
+        strategy=strategy, old_strategy=old_strategy)
+    new_meta = dict(meta, shards=num_shards, shard_strategy=strategy)
+    if kind == TRAIN_STATE_FORMAT:
         save_training_state(output_path, new_model, new_opt, new_meta)
     else:
-        new_model, _, tables = reshard_state(
-            arrays, None, num_shards=num_shards, strategy=strategy,
-            old_strategy=old_strategy)
-        write_artifact(output_path, new_model,
-                       dict(meta, shards=num_shards, shard_strategy=strategy))
+        write_artifact(output_path, new_model, new_meta)
     return {"format": kind, "tables": tables, "shards": num_shards,
             "strategy": strategy, "old_strategy": old_strategy}

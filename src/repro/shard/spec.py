@@ -16,8 +16,8 @@ The spec is pure index arithmetic: it owns no data, is cheap to construct,
 and every method is vectorized over numpy index arrays. ``shard_rows(k)``
 enumerates a shard's global rows in ascending order, and ``local_of`` is
 defined so that ``shard_rows(k)[local_of(r)] == r`` for every row ``r``
-owned by shard ``k`` — the old↔shard maps :class:`~repro.shard.ShardedEmbedding`
-and :class:`~repro.shard.GradRouter` build on.
+owned by shard ``k`` — the old↔shard maps
+:class:`~repro.shard.ShardedEmbedding` builds on.
 
 >>> spec = ShardSpec(num_rows=10, num_shards=3, strategy="range")
 >>> spec.shard_sizes()

@@ -41,6 +41,17 @@ class EarlyStopping:
         self._step += 1
         return self._bad_checks >= self.patience
 
+    def state_dict(self) -> dict:
+        """The counters a resumed run needs to stop at the same check."""
+        return {"best": self.best, "best_step": self.best_step,
+                "bad_checks": self._bad_checks, "step": self._step}
+
+    def load_state_dict(self, state: dict) -> None:
+        self.best = state["best"]
+        self.best_step = int(state["best_step"])
+        self._bad_checks = int(state["bad_checks"])
+        self._step = int(state["step"])
+
 
 @dataclass
 class HistoryRecorder:

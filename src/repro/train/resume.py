@@ -22,7 +22,12 @@ Array names and metadata:
 * ``optim::{param}::{slot}`` — array-valued optimizer slots (Adam ``m``,
   ``v``, ``row_steps``, …), keyed by the owning parameter's name,
 * scalar optimizer slots (``optim_scalars``) and all trainer scalars ride
-  in the artifact's metadata.
+  in the artifact's metadata,
+* ``shards`` / ``shard_strategy`` — the sharded-table layout the arrays
+  are stored under, read from the model (absent for an unsharded one).
+  Resuming into a different shard count fails by parameter name;
+  :mod:`repro.shard.reshard` migrates a state and reads the old layout
+  from here.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ _OPTIM_PREFIX = "optim::"
 RESUME_CONFIG_KEYS = (
     "steps_per_epoch", "batch_users", "per_user", "lr", "lr_decay",
     "l2_weight", "loss", "margin", "seed", "dtype", "propagation", "fanout",
-    "grad_clip", "optimizer", "shards", "eval_every", "dist",
+    "grad_clip", "optimizer", "eval_every", "dist",
 )
 
 

@@ -21,12 +21,18 @@ Two propagation modes (``TrainConfig.propagation``):
   ahead of the optimizer. The trajectory is bit-identical for any worker
   count (extraction rngs are split per step, not per worker) — workers
   change only how much extraction overlaps compute.
+
+The loop itself is the same in every mode. Two things are selected once,
+when a run starts: the batch source (``propagation``) and the optimizer
+(``TrainConfig.dist``: in-process Adam/SGD, or the :mod:`repro.dist`
+parameter-server bridge behind the same surface).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,10 +40,10 @@ from repro.data.dataset import InteractionDataset
 from repro.graph.sampling import NegativeSampler, sample_pairwise_batch
 from repro.graph.layered import validate_fanout
 from repro.nn.losses import bpr_loss, l2_regularization, pairwise_hinge_loss
-from repro.nn.optim import SGD, Adam, clip_grad_norm, shard_param_groups
+from repro.nn.optim import clip_grad_norm, make_optimizer
 from repro.nn.schedulers import ExponentialDecay
 from repro.train.callbacks import EarlyStopping, HistoryRecorder
-from repro.train.pipeline import SampledBatchPipeline
+from repro.train.pipeline import PreparedBatch, SampledBatchPipeline
 
 
 _LOSSES: dict[str, Callable] = {
@@ -73,7 +79,6 @@ class TrainConfig:
     margin: float = 1.0
     seed: int = 0
     early_stopping_patience: int | None = None
-    verbose: bool = False
     #: compute precision for the training loop ("float32"/"float64");
     #: ``None`` keeps the ambient tensor default dtype
     dtype: str | None = None
@@ -104,13 +109,6 @@ class TrainConfig:
     #: the latter is the reference for the sharded-table bit-parity
     #: contract (`shards=K` must match `shards=1` exactly under SGD)
     optimizer: str = "adam"
-    #: build the optimizer from per-shard parameter groups
-    #: (:func:`repro.nn.optim.shard_param_groups`) instead of the flat
-    #: parameter list. Updates are bit-identical; the groups make
-    #: optimizer state attributable per shard and enable per-shard
-    #: ``step(shard=k)`` application. Set this when training a model built
-    #: with sharded tables (``GNMRConfig.shards`` / model ``shards=``)
-    shards: int | None = None
     #: run ``eval_fn`` every this many epochs (the final epoch always
     #: evaluates so the history ends with a metric)
     eval_every: int = 1
@@ -119,7 +117,9 @@ class TrainConfig:
     #: gradients to owner processes and barriers each step (bit-matches
     #: in-process ``shards=K`` training); "async" lets the trainer run
     #: ahead of the owners by ``dist_staleness`` steps (stale-push mode —
-    #: faster, nondeterministic). Requires ``shards``
+    #: faster, nondeterministic). Requires a model built with sharded
+    #: tables (``GNMRConfig.shards`` / model ``shards=``): the table layout
+    #: is the parameter-server partition
     dist: str = "off"
     #: shard-owner process count for dist modes (default: one per shard)
     dist_workers: int | None = None
@@ -160,15 +160,10 @@ class TrainConfig:
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r} "
                              "(use 'adam' or 'sgd')")
-        if self.shards is not None and self.shards < 1:
-            raise ValueError("shards must be >= 1 (or None)")
         if self.dist not in ("off", "sync", "async"):
             raise ValueError(f"unknown dist mode {self.dist!r} "
                              "(use 'off', 'sync' or 'async')")
         if self.dist != "off":
-            if self.shards is None:
-                raise ValueError("dist training requires shards "
-                                 "(the parameter-server partition)")
             if self.dist_transport not in ("shm", "inline"):
                 raise ValueError(
                     f"unknown dist transport {self.dist_transport!r} "
@@ -260,31 +255,6 @@ class Trainer:
         shapes the training stream (``epochs`` may grow).
         """
         from repro.tensor import default_dtype
-
-        with default_dtype(self.config.dtype):  # None → ambient default
-            return self._run_loop(resume_from)
-
-    def _make_pipeline(self, start_step: int = 0) -> SampledBatchPipeline:
-        """The async mode's prefetcher over the whole run's step budget."""
-        cfg = self.config
-
-        def draw(rng: np.random.Generator):
-            return sample_pairwise_batch(
-                self._graph, self.data.target_behavior, self._sampler,
-                cfg.batch_users, cfg.per_user, rng,
-                eligible_users=self._eligible)
-
-        def extract(batch, rng: np.random.Generator):
-            return self.model.extract_block(
-                batch.users, batch.pos_items, batch.neg_items,
-                rng=rng, **cfg.fanout_kwargs())
-
-        return SampledBatchPipeline(
-            draw, extract, total_steps=cfg.epochs * cfg.steps_per_epoch,
-            seed=cfg.seed, workers=cfg.workers, depth=cfg.prefetch_depth,
-            start_step=start_step)
-
-    def _run_loop(self, resume_from: str | None = None) -> HistoryRecorder:
         from repro.train.resume import check_resume_config, load_training_state
 
         cfg = self.config
@@ -297,20 +267,80 @@ class Trainer:
                     f"saved state is {resume.global_step} steps in; this "
                     f"config only trains "
                     f"{cfg.epochs * cfg.steps_per_epoch} steps")
-            self.model.load_state_dict(resume.model_state)
-            self._rng.bit_generator.state = resume.meta["rng_state"]
-            self.history.rows = [dict(row) for row in resume.meta["history"]]
-        if cfg.propagation == "async":
-            pipeline = self._make_pipeline(resume.global_step if resume else 0)
-            try:
-                return self._run_epochs(pipeline, resume)
-            finally:
-                pipeline.close()
-        return self._run_epochs(None, resume)
+        with default_dtype(cfg.dtype):  # None → ambient default
+            return self._epoch_loop(resume)
 
-    def _step_scores(self, batch, prepared):
+    def _draw_batch(self, rng: np.random.Generator):
+        cfg = self.config
+        return sample_pairwise_batch(
+            self._graph, self.data.target_behavior, self._sampler,
+            cfg.batch_users, cfg.per_user, rng,
+            eligible_users=self._eligible)
+
+    def _batches(self, start_step: int) -> Iterator[PreparedBatch]:
+        """The run's step-ordered batch source from ``start_step`` on.
+
+        ``"full"`` draws from the trainer's own rng and carries no block;
+        ``"async"`` is the prefetching pipeline over the whole run's step
+        budget (its own seeded streams, fast-forwarded to ``start_step``).
+        Closing the generator stops the pipeline's workers.
+        """
+        cfg = self.config
+        if cfg.propagation == "full":
+            for step in itertools.count(start_step):
+                yield PreparedBatch(step, self._draw_batch(self._rng), None)
+        else:
+            def extract(batch, rng: np.random.Generator):
+                return self.model.extract_block(
+                    batch.users, batch.pos_items, batch.neg_items,
+                    rng=rng, **cfg.fanout_kwargs())
+
+            with SampledBatchPipeline(
+                    self._draw_batch, extract,
+                    total_steps=cfg.epochs * cfg.steps_per_epoch,
+                    seed=cfg.seed, workers=cfg.workers,
+                    depth=cfg.prefetch_depth,
+                    start_step=start_step) as pipeline:
+                yield from pipeline
+
+    def _make_optimizer(self, resume):
+        """``(optimizer, window)`` — who applies a step, and how many steps
+        forward may lead it.
+
+        In-process Adam/SGD under ``dist="off"``; otherwise the
+        parameter-server bridge, which partitions the same parameter list
+        between its owner processes and an in-process remainder. Either
+        way resume state is matched to parameters by name.
+        """
+        cfg = self.config
+        params = self.model.parameters()
+        states = None
+        if resume is not None:
+            states = []
+            for name, _ in self.model.named_parameters():
+                if name not in resume.optimizer_states:
+                    raise ValueError(
+                        f"training state has no optimizer entry for "
+                        f"parameter {name!r} — was it saved from a "
+                        "different model architecture?")
+                states.append(resume.optimizer_states[name])
+        if cfg.dist != "off":
+            from repro.dist import DistParameterServer
+
+            bridge = DistParameterServer(
+                params, optimizer=cfg.optimizer, lr=cfg.lr,
+                workers=cfg.dist_workers, transport=cfg.dist_transport,
+                initial_state=states)
+            return bridge, cfg.dist_staleness if cfg.dist == "async" else 0
+        optimizer = make_optimizer(cfg.optimizer, params, cfg.lr)
+        if states is not None:
+            optimizer.load_state_dict(states)
+        return optimizer, 0
+
+    def _step_scores(self, prepared: PreparedBatch):
         """(pos, neg, reg) for one step under the configured propagation."""
         cfg = self.config
+        batch = prepared.batch
         if cfg.propagation == "full":
             pos_scores, neg_scores = self.model.batch_scores(
                 batch.users, batch.pos_items, batch.neg_items)
@@ -322,228 +352,122 @@ class Trainer:
             batch.users, batch.pos_items, batch.neg_items, cfg.l2_weight)
         return pos_scores, neg_scores, reg
 
-    def _make_optimizer(self):
-        """The configured optimizer, grouped per shard when requested."""
+    def _epoch_loop(self, resume) -> HistoryRecorder:
         cfg = self.config
-        params = (shard_param_groups(self.model) if cfg.shards is not None
-                  else self.model.parameters())
-        if cfg.optimizer == "sgd":
-            return SGD(params, lr=cfg.lr)
-        return Adam(params, lr=cfg.lr)
-
-    def _param_names(self) -> dict[int, str]:
-        """``id(parameter) → dotted name``, the optimizer-state key space."""
-        return {id(p): name for name, p in self.model.named_parameters()}
-
-    def _resume_states_for(self, params, optimizer_states: dict) -> list[dict]:
-        """Saved per-parameter states in ``params`` order, keyed by name."""
-        names = self._param_names()
-        states = []
-        for p in params:
-            name = names.get(id(p))
-            if name is None or name not in optimizer_states:
-                raise ValueError(
-                    f"training state has no optimizer entry for parameter "
-                    f"{name or getattr(p, 'name', '?')!r} — was it saved "
-                    "from a different model architecture?")
-            states.append(optimizer_states[name])
-        return states
-
-    def _make_dist(self, resume=None):
-        """``(bridge, local_optimizer)`` for the parameter-server modes.
-
-        The bridge owns every shard-labeled parameter (its owner processes
-        apply those updates); the local optimizer covers the unsharded
-        rest, stepping in-process exactly as before. Either may be the
-        scheduler's lr holder — pushes always carry the current rate.
-        Resuming ships each owner its saved optimizer state at spawn.
-        """
-        from repro.dist import DistParameterServer
-
-        cfg = self.config
-        groups = shard_param_groups(self.model)
-        shard_groups = [g for g in groups if g["shard"] is not None]
-        local_params = [p for g in groups if g["shard"] is None
-                        for p in g["params"]]
-        if not shard_groups:
-            raise ValueError(
-                "dist training needs a model built with sharded tables "
-                "(e.g. GNMRConfig(shards=K)) — no shard-labeled "
-                "parameters found")
-        initial_state = None
-        if resume is not None:
-            shard_params = [p for g in shard_groups for p in g["params"]]
-            initial_state = self._resume_states_for(
-                shard_params, resume.optimizer_states)
-        bridge = DistParameterServer(
-            shard_groups, optimizer=cfg.optimizer, lr=cfg.lr,
-            workers=cfg.dist_workers,
-            staleness=0 if cfg.dist == "sync" else cfg.dist_staleness,
-            transport=cfg.dist_transport, initial_state=initial_state)
-        if local_params:
-            local = (SGD(local_params, lr=cfg.lr) if cfg.optimizer == "sgd"
-                     else Adam(local_params, lr=cfg.lr))
-        else:
-            local = None
-        return bridge, local
-
-    def _run_epochs(self, pipeline: SampledBatchPipeline | None,
-                    resume=None) -> HistoryRecorder:
-        cfg = self.config
-        if cfg.dist != "off":
-            dist, optimizer = self._make_dist(resume)
-            if resume is not None and optimizer is not None:
-                optimizer.load_state_dict(self._resume_states_for(
-                    optimizer.parameters, resume.optimizer_states))
-            try:
-                return self._epoch_loop(pipeline, optimizer, dist, resume)
-            finally:
-                dist.close()
-        optimizer = self._make_optimizer()
-        if resume is not None:
-            optimizer.load_state_dict(self._resume_states_for(
-                optimizer.parameters, resume.optimizer_states))
-        return self._epoch_loop(pipeline, optimizer, None, resume)
-
-    def _epoch_loop(self, pipeline: SampledBatchPipeline | None,
-                    optimizer, dist, resume=None) -> HistoryRecorder:
-        cfg = self.config
-        # the scheduler mutates its holder's ``lr``; without unsharded
-        # parameters the bridge itself carries the rate for the pushes
-        lr_holder = optimizer if optimizer is not None else dist
-        scheduler = ExponentialDecay(lr_holder, rate=cfg.lr_decay)
         stopper = (EarlyStopping(patience=cfg.early_stopping_patience)
                    if cfg.early_stopping_patience else None)
         loss_fn = _LOSSES[cfg.loss]
-
-        start_epoch, resume_step = 0, 0
+        start_epoch = first_step = steps_done = 0
+        epoch_loss = 0.0
         if resume is not None:
-            start_epoch, resume_step = resume.epoch, resume.step_in_epoch
-            # the scheduler's lr₀ was captured at construction (above), so
-            # restoring must come after: position first, then the decayed
-            # rate the saved run was pushing with
-            scheduler.epoch = int(resume.meta["scheduler_epoch"])
-            lr_holder.lr = float(resume.meta["lr"])
-            saved_stopper = resume.meta.get("stopper")
-            if stopper is not None and saved_stopper is not None:
-                stopper.best = saved_stopper["best"]
-                stopper.best_step = int(saved_stopper["best_step"])
-                stopper._bad_checks = int(saved_stopper["bad_checks"])
-                stopper._step = int(saved_stopper["step"])
-
-        epochs_completed = start_epoch
-        self.model.train()
-        for epoch in range(start_epoch, cfg.epochs):
-            if resume is not None and epoch == start_epoch:
-                # re-enter the interrupted epoch mid-flight
-                epoch_loss = float(resume.meta["epoch_loss"])
-                steps_done = int(resume.meta["steps_done"])
-                first_step = resume_step
-            else:
-                epoch_loss = 0.0
-                steps_done = 0
-                first_step = 0
-            for step_i in range(first_step, cfg.steps_per_epoch):
-                if pipeline is not None:
-                    prepared = next(pipeline)
-                    batch = prepared.batch
-                else:
-                    prepared = None
-                    batch = sample_pairwise_batch(
-                        self._graph, self.data.target_behavior, self._sampler,
-                        cfg.batch_users, cfg.per_user, self._rng,
-                        eligible_users=self._eligible,
-                    )
-                if len(batch) > 0:
-                    if dist is not None:
-                        # bounded staleness: forward may only read tables the
-                        # owners have caught up to within the window (0 = the
-                        # synchronous barrier → bit-parity with in-process)
-                        dist.throttle()
-                    pos_scores, neg_scores, reg = self._step_scores(batch, prepared)
-                    loss = loss_fn(pos_scores, neg_scores, cfg.margin)
-                    loss = loss + reg
-                    if optimizer is not None:
+            self.model.load_state_dict(resume.model_state)
+            self._rng.bit_generator.state = resume.meta["rng_state"]
+            self.history.rows = [dict(row) for row in resume.meta["history"]]
+            # re-enter the interrupted epoch mid-flight
+            start_epoch, first_step = resume.epoch, resume.step_in_epoch
+            epoch_loss = float(resume.meta["epoch_loss"])
+            steps_done = int(resume.meta["steps_done"])
+            if stopper is not None and resume.meta.get("stopper") is not None:
+                stopper.load_state_dict(resume.meta["stopper"])
+        optimizer, window = self._make_optimizer(resume)
+        batches = self._batches(start_epoch * cfg.steps_per_epoch + first_step)
+        try:
+            scheduler = ExponentialDecay(optimizer, rate=cfg.lr_decay)
+            if resume is not None:
+                # the scheduler's lr₀ was captured at construction (above),
+                # so restoring must come after: position first, then the
+                # decayed rate the saved run was stepping with
+                scheduler.epoch = int(resume.meta["scheduler_epoch"])
+                optimizer.lr = float(resume.meta["lr"])
+            epochs_completed = start_epoch
+            self.model.train()
+            for epoch in range(start_epoch, cfg.epochs):
+                for step_i in range(first_step, cfg.steps_per_epoch):
+                    prepared = next(batches)
+                    if len(prepared.batch) > 0:
+                        # bounded staleness: forward may only read tables
+                        # whose updates are applied to within the window
+                        # (nothing is ever pending in-process)
+                        optimizer.sync(window)
+                        pos_scores, neg_scores, reg = self._step_scores(prepared)
+                        loss = loss_fn(pos_scores, neg_scores, cfg.margin)
+                        loss = loss + reg
                         optimizer.zero_grad()
-                    loss.backward()
-                    if cfg.grad_clip is not None:
-                        clip_grad_norm(self.model.parameters(), cfg.grad_clip)
-                    if dist is not None:
-                        dist.push(lr=lr_holder.lr)
-                    if optimizer is not None:
+                        loss.backward()
+                        if cfg.grad_clip is not None:
+                            clip_grad_norm(self.model.parameters(), cfg.grad_clip)
                         optimizer.step()
-                    if hasattr(self.model, "on_step_end"):
-                        self.model.on_step_end()
-                    epoch_loss += float(loss.data)
-                    steps_done += 1
-                # the cursor counts loop iterations (empty batches included:
-                # they consumed rng draws), so a resumed stream lines up
-                global_step = epoch * cfg.steps_per_epoch + step_i + 1
-                if (cfg.save_state is not None
-                        and cfg.save_every_steps is not None
-                        and global_step % cfg.save_every_steps == 0):
-                    self._save_state(optimizer, dist, scheduler, lr_holder,
-                                     stopper, epoch, step_i + 1, epoch_loss,
-                                     steps_done)
-                if self.step_hook is not None:
-                    self.step_hook(self, global_step)
-            lr = scheduler.step()
-            # each step's loss is a sum over its pairs plus one per-step L2
-            # term, so normalize by the number of steps (not pairs): dividing
-            # the mixed sum by pair_count scaled the L2 contribution with the
-            # batch size and made reported losses incomparable across
-            # configurations with different batch shapes
-            mean_loss = epoch_loss / max(steps_done, 1)
+                        if hasattr(self.model, "on_step_end"):
+                            self.model.on_step_end()
+                        epoch_loss += float(loss.data)
+                        steps_done += 1
+                    # the cursor counts loop iterations (empty batches
+                    # included: they consumed rng draws), so a resumed
+                    # stream lines up
+                    global_step = epoch * cfg.steps_per_epoch + step_i + 1
+                    if (cfg.save_every_steps is not None
+                            and global_step % cfg.save_every_steps == 0):
+                        self._save_state(optimizer, scheduler, stopper, epoch,
+                                         step_i + 1, epoch_loss, steps_done)
+                    if self.step_hook is not None:
+                        self.step_hook(self, global_step)
+                lr = scheduler.step()
+                # each step's loss is a sum over its pairs plus one per-step
+                # L2 term, so normalize by the number of steps (not pairs):
+                # dividing the mixed sum by pair_count scaled the L2
+                # contribution with the batch size and made reported losses
+                # incomparable across configurations with different batch
+                # shapes
+                mean_loss = epoch_loss / max(steps_done, 1)
+                first_step = steps_done = 0
+                epoch_loss = 0.0
 
-            metric = None
-            evaluate_now = (self.eval_fn is not None
-                            and ((epoch + 1) % cfg.eval_every == 0
-                                 or epoch == cfg.epochs - 1))
-            if evaluate_now:
-                if dist is not None:
-                    dist.drain()  # evaluate fully-applied tables
-                self.model.eval()
-                metric = float(self.eval_fn())
-                self.model.train()
-            self.history.record(epoch=epoch, loss=mean_loss, lr=lr,
-                                **({"metric": metric} if metric is not None else {}))
-            if self.config.verbose:  # pragma: no cover - logging only
-                suffix = f" metric={metric:.4f}" if metric is not None else ""
-                print(f"epoch {epoch:3d} loss={mean_loss:.4f} lr={lr:.5f}{suffix}")
-            epochs_completed = epoch + 1
-            if stopper is not None and metric is not None and stopper.update(metric):
-                break
-        if dist is not None:
-            dist.drain()
-        self.model.eval()
-        if cfg.save_state is not None:
-            # end-of-run state: resuming it with a larger epoch budget
-            # continues training exactly where this run left off
-            self._save_state(optimizer, dist, scheduler, lr_holder, stopper,
-                             epochs_completed, 0, 0.0, 0)
-        return self.history
+                metric = None
+                if (self.eval_fn is not None
+                        and ((epoch + 1) % cfg.eval_every == 0
+                             or epoch == cfg.epochs - 1)):
+                    optimizer.sync()  # evaluate fully-applied tables
+                    self.model.eval()
+                    metric = float(self.eval_fn())
+                    self.model.train()
+                self.history.record(
+                    epoch=epoch, loss=mean_loss, lr=lr,
+                    **({"metric": metric} if metric is not None else {}))
+                epochs_completed = epoch + 1
+                if (stopper is not None and metric is not None
+                        and stopper.update(metric)):
+                    break
+            optimizer.sync()
+            self.model.eval()
+            if cfg.save_state is not None:
+                # end-of-run state: resuming it with a larger epoch budget
+                # continues training exactly where this run left off
+                self._save_state(optimizer, scheduler, stopper,
+                                 epochs_completed, 0, 0.0, 0)
+            return self.history
+        finally:
+            batches.close()
+            optimizer.close()
 
-    def _save_state(self, optimizer, dist, scheduler, lr_holder, stopper,
-                    epoch: int, step_in_epoch: int, epoch_loss: float,
+    def _save_state(self, optimizer, scheduler, stopper, epoch: int,
+                    step_in_epoch: int, epoch_loss: float,
                     steps_done: int) -> None:
         """One atomic training-state snapshot at the current cursor.
 
-        Under dist training this drains every in-flight push first and
-        pulls the shard owners' optimizer state over the control pipe, so
-        the file is a consistent cut: tables, clocks, and cursor all
+        A consistent cut: under dist training every in-flight update is
+        waited out before the shard owners' optimizer state is collected
+        and the tables are read, so tables, clocks, and cursor all
         describe the same step.
         """
+        from repro.shard import shard_layout
         from repro.train.resume import config_echo, save_training_state
 
         cfg = self.config
-        names = self._param_names()
-        opt_states: dict[str, dict] = {}
-        if dist is not None:
-            for p, state in zip(dist.flat_params, dist.pull_state()):
-                opt_states[names[id(p)]] = state
-        if optimizer is not None:
-            for p, state in zip(optimizer.parameters, optimizer.state_dict()):
-                opt_states[names[id(p)]] = state
+        optimizer.sync()
+        # the optimizer was built over model.parameters(), in this order
+        opt_states = {name: state for (name, _), state in
+                      zip(self.model.named_parameters(),
+                          optimizer.state_dict())}
         meta = {
             "config": config_echo(cfg),
             "epoch": int(epoch),
@@ -551,16 +475,13 @@ class Trainer:
             "global_step": int(epoch * cfg.steps_per_epoch + step_in_epoch),
             "epoch_loss": float(epoch_loss),
             "steps_done": int(steps_done),
-            "lr": float(lr_holder.lr),
+            "lr": float(optimizer.lr),
             "scheduler_epoch": int(scheduler.epoch),
             "rng_state": self._rng.bit_generator.state,
             "history": self.history.rows,
-            "stopper": (None if stopper is None else {
-                "best": stopper.best,
-                "best_step": stopper.best_step,
-                "bad_checks": stopper._bad_checks,
-                "step": stopper._step,
-            }),
+            "stopper": None if stopper is None else stopper.state_dict(),
+            # the table layout the arrays are stored under (reshard input)
+            **shard_layout(self.model),
         }
         save_training_state(cfg.save_state, self.model.state_dict(),
                             opt_states, meta)

@@ -36,10 +36,16 @@ def save_checkpoint(model, path: str | Path,
     model:
         Any :class:`repro.nn.Module`.
     metadata:
-        JSON-serializable extras (epoch, metrics, config echo, ...).
+        JSON-serializable extras (epoch, metrics, config echo, ...). A
+        model with sharded tables also gets its layout recorded
+        (``shards`` / ``shard_strategy``, read from the model) unless the
+        caller's metadata already says.
     """
+    from repro.shard import shard_layout
+
     state = model.state_dict()
-    meta = dict(metadata or {}, format=CHECKPOINT_FORMAT)
+    meta = {**shard_layout(model), **(metadata or {}),
+            "format": CHECKPOINT_FORMAT}
     meta.setdefault("num_parameters", int(sum(v.size for v in state.values())))
     return write_artifact(path, state, meta)
 

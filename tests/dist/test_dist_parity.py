@@ -33,7 +33,7 @@ def _train_gnmr(split, *, shards=2, dist="off", transport="shm",
     model = GNMR(split.train, config)
     tc = TrainConfig(epochs=2, steps_per_epoch=4, batch_users=8, per_user=2,
                      propagation=propagation, workers=0, fanout=5, seed=0,
-                     optimizer=optimizer, shards=shards, dist=dist,
+                     optimizer=optimizer, dist=dist,
                      dist_workers=workers, dist_staleness=staleness,
                      dist_transport=transport)
     losses = Trainer(model, split.train, tc).run().series("loss")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, Embedding, Parameter, SGD, shard_param_groups
+from repro.nn import Adam, Embedding, Parameter, shard_param_groups
 from repro.shard import (
     ShardSpec,
     ShardedEmbedding,
@@ -128,26 +128,9 @@ class TestModuleIntegration:
         assert [g["shard"] for g in groups] == [None, 0, 1]
         assert groups[0]["params"] == [dense]
 
-    def test_optimizer_step_per_shard(self):
-        w = _table()
-        emb = ShardedEmbedding(w, num_shards=2)
-        opt = SGD(shard_param_groups(emb.parameters()), lr=0.5)
-        assert opt.shards() == [0, 1]
-        for p in emb.shards:
-            p.grad = np.ones_like(p.data)
-        opt.step(shard=0)
-        np.testing.assert_array_equal(emb.shards[0].data,
-                                      w[emb.spec.shard_rows(0)] - 0.5)
-        np.testing.assert_array_equal(emb.shards[1].data,
-                                      w[emb.spec.shard_rows(1)])
-        opt.step(shard=1)
-        np.testing.assert_array_equal(emb.dense_table(), w - 0.5)
-        with pytest.raises(ValueError):
-            opt.step(shard=9)
-
     def test_adam_row_counters_stay_shard_local(self):
         emb = ShardedEmbedding(_table(), num_shards=2)
-        opt = Adam(shard_param_groups(emb.parameters()), lr=0.1)
+        opt = Adam(emb.parameters(), lr=0.1)
         rows = np.array([0, 12])  # one row per shard under range split
         emb.rows(rows).sum().backward()
         opt.step()

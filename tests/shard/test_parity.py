@@ -38,7 +38,7 @@ def _train_gnmr(split, shards, *, propagation="async", workers=0,
     model = GNMR(split.train, config)
     tc = TrainConfig(epochs=epochs, steps_per_epoch=4, batch_users=8,
                      per_user=2, propagation=propagation, workers=workers,
-                     fanout=5, seed=0, optimizer=optimizer, shards=shards)
+                     fanout=5, seed=0, optimizer=optimizer)
     losses = Trainer(model, split.train, tc).run().series("loss")
     return model, losses
 

@@ -182,11 +182,10 @@ class TestReshardedResumeParity:
                                shard_strategy=strategy))
 
     @classmethod
-    def config(cls, shards, epochs, save=None, optimizer="sgd"):
+    def config(cls, epochs, save=None, optimizer="sgd"):
         return TrainConfig(epochs=epochs, steps_per_epoch=4, batch_users=8,
                            per_user=2, propagation="async", workers=0, fanout=5,
-                           seed=0, optimizer=optimizer, shards=shards,
-                           save_state=save)
+                           seed=0, optimizer=optimizer, save_state=save)
 
     def logical_tables(self, model, strategy):
         state = model.state_dict()
@@ -201,39 +200,101 @@ class TestReshardedResumeParity:
                 tables[key] = value
         return tables
 
-    @pytest.mark.parametrize("optimizer,new_k,new_strategy", [
-        ("sgd", 5, "range"), ("adam", 5, "range"), ("sgd", 4, "hash"),
+    @pytest.mark.parametrize("optimizer,old_strategy,new_k,new_strategy", [
+        pytest.param("sgd", "range", 5, "range", id="sgd-5-range"),
+        pytest.param("adam", "range", 5, "range", id="adam-5-range"),
+        pytest.param("sgd", "range", 4, "hash", id="sgd-4-hash"),
+        # a hash source: its layout is read from the file, never passed
+        pytest.param("adam", "hash", 5, None, id="adam-from-hash-5"),
+        pytest.param("sgd", "hash", 4, "range", id="sgd-from-hash-4-range"),
     ])
-    def test_resume_from_resharded_state(self, tmp_path, optimizer, new_k,
-                                         new_strategy):
-        full = self.build(3)
-        full.fit(self.SPLIT.train, self.config(3, 4, optimizer=optimizer))
+    def test_resume_from_resharded_state(self, tmp_path, optimizer,
+                                         old_strategy, new_k, new_strategy):
+        full = self.build(3, old_strategy)
+        full.fit(self.SPLIT.train, self.config(4, optimizer=optimizer))
         state = str(tmp_path / "state.npz")
-        part = self.build(3)
+        part = self.build(3, old_strategy)
         part.fit(self.SPLIT.train,
-                 self.config(3, 2, save=state, optimizer=optimizer))
+                 self.config(2, save=state, optimizer=optimizer))
         out = str(tmp_path / "resharded.npz")
         info = reshard_file(state, out, new_k, strategy=new_strategy)
         assert info["format"] == "train-state"
+        assert info["old_strategy"] == old_strategy
+        new_strategy = new_strategy or old_strategy
         resumed = self.build(new_k, new_strategy)
-        resumed.fit(self.SPLIT.train,
-                    self.config(new_k, 4, optimizer=optimizer),
+        resumed.fit(self.SPLIT.train, self.config(4, optimizer=optimizer),
                     resume_from=out)
-        expected = self.logical_tables(full, "range")
+        expected = self.logical_tables(full, old_strategy)
         actual = self.logical_tables(resumed, new_strategy)
         assert sorted(expected) == sorted(actual)
         for key in expected:
             np.testing.assert_array_equal(expected[key], actual[key],
                                           err_msg=key)
 
+    def test_hash_state_reshards_row_for_row(self, tmp_path):
+        """A hash-layout state migrates by its recorded strategy: tables
+        and Adam ``m``/``v``/``row_steps`` equal the source row for row.
+        (Hash and range shard sizes always coincide, so reading it as
+        range loads cleanly into a 3-shard model — with scrambled rows.)"""
+        state = str(tmp_path / "state.npz")
+        model = self.build(2, "hash")
+        model.fit(self.SPLIT.train,
+                  self.config(2, save=state, optimizer="adam"))
+        out = str(tmp_path / "resharded.npz")
+        info = reshard_file(state, out, 3)
+        assert (info["old_strategy"], info["strategy"]) == ("hash", "hash")
+        source, migrated = load_training_state(state), load_training_state(out)
+        for base, keys in find_sharded_tables(source.model_state).items():
+            new_keys = [f"{base}.shards.{k}" for k in range(3)]
+            rows = sum(source.model_state[key].shape[0] for key in keys)
+            old_spec = ShardSpec(rows, 2, "hash")
+            new_spec = ShardSpec(rows, 3, "hash")
+            np.testing.assert_array_equal(
+                new_spec.assemble([migrated.model_state[k] for k in new_keys]),
+                old_spec.assemble([source.model_state[k] for k in keys]),
+                err_msg=base)
+            for slot in ("m", "v", "row_steps"):
+                np.testing.assert_array_equal(
+                    new_spec.assemble([migrated.optimizer_states[k][slot]
+                                       for k in new_keys]),
+                    old_spec.assemble([source.optimizer_states[k][slot]
+                                       for k in keys]),
+                    err_msg=f"{base}::{slot}")
+        resumed = self.build(3, "hash")
+        resumed.fit(self.SPLIT.train, self.config(2, optimizer="adam"),
+                    resume_from=out)
+        expected = self.logical_tables(model, "hash")
+        for key, value in self.logical_tables(resumed, "hash").items():
+            np.testing.assert_array_equal(value, expected[key], err_msg=key)
+
+    def test_unrecorded_strategy_is_refused_not_guessed(self, tmp_path):
+        """A state written before the layout was recorded: ``reshard``
+        names ``--old-strategy`` instead of assuming range."""
+        from repro.train.resume import save_training_state
+
+        state = str(tmp_path / "state.npz")
+        self.build(2, "hash").fit(self.SPLIT.train, self.config(1, save=state))
+        saved = load_training_state(state)
+        meta = {k: v for k, v in saved.meta.items()
+                if k not in ("shards", "shard_strategy")}
+        old = str(tmp_path / "old.npz")
+        save_training_state(old, saved.model_state, saved.optimizer_states,
+                            meta)
+        with pytest.raises(ReshardError, match="--old-strategy"):
+            reshard_file(old, str(tmp_path / "out.npz"), 3)
+        info = reshard_file(old, str(tmp_path / "out.npz"), 3,
+                            old_strategy="hash")
+        assert info["strategy"] == "hash"
+
     def test_resharded_state_metadata_updated(self, tmp_path):
         state = str(tmp_path / "state.npz")
         part = self.build(2)
-        part.fit(self.SPLIT.train, self.config(2, 1, save=state))
+        part.fit(self.SPLIT.train, self.config(1, save=state))
         out = str(tmp_path / "resharded.npz")
         reshard_file(state, out, 3)
         migrated = load_training_state(out)
-        assert migrated.config["shards"] == 3
+        assert migrated.meta["shards"] == 3
+        assert migrated.meta["shard_strategy"] == "range"
         # trainer cursor survives the migration untouched
         original = load_training_state(state)
         assert migrated.global_step == original.global_step

@@ -76,6 +76,35 @@ class TestCommands:
         assert f"{flag} only applies to --propagation async" in captured.err
         assert "training" not in captured.out  # refused before any work
 
+    @pytest.mark.parametrize("model", ["AutoRec", "CDAE", "NMTR"])
+    def test_models_with_their_own_loop_train(self, capsys, model):
+        # `train` passes resume_from= to every model's fit()
+        code = main(["train", "--model", model, "--users", "40",
+                     "--items", "60", "--epochs", "1"])
+        assert code == 0
+        assert "HR@10=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, setting", [
+        (["--model", "NMTR", "--save-state", "{tmp}/x.npz"], "save_state"),
+        (["--model", "CDAE", "--resume", "{tmp}/x.npz"], "resume_from"),
+        (["--model", "AutoRec", "--shards", "2", "--dist", "sync"], "dist"),
+        # refused up front: nothing to own without --shards ...
+        (["--model", "GNMR", "--dist", "sync"], "--dist sync needs --shards"),
+        # ... and by the bridge when the model has no table to shard
+        (["--model", "DMF", "--shards", "2", "--dist", "sync",
+          "--dist-transport", "inline"], "sharded tables"),
+    ])
+    def test_settings_training_refuses_exit_2(self, capsys, tmp_path, argv,
+                                              setting):
+        code = main(["train", "--users", "40", "--items", "60", "--epochs",
+                     "1"] + [arg.format(tmp=tmp_path) for arg in argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and setting in err[0]
+        assert "HR@10" not in captured.out
+        assert not (tmp_path / "x.npz").exists()
+
 
 class TestRecommend:
     @pytest.fixture(scope="class")
@@ -194,6 +223,46 @@ class TestIngest:
                      "--epochs", "1"])
         assert code == 0
         assert "HR@10" in capsys.readouterr().out
+
+    def test_recommend_serves_the_split_it_was_trained_on(
+            self, event_log, tmp_path, capsys, monkeypatch):
+        """The checkpoint records the split; `recommend` rebuilds the
+        training graph and seen-item mask from it, not leave-one-out."""
+        import repro.cli as cli
+        from repro.data import (
+            leave_one_out_split,
+            resolve_scenario,
+            temporal_split,
+        )
+
+        out, checkpoint = tmp_path / "events.npz", tmp_path / "m.npz"
+        assert main(["ingest", str(event_log), "--out", str(out),
+                     "--target", "buy"]) == 0
+        assert main(["train", "--model", "BiasMF", "--scenario", str(out),
+                     "--epochs", "1", "--split", "temporal",
+                     "--checkpoint", str(checkpoint)]) == 0
+        built = []
+        build_service = cli._build_service
+
+        def capture(*args):
+            built.append(build_service(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_build_service", capture)
+        assert main(["recommend", "--checkpoint", str(checkpoint),
+                     "--topk", "3"]) == 0
+        capsys.readouterr()
+        dataset = resolve_scenario(str(out))
+
+        def seen_counts(train):
+            return [len(set(train.user_target_items(user).tolist()))
+                    for user in range(dataset.num_users)]
+
+        served = [built[0].exclusions.items_for(user).size
+                  for user in range(dataset.num_users)]
+        assert served == seen_counts(
+            temporal_split(dataset, test_fraction=0.2).train)
+        assert served != seen_counts(leave_one_out_split(dataset).train)
 
     def test_ingest_reingest_byte_identical(self, event_log, tmp_path,
                                             capsys):

@@ -38,6 +38,19 @@ class TestEarlyStopping:
             stopper.update(value)
         assert stopper.best_step == 1
 
+    def test_state_round_trip_continues_the_count(self):
+        stopper = EarlyStopping(patience=2, mode="max")
+        for value in [0.1, 0.9, 0.3]:
+            stopper.update(value)
+        state = stopper.state_dict()
+        # the keys training-state files have always carried
+        assert state == {"best": 0.9, "best_step": 1, "bad_checks": 1,
+                         "step": 3}
+        resumed = EarlyStopping(patience=2, mode="max")
+        resumed.load_state_dict(state)
+        assert resumed.update(0.2)  # the second bad check, not the first
+        assert resumed.best_step == 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EarlyStopping(mode="sideways")

@@ -115,8 +115,7 @@ class TestCrashResume:
     def test_gnmr_modes_mid_epoch_crash(self, tmp_path, propagation, workers,
                                         dist):
         state = str(tmp_path / "state.npz")
-        overrides = dict(propagation=propagation, workers=workers, fanout=5,
-                         shards=3)
+        overrides = dict(propagation=propagation, workers=workers, fanout=5)
         if dist != "off":
             overrides.update(dist=dist, dist_transport="inline")
         full = gnmr(shards=3)
@@ -138,7 +137,7 @@ class TestCrashResume:
     def test_real_process_dist_resume(self, tmp_path):
         """End-of-epoch save with real shard-owner processes over shm."""
         state = str(tmp_path / "state.npz")
-        overrides = dict(propagation="async", workers=0, fanout=5, shards=2,
+        overrides = dict(propagation="async", workers=0, fanout=5,
                          dist="sync", dist_transport="shm")
         full = gnmr(shards=2)
         full.fit(SPLIT.train, config(3, **overrides))

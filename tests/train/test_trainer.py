@@ -86,3 +86,143 @@ class TestTraining:
             model = BiasMF(split.train.num_users, split.train.num_items, seed=7)
             histories.append(Trainer(model, split.train, config).run())
         assert histories[0].series("loss") == histories[1].series("loss")
+
+
+class TestModeMatrix:
+    """One loop, every surviving mode: who applies a step (in-process or
+    the parameter-server bridge, any transport) never changes a
+    trajectory; propagation and optimizer family select it."""
+
+    APPLIERS = {
+        "sync-inline": dict(dist="sync", dist_transport="inline"),
+        "sync-shm": dict(dist="sync", dist_transport="shm", dist_workers=2),
+        "async-window-0": dict(dist="async", dist_staleness=0,
+                               dist_transport="shm", dist_workers=1),
+    }
+
+    @pytest.fixture(scope="class")
+    def split(self):
+        from repro.data import leave_one_out_split, taobao_like
+
+        return leave_one_out_split(taobao_like(num_users=40, num_items=90,
+                                               seed=0))
+
+    @staticmethod
+    def model(split):
+        from repro.core import GNMR, GNMRConfig
+
+        return GNMR(split.train, GNMRConfig(pretrain=False, seed=0,
+                                            num_layers=2, dropout=0.0,
+                                            shards=2))
+
+    def train(self, split, path, *, epochs=6, resume_from=None, **overrides):
+        """Eval, clipping, mid-run saves and early stopping all on: every
+        applier has to drain before eval and before each save, and clip
+        before it ships a gradient. Returns what must not depend on the
+        applier: history, tables, the state saved mid-run at step 4 and
+        the end-of-run state."""
+        from repro.shard import table_array
+        from repro.train.resume import load_training_state
+
+        model = self.model(split)
+        mid_run = []
+
+        def eval_fn():
+            # reads the tables (an undrained push would show) and falls
+            # tenfold per epoch, so patience=2 stops the run at epoch 2
+            checksum = np.abs(table_array(model.user_embeddings)).sum()
+            return float(checksum) / 10.0 ** len(trainer.history)
+
+        def keep_mid_run_state(trainer, global_step):
+            if global_step == 4:
+                mid_run.append(load_training_state(path))
+
+        config = TrainConfig(epochs=epochs, steps_per_epoch=3, batch_users=8,
+                             per_user=2, workers=0, seed=0, grad_clip=0.5,
+                             early_stopping_patience=2, save_state=str(path),
+                             save_every_steps=2, **overrides)
+        trainer = Trainer(model, split.train, config, eval_fn=eval_fn,
+                          step_hook=keep_mid_run_state)
+        history = trainer.run(resume_from)
+        return (history.rows, model.state_dict(), mid_run,
+                load_training_state(path))
+
+    @staticmethod
+    def assert_same_state(got, want):
+        """Equal training-state files, the config's ``dist`` echo aside."""
+        def without_dist(meta):
+            return dict(meta, config={key: value
+                                      for key, value in meta["config"].items()
+                                      if key != "dist"})
+
+        assert without_dist(got.meta) == without_dist(want.meta)
+        for kind in ("model_state", "optimizer_states"):
+            assert sorted(getattr(got, kind)) == sorted(getattr(want, kind))
+        for name, value in want.model_state.items():
+            np.testing.assert_array_equal(got.model_state[name], value)
+        for name, slots in want.optimizer_states.items():
+            assert sorted(got.optimizer_states[name]) == sorted(slots)
+            for slot, value in slots.items():
+                np.testing.assert_array_equal(
+                    got.optimizer_states[name][slot], value,
+                    err_msg=f"{name}::{slot}")
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("propagation", ["full", "async"])
+    def test_one_trajectory_per_cell(self, split, tmp_path, propagation,
+                                     optimizer):
+        cell = dict(propagation=propagation, optimizer=optimizer)
+        if propagation == "async":
+            cell["fanout"] = 5
+        rows, tables, mid_run, final = self.train(
+            split, tmp_path / "in-process.npz", **cell)
+        assert len(rows) == 3 and len(mid_run) == 1  # stopped early; saved
+        assert mid_run[0].global_step == 4
+        assert final.meta["shards"] == 2
+        for name, applier in self.APPLIERS.items():
+            got_rows, got_tables, got_mid, got_final = self.train(
+                split, tmp_path / f"{name}.npz", **cell, **applier)
+            assert got_rows == rows, name  # losses, lrs and eval metrics
+            assert sorted(got_tables) == sorted(tables)
+            for key, value in tables.items():
+                np.testing.assert_array_equal(got_tables[key], value,
+                                              err_msg=f"{name}: {key}")
+            assert got_final.config["dist"] == applier["dist"]
+            self.assert_same_state(got_mid[0], mid_run[0])
+            self.assert_same_state(got_final, final)
+
+    def test_state_written_by_the_previous_build_resumes(self, split,
+                                                         tmp_path):
+        """Before the layout was read from the model, a training state
+        listed the optimizer entries in grouped order (unsharded first,
+        then shard by shard), echoed ``"shards": 2`` in its config and
+        recorded no layout. Entries are matched by parameter name and the
+        echo key is no longer compared, so it continues bit-identically."""
+        from repro.train.resume import load_training_state, save_training_state
+
+        cell = dict(propagation="async", fanout=5, optimizer="adam")
+        rows, tables, _, _ = self.train(split, tmp_path / "full.npz", **cell)
+        self.train(split, tmp_path / "part.npz", epochs=1, **cell)
+        saved = load_training_state(tmp_path / "part.npz")
+        grouped = sorted(saved.optimizer_states,
+                         key=lambda name: (".shards." in name,
+                                           name.rsplit(".", 1)[-1]))
+        assert grouped != list(saved.optimizer_states)
+        meta = {k: v for k, v in saved.meta.items()
+                if k not in ("shards", "shard_strategy")}
+        meta["config"] = dict(saved.config, shards=2)
+        save_training_state(
+            tmp_path / "old.npz", saved.model_state,
+            {name: saved.optimizer_states[name] for name in grouped}, meta)
+        got_rows, got_tables, _, _ = self.train(
+            split, tmp_path / "old.npz", resume_from=str(tmp_path / "old.npz"),
+            **cell)
+        assert got_rows == rows
+        for key, value in tables.items():
+            np.testing.assert_array_equal(got_tables[key], value, err_msg=key)
+
+    @pytest.mark.parametrize("removed", [dict(shards=2), dict(verbose=True)])
+    def test_removed_fields_are_gone(self, removed):
+        # the model's tables carry the layout; nothing printed per epoch
+        with pytest.raises(TypeError):
+            TrainConfig(**removed)

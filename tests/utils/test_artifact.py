@@ -71,7 +71,7 @@ def _train_state_parts(seed):
                "param_t": 9}
         for name, value in tables.items()}
     meta = {"epoch": 1, "step_in_epoch": 2, "global_step": 6,
-            "config": {"shards": 2}, "shard_strategy": "range"}
+            "config": {}, "shards": 2, "shard_strategy": "range"}
     return model_state, optimizer_states, meta
 
 
@@ -459,7 +459,9 @@ class TestLegacyFiles:
         state = {f"emb.shards.{k}": rng.standard_normal((4, 3))
                  for k in (0, 1)}
         path = _legacy_npz(tmp_path / "old.npz", state, {"shards": 2}, True)
-        info = reshard_file(path, tmp_path / "new.npz", 4)
+        # written before the layout was recorded: the caller must say
+        info = reshard_file(path, tmp_path / "new.npz", 4,
+                            old_strategy="range")
         assert info["format"] == "checkpoint"
         arrays, meta = read_artifact(tmp_path / "new.npz")
         assert meta["shards"] == 4 and len(arrays) == 4
@@ -496,7 +498,7 @@ class TestLegacyFiles:
         reshard_file(path, tmp_path / "v2.npz", 4)
         assert read_meta(tmp_path / "v2.npz")["state_version"] == \
             TRAIN_STATE_VERSION
-        assert load_training_state(tmp_path / "v2.npz").config["shards"] == 4
+        assert load_training_state(tmp_path / "v2.npz").meta["shards"] == 4
 
     def test_v1_train_state_with_row_t_is_refused_by_name(self, tmp_path):
         path = self._v1_train_state(tmp_path / "v1.npz", with_row_t=True)

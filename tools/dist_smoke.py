@@ -35,7 +35,7 @@ def train(dist: str, transport: str = "shm") -> tuple[list, np.ndarray,
     model = GNMR(split.train, config)
     tc = TrainConfig(epochs=3, steps_per_epoch=5, batch_users=8, per_user=2,
                      propagation="async", workers=0, fanout=5, seed=0,
-                     optimizer="adam", shards=2, dist=dist,
+                     optimizer="adam", dist=dist,
                      dist_workers=2, dist_transport=transport)
     losses = Trainer(model, split.train, tc).run().series("loss")
     return (losses, table_array(model.user_embeddings),
