@@ -17,28 +17,37 @@ Each configuration reports p50/p99/max request latency and sustained
 users/sec, plus the batcher's coalescing counters. Every response body
 is compared against a library-direct ``RecommendationService.recommend``
 call for the same users — the HTTP tier must be a transport, not a
-different answer (``bit_match``). The regression gate
-(``benchmarks/check_regression.py``) requires the batched exact
-configuration to sustain ≥ ``BENCH_HTTP_BATCH_MIN``× the single-client
-throughput with ``bit_match`` true everywhere.
+different answer (``bit_match``). Gated here — the script prints its
+payload, then one PASS/FAIL line per floor, and exits 1 when one is
+missed: the batched exact configuration runs ≥ ``CLIENTS_MIN`` clients
+and sustains ≥ ``COALESCED_MIN``× the single-client throughput, and every
+configuration answers 200 every time with ``bit_match`` true.
+``benchmarks/e2e`` drives two closed-loop clients, too few to coalesce, so
+it reports ``recommend_users_per_s`` and never this ratio::
 
-Run standalone (no pytest needed)::
-
-    PYTHONPATH=src python benchmarks/bench_http_serving.py
+    PYTHONPATH=src python benchmarks/bench_http_serving.py [--out DIR]
 """
 
 import json
 import socket
+import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
+from gate import main
 from repro.serve import RecommendationService
 from repro.serve.http import RecommendationHTTPServer
 
-RESULTS_PATH = Path(__file__).parent / "results" / "http_serving.json"
+#: the coalescing batcher's reason to exist is the catalog scan amortized
+#: across concurrent requesters: under at least this many closed-loop
+#: clients it must sustain this multiple of the single-client throughput
+#: (a same-payload ratio: 2.56x on one quiet core; 1.6-2.9x run to run on
+#: the shared 2-vCPU VM, where the single client alone swings 64-107
+#: users/sec with the neighbours)
+CLIENTS_MIN = 8
+COALESCED_MIN = 2.0
 
 TOP_K = 10
 NUM_USERS = 8192
@@ -77,20 +86,6 @@ class _FactoredTables:
 
     def serving_embeddings(self):
         return self._user, self._item
-
-
-def _reference_matmul_seconds(rounds: int = 5) -> float:
-    """Fixed dense matmul timing — normalizes throughput across machines."""
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((1024, 256)).astype(np.float32)
-    b = rng.standard_normal((256, 2048)).astype(np.float32)
-    a @ b  # warm up
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        a @ b
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _percentile(ordered: list, q: float) -> float:
@@ -202,7 +197,7 @@ def measure_http_config(service: RecommendationService, *, clients: int,
     }
 
 
-def collect() -> dict:
+def measure() -> dict:
     """All three configurations over one synthetic factored catalog."""
     model = _FactoredTables(NUM_USERS, NUM_ITEMS, DIM, seed=0)
     exact_service = RecommendationService(model, k_default=TOP_K)
@@ -234,35 +229,28 @@ def collect() -> dict:
     single = payload["configs"]["exact_single"]["users_per_sec"]
     batched = payload["configs"]["exact_batched"]["users_per_sec"]
     payload["batched_speedup_vs_single"] = batched / single
-    payload["reference_matmul_seconds"] = _reference_matmul_seconds()
     return payload
 
 
-def save(payload: dict, path: Path = RESULTS_PATH) -> Path:
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+def gate(payload: dict, gate) -> None:
+    for name, config in payload["configs"].items():
+        gate.check(f"http-{name}-non-200", config["errors"] == 0,
+                   f"{config['errors']} of {config['requests']} responses "
+                   f"(p50 {config['p50_ms']:.2f} ms / p99 "
+                   f"{config['p99_ms']:.2f} ms at "
+                   f"{config['users_per_sec']:,.0f} users/sec)")
+        gate.check(f"http-{name}-bit-match", config["bit_match"],
+                   "every body equals the library-direct call"
+                   if config["bit_match"] else
+                   "a body differs from the library-direct call")
+    clients = payload["configs"]["exact_batched"]["clients"]
+    gate.check("http-concurrency", clients >= CLIENTS_MIN,
+               f"{clients} concurrent clients (floor {CLIENTS_MIN})")
+    speedup = payload["batched_speedup_vs_single"]
+    gate.check("http-batched-speedup", speedup >= COALESCED_MIN,
+               f"{speedup:.2f}x the single-client throughput "
+               f"(floor {COALESCED_MIN}x)")
 
 
-# ----------------------------------------------------------------------
-# pytest-benchmark entry point (explicit runs on dedicated hardware)
-# ----------------------------------------------------------------------
-
-def test_bench_http_serving(benchmark):
-    from conftest import run_once, save_results
-
-    results = run_once(benchmark, collect)
-    save_results("http_serving", results)
-    for name, config in results["configs"].items():
-        assert config["errors"] == 0, f"{name} saw non-200 responses"
-        assert config["bit_match"], f"{name} diverged from library-direct calls"
-        assert config["users_per_sec"] > 0
-    assert results["configs"]["exact_batched"]["clients"] >= 8
-    assert results["batched_speedup_vs_single"] >= 2.0
-
-
-if __name__ == "__main__":  # CI path: no pytest required
-    payload = collect()
-    path = save(payload)
-    print(json.dumps(payload, indent=2))
-    print(f"\nwrote {path}")
+if __name__ == "__main__":
+    sys.exit(main("http_serving", measure, gate))

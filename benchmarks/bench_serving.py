@@ -1,48 +1,53 @@
-"""Serving throughput benchmarks: batched top-K retrieval users/sec.
+"""Serving retrieval ratios: batch-size scaling and the ANN tradeoff sweep.
 
-Measures the ``repro.serve`` hot path — blocked matmul against the full
-catalog, CSR exclusion masking, argpartition top-K — at batch sizes
-{64, 256, 1024}, plus an end-to-end GNMR snapshot-and-serve measurement,
-and emits ``benchmarks/results/serving_throughput.json`` for cross-PR
-tracking (the CI regression gate compares it against the committed
-baseline; see ``benchmarks/check_regression.py``). Throughput must be
-monotone-or-flat in the batch size: the retriever chunks selection to
-cache-sized blocks internally, so a larger request batch can never cost
-throughput (the pre-PR-6 payloads showed batch 64 *beating* batch 1024 —
-that anomaly is what the ``scaling`` section guards against).
+Two same-run measurements of the ``repro.serve`` hot path, no HTTP:
 
-The approximate-retrieval tradeoff sweep
-(``benchmarks/results/serving_ann.json``) rides along: on a ≥100k-item
-catalog it measures recall@10 against the exact retriever and users/sec
-speedup for every (nprobe × quantization) configuration of
-``repro.serve.ann``, sharing one seeded k-means run across quantization
-levels. The regression gate requires at least one configuration to reach
-recall@10 ≥ 0.95 at ≥ 3x the exact throughput.
+* ``retrieval`` — users/sec of the exact blocked retriever (GEMM against
+  the full catalogue, CSR exclusion masking, argpartition top-K) at
+  serving batch sizes {64, 256, 1024} on a 20k-item catalogue, and
+  ``scaling.monotone_frac``, the worst ratio of one batch size's users/sec
+  to its predecessor's;
+* ``ann`` — on a 100k-item clustered catalogue, recall@10 against the
+  exact retriever and users/sec speedup over it for every
+  (nprobe × quantization) configuration of ``repro.serve.ann``, sharing
+  one seeded k-means run across quantization levels.
 
-A fixed-size dense matmul is timed alongside as a machine-speed reference
-so the gate can compare normalized throughput across runners.
+Both are gated here (``MONOTONE_MIN``; ``ANN_RECALL_MIN`` at
+``ANN_SPEEDUP_MIN`` on ≥ ``ANN_ITEMS_MIN`` items): the script prints its
+payload, then one PASS/FAIL line per floor, and exits 1 when one is
+missed. ``benchmarks/e2e`` cannot see either — its requests arrive one
+user at a time, and its IVF workloads run one (nprobe, quant) point on
+catalogues of 6–8k items, where recall has its own per-run floor::
 
-Run standalone (no pytest needed)::
-
-    PYTHONPATH=src python benchmarks/bench_serving.py
+    PYTHONPATH=src python benchmarks/bench_serving.py [--out DIR]
 """
 
-import json
+import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
+from gate import main
 from repro.serve import ApproxRetriever, ExclusionMask, IVFIndex, MatrixBackend, TopKRetriever
-
-RESULTS_PATH = Path(__file__).parent / "results" / "serving_throughput.json"
-ANN_RESULTS_PATH = Path(__file__).parent / "results" / "serving_ann.json"
 
 BATCH_SIZES = (64, 256, 1024)
 TOP_K = 10
+#: the retriever chunks selection to cache-sized blocks internally, so a
+#: larger request batch must never cost meaningful throughput (measured
+#: ~0.92 worst consecutive ratio; before the chunking fix batch 64 beat
+#: batch 1024 by ~2x, which scores ~0.5)
+MONOTONE_MIN = 0.75
 
 ANN_NPROBES = (4, 8, 16, 32)
-ANN_QUANTS = ("none", "fp16", "int8")
+ANN_QUANTS = ("none", "int8")
+#: the sweep must keep one configuration this close to exact at this many
+#: times its throughput (measured: int8 nprobe=4 at ~4.3x / recall 0.993),
+#: on a catalogue big enough for a scan to dominate — recall and speedup
+#: are against the exact run inside the same payload, so runner noise
+#: mostly cancels
+ANN_RECALL_MIN = 0.95
+ANN_SPEEDUP_MIN = 3.0
+ANN_ITEMS_MIN = 100_000
 
 
 def _best_time(fn, rounds: int = 5) -> float:
@@ -54,14 +59,6 @@ def _best_time(fn, rounds: int = 5) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _reference_matmul_seconds(rounds: int = 5) -> float:
-    """Fixed dense matmul timing — normalizes throughput across machines."""
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((1024, 256)).astype(np.float32)
-    b = rng.standard_normal((256, 2048)).astype(np.float32)
-    return _best_time(lambda: a @ b, rounds)
 
 
 def _synthetic_catalog(num_users=8192, num_items=20000, dim=64,
@@ -94,7 +91,6 @@ def measure_retrieval_throughput(request_users: int = 4096,
         },
         "batch_sizes": {},
     }
-    best = 0.0
     throughputs = []
     for batch in BATCH_SIZES:
         retriever = TopKRetriever(backend, exclude=exclude, batch_users=batch)
@@ -105,12 +101,7 @@ def measure_retrieval_throughput(request_users: int = 4096,
             "users_per_sec": throughput,
         }
         throughputs.append(throughput)
-        best = max(best, throughput)
-    results["best_users_per_sec"] = best
-    # larger batches must not *cost* throughput: the smallest ratio of a
-    # batch size's users/sec to its predecessor's. ~1.0 (modulo runner
-    # noise) now that selection is internally cache-chunked; the gate
-    # fails if the old degradation pattern ever returns.
+    # the smallest ratio of a batch size's users/sec to its predecessor's
     results["scaling"] = {
         "batch_order": list(BATCH_SIZES),
         "monotone_frac": min(after / before for before, after
@@ -205,91 +196,38 @@ def measure_ann_tradeoff(request_users: int = 1024, rounds: int = 3) -> dict:
                 "recall_at_10": recall,
                 "compressed_mbytes": index.compressed_nbytes / 2**20,
             })
-    qualifying = [row for row in results["sweep"]
-                  if row["recall_at_10"] >= 0.95
-                  and row["speedup_vs_exact"] >= 3.0]
-    results["best_qualifying"] = (
-        max(qualifying, key=lambda row: row["speedup_vs_exact"])
-        if qualifying else None)
-    results["qualify_floors"] = {"recall_at_10": 0.95, "speedup": 3.0}
     return results
 
 
-def measure_end_to_end_gnmr(rounds: int = 3) -> dict:
-    """Snapshot a real GNMR and serve its full user base, end to end."""
-    from repro.core import GNMR, GNMRConfig
-    from repro.data import taobao_like
-    from repro.serve import RecommendationService
-
-    data = taobao_like(num_users=200, num_items=400, seed=0)
-    model = GNMR(data, GNMRConfig(pretrain=False, seed=0))
-    service = RecommendationService(model, train=data, batch_users=256)
-    seconds = _best_time(lambda: service.recommend_all(TOP_K), rounds)
-    return {
-        "num_users": data.num_users,
-        "num_items": data.num_items,
-        "k": TOP_K,
-        "users_per_sec": data.num_users / seconds,
-        "seconds": seconds,
-    }
+def measure() -> dict:
+    return {"retrieval": measure_retrieval_throughput(),
+            "ann": measure_ann_tradeoff()}
 
 
-def collect(rounds: int = 5) -> dict:
-    payload = measure_retrieval_throughput(rounds=rounds)
-    payload["end_to_end_gnmr"] = measure_end_to_end_gnmr()
-    payload["reference_matmul_seconds"] = _reference_matmul_seconds()
-    return payload
+def gate(payload: dict, gate) -> None:
+    scaling = payload["retrieval"]["scaling"]
+    gate.check("serving-batch-scaling",
+               scaling["monotone_frac"] >= MONOTONE_MIN,
+               f"worst consecutive batch-size ratio "
+               f"{scaling['monotone_frac']:.2f} (floor {MONOTONE_MIN}; "
+               f"order {scaling['batch_order']})")
+    ann = payload["ann"]
+    num_items = ann["workload"]["num_items"]
+    gate.check("ann-workload-size", num_items >= ANN_ITEMS_MIN,
+               f"{num_items:,} items (floor {ANN_ITEMS_MIN:,})")
+    qualifying = [row for row in ann["sweep"]
+                  if row["recall_at_10"] >= ANN_RECALL_MIN
+                  and row["speedup_vs_exact"] >= ANN_SPEEDUP_MIN]
+    fastest = max(qualifying or ann["sweep"],
+                  key=lambda row: row["speedup_vs_exact"])
+    gate.check("ann-recall-speedup", bool(qualifying),
+               ("fastest qualifying" if qualifying
+                else "no configuration qualifies; fastest of the sweep")
+               + f": quant={fastest['quant']} nprobe={fastest['nprobe']} at "
+               f"{fastest['speedup_vs_exact']:.2f}x exact, recall@10 "
+               f"{fastest['recall_at_10']:.3f} (floors {ANN_SPEEDUP_MIN}x / "
+               f"{ANN_RECALL_MIN})")
 
 
-def collect_ann(rounds: int = 3) -> dict:
-    payload = measure_ann_tradeoff(rounds=rounds)
-    payload["reference_matmul_seconds"] = _reference_matmul_seconds()
-    return payload
-
-
-def save(payload: dict, path: Path = RESULTS_PATH) -> Path:
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
-
-
-# ----------------------------------------------------------------------
-# pytest-benchmark entry points (explicit runs on dedicated hardware)
-# ----------------------------------------------------------------------
-
-def test_bench_serving_throughput(benchmark):
-    from conftest import run_once, save_results
-
-    results = run_once(benchmark, collect)
-    save_results("serving_throughput", results)
-    for batch, row in results["batch_sizes"].items():
-        assert row["users_per_sec"] > 0, f"batch {batch} produced no throughput"
-    # which batch size wins is a cache-size question and varies by machine,
-    # but a larger batch must never *cost* meaningful throughput now that
-    # selection is internally chunked (the regression gate enforces the
-    # same floor against the committed payload)
-    assert results["best_users_per_sec"] > 0
-    assert results["scaling"]["monotone_frac"] >= 0.75
-    assert results["reference_matmul_seconds"] > 0
-
-
-def test_bench_serving_ann(benchmark):
-    from conftest import run_once, save_results
-
-    results = run_once(benchmark, collect_ann)
-    save_results("serving_ann", results)
-    assert results["workload"]["num_items"] >= 100_000
-    assert results["best_qualifying"] is not None, (
-        "no (nprobe, quant) configuration reached recall@10 >= 0.95 "
-        "at >= 3x exact throughput")
-
-
-if __name__ == "__main__":  # CI path: no pytest required
-    payload = collect()
-    path = save(payload)
-    print(json.dumps(payload, indent=2))
-    print(f"\nwrote {path}")
-    ann_payload = collect_ann()
-    ann_path = save(ann_payload, ANN_RESULTS_PATH)
-    print(json.dumps(ann_payload, indent=2))
-    print(f"\nwrote {ann_path}")
+if __name__ == "__main__":
+    sys.exit(main("serving", measure, gate))

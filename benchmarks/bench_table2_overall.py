@@ -39,7 +39,7 @@ def test_table2_overall_performance(benchmark, bench_scale, dataset):
     # laptop-scale synthetic data the per-run HR@10 std is ≈ sqrt(p(1−p)/U)
     # (~0.04 at U=150 test users), so instead of asserting a literal rank we
     # require GNMR to be statistically indistinguishable from the best model
-    # and at least median overall; EXPERIMENTS.md reports the exact ranks.
+    # and at least median overall; the printed table carries the exact ranks.
     from repro.analysis import metric_std_error
 
     best_hr = results[ranking[0]]["HR@10"]

@@ -1,4 +1,4 @@
-"""Training throughput benchmarks: full-graph vs mini-batch steps.
+"""Training step ratios: full-graph vs mini-batch, sharding, the dist sweep.
 
 Measures per-step wall time and steps/sec of GNMR pairwise training under
 ``TrainConfig.propagation="full"`` (whole-graph SpMM + dense optimizer
@@ -6,52 +6,61 @@ sweep every step) and ``"async"`` (the :mod:`repro.train.pipeline` path:
 pre-drawn batch stream, fanout-capped per-hop layered blocks, row-sparse
 embedding gradients, lazy per-row Adam) at ``workers=0`` (extraction
 inline on the training thread) and ``workers=1`` (extraction
-double-buffered on a background thread) at two synthetic graph scales,
-and emits ``benchmarks/results/training_throughput.json`` for the CI
-regression gate (``benchmarks/check_regression.py``).
+double-buffered on a background thread) at two synthetic graph scales.
+Three same-run ratios are gated here — the script prints its payload,
+then one PASS/FAIL/skip line per floor, and exits 1 when one is missed:
 
-The headline number, gated: ``speedup_sampled_large`` — the inline
-mini-batch step must be ≥ 3× faster than the full-graph step at batch 32
-on the large graph (best-of-N per-step time, as always): step cost must
-track batch size and fanout, not graph size. ``prefetch_gain`` (inline
-mean step / ``workers=1`` mean step) rides along ungated: it is what the
-background thread buys on this box, and never changes the trajectory.
+* ``speedup_sampled_large`` ≥ ``SAMPLED_MIN`` — the inline mini-batch step
+  against the full-graph step at batch 32 on the large graph (best-of-N
+  per-step time): step cost must track batch size and fanout, not graph
+  size;
+* ``shard_overhead_large`` ≤ ``SHARD_MAX`` — the inline mini-batch step
+  with the embedding tables split across two shards
+  (``GNMRConfig(shards=2)``, parameter-server layout) against the
+  unsharded one, on mean step time;
+* ``dist.sync_speedup`` ≥ ``DIST_MIN`` on ≥ ``DIST_MIN_CORES`` cores — the
+  multi-process parameter server (``repro.dist``: shard-owner processes
+  applying optimizer updates over shared-memory gradient transport), swept
+  across worker counts (sync mode) and staleness windows (async mode),
+  against the single-process sharded step on the same graph. The payload
+  records ``cpu_count`` because the speedup is real concurrency: on fewer
+  cores the sweep still runs and is recorded, and the floor skips.
 
-A bounded-overhead number rides along: ``shard_overhead_large`` — the
-inline mini-batch step with the embedding tables split across two shards
-(``GNMRConfig(shards=2)``, parameter-server layout) versus the unsharded
-one, on mean step time. Sharding routes every gather/gradient through
-per-shard tables, which costs some Python-level bookkeeping per step; the
-gate bounds that tax (``BENCH_SHARD_MAX``) so the sharded path stays a
-constant-factor overhead, never an asymptotic one.
-
-A third section sweeps the multi-process parameter server
-(``repro.dist``): the inline mini-batch step with shard-owner processes
-applying optimizer updates over shared-memory gradient transport, across
-worker counts (sync mode) and staleness windows (async mode), against the
-single-process sharded step on the same graph. The payload records
-``cpu_count`` alongside the sweep because the speedup is real
-concurrency: on a multi-core box (≥ 4 cores) sync dist must reach
-``BENCH_DIST_MIN`` (1.6×); on fewer cores the sweep still runs and is
-recorded, but the gate skips — a single core can only measure the
-transport overhead, never the overlap win.
+``prefetch_gain`` (inline mean step / ``workers=1`` mean step) rides along
+ungated: it is what the background thread buys on this box, and never
+changes the trajectory. ``benchmarks/e2e`` measures ``train_steps_per_s``
+of one mode (async, unsharded, in-process) and so sees none of the three
+ratios.
 
 The interaction graphs are built directly from random edge lists (the
 latent-factor generator in ``repro.data.synthetic`` is O(users × items)
-and would dominate the benchmark at the large scale).
+and would dominate the benchmark at the large scale)::
 
-Run standalone (no pytest needed)::
-
-    PYTHONPATH=src python benchmarks/bench_training.py
+    PYTHONPATH=src python benchmarks/bench_training.py [--out DIR]
 """
 
-import json
+import os
+import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-RESULTS_PATH = Path(__file__).parent / "results" / "training_throughput.json"
+from gate import main
+
+#: the row-sparse mini-batch path's reason to exist (measured 50x+ on the
+#: large graph; 3x is the acceptance bar — a same-machine ratio, so
+#: shared-runner noise mostly cancels)
+SAMPLED_MIN = 3.0
+#: sharding routes every gather/gradient through per-shard tables: a
+#: bounded constant-factor tax, never an asymptotic one (measured
+#: ~0.8-1.3x; 2x leaves shared-runner headroom)
+SHARD_MAX = 2.0
+#: sync dist must beat the single-process sharded mini-batch step where
+#: concurrent shard owners have real cores; below DIST_MIN_CORES the owner
+#: processes are serialized and the sweep documents transport overhead,
+#: not the concurrency win
+DIST_MIN = 1.6
+DIST_MIN_CORES = 4
 
 BATCH_USERS = 32
 PER_USER = 4
@@ -66,20 +75,6 @@ SCALES = {
     "large": {"num_users": 60000, "num_items": 90000,
               "edges_per_user": 24, "steps": 3},
 }
-
-
-def _reference_matmul_seconds(rounds: int = 5) -> float:
-    """Fixed dense matmul timing — normalizes throughput across machines."""
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((1024, 256)).astype(np.float32)
-    b = rng.standard_normal((256, 2048)).astype(np.float32)
-    a @ b
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        a @ b
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _random_graph_dataset(num_users: int, num_items: int,
@@ -246,8 +241,6 @@ def _dist_config_row(data, *, workers: int, staleness: int,
 
 def measure_dist() -> dict:
     """Worker/staleness sweep of the dist parameter server, small scale."""
-    import os
-
     from repro.core import GNMR, GNMRConfig
 
     spec = SCALES["small"]
@@ -316,7 +309,7 @@ def measure_scale(name: str, spec: dict) -> dict:
         row[f"async_w{workers}"] = mode_row(
             *_measure_block_steps(model, data, steps, workers))
     # same workload with the user/item tables split across two shards —
-    # the mini-batch path's constant-factor sharding tax, gated in CI
+    # the mini-batch path's constant-factor sharding tax (SHARD_MAX)
     sharded_model = GNMR(data, GNMRConfig(pretrain=False, seed=0,
                                           num_layers=2, dtype="float32",
                                           shards=2))
@@ -333,7 +326,7 @@ def measure_scale(name: str, spec: dict) -> dict:
     return row
 
 
-def collect() -> dict:
+def measure() -> dict:
     payload = {
         "workload": {
             "model": "GNMR",
@@ -347,49 +340,32 @@ def collect() -> dict:
                    for name, spec in SCALES.items()},
         "dist": measure_dist(),
     }
-    payload["dist_sync_speedup"] = payload["dist"]["sync_speedup"]
     payload["speedup_sampled_large"] = payload["scales"]["large"]["speedup_sampled"]
     payload["shard_overhead_large"] = payload["scales"]["large"]["shard_overhead"]
-    payload["reference_matmul_seconds"] = _reference_matmul_seconds()
     return payload
 
 
-def save(payload: dict) -> Path:
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    return RESULTS_PATH
+def gate(payload: dict, gate) -> None:
+    speedup = payload["speedup_sampled_large"]
+    gate.check("sampled-training-speedup", speedup >= SAMPLED_MIN,
+               f"{speedup:.2f}x over the full-graph step "
+               f"(floor {SAMPLED_MIN}x)")
+    overhead = payload["shard_overhead_large"]
+    gate.check("shard-overhead", overhead <= SHARD_MAX,
+               f"{overhead:.2f}x the unsharded mini-batch step "
+               f"(ceiling {SHARD_MAX}x, mean step time)")
+    dist = payload["dist"]
+    if dist["cpu_count"] >= DIST_MIN_CORES:
+        gate.check("dist-sync-speedup", dist["sync_speedup"] >= DIST_MIN,
+                   f"{dist['sync_speedup']:.2f}x over the single-process "
+                   f"sharded step at workers={dist['sync_best_workers']} "
+                   f"(floor {DIST_MIN}x on {dist['cpu_count']} cores)")
+    else:
+        gate.skip("dist-sync-speedup",
+                  f"{dist['sync_speedup']:.2f}x measured on "
+                  f"{dist['cpu_count']} core(s); the {DIST_MIN}x floor "
+                  f"needs >= {DIST_MIN_CORES}")
 
 
-# ----------------------------------------------------------------------
-# pytest-benchmark entry points (explicit runs on dedicated hardware)
-# ----------------------------------------------------------------------
-
-def test_bench_training_throughput(benchmark):
-    from conftest import run_once, save_results
-
-    results = run_once(benchmark, collect)
-    save_results("training_throughput", results)
-    for name, row in results["scales"].items():
-        assert row["full"]["steps_per_sec"] > 0, name
-        assert row["async_w0"]["steps_per_sec"] > 0, name
-        assert row["async_w1"]["steps_per_sec"] > 0, name
-    # the whole point of the mini-batch path: step time must not track
-    # graph size — on the large graph it must beat full-graph by a wide
-    # margin
-    assert results["speedup_sampled_large"] >= 3.0
-    # sharding is a bounded constant-factor tax on the mini-batch step
-    assert results["shard_overhead_large"] <= 2.0
-    dist = results["dist"]
-    for row in dist["sync_sweep"] + dist["async_staleness_curve"]:
-        assert row["steps_per_sec"] > 0, row
-    # concurrent shard owners need real cores; on fewer than 4 the sweep
-    # only documents transport overhead and the speedup bar doesn't apply
-    if dist["cpu_count"] >= 4:
-        assert results["dist_sync_speedup"] >= 1.6
-
-
-if __name__ == "__main__":  # CI path: no pytest required
-    payload = collect()
-    path = save(payload)
-    print(json.dumps(payload, indent=2))
-    print(f"\nwrote {path}")
+if __name__ == "__main__":
+    sys.exit(main("training", measure, gate))

@@ -3,7 +3,7 @@
 Every benchmark runs its experiment exactly once (``pedantic`` with one
 round) — these are *reproduction* benchmarks whose value is the result
 table, not statistical timing. Results are printed and also dumped to
-``benchmarks/results/*.json`` so EXPERIMENTS.md can reference them.
+``benchmarks/results/*.json`` (ignored by git).
 """
 
 from __future__ import annotations

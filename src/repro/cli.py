@@ -12,7 +12,6 @@ Examples::
     python -m repro.cli train --scenario d.npz --split temporal
     python -m repro.cli recommend --checkpoint m.npz --topk 10  # JSON top-K
     python -m repro.cli serve --checkpoint m.npz --port 8080    # HTTP tier
-    python -m repro.cli report                      # regenerate EXPERIMENTS.md
 """
 
 from __future__ import annotations
@@ -400,14 +399,6 @@ def cmd_reshard(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    from repro.experiments.report import OUTPUT, generate
-
-    OUTPUT.write_text(generate())
-    print(f"wrote {OUTPUT}")
-    return 0
-
-
 def cmd_scenarios(args) -> int:
     """Print the scenario registry (JSON with --json, table otherwise)."""
     from repro.data import SCENARIOS
@@ -594,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inverted lists probed per query with "
                             "--retriever ivf (the recall dial)")
         p.add_argument("--quant", default="none",
-                       choices=["int8", "fp16", "none"],
+                       choices=["int8", "none"],
                        help="compressed-domain scoring precision for "
                             "--retriever ivf (shortlists are always "
                             "re-ranked in full precision)")
@@ -698,7 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["raise", "skip"],
                           help="NaN/garbage ratings or timestamps: fail "
                                "fast (default) or drop and count")
-    sub.add_parser("report", help="regenerate EXPERIMENTS.md from results")
 
     for p in (p_stats, p_run, p_train, p_rec, p_serve):
         p.add_argument("--users", type=int, default=None)
@@ -711,8 +701,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"stats": cmd_stats, "run": cmd_run, "train": cmd_train,
                 "recommend": cmd_recommend, "serve": cmd_serve,
-                "reshard": cmd_reshard, "report": cmd_report,
-                "scenarios": cmd_scenarios, "ingest": cmd_ingest}
+                "reshard": cmd_reshard, "scenarios": cmd_scenarios,
+                "ingest": cmd_ingest}
     try:
         return handlers[args.command](args)
     except ArtifactError as exc:

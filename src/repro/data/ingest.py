@@ -18,8 +18,9 @@ through this module, in **one pass** over the file:
   until the per-behavior totals are known, then read back straight into
   the final arrays;
 * peak *transient* memory is therefore O(chunk + vocabulary), independent
-  of the number of events in the log — the benchmark
-  ``benchmarks/bench_ingest.py`` measures and CI gates exactly this;
+  of the number of events in the log — the tier-1 test
+  ``TestIngestTransientMemory`` measures and bounds exactly this (a log
+  10x the chunk size: 1.19x the transient memory, bound 3x);
 * the result can be persisted as a **deterministic** ``.npz`` artifact
   (byte-identical across re-ingests of the same log) and reloaded without
   re-parsing: ``repro.cli ingest <csv> --out <npz>`` then

@@ -8,7 +8,7 @@ front it all with :class:`RecommendationService` —
 ``recommend(users, k)``, ``score_candidates``, warm/cold snapshot reload.
 For catalogs where the exact scan is too slow, :mod:`repro.serve.ann`
 provides the opt-in approximate path (:class:`IVFIndex` +
-:class:`ApproxRetriever`: coarse-quantized inverted lists, int8/fp16
+:class:`ApproxRetriever`: coarse-quantized inverted lists, int8
 compressed-domain scoring, exact float re-rank) behind the same retriever
 interface — exact retrieval stays the default and the oracle. The online
 tier lives in :mod:`repro.serve.http`: a stdlib HTTP server with a

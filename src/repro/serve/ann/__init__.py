@@ -3,7 +3,7 @@
 The million-item retrieval path: a seeded k-means coarse quantizer builds
 IVF-style inverted lists over the item embedding snapshot
 (:class:`IVFIndex`), probed lists are scored in the compressed domain
-(float32 / float16 / symmetric per-dim int8 — :mod:`repro.serve.ann.quant`),
+(float32 / symmetric per-dim int8 — :mod:`repro.serve.ann.quant`),
 and the surviving shortlist is re-ranked exactly
 (:class:`ApproxRetriever`, a drop-in for
 :class:`~repro.serve.retriever.TopKRetriever`). The exact blocked path

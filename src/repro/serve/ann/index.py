@@ -4,7 +4,7 @@ Build: k-means over the item embeddings (:func:`~repro.serve.ann.kmeans`,
 seeded and deterministic) partitions the catalog into ``num_lists``
 inverted lists; the catalog is reordered list-contiguously and stored
 through a :class:`~repro.serve.ann.quant.QuantizedItems` codec
-(float32 / float16 / int8).
+(float32 / int8).
 
 Search: queries probe the ``nprobe`` lists whose centroids have the
 highest inner product with the query (the standard MIPS heuristic over an
@@ -38,7 +38,7 @@ class IVFIndex:
     num_lists:
         Inverted lists to build (default ``√J`` clamped to 1024).
     quant:
-        Row codec: ``"none"`` (float32), ``"fp16"``, or ``"int8"``.
+        Row codec: ``"none"`` (float32) or ``"int8"``.
     seed:
         Seeds the k-means coarse quantizer — same snapshot + seed →
         identical index.

@@ -5,7 +5,6 @@ decides how those rows are stored and how a probed slice turns back into
 a float32 operand for the per-list GEMM:
 
 * ``none``  — float32 rows, slices are views (reference path).
-* ``fp16``  — float16 rows (half the bytes); slices upcast on probe.
 * ``int8``  — symmetric per-dimension quantization: one positive float32
   ``scale[d]`` per dimension with ``code = round(x / scale)`` in
   [-127, 127]. Scoring never decodes the table: the scale vector is
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-QUANT_KINDS = ("none", "fp16", "int8")
+QUANT_KINDS = ("none", "int8")
 
 
 def quantize_int8(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,8 +63,6 @@ class QuantizedItems:
         self._scale: np.ndarray | None = None
         if kind == "none":
             self._rows = matrix
-        elif kind == "fp16":
-            self._rows = matrix.astype(np.float16)
         else:
             self._rows, self._scale = quantize_int8(matrix)
 

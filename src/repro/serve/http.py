@@ -51,6 +51,10 @@ class ServerBusy(RuntimeError):
 
 _SHUTDOWN = object()  # queue sentinel that stops the batcher worker
 
+#: largest ``POST /recommend`` body the handler will read (1 MiB holds a
+#: batch of ~100k user ids; a larger declared length is refused unread)
+MAX_BODY_BYTES = 1 << 20
+
 
 class _Pending:
     """One in-flight request: a single-waiter future the batcher resolves."""
@@ -632,10 +636,30 @@ class _RequestHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # the body stays unread (a negative length would read to EOF
+            # and hold the handler thread), so the connection cannot be
+            # reused for a next request
+            self.close_connection = True
+            if length < 0:
+                self._send(400, {"error": "Content-Length must be a "
+                                          "non-negative integer"})
+            else:
+                self._send(413, {"error": f"body of {length} bytes exceeds "
+                                          f"{MAX_BODY_BYTES}"})
+            return
+        try:
             body = json.loads(self.rfile.read(length) or b"{}")
-            users = [int(u) for u in body["users"]]
-            k = int(body.get("k", self.server.service.k_default))
-        except (KeyError, TypeError, ValueError):
+            users = body["users"]
+            k = body.get("k", self.server.service.k_default)
+            # ids are JSON integers: int() would also take "12" apart into
+            # users 1 and 2, and truncate true, 1.9 and "k": 2.7
+            if (not isinstance(users, list) or type(k) is not int
+                    or any(type(user) is not int for user in users)):
+                raise TypeError("users and k must be JSON integers")
+        except (KeyError, TypeError, ValueError, RecursionError):
             self._send(400, {"error": "expected JSON body "
                                       '{"users": [...], "k": int}'})
             return

@@ -57,7 +57,7 @@ class RecommendationService:
         tables.
     ann:
         Options for ``retriever="ivf"``: ``nprobe`` (lists probed per
-        query, default 8), ``quant`` (``"none"``/``"fp16"``/``"int8"``),
+        query, default 8), ``quant`` (``"none"``/``"int8"``),
         ``num_lists``, ``shortlist_k``, ``seed``.
 
     Lifecycle: construction cold-loads (snapshot + exclusion mask +

@@ -1,4 +1,4 @@
-"""Utility helpers: the artifact container, checkpointing, hashing, timing."""
+"""Utility helpers: the artifact container, checkpointing, hashing."""
 
 from repro.utils.artifact import ArtifactError
 from repro.utils.checkpoint import (
@@ -7,7 +7,6 @@ from repro.utils.checkpoint import (
     save_checkpoint,
 )
 from repro.utils.integrity import array_sha256
-from repro.utils.timing import Timer
 
 __all__ = ["save_checkpoint", "load_checkpoint", "peek_checkpoint",
-           "ArtifactError", "array_sha256", "Timer"]
+           "ArtifactError", "array_sha256"]

@@ -343,28 +343,37 @@ class TestIngestTransientMemory:
         """10x more rows must not mean 10x more transient memory.
 
         Transient = tracemalloc peak minus what remains allocated at the
-        end (the dataset itself): the chunked two-pass design keeps it
+        end (the dataset itself): the chunked one-pass design keeps it
         proportional to the chunk and the vocabularies, never the log.
+        The claim is vacuous unless the big log spans >= 10 chunks and
+        both logs see the whole entity universe (so the vocabularies cost
+        the same for either), which is asserted first.
         """
         import tracemalloc
 
-        small = _write_log(tmp_path / "small.csv",
-                           _random_log_rows(600, seed=1))
-        big = _write_log(tmp_path / "big.csv",
-                         _random_log_rows(6000, seed=2))
+        chunk_rows, num_users, num_items = 2_000, 100, 200
+        small = _write_log(tmp_path / "small.csv", _random_log_rows(
+            chunk_rows, num_users, num_items, seed=1))
+        big = _write_log(tmp_path / "big.csv", _random_log_rows(
+            10 * chunk_rows, num_users, num_items, seed=2))
 
         def transient(path):
             tracemalloc.start()
             try:
-                ingest_csv(path, name="m", target_behavior="buy",
-                           chunk_rows=500)
+                dataset, report = ingest_csv(
+                    path, name="m", target_behavior="buy",
+                    chunk_rows=chunk_rows)
                 current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            return peak - current
+            assert (dataset.num_users, dataset.num_items) == (num_users,
+                                                              num_items)
+            return peak - current, report
 
-        small_transient = transient(small)
-        big_transient = transient(big)
+        small_transient, small_report = transient(small)
+        big_transient, big_report = transient(big)
+        assert small_report.chunks == 1
+        assert big_report.rows_read >= 10 * chunk_rows
         assert big_transient < small_transient * 3, (
             f"transient memory grew with the log: {small_transient} -> "
             f"{big_transient} bytes for 10x the rows")

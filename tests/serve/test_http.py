@@ -8,6 +8,7 @@ requests, the cold-user extraction path, the reload lock, and the CLI
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -24,6 +25,7 @@ from repro.serve import (
     RecommendationService,
     ServerBusy,
 )
+from repro.serve.http import MAX_BODY_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -255,11 +257,33 @@ class TestEndpoints:
         b'{"users": []}',
         b'{"users": [99999]}',
         b'{"users": [0], "k": 0}',
+        b'{"users": "12"}',           # not users 1 and 2
+        b'{"users": [true]}',         # not user 1
+        b'{"users": [1.9]}',          # not user 1
+        b'{"users": [0], "k": 2.7}',  # not k=2
+        pytest.param(b"[" * 100_000,  # RecursionError inside json.loads
+                     id="nested-100k-deep"),
     ])
     def test_bad_batch_requests_are_400(self, server, body):
         status, payload = _post(server.port, "/recommend", body)
         assert status == 400
         assert "error" in payload
+
+    @pytest.mark.parametrize("length, expected", [
+        ("-1", 400),                  # rfile.read(-1) would read to EOF
+        ("12.5", 400),
+        (str(MAX_BODY_BYTES + 1), 413),
+    ])
+    def test_bad_content_length_is_answered_unread(self, server, length,
+                                                   expected):
+        """The client keeps its socket open and sends no body: the answer
+        must not wait for one."""
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"POST /recommend HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: " + length.encode() + b"\r\n\r\n")
+            status_line = sock.makefile("rb").readline()
+        assert int(status_line.split()[1]) == expected
 
     def test_unknown_paths_are_404(self, server):
         assert _get(server.port, "/nope")[0] == 404
