@@ -195,40 +195,6 @@ class Recommender(Module):
         """
         return None
 
-    def recommend_topk(self, users, k: int = 10, *, train=None,
-                       exclude: str | tuple | list | None = "target",
-                       batch_users: int = 256, dtype=None):
-        """Batched top-K recommendations through the serving subsystem.
-
-        Convenience wrapper building a one-shot
-        :class:`~repro.serve.RecommendationService`; long-lived serving
-        should construct the service once and reuse it across requests.
-
-        Parameters
-        ----------
-        users:
-            One user id or an array of them.
-        train:
-            Training dataset providing the seen-item exclusion mask
-            (``None`` → nothing excluded).
-        exclude:
-            Which behaviors make items non-recommendable (see
-            :class:`~repro.serve.ExclusionMask.from_dataset`).
-        dtype:
-            Snapshot precision; ``None`` keeps the model's own dtype so
-            results match ``score`` exactly.
-
-        Returns
-        -------
-        repro.serve.TopKResult
-        """
-        from repro.serve import RecommendationService
-
-        service = RecommendationService(self, train=train, dtype=dtype,
-                                        k_default=k, batch_users=batch_users,
-                                        exclude=exclude, auto_refresh=False)
-        return service.recommend(users, k)
-
     # ------------------------------------------------------------------
     # application API
     # ------------------------------------------------------------------

@@ -97,8 +97,11 @@ class ApproxRetriever:
         self.shortlist_k = None if shortlist_k is None else int(shortlist_k)
 
     # ------------------------------------------------------------------
-    def retrieve(self, users: np.ndarray, k: int) -> TopKResult:
-        """Approximate top-``k`` items per user, seen items excluded."""
+    def retrieve(self, users: np.ndarray, k: int,
+                 queries: np.ndarray | None = None) -> TopKResult:
+        """Approximate top-``k`` items per user, seen items excluded;
+        ``queries`` as in
+        :meth:`~repro.serve.retriever.TopKRetriever.retrieve`."""
         users = np.atleast_1d(np.asarray(users, dtype=np.int64))
         if k <= 0:
             raise ValueError("k must be positive")
@@ -113,10 +116,11 @@ class ApproxRetriever:
             excl_bounds = np.concatenate(([0], np.cumsum(excl_counts)))
         for start in range(0, users.size, self.batch_users):
             stop = min(start + self.batch_users, users.size)
-            queries = np.ascontiguousarray(
-                self.backend.user_matrix[users[start:stop]], dtype=np.float32)
+            rows = (self.backend.user_matrix[users[start:stop]]
+                    if queries is None else queries[start:stop])
+            rows = np.ascontiguousarray(rows, dtype=np.float32)
             counts, cand_items, cand_scores = self.index.search_block(
-                queries, self.nprobe)
+                rows, self.nprobe)
             cand_rows = np.repeat(np.arange(stop - start), counts)
             if self.exclude is not None:
                 self._stamp_excluded(
@@ -124,7 +128,7 @@ class ApproxRetriever:
                     excl_counts[start:stop],
                     excl_cols[excl_bounds[start]:excl_bounds[stop]])
             top_items, top_scores = self._shortlist_and_rerank(
-                queries, counts, cand_rows, cand_items, cand_scores,
+                rows, counts, cand_rows, cand_items, cand_scores,
                 shortlist, k_eff)
             items[start:stop] = top_items
             scores[start:stop] = top_scores

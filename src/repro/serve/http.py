@@ -12,12 +12,13 @@ repo's no-deps stance extends to the serving tier):
   ``ApproxRetriever``), fanning the rows back out per request. Retrieval
   cost is dominated by the catalog scan, which batching amortizes across
   requesters — the two dials trade tail latency for throughput.
-* **Hot snapshot swap** — a background thread polls the model's engine
-  version and rebuilds the snapshot (and, for ``retriever="ivf"``, the
-  IVF index through the version-keyed ``store.ann_index`` cache) *off*
-  the request path, then flips the service's retriever reference
-  atomically: in-flight requests finish on the old snapshot, the next
-  batch sees the new one, and no request ever waits on a rebuild.
+* **Hot snapshot swap** — a background thread polls
+  ``service.refresh()``, which builds the next snapshot (and, for
+  ``retriever="ivf"``, its IVF index) *off* the request path and then
+  replaces the service's ``(store, retriever)`` pair in one assignment:
+  in-flight requests finish on the old snapshot, the next batch sees the
+  new one, no request ever waits on a rebuild, and every body reports
+  the ``snapshot_version`` of the tables that produced its items.
 * **Cold users** — a user who entered the graph after the current
   snapshot gets a fresh embedding on demand through single-seed layered
   extraction (``graph/layered.py``, ``fanout=None``) instead of a 404 or
@@ -54,6 +55,15 @@ _SHUTDOWN = object()  # queue sentinel that stops the batcher worker
 #: largest ``POST /recommend`` body the handler will read (1 MiB holds a
 #: batch of ~100k user ids; a larger declared length is refused unread)
 MAX_BODY_BYTES = 1 << 20
+
+#: socket timeout of a handler thread: a client that stalls mid-request
+#: (or idles a keep-alive connection) is answered 408 or hung up on after
+#: this long instead of holding the thread for as long as it stays
+READ_TIMEOUT_S = 30.0
+
+#: largest ``k`` a request may ask for; beyond it the body would be the
+#: whole catalogue per user
+MAX_K = 1000
 
 
 class _Pending:
@@ -381,9 +391,9 @@ class RecommendationHTTPServer(ThreadingHTTPServer):
     Parameters
     ----------
     service:
-        A :class:`~repro.serve.RecommendationService`. Its
-        ``auto_refresh`` is forced off — freshness is this server's job,
-        handled by a background thread so no request pays for a rebuild.
+        A :class:`~repro.serve.RecommendationService`. Keeping it fresh
+        is this server's job: a background thread calls its ``refresh()``
+        so no request pays for a rebuild.
     host, port:
         Bind address (``port=0`` picks a free port; read it back from
         ``server.port``).
@@ -414,14 +424,11 @@ class RecommendationHTTPServer(ThreadingHTTPServer):
                  request_timeout_s: float = 30.0, quiet: bool = True):
         super().__init__((host, port), _RequestHandler)
         self.service = service
-        # the watcher owns freshness; per-request checks would put the
-        # snapshot rebuild back on the request path
-        service.auto_refresh = False
         self.quiet = quiet
         self.request_timeout_s = float(request_timeout_s)
         self.poll_interval_s = float(poll_interval_ms) / 1000.0
         self.stats = ServingStats()
-        self.batcher = DynamicBatcher(self._execute_batch,
+        self.batcher = DynamicBatcher(self._retrieve,
                                       max_batch=max_batch,
                                       max_wait_ms=max_wait_ms,
                                       max_queue=max_queue)
@@ -464,34 +471,31 @@ class RecommendationHTTPServer(ThreadingHTTPServer):
     def check_freshness(self) -> bool:
         """One freshness poll: hot-swap the snapshot if the model moved.
 
-        ``service.reload()`` rebuilds the snapshot tables (and the IVF
-        index, via the version-keyed ``store.ann_index`` cache) and then
-        flips ``service.retriever`` to a new object in one assignment —
-        requests that already grabbed the old retriever finish on the
-        old snapshot. Returns whether a swap happened.
+        ``service.refresh()`` builds the next store, retriever and IVF
+        index and then replaces the served pair in one assignment —
+        requests that already read the old pair finish on the old
+        snapshot. Returns whether a swap happened.
 
-        A snapshot that fails integrity verification during the swap
-        (mutated serving tables, a producer-hash mismatch) is *rejected*:
-        the error is counted in ``swap_errors``, the service rolls back
-        to the newest archived good snapshot (counted in ``rollbacks``),
-        and requests keep bit-matching the last good tables — ``/healthz``
-        never goes red over a bad swap.
+        A swap that finds the served tables failing integrity
+        verification (mutated in place) is *rejected*: the error is
+        counted in ``swap_errors``, the service rolls back to the newest
+        archived good snapshot (counted in ``rollbacks``), and requests
+        keep bit-matching the last good tables — ``/healthz`` never goes
+        red over a bad swap.
         """
-        service = self.service
-        if service.store is None or not service.store.is_stale(service.model):
-            return False
         try:
-            service.reload()
+            swapped = self.service.refresh()
         except SnapshotIntegrityError:
             self.stats.record_swap_error()
             try:
-                service.recover()
+                self.service.recover()
                 self.stats.record_rollback()
             except ValueError:
                 pass  # nothing archived yet — current tables stay up
             return False
-        self.stats.record_swap()
-        return True
+        if swapped:
+            self.stats.record_swap()
+        return swapped
 
     def _watch_freshness(self) -> None:
         while not self._stop.wait(self.poll_interval_s):
@@ -504,11 +508,18 @@ class RecommendationHTTPServer(ThreadingHTTPServer):
     # ------------------------------------------------------------------
     # request execution (called from handler threads / the batcher)
     # ------------------------------------------------------------------
-    def _execute_batch(self, users: list[int], k: int) -> list[dict]:
+    def _retrieve(self, users: list[int], k: int,
+                  cold: bool = False) -> list[tuple[dict, int | None]]:
+        """Ask the service once, timed as ``retrieve``: per user, the row
+        and the version of the tables that produced it — the service
+        stamps each result from the one ``(store, retriever)`` pair it
+        retrieved with, so a body's ``snapshot_version`` cannot belong to
+        another snapshot's items, mid-swap included."""
         started = time.monotonic()
-        result = self.service.recommend(np.asarray(users, dtype=np.int64), k)
+        ask = self.service.recommend_cold if cold else self.service.recommend
+        result = ask(np.asarray(users, dtype=np.int64), k)
         self.stats.record_latency("retrieve", time.monotonic() - started)
-        return result.to_payload()
+        return [(row, result.version) for row in result.to_payload()]
 
     def recommend_one(self, user: int, k: int, cold: bool = False) -> dict:
         """One user's recommendations — batched warm path or cold path."""
@@ -517,28 +528,21 @@ class RecommendationHTTPServer(ThreadingHTTPServer):
             cold = True  # user entered the graph after the snapshot
         if cold:
             self.stats.record_request("cold")
-            started = time.monotonic()
-            result = self.service.recommend_cold(user, k)
-            self.stats.record_latency("retrieve", time.monotonic() - started)
-            row = result.to_payload()[0]
+            row, version = self._retrieve([user], k, cold=True)[0]
         else:
             self.stats.record_request("recommend")
             pending = self.batcher.submit(user, k)
-            row = pending.result(timeout=self.request_timeout_s)
+            row, version = pending.result(timeout=self.request_timeout_s)
             self.stats.record_latency("queue_wait", pending.queue_wait_s)
         return {"user": int(user), "k": int(k), "cold": bool(cold),
-                "snapshot_version": self.service.snapshot_version,
-                "items": row["items"]}
+                "snapshot_version": version, "items": row["items"]}
 
     def recommend_many(self, users: list[int], k: int) -> dict:
         """An already-batched request — skips the coalescing queue."""
         self.stats.record_request("recommend_batch")
-        started = time.monotonic()
-        result = self.service.recommend(np.asarray(users, dtype=np.int64), k)
-        self.stats.record_latency("retrieve", time.monotonic() - started)
-        return {"k": int(k),
-                "snapshot_version": self.service.snapshot_version,
-                "recommendations": result.to_payload()}
+        rows = self._retrieve(users, k)
+        return {"k": int(k), "snapshot_version": rows[0][1],
+                "recommendations": [row for row, _ in rows]}
 
     # ------------------------------------------------------------------
     # endpoint payloads
@@ -568,6 +572,21 @@ class _RequestHandler(BaseHTTPRequestHandler):
     # hostage for ~40ms — an order of magnitude over the retrieval itself
     disable_nagle_algorithm = True
 
+    def setup(self) -> None:
+        # ``StreamRequestHandler`` makes this the socket timeout; a request
+        # line that stalls past it makes the stdlib drop the connection
+        self.timeout = READ_TIMEOUT_S
+        super().setup()
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:
+            # the client hung up mid-request or before its answer: nobody
+            # to tell, and not an error of this server's to print a
+            # traceback for; ``finish`` closes the connection
+            pass
+
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if not self.server.quiet:
             BaseHTTPRequestHandler.log_message(self, format, *args)
@@ -577,11 +596,19 @@ class _RequestHandler(BaseHTTPRequestHandler):
         body = json.dumps(payload).encode("utf-8")
         if status >= 400:
             self.server.stats.record_error()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # the timeout is for reads; writes block as they always did. Under
+        # it the headers-then-body pair of sends cost ``POST`` answers ~5%
+        # and on some connections a 20-40 ms stall each (the body waiting
+        # on the client's delayed ACK)
+        self.connection.settimeout(None)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        finally:
+            self.connection.settimeout(self.timeout)
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         started = time.monotonic()
@@ -608,8 +635,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
         if not 0 <= user < self.server.service.model.num_users:
             self._send(400, {"error": f"user {user} out of range"})
             return
-        if k <= 0:
-            self._send(400, {"error": "k must be positive"})
+        if not 0 < k <= MAX_K:
+            self._send(400, {"error": f"k must be in [1, {MAX_K}]"})
             return
         try:
             payload = self.server.recommend_one(user, k, cold=cold)
@@ -651,7 +678,18 @@ class _RequestHandler(BaseHTTPRequestHandler):
                                           f"{MAX_BODY_BYTES}"})
             return
         try:
-            body = json.loads(self.rfile.read(length) or b"{}")
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raw = b""
+        if len(raw) < length:
+            # the rest may still arrive and would be parsed as the next
+            # request line, so the connection cannot be reused
+            self.close_connection = True
+            self._send(408, {"error": f"body did not reach the {length} "
+                                      "bytes Content-Length declared"})
+            return
+        try:
+            body = json.loads(raw or b"{}")
             users = body["users"]
             k = body.get("k", self.server.service.k_default)
             # ids are JSON integers: int() would also take "12" apart into
@@ -668,8 +706,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self._send(400, {"error": "users must be a non-empty list of "
                                       f"ids in [0, {num_users})"})
             return
-        if k <= 0:
-            self._send(400, {"error": "k must be positive"})
+        if not 0 < k <= MAX_K:
+            self._send(400, {"error": f"k must be in [1, {MAX_K}]"})
             return
         try:
             payload = self.server.recommend_many(users, k)

@@ -39,11 +39,16 @@ class TopKResult:
         fewer than k recommendable items (catalog exhausted by exclusions).
     scores:
         (U, k) preference scores aligned with ``items``; ``-inf`` on pads.
+    version:
+        Engine version of the snapshot that produced the rows — stamped by
+        :class:`~repro.serve.service.RecommendationService`; ``None`` from
+        a bare retriever, which knows tables, not versions.
     """
 
     users: np.ndarray
     items: np.ndarray
     scores: np.ndarray
+    version: int | None = None
 
     @property
     def k(self) -> int:
@@ -135,9 +140,15 @@ class MatrixBackend:
                     out: np.ndarray | None = None) -> np.ndarray:
         """Scores of a user block against the full catalog: (B, J)."""
         users = np.asarray(users, dtype=np.int64)
+        return self.score_queries(self.user_matrix[users], out)
+
+    def score_queries(self, queries: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        """Scores of (B, D) query vectors against the full catalog: (B, J)
+        — stored user rows, or the cold-user path's freshly extracted ones."""
         if out is not None:
-            return np.dot(self.user_matrix[users], self._item_t, out=out)
-        return self.user_matrix[users] @ self._item_t
+            return np.dot(queries, self._item_t, out=out)
+        return queries @ self._item_t
 
     def score_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Pairwise scores for parallel (user, item) index arrays."""
@@ -359,11 +370,20 @@ class TopKRetriever:
         chunk = min(self.batch_users, max(16, int(budget)))
         return chunk, np.empty((chunk, num_items), dtype=dtype)
 
-    def retrieve(self, users: np.ndarray, k: int) -> TopKResult:
-        """Top-``k`` items per user, seen items excluded."""
+    def retrieve(self, users: np.ndarray, k: int,
+                 queries: np.ndarray | None = None) -> TopKResult:
+        """Top-``k`` items per user, seen items excluded.
+
+        ``queries`` — (U, D) vectors to score in place of the backend's
+        stored rows for ``users`` (the cold-user path; matrix backends
+        only). ``users`` still selects the exclusion rows, and chunking,
+        stamping and selection are the same either way.
+        """
         users = np.atleast_1d(np.asarray(users, dtype=np.int64))
         if k <= 0:
             raise ValueError("k must be positive")
+        if queries is not None:
+            queries = np.asarray(queries, dtype=self.backend.user_matrix.dtype)
         num_items = self.backend.num_items
         k_eff = min(int(k), num_items)
         items = np.full((users.size, k_eff), -1, dtype=np.int64)
@@ -375,7 +395,10 @@ class TopKRetriever:
         for start in range(0, users.size, chunk):
             stop = min(start + chunk, users.size)
             block = users[start:stop]
-            if scratch is not None:
+            if queries is not None:
+                block_scores = self.backend.score_queries(
+                    queries[start:stop], out=scratch[:stop - start])
+            elif scratch is not None:
                 block_scores = self.backend.score_block(
                     block, out=scratch[:stop - start])
             else:

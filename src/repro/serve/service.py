@@ -1,15 +1,19 @@
-"""The serving facade: snapshot + retriever + exclusions in one object.
+"""The serving facade: the one mutable object of the serving tier.
 
 ``RecommendationService`` is what an application holds: it snapshots the
-model's serving embeddings once (float32 by default), builds the seen-item
+model's serving embeddings (float32 by default) into an immutable
+:class:`~repro.serve.store.EmbeddingStore`, builds the seen-item
 exclusion mask from the training data, and answers ``recommend`` /
-``score_candidates`` requests without touching autograd or re-propagating
-the graph. When the underlying model trains on (engine version bump), the
-service warm-reloads the snapshot transparently on the next request.
+``recommend_cold`` without touching autograd or re-propagating the graph.
+*What is being served right now* is one reference, the current
+``(store, retriever)`` pair, replaced whole by ``refresh()`` /
+``reload()`` / ``recover()`` and by nothing else: after training, call
+``refresh()`` (behind HTTP the watcher thread does).
 """
 
 from __future__ import annotations
 
+import collections
 import threading
 
 import numpy as np
@@ -21,6 +25,9 @@ from repro.serve.retriever import (
     TopKRetriever,
 )
 from repro.serve.store import EmbeddingStore, model_version
+
+#: what ``ann=`` may carry for ``retriever="ivf"``
+ANN_OPTIONS = ("nprobe", "quant", "num_lists", "shortlist_k", "seed")
 
 
 class RecommendationService:
@@ -45,26 +52,29 @@ class RecommendationService:
         ``"target"`` / ``"all"`` / iterable of behavior names — which
         interactions make an item non-recommendable for a user; ``None``
         disables exclusion even when ``train`` is given.
-    auto_refresh:
-        Warm-reload the snapshot automatically when the model's engine
-        version moved (default on).
     retriever:
         ``"exact"`` (default) — blocked full-catalog scan; ``"ivf"`` —
         approximate retrieval through an
         :class:`~repro.serve.ann.IVFIndex` built over the snapshot's item
-        matrix (requires a factored model). The index follows the
-        snapshot lifecycle: a warm reload rebuilds it against the fresh
-        tables.
+        matrix (requires a factored model). Every installed snapshot gets
+        an index of its own, built before the snapshot starts serving.
     ann:
         Options for ``retriever="ivf"``: ``nprobe`` (lists probed per
         query, default 8), ``quant`` (``"none"``/``"int8"``),
-        ``num_lists``, ``shortlist_k``, ``seed``.
+        ``num_lists``, ``shortlist_k``, ``seed``. Any other key raises
+        ``ValueError``.
+    retain:
+        Earlier snapshots kept for :meth:`recover` (keep-last-N, default
+        2). Every swap archives the outgoing store after re-verifying its
+        hash, so a bad swap can be undone back to the last N good
+        versions. ``0`` keeps nothing.
 
-    Lifecycle: construction cold-loads (snapshot + exclusion mask +
-    retriever); every ``recommend`` / ``score_candidates`` call first
-    checks the model's engine version and warm-reloads a stale snapshot;
-    ``reload(cold=True)`` rebuilds everything (e.g. after the training
-    data — and thus the exclusion mask — changed).
+    Lifecycle: construction snapshots the model and builds the exclusion
+    mask and the retriever; a request reads the ``(store, retriever)``
+    pair once and finishes on what it read. The pair changes only when
+    asked to, always through :meth:`_install`: :meth:`refresh` swaps in a
+    new snapshot if the model's engine version moved, :meth:`reload`
+    unconditionally, :meth:`recover` swaps an archived one back in.
 
     >>> import numpy as np
     >>> from repro.data import taobao_like
@@ -82,34 +92,46 @@ class RecommendationService:
     def __init__(self, model, train=None, *, dtype="float32",
                  k_default: int = 10, batch_users: int = 256,
                  exclude: str | tuple | list | None = "target",
-                 auto_refresh: bool = True, retriever: str = "exact",
-                 ann: dict | None = None, retain: int = 2):
+                 retriever: str = "exact", ann: dict | None = None,
+                 retain: int = 2):
         if retriever not in ("exact", "ivf"):
             raise ValueError(f"unknown retriever {retriever!r}; "
                              "expected 'exact' or 'ivf'")
+        if retain < 0:
+            raise ValueError("retain must be >= 0")
+        self.ann_options = dict(ann or {})
+        for key in self.ann_options:
+            if key not in ANN_OPTIONS:
+                raise ValueError(f"unknown ann option {key!r}; expected "
+                                 f"one of {', '.join(ANN_OPTIONS)}")
         self.model = model
-        self.train = train
         self.dtype = dtype
         self.k_default = int(k_default)
         self.batch_users = int(batch_users)
-        self.exclude_behaviors = exclude
-        self.auto_refresh = auto_refresh
         self.retriever_kind = retriever
-        self.ann_options = dict(ann or {})
-        self.retain = int(retain)
-        # Guards the snapshot lifecycle (reload / freshness check) against
-        # concurrent callers — the HTTP tier runs the freshness check on a
-        # background thread while request threads call ``recommend``.
-        self._lock = threading.RLock()
-        self._cold_load()
+        if train is not None and exclude is not None:
+            self.exclusions = ExclusionMask.from_dataset(train,
+                                                         behaviors=exclude)
+        else:
+            self.exclusions = None
+        #: verified earlier stores, oldest first, caches stripped
+        self._archive: collections.deque = collections.deque(maxlen=retain)
+        # serializes snapshot transitions (the HTTP watcher thread, an
+        # operator's reload); request threads never take it
+        self._lock = threading.Lock()
+        store = self._snapshot()
+        self._current = (store, self._build_retriever(store))
 
     # ------------------------------------------------------------------
     # snapshot lifecycle
     # ------------------------------------------------------------------
-    def _build_retriever(self):
-        """The retriever for the current snapshot (exact or IVF)."""
+    def _snapshot(self) -> EmbeddingStore | None:
+        return EmbeddingStore.snapshot(self.model, dtype=self.dtype)
+
+    def _build_retriever(self, store: EmbeddingStore | None):
+        """The retriever over ``store`` (exact or IVF, index included)."""
         if self.retriever_kind == "ivf":
-            if self.store is None:
+            if store is None:
                 raise ValueError(
                     "retriever='ivf' needs a factored model (serving "
                     "embeddings); this model only supports exact "
@@ -117,126 +139,135 @@ class RecommendationService:
             from repro.serve.ann import ApproxRetriever
 
             opts = self.ann_options
-            index = self.store.ann_index(
+            index = store.ann_index(
                 num_lists=opts.get("num_lists"),
                 quant=opts.get("quant", "none"),
                 seed=opts.get("seed", 0))
             return ApproxRetriever(
-                self.store.backend(), index, exclude=self.exclusions,
+                store.backend(), index, exclude=self.exclusions,
                 batch_users=self.batch_users,
                 nprobe=opts.get("nprobe", 8),
                 shortlist_k=opts.get("shortlist_k"))
-        backend = (self.store.backend() if self.store is not None
+        backend = (store.backend() if store is not None
                    else ScorerBackend(self.model))
         return TopKRetriever(backend, exclude=self.exclusions,
                              batch_users=self.batch_users)
 
-    def _cold_load(self) -> None:
-        """Rebuild everything: snapshot, exclusion mask, retriever."""
-        self.store = EmbeddingStore.snapshot(self.model, dtype=self.dtype,
-                                             retain=self.retain)
-        if self.train is not None and self.exclude_behaviors is not None:
-            self.exclusions = ExclusionMask.from_dataset(
-                self.train, behaviors=self.exclude_behaviors)
-        else:
-            self.exclusions = None
-        self.retriever = self._build_retriever()
+    def _install(self, store: EmbeddingStore | None, *,
+                 archive_outgoing: bool) -> None:
+        """The one snapshot transition: make ``store`` what is served.
 
-    def reload(self, cold: bool = False) -> bool:
-        """Refresh the serving state from the model.
+        In order: re-hash the outgoing tables (a mutated supposedly-frozen
+        snapshot raises :class:`~repro.serve.store.SnapshotIntegrityError`
+        and is neither archived as "good" nor replaced), build the
+        incoming retriever with its index, and only then replace the
+        ``(store, retriever)`` pair in one assignment — a request that
+        already read the old pair finishes on the old tables, and at no
+        instant is a version served over another version's items.
+        Callers hold ``self._lock``.
+        """
+        outgoing = self.store
+        archive_outgoing = archive_outgoing and outgoing is not None
+        if archive_outgoing:
+            outgoing.verify()
+        retriever = self._build_retriever(store)
+        if archive_outgoing and self._archive.maxlen:
+            # a store over the same tables without the derived caches (the
+            # transposed catalog copy, an IVF index): a restore rebuilds them
+            self._archive.append(EmbeddingStore(
+                outgoing.user_matrix, outgoing.item_matrix,
+                version=outgoing.version, dtype=None, source=outgoing.source))
+        self._current = (store, retriever)
 
-        Warm reload (default) re-snapshots the embedding tables in place,
-        keeping the exclusion mask and retriever wiring; cold reload
-        rebuilds everything (use after swapping the training dataset or
-        when the model gained/lost its factored form). Returns whether
-        serving tables actually changed.
+    def reload(self) -> None:
+        """Snapshot the model again and swap it in, unconditionally.
+
+        For models without an observable version (no engine) and for
+        operators who want a swap now; :meth:`refresh` is the cheap check.
         """
         with self._lock:
-            if cold or self.store is None:
-                self._cold_load()
-                return True
-            changed = self.store.refresh(self.model, force=True)
-            self._rewire_retriever()
-            return changed
+            self._install(self._snapshot(), archive_outgoing=True)
+
+    def refresh(self) -> bool:
+        """Swap in a new snapshot if the model trained past the served one:
+        its engine version differs from the snapshot's. Version-less and
+        brute-force models are never *observably* stale — :meth:`reload`
+        renews theirs. Returns whether a swap happened.
+        """
+        with self._lock:
+            store, current = self.store, model_version(self.model)
+            if (store is None or None in (current, store.version)
+                    or current == store.version):
+                return False
+            self._install(self._snapshot(), archive_outgoing=True)
+            return True
 
     def recover(self, version: int | None = None) -> int | None:
-        """Roll the snapshot back to an archived good version and rewire.
+        """Swap an archived good snapshot back in (the newest by default).
 
-        The serving-tier escape hatch: when a hot swap produced (or a
-        freshness check discovered) a snapshot that fails integrity
-        verification, ``recover()`` restores the newest archived snapshot
-        — hash-verified on restore — and swaps in a retriever built over
-        it, so requests go back to bit-matching the last good tables.
-        Returns the restored engine version; raises ``ValueError`` when
-        nothing is archived (or for brute-force models with no snapshot).
+        The serving-tier escape hatch when a swap found the served tables
+        corrupt. The restored tables are re-hashed against the fingerprint
+        recorded when they were archived — an archive that rotted in
+        memory raises :class:`~repro.serve.store.SnapshotIntegrityError`
+        rather than serving silently wrong scores — and get a retriever of
+        their own before they serve. ``version`` picks a specific archived
+        engine version; everything archived after it is discarded (rolling
+        back past a snapshot abandons it), and so is the outgoing
+        snapshot. Returns the restored version; raises ``ValueError`` when
+        nothing (or not that version) is archived.
         """
         with self._lock:
-            if self.store is None:
+            available = self.archived_versions()
+            if version is None and available:
+                version = available[-1]
+            if version not in available:
                 raise ValueError(
-                    "brute-force serving has no snapshot to roll back")
-            restored = self.store.rollback(version)
-            self._rewire_retriever()
-            return restored
+                    f"no archived snapshot to roll back to (asked for "
+                    f"version {version}); available: {available}")
+            store = self._archive.pop()
+            while store.version != version:
+                store = self._archive.pop()
+            store.verify()
+            self._install(store, archive_outgoing=False)
+            return store.version
 
-    def _rewire_retriever(self) -> None:
-        """Swap in a retriever built against the refreshed snapshot.
+    def archived_versions(self) -> list[int | None]:
+        """Versions available to :meth:`recover`, oldest first."""
+        return [store.version for store in self._archive]
 
-        Always constructs a *new* retriever object and flips the
-        ``self.retriever`` reference in one assignment: a request thread
-        that already grabbed the old retriever finishes its whole
-        retrieval on the old snapshot instead of seeing tables change
-        under it mid-scan. The IVF index follows along through
-        ``store.ann_index`` (cached per snapshot version, so an
-        unchanged snapshot costs nothing).
-        """
-        self.retriever = self._build_retriever()
+    @property
+    def store(self) -> EmbeddingStore | None:
+        """The snapshot being served (``None`` for brute-force models)."""
+        return self._current[0]
 
-    def _ensure_fresh(self) -> None:
-        if not (self.auto_refresh and self.store is not None):
-            return
-        if not self.store.is_stale(self.model):
-            return
-        with self._lock:
-            if self.store.is_stale(self.model):
-                self.store.refresh(self.model)
-                self._rewire_retriever()
+    @property
+    def retriever(self):
+        """The retriever over :attr:`store`."""
+        return self._current[1]
 
     @property
     def snapshot_version(self) -> int | None:
         """Engine version of the current snapshot (None for brute force)."""
-        if self.store is not None:
-            return self.store.version
+        return self._version_of(self.store)
+
+    def _version_of(self, store: EmbeddingStore | None) -> int | None:
+        if store is not None:
+            return store.version
         return model_version(self.model)
 
     # ------------------------------------------------------------------
     # serving API
     # ------------------------------------------------------------------
     def recommend(self, users, k: int | None = None) -> TopKResult:
-        """Top-K recommendations for one user id or an array of them."""
-        self._ensure_fresh()
-        return self.retriever.retrieve(users, k if k is not None else self.k_default)
+        """Top-K recommendations for one user id or an array of them.
 
-    def recommend_all(self, k: int | None = None,
-                      users: np.ndarray | None = None) -> TopKResult:
-        """Recommendations for every user (or a given subset), batched."""
-        if users is None:
-            num_users = (self.store.num_users if self.store is not None
-                         else self.model.num_users)
-            users = np.arange(num_users, dtype=np.int64)
-        return self.recommend(users, k)
-
-    def score_candidates(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Scores for parallel (user, item) arrays — reranking hook.
-
-        Uses the snapshot when available (no propagation), the model's
-        ``score`` otherwise.
+        ``result.version`` is the version of the tables that produced it.
         """
-        self._ensure_fresh()
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        if self.store is not None:
-            return self.store.score(users, items)
-        return np.asarray(self.model.score(users, items))
+        store, retriever = self._current
+        result = retriever.retrieve(users,
+                                    k if k is not None else self.k_default)
+        result.version = self._version_of(store)
+        return result
 
     # ------------------------------------------------------------------
     # cold-user path
@@ -261,39 +292,33 @@ class RecommendationService:
                 f"{type(self.model).__name__} has no cold-user extraction "
                 "path (needs factored serving embeddings + layered blocks)")
         vectors = np.asarray(vectors)
-        if self.store is not None:
-            vectors = vectors.astype(self.store.user_matrix.dtype, copy=False)
+        if self.dtype is not None:
+            vectors = vectors.astype(self.dtype, copy=False)
         return vectors
 
     def recommend_cold(self, users, k: int | None = None) -> TopKResult:
         """Top-K through a freshly extracted embedding (cold-user path).
 
-        Scores the cold embedding against the *current snapshot's* item
-        matrix with the same GEMM, exclusion stamping, and selection as
-        the warm path — when the model hasn't trained since the snapshot,
-        the result matches :meth:`recommend` (same ranking; scores agree
-        to the extraction's float64-ulp tolerance). Brute-force models
-        (no factored form) already score current parameters, so they just
-        delegate.
+        Asks the *current* retriever with the cold vectors as queries, so
+        they meet the current snapshot's item matrix through the same
+        scan or index probe, exclusion stamping and selection as the warm
+        path — when the model hasn't trained since the snapshot, the
+        result matches :meth:`recommend` (same ranking; scores agree to
+        the extraction's float64-ulp tolerance), under ``"ivf"`` too.
+        Brute-force models (no factored form) already score current
+        parameters, so they just delegate.
         """
+        store, retriever = self._current
         users = np.atleast_1d(np.asarray(users, dtype=np.int64))
         k = int(k) if k is not None else self.k_default
-        if k <= 0:
-            raise ValueError("k must be positive")
-        if self.store is None:
-            return self.retriever.retrieve(users, k)
-        vectors = self.cold_user_embeddings(users)
-        backend = self.store.backend()
-        if vectors.shape[1] != backend.dim:
-            raise ValueError(
-                f"cold embedding dim {vectors.shape[1]} does not match "
-                f"snapshot dim {backend.dim}")
-        # same operand layout as MatrixBackend.score_block: rows @ item_t
-        scores = vectors @ backend.item_matrix.T
-        if self.exclusions is not None:
-            counts, cols = self.exclusions.gather(users)
-            ExclusionMask.stamp(scores, counts, cols)
-        k_eff = min(k, backend.num_items)
-        top_items, top_scores = TopKRetriever._select(scores, k_eff)
-        return TopKResult(users=users, items=top_items,
-                          scores=top_scores.astype(np.float64, copy=False))
+        if store is None:
+            result = retriever.retrieve(users, k)
+        else:
+            vectors = self.cold_user_embeddings(users)
+            if vectors.shape[1] != store.dim:
+                raise ValueError(
+                    f"cold embedding dim {vectors.shape[1]} does not match "
+                    f"snapshot dim {store.dim}")
+            result = retriever.retrieve(users, k, queries=vectors)
+        result.version = self._version_of(store)
+        return result

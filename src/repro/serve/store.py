@@ -2,16 +2,16 @@
 
 Training mutates model parameters every optimizer step and bumps the
 :class:`~repro.graph.engine.PropagationEngine` version; serving must not
-re-propagate the graph per request. The :class:`EmbeddingStore` snapshots
-the model's serving embeddings (for GNMR the engine-cached multi-order
-propagation, concatenated) into plain numpy matrices at a chosen serving
-dtype, remembers the engine version the snapshot was taken at, and can
-tell when a retrain has made it stale.
+re-propagate the graph per request. An :class:`EmbeddingStore` is the
+model's serving embeddings (for GNMR the engine-cached multi-order
+propagation, concatenated) frozen into plain numpy matrices at a chosen
+serving dtype, with the engine version they were taken at and their
+content hash. Which store is being served, and which earlier ones can be
+restored, is :class:`~repro.serve.service.RecommendationService`'s
+business.
 """
 
 from __future__ import annotations
-
-import collections
 
 import numpy as np
 
@@ -38,7 +38,12 @@ def model_version(model) -> int | None:
 
 
 class EmbeddingStore:
-    """A frozen (user_matrix, item_matrix) snapshot keyed by engine version.
+    """An immutable (user_matrix, item_matrix) snapshot keyed by engine version.
+
+    Nothing assigns ``user_matrix``, ``item_matrix``, ``version``,
+    ``content_hash`` or ``source`` after construction, so the derived
+    caches (:meth:`backend`, :meth:`ann_index`) never need invalidating:
+    a newer snapshot is a new store with caches of its own.
 
     Parameters
     ----------
@@ -53,26 +58,14 @@ class EmbeddingStore:
         ranking is bandwidth-bound and the retriever re-ranks in float64.
     source:
         Human-readable provenance label (model name).
-    retain:
-        Archived snapshots kept for :meth:`rollback` (keep-last-N). Every
-        :meth:`refresh` pushes the outgoing tables onto the archive after
-        verifying their hash, so a bad swap can always be undone back to
-        the last N good versions. ``0`` disables the archive.
     """
 
     def __init__(self, user_matrix: np.ndarray, item_matrix: np.ndarray,
                  version: int | None = None, dtype="float32",
-                 source: str = "unknown", retain: int = 2):
-        if retain < 0:
-            raise ValueError("retain must be >= 0")
+                 source: str = "unknown"):
         self.dtype = np.dtype(dtype) if dtype is not None else None
         self.version = version
         self.source = source
-        #: keep-last-N archive of verified outgoing snapshots (oldest first)
-        self._history: collections.deque = collections.deque(maxlen=retain)
-        self._set_matrices(user_matrix, item_matrix)
-
-    def _set_matrices(self, user_matrix, item_matrix) -> None:
         user_matrix = np.asarray(user_matrix)
         item_matrix = np.asarray(item_matrix)
         if self.dtype is not None:
@@ -82,18 +75,15 @@ class EmbeddingStore:
         self.item_matrix = item_matrix
         # content fingerprint recorded at snapshot build: sha256 over both
         # tables' dtype/shape/bytes, the integrity anchor for cross-process
-        # assembly (from_shards) and checkpoint reload round-trips
+        # assembly (from_shards), the service's archive and checkpoint
+        # reload round-trips
         self.content_hash = array_sha256(user_matrix, item_matrix)
         self._backend: MatrixBackend | None = None
-        # ANN indexes are built over the item matrix, so every snapshot
-        # refresh (engine version bump) invalidates them; they rebuild
-        # lazily on the next ann_index call
         self._ann_indexes: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     @classmethod
-    def snapshot(cls, model, dtype="float32",
-                 retain: int = 2) -> "EmbeddingStore | None":
+    def snapshot(cls, model, dtype="float32") -> "EmbeddingStore | None":
         """Snapshot a model's serving embeddings; ``None`` if it has none.
 
         Models without a factored form (``serving_embeddings()`` returning
@@ -106,8 +96,7 @@ class EmbeddingStore:
             return None
         user_matrix, item_matrix = embeddings
         return cls(user_matrix, item_matrix, version=model_version(model),
-                   dtype=dtype, source=getattr(model, "name", "unknown"),
-                   retain=retain)
+                   dtype=dtype, source=getattr(model, "name", "unknown"))
 
     @classmethod
     def from_shards(cls, user_shards, item_shards, *,
@@ -178,13 +167,10 @@ class EmbeddingStore:
                   seed: int = 0):
         """The (cached) IVF index over this snapshot's item matrix.
 
-        Index builds are tied to the snapshot lifecycle: one index per
-        ``(num_lists, quant, seed)`` configuration is kept until the
-        snapshot's tables change (a :meth:`refresh` after an engine
-        version bump), at which point the cache is dropped and the next
-        call rebuilds against the new item matrix. K-means is seeded, so
-        an identical snapshot + configuration always yields an identical
-        index.
+        One index per ``(num_lists, quant, seed)`` configuration, kept for
+        the life of the store: the item matrix it was built over never
+        changes. K-means is seeded, so an identical snapshot +
+        configuration always yields an identical index.
         """
         from repro.serve.ann import IVFIndex
 
@@ -218,100 +204,3 @@ class EmbeddingStore:
                 f"expected fingerprint {expected[:16]}… (source="
                 f"{self.source!r}, version={self.version})")
         return actual
-
-    # ------------------------------------------------------------------
-    def is_stale(self, model) -> bool:
-        """Whether the model has trained past this snapshot.
-
-        True when the model's engine version moved beyond the one the
-        snapshot was taken at. Version-less models are never *observably*
-        stale — refresh them explicitly after training.
-        """
-        current = model_version(model)
-        if current is None or self.version is None:
-            return False
-        return current != self.version
-
-    def refresh(self, model, force: bool = False,
-                expected_hash: str | None = None) -> bool:
-        """Re-snapshot from the model if stale (or ``force``d).
-
-        Every transition is hash-verified on both sides: the *outgoing*
-        tables must still match the fingerprint recorded when they were
-        built (a mutated supposedly-frozen snapshot raises
-        :class:`SnapshotIntegrityError` instead of getting archived as
-        "good"), and with ``expected_hash`` the *incoming* tables must
-        match the producer's fingerprint — on mismatch the outgoing
-        snapshot is put back and the error raised, so a corrupt rebuild
-        never serves. The verified outgoing snapshot lands on the
-        keep-last-N archive for :meth:`rollback`.
-
-        Returns ``True`` when the tables were actually rebuilt.
-        """
-        if not force and not self.is_stale(model):
-            return False
-        self.verify()  # never archive (or discard) corrupt tables silently
-        embeddings = model.serving_embeddings()
-        if embeddings is None:
-            raise ValueError(
-                f"model {getattr(model, 'name', model)!r} no longer exposes "
-                "serving embeddings")
-        self._archive_current()
-        self._set_matrices(*embeddings)
-        if expected_hash is not None:
-            try:
-                self.verify(expected_hash)
-            except SnapshotIntegrityError:
-                if self._history:
-                    self.rollback()
-                raise
-        self.version = model_version(model)
-        return True
-
-    # ------------------------------------------------------------------
-    # retention + rollback
-    # ------------------------------------------------------------------
-    def _archive_current(self) -> None:
-        """Push the current (verified) tables onto the keep-last-N archive."""
-        if self._history.maxlen == 0:
-            return
-        self._history.append({
-            "version": self.version,
-            "user_matrix": self.user_matrix,
-            "item_matrix": self.item_matrix,
-            "content_hash": self.content_hash,
-            "source": self.source,
-        })
-
-    def history_versions(self) -> list[int | None]:
-        """Versions available to :meth:`rollback`, oldest first."""
-        return [record["version"] for record in self._history]
-
-    def rollback(self, version: int | None = None) -> int | None:
-        """Restore an archived snapshot (the newest one by default).
-
-        ``version`` picks a specific archived engine version; everything
-        archived after it is discarded (rolling back past a snapshot
-        abandons it). The restored tables are re-hashed against the
-        fingerprint recorded at archive time — an archive that rotted in
-        memory raises :class:`SnapshotIntegrityError` rather than serving
-        silently wrong scores. Returns the restored version.
-        """
-        if version is not None and not any(
-                record["version"] == version for record in self._history):
-            raise ValueError(
-                f"no archived snapshot with version {version}; available: "
-                f"{self.history_versions()}")
-        record = None
-        while self._history:
-            record = self._history.pop()
-            if version is None or record["version"] == version:
-                break
-        if record is None:
-            raise ValueError("no archived snapshot to roll back to "
-                             "(retain=0, or no refresh has happened yet)")
-        self._set_matrices(record["user_matrix"], record["item_matrix"])
-        self.verify(record["content_hash"])
-        self.version = record["version"]
-        self.source = record["source"]
-        return self.version

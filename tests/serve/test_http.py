@@ -9,6 +9,7 @@ requests, the cold-user extraction path, the reload lock, and the CLI
 import http.client
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -21,11 +22,12 @@ from repro.data import leave_one_out_split
 from repro.models import NGCF, BiasMF
 from repro.serve import (
     DynamicBatcher,
+    EmbeddingStore,
     RecommendationHTTPServer,
     RecommendationService,
     ServerBusy,
 )
-from repro.serve.http import MAX_BODY_BYTES
+from repro.serve.http import MAX_BODY_BYTES, MAX_K
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +68,13 @@ def _wait_until(predicate, timeout: float = 10.0) -> None:
             return
         time.sleep(0.005)
     raise AssertionError("condition not reached in time")
+
+
+def _handler_threads() -> int:
+    """Live per-connection threads of any server (socketserver names them
+    after their target)."""
+    return sum("process_request_thread" in thread.name
+               for thread in threading.enumerate())
 
 
 class GatedService(RecommendationService):
@@ -245,6 +254,7 @@ class TestEndpoints:
         "/recommend?user=10000",     # out of range
         "/recommend?user=-1",        # out of range
         "/recommend?user=0&k=0",     # non-positive k
+        f"/recommend?user=0&k={MAX_K + 1}",  # a whole-catalogue body
     ])
     def test_bad_single_requests_are_400(self, server, path):
         status, payload = _get(server.port, path)
@@ -261,6 +271,7 @@ class TestEndpoints:
         b'{"users": [true]}',         # not user 1
         b'{"users": [1.9]}',          # not user 1
         b'{"users": [0], "k": 2.7}',  # not k=2
+        b'{"users": [0], "k": %d}' % (MAX_K + 1),
         pytest.param(b"[" * 100_000,  # RecursionError inside json.loads
                      id="nested-100k-deep"),
     ])
@@ -284,6 +295,49 @@ class TestEndpoints:
                          b"Content-Length: " + length.encode() + b"\r\n\r\n")
             status_line = sock.makefile("rb").readline()
         assert int(status_line.split()[1]) == expected
+
+    def test_largest_k_is_served(self, server, service):
+        status, payload = _get(server.port, f"/recommend?user=0&k={MAX_K}")
+        assert status == 200
+        assert len(payload["items"]) == len(
+            service.recommend(np.array([0]), MAX_K).as_lists()[0])
+
+    @pytest.mark.parametrize("request_bytes, expected", [
+        # 13 of the 100 declared bytes, then silence
+        (b"POST /recommend HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n"
+         b"\r\n" + b'{"users": [0]', b"408"),
+        # a request line that never ends: the stdlib drops the connection
+        (b"GET /recommend?user=0", None),
+    ], ids=["short-body", "unfinished-request-line"])
+    def test_stalled_reads_release_the_handler(self, server, monkeypatch,
+                                               request_bytes, expected):
+        """The client keeps its socket open and stops sending: it is
+        answered (or hung up on) within the read timeout and the handler
+        thread is gone, instead of held for as long as the client stays."""
+        monkeypatch.setattr("repro.serve.http.READ_TIMEOUT_S", 0.3)
+        _wait_until(lambda: _handler_threads() == 0)
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5) as sock:
+            sock.sendall(request_bytes)
+            reader = sock.makefile("rb")
+            status_line = reader.readline()
+            if expected is None:
+                assert status_line == b""          # closed, nothing sent
+            else:
+                assert status_line.split()[1] == expected
+                # reads to EOF inside the client timeout: connection closed
+                assert b"Content-Length declared" in reader.read()
+            _wait_until(lambda: _handler_threads() == 0)
+
+    def test_short_body_with_eof_is_408(self, server):
+        """The client half-closes after 13 of 100 bytes: no timeout needed."""
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"POST /recommend HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: 100\r\n\r\n" + b'{"users": [0]')
+            sock.shutdown(socket.SHUT_WR)
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == b"408"
 
     def test_unknown_paths_are_404(self, server):
         assert _get(server.port, "/nope")[0] == 404
@@ -378,6 +432,32 @@ class TestCoalescingOverHTTP:
             service.gate.set()
             server.close()
 
+    def test_client_hang_up_is_not_a_traceback(self, gnmr, split, capfd):
+        """The client resets its connection while its batch is pinned: the
+        answer has nowhere to go, and that is not this server's error."""
+        service = GatedService(gnmr, train=split.train, k_default=5)
+        server = RecommendationHTTPServer(service, port=0,
+                                          poll_interval_ms=60_000.0).start()
+        try:
+            _wait_until(lambda: _handler_threads() == 0)
+            service.gate.clear()
+            sock = socket.create_connection(("127.0.0.1", server.port),
+                                            timeout=5)
+            sock.sendall(b"GET /recommend?user=0&k=2 HTTP/1.1\r\n"
+                         b"Host: x\r\n\r\n")
+            _wait_until(lambda: len(service.calls) >= 1)
+            # linger 0: close() sends RST now instead of FIN after a drain
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            sock.close()
+            service.gate.set()
+            _wait_until(lambda: _handler_threads() == 0)
+            assert capfd.readouterr().err == ""
+            assert _get(server.port, "/healthz")[0] == 200
+        finally:
+            service.gate.set()
+            server.close()
+
     def test_stuck_batch_times_out_as_503(self, gnmr, split):
         service = GatedService(gnmr, train=split.train, k_default=5)
         server = RecommendationHTTPServer(service, port=0,
@@ -458,10 +538,13 @@ class TestHotSwap:
         server = RecommendationHTTPServer(service, port=0, max_wait_ms=1.0,
                                           poll_interval_ms=60_000.0).start()
         try:
+            def table():
+                return {row["user"]: [r["item"] for r in row["items"]]
+                        for row in service.recommend(
+                            np.arange(10, dtype=np.int64), 5).to_payload()}
+
             v0 = service.snapshot_version
-            old = {row["user"]: row["items"] for row in
-                   service.recommend(np.arange(10, dtype=np.int64),
-                                     5).to_payload()}
+            answers = {v0: table()}
             results: list[tuple[int, int, dict]] = []
             lock = threading.Lock()
 
@@ -482,19 +565,91 @@ class TestHotSwap:
                 t.join(timeout=60)
             v1 = service.snapshot_version
             assert v1 != v0
-            new = {row["user"]: row["items"] for row in
-                   service.recommend(np.arange(10, dtype=np.int64),
-                                     5).to_payload()}
+            answers[v1] = table()
+            assert answers[v0] != answers[v1]
             for user, status, payload in results:
                 assert status == 200
                 items = [r["item"] for r in payload["items"]]
-                # every response is exactly the old or the new snapshot's
-                # answer — never a half-swapped hybrid
-                assert items in (
-                    [r["item"] for r in old[user]],
-                    [r["item"] for r in new[user]]), (user, payload)
-                assert payload["snapshot_version"] in (v0, v1)
+                # every response is exactly the answer of the snapshot it
+                # names — never a half-swapped hybrid, never one version's
+                # label on the other's items
+                assert items == answers[payload["snapshot_version"]][user], (
+                    user, payload)
         finally:
+            server.close()
+
+
+    def test_mid_swap_every_surface_reports_the_serving_version(
+            self, split, monkeypatch):
+        """The next snapshot's index build is held open: until the pair is
+        flipped, every surface names the old version beside the old
+        tables' items; after it, the new beside the new."""
+        model = GNMR(split.train, GNMRConfig(pretrain=False, seed=11))
+        service = RecommendationService(
+            model, train=split.train, k_default=5, retriever="ivf",
+            ann={"nprobe": 2, "quant": "int8"})
+        server = RecommendationHTTPServer(service, port=0,
+                                          poll_interval_ms=60_000.0).start()
+        building, release = threading.Event(), threading.Event()
+        build_index = EmbeddingStore.ann_index
+
+        def held_build(store, **config):
+            building.set()
+            assert release.wait(timeout=30)
+            return build_index(store, **config)
+
+        user, body = 3, json.dumps({"users": [3, 4], "k": 5}).encode()
+
+        def items_of(result):
+            return [[r["item"] for r in row["items"]]
+                    for row in result.to_payload()]
+
+        def surfaces():
+            """(versions reported, items returned) by every surface."""
+            health = _get(server.port, "/healthz")[1]
+            stats = _get(server.port, "/stats")[1]
+            warm = _get(server.port, f"/recommend?user={user}")[1]
+            cold = _get(server.port, f"/recommend?user={user}&cold=1")[1]
+            many = _post(server.port, "/recommend", body)[1]
+            versions = {service.snapshot_version, health["snapshot_version"],
+                        stats["snapshot"]["version"],
+                        warm["snapshot_version"], cold["snapshot_version"],
+                        many["snapshot_version"]}
+            return versions, {
+                "warm": [r["item"] for r in warm["items"]],
+                "cold": [r["item"] for r in cold["items"]],
+                "post": [[r["item"] for r in row["items"]]
+                         for row in many["recommendations"]]}
+
+        def expected(retriever):
+            cold = service.cold_user_embeddings([user])
+            return {"warm": items_of(retriever.retrieve([user], 5))[0],
+                    "cold": items_of(retriever.retrieve([user], 5,
+                                                        queries=cold))[0],
+                    "post": items_of(retriever.retrieve([3, 4], 5))}
+
+        try:
+            v0, old_retriever = service.snapshot_version, service.retriever
+            model.user_embeddings.data *= -1.0
+            model.on_step_end()
+            monkeypatch.setattr(EmbeddingStore, "ann_index", held_build)
+            swapper = threading.Thread(target=server.check_freshness,
+                                       daemon=True)
+            swapper.start()
+            assert building.wait(timeout=30)
+            versions, items = surfaces()
+            assert versions == {v0}
+            assert items == expected(old_retriever)
+            release.set()
+            swapper.join(timeout=30)
+            assert not swapper.is_alive()
+            versions, items = surfaces()
+            assert versions == {model.engine.version} != {v0}
+            assert service.retriever is not old_retriever
+            assert items == expected(service.retriever)
+            assert items["warm"] != expected(old_retriever)["warm"]
+        finally:
+            release.set()
             server.close()
 
 
@@ -606,17 +761,24 @@ class TestShutdown:
 
 class TestReloadRace:
     def test_concurrent_reload_and_recommend(self, split):
-        """Regression: two threads reloading (one cold) while requests
-        stream must never tear the snapshot/retriever pair."""
+        """Regression: two threads swapping snapshots (one reloading, one
+        rolling back) while requests stream must never tear the
+        snapshot/retriever pair."""
         model = GNMR(split.train, GNMRConfig(pretrain=False, seed=13))
         service = RecommendationService(model, train=split.train, k_default=5)
         errors: list[BaseException] = []
         stop = threading.Event()
 
-        def reloader(cold):
+        def recover():
+            try:
+                service.recover()
+            except ValueError:
+                pass  # the other thread has not archived anything yet
+
+        def swapper(swap):
             try:
                 while not stop.is_set():
-                    service.reload(cold=cold)
+                    swap()
             except BaseException as exc:
                 errors.append(exc)
 
@@ -625,11 +787,13 @@ class TestReloadRace:
                 while not stop.is_set():
                     result = service.recommend(np.array([0, 1, 2]), 5)
                     assert result.items.shape == (3, 5)
+                    assert result.version == model.engine.version
             except BaseException as exc:
                 errors.append(exc)
 
-        threads = [threading.Thread(target=reloader, args=(cold,),
-                                    daemon=True) for cold in (False, True)]
+        threads = [threading.Thread(target=swapper, args=(swap,),
+                                    daemon=True)
+                   for swap in (service.reload, recover)]
         threads += [threading.Thread(target=requester, daemon=True)
                     for _ in range(2)]
         for t in threads:
@@ -640,6 +804,7 @@ class TestReloadRace:
             t.join(timeout=30)
         assert not errors
         assert service.retriever.exclude is service.exclusions
+        assert service.retriever.backend is service.store.backend()
         assert service.recommend(np.array([0]), 5).items.shape == (1, 5)
 
 

@@ -18,7 +18,6 @@ import pytest
 from repro.core import GNMR, GNMRConfig
 from repro.data import leave_one_out_split
 from repro.serve import (
-    EmbeddingStore,
     RecommendationHTTPServer,
     RecommendationService,
     SnapshotIntegrityError,
@@ -51,95 +50,97 @@ def _corrupt(store) -> None:
 
 
 class TestStoreLifecycle:
-    """Retention, rollback, and verify-on-transition in isolation."""
+    """Retention, rollback, and verify-on-transition, asked of the
+    service: stores are immutable, the archive lives beside the pointer."""
+
+    @staticmethod
+    def _service(split, seed, retain=2):
+        model = GNMR(split.train, GNMRConfig(pretrain=False, seed=seed))
+        return model, RecommendationService(model, train=split.train,
+                                            k_default=5, retain=retain)
 
     def test_refresh_archives_and_retention_caps_history(self, split):
-        model = GNMR(split.train, GNMRConfig(pretrain=False, seed=0))
-        store = EmbeddingStore.snapshot(model, retain=2)
-        versions = [store.version]
+        model, service = self._service(split, seed=0)
+        versions = [service.snapshot_version]
         for _ in range(3):
             _bump(model)
-            assert store.refresh(model) is True
-            versions.append(store.version)
+            assert service.refresh() is True
+            versions.append(service.snapshot_version)
         # keep-last-2: the first version fell off the archive
-        assert store.history_versions() == versions[1:3]
+        assert service.archived_versions() == versions[1:3]
 
     def test_rollback_restores_bit_exact_tables(self, split):
-        model = GNMR(split.train, GNMRConfig(pretrain=False, seed=1))
-        store = EmbeddingStore.snapshot(model, retain=2)
-        old_version = store.version
-        old_users = np.array(store.user_matrix)
-        old_hash = store.content_hash
+        model, service = self._service(split, seed=1)
+        old_version = service.snapshot_version
+        old_users = np.array(service.store.user_matrix)
+        old_hash = service.store.content_hash
         _bump(model)
-        store.refresh(model)
-        assert store.version != old_version
-        assert store.rollback() == old_version
-        np.testing.assert_array_equal(store.user_matrix, old_users)
-        assert store.content_hash == old_hash
+        service.refresh()
+        assert service.snapshot_version != old_version
+        assert service.recover() == old_version
+        np.testing.assert_array_equal(service.store.user_matrix, old_users)
+        assert service.store.content_hash == old_hash
 
     def test_rollback_to_specific_version_discards_newer(self, split):
-        model = GNMR(split.train, GNMRConfig(pretrain=False, seed=2))
-        store = EmbeddingStore.snapshot(model, retain=4)
-        first = store.version
+        model, service = self._service(split, seed=2, retain=4)
+        first = service.snapshot_version
         for _ in range(2):
             _bump(model)
-            store.refresh(model)
-        assert store.rollback(first) == first
-        assert store.history_versions() == []
+            service.refresh()
+        assert service.recover(first) == first
+        assert service.archived_versions() == []
 
     def test_rollback_with_empty_archive_raises(self, split):
-        model = GNMR(split.train, GNMRConfig(pretrain=False, seed=3))
-        store = EmbeddingStore.snapshot(model, retain=2)
+        model, service = self._service(split, seed=3)
         with pytest.raises(ValueError, match="no archived snapshot"):
-            store.rollback()
+            service.recover()
         with pytest.raises(ValueError, match="available"):
             _bump(model)
-            store.refresh(model)
-            store.rollback(version=-12345)
+            service.refresh()
+            service.recover(version=-12345)
 
     def test_refresh_rejects_mutated_outgoing_tables(self, split):
-        model = GNMR(split.train, GNMRConfig(pretrain=False, seed=4))
-        store = EmbeddingStore.snapshot(model, retain=2)
-        _corrupt(store)
+        model, service = self._service(split, seed=4)
+        corrupt = service.store
+        _corrupt(corrupt)
         _bump(model)
         with pytest.raises(SnapshotIntegrityError):
-            store.refresh(model)
-        # nothing corrupt was archived as "good"
-        assert store.history_versions() == []
-
-    def test_refresh_rejects_producer_hash_mismatch(self, split):
-        model = GNMR(split.train, GNMRConfig(pretrain=False, seed=5))
-        store = EmbeddingStore.snapshot(model, retain=2)
-        version = store.version
-        users = np.array(store.user_matrix)
-        _bump(model)
-        with pytest.raises(SnapshotIntegrityError):
-            store.refresh(model, expected_hash="0" * 64)
-        # the outgoing snapshot was put back, not left half-swapped
-        assert store.version == version
-        np.testing.assert_array_equal(store.user_matrix, users)
+            service.refresh()
+        # nothing corrupt was archived as "good", nothing was installed
+        assert service.archived_versions() == []
+        assert service.store is corrupt
 
     def test_retain_zero_disables_archive(self, split):
-        model = GNMR(split.train, GNMRConfig(pretrain=False, seed=6))
-        store = EmbeddingStore.snapshot(model, retain=0)
+        model, service = self._service(split, seed=6, retain=0)
         _bump(model)
-        store.refresh(model)
-        assert store.history_versions() == []
+        service.refresh()
+        assert service.archived_versions() == []
+        with pytest.raises(ValueError, match="retain must be >= 0"):
+            RecommendationService(model, retain=-1)
 
     def test_service_recover_rewires_retriever(self, split):
-        model = GNMR(split.train, GNMRConfig(pretrain=False, seed=7))
-        service = RecommendationService(model, train=split.train, k_default=5,
-                                        auto_refresh=False)
+        model, service = self._service(split, seed=7)
         reference = service.recommend([0, 1, 2])
         _bump(model)
         service.reload()
         old_retriever = service.retriever
         restored = service.recover()
-        assert restored == service.snapshot_version
+        assert restored == service.snapshot_version == reference.version
         assert service.retriever is not old_retriever
         after = service.recommend([0, 1, 2])
         np.testing.assert_array_equal(reference.items, after.items)
         np.testing.assert_array_equal(reference.scores, after.scores)
+
+    def test_archive_rotted_in_memory_is_not_restored(self, split):
+        model, service = self._service(split, seed=8)
+        live = service.store
+        _bump(model)
+        service.refresh()
+        _corrupt(live)  # the archived copy shares the outgoing tables
+        current = service.store
+        with pytest.raises(SnapshotIntegrityError):
+            service.recover()
+        assert service.store is current
 
 
 class TestHotSwapStorm:

@@ -1,4 +1,4 @@
-"""Tests of the RecommendationService facade and Recommender.recommend_topk."""
+"""Tests of the RecommendationService facade."""
 
 import numpy as np
 import pytest
@@ -36,13 +36,6 @@ class TestRecommend:
             legacy = gnmr.recommend(int(user), top_n=5)
             assert [item for item, _ in legacy] == result.items[row].tolist()
 
-    def test_score_candidates_matches_model(self, gnmr, split):
-        service = RecommendationService(gnmr, train=split.train, dtype=None)
-        users = np.array([2, 4, 6])
-        items = np.array([1, 3, 5])
-        np.testing.assert_allclose(service.score_candidates(users, items),
-                                   gnmr.score(users, items))
-
     def test_brute_force_fallback(self, split):
         model = BiasMF(split.train.num_users, split.train.num_items, seed=0)
         service = RecommendationService(model, train=split.train)
@@ -56,27 +49,41 @@ class TestRecommend:
 
 class TestReload:
     def test_auto_refresh_on_version_bump(self, split):
+        """Freshness is explicit: a request never reloads, refresh() does."""
         model = GNMR(split.train, GNMRConfig(pretrain=False, seed=4))
         service = RecommendationService(model, train=split.train)
         v0 = service.snapshot_version
-        before = service.recommend(np.array([0]), k=5).scores.copy()
+        before = service.recommend(np.array([0]), k=5)
         model.user_embeddings.data *= -1.0  # drastic "training" change
         model.on_step_end()
-        after = service.recommend(np.array([0]), k=5).scores
+        stale = service.recommend(np.array([0]), k=5)
+        assert stale.version == before.version == v0
+        np.testing.assert_array_equal(stale.scores, before.scores)
+        assert service.refresh() is True
+        after = service.recommend(np.array([0]), k=5)
+        assert after.version == service.snapshot_version
         assert service.snapshot_version == model.engine.version != v0
-        assert not np.allclose(before, after)
+        assert not np.allclose(before.scores, after.scores)
 
     def test_manual_warm_and_cold_reload(self, split):
         model = GNMR(split.train, GNMRConfig(pretrain=False, seed=5))
-        service = RecommendationService(model, train=split.train,
-                                        auto_refresh=False)
+        service = RecommendationService(model, train=split.train)
         model.user_embeddings.data += 1.0
         model.on_step_end()
-        assert service.store.is_stale(model)
-        assert service.reload() is True           # warm
-        assert not service.store.is_stale(model)
-        assert service.reload(cold=True) is True  # cold rebuilds everything
+        old_store = service.store
+        service.reload()
+        assert service.store is not old_store
+        assert service.snapshot_version == model.engine.version
+        assert service.refresh() is False          # nothing left to catch up
         assert service.retriever.exclude is service.exclusions
+        assert service.retriever.backend is service.store.backend()
+
+    def test_removed_options_are_type_errors(self, gnmr, split):
+        with pytest.raises(TypeError):
+            RecommendationService(gnmr, train=split.train, auto_refresh=False)
+        service = RecommendationService(gnmr, train=split.train)
+        with pytest.raises(TypeError):
+            service.reload(cold=True)
 
 
 class TestApproxServing:
@@ -107,9 +114,35 @@ class TestApproxServing:
         index_before = service.retriever.index
         model.user_embeddings.data *= -1.0
         model.on_step_end()
-        service.recommend(np.array([0]), k=5)  # auto-refresh
+        assert service.refresh() is True
         assert service.retriever.index is not index_before
         assert service.snapshot_version == model.engine.version
+
+    def test_cold_matches_warm_when_fresh(self, gnmr, split):
+        """The cold path asks the configured retriever, not an exact scan
+        of its own: on a fresh snapshot it returns what the warm path does."""
+        service = RecommendationService(gnmr, train=split.train,
+                                        retriever="ivf",
+                                        ann={"nprobe": 2, "quant": "int8"})
+        users = np.arange(split.train.num_users)
+        warm = service.recommend(users, k=10)
+        cold = service.recommend_cold(users, k=10)
+        np.testing.assert_array_equal(cold.items, warm.items)
+        np.testing.assert_allclose(cold.scores, warm.scores, rtol=1e-5)
+        assert cold.version == warm.version == service.snapshot_version
+        exact = RecommendationService(gnmr, train=split.train)
+        assert not np.array_equal(exact.recommend(users, k=10).items,
+                                  warm.items)  # nprobe=2 is lossy here
+
+    @pytest.mark.parametrize("ann", [{"nprob": 4},
+                                     {"nprobe": 4, "eval_k": 100}])
+    def test_unknown_ann_option_rejected(self, gnmr, split, ann):
+        with pytest.raises(ValueError, match="unknown ann option") as info:
+            RecommendationService(gnmr, train=split.train, retriever="ivf",
+                                  ann=ann)
+        for accepted in ("nprobe", "quant", "num_lists", "shortlist_k",
+                         "seed"):
+            assert accepted in str(info.value)
 
     def test_ivf_needs_factored_model(self, split):
         model = BiasMF(split.train.num_users, split.train.num_items, seed=0)
@@ -119,16 +152,3 @@ class TestApproxServing:
     def test_unknown_retriever_rejected(self, gnmr, split):
         with pytest.raises(ValueError, match="unknown retriever"):
             RecommendationService(gnmr, train=split.train, retriever="hnsw")
-
-
-class TestRecommendTopK:
-    def test_gnmr_api(self, gnmr, split):
-        result = gnmr.recommend_topk(np.arange(6), k=3, train=split.train)
-        assert result.items.shape == (6, 3)
-        assert (result.items >= 0).all()
-
-    def test_baseline_api(self, split):
-        model = BiasMF(split.train.num_users, split.train.num_items, seed=1)
-        result = model.recommend_topk(0, k=3)
-        legacy = model.recommend(0, top_n=3)
-        assert result.items[0].tolist() == [item for item, _ in legacy]

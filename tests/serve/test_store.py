@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import GNMR, GNMRConfig
 from repro.models import BiasMF, NGCF
-from repro.serve import EmbeddingStore, model_version
+from repro.serve import EmbeddingStore, RecommendationService, model_version
 
 
 @pytest.fixture(scope="module")
@@ -44,33 +44,58 @@ class TestSnapshot:
 
 
 class TestInvalidation:
+    """Staleness is the service's question: a store is a value and never
+    catches up — a fresher one replaces it."""
+
     def test_fresh_snapshot_not_stale(self, gnmr):
-        store = EmbeddingStore.snapshot(gnmr)
-        assert store.version == gnmr.engine.version
-        assert not store.is_stale(gnmr)
+        service = RecommendationService(gnmr)
+        assert service.store.version == gnmr.engine.version
+        assert service.refresh() is False
 
     def test_engine_bump_marks_stale(self, small_taobao):
         model = GNMR(small_taobao, GNMRConfig(pretrain=False, seed=1))
-        store = EmbeddingStore.snapshot(model)
+        service = RecommendationService(model)
         model.on_step_end()  # what the trainer calls after each step
-        assert store.is_stale(model)
+        assert service.snapshot_version != model.engine.version
+        assert service.refresh() is True
 
     def test_refresh_catches_up(self, small_taobao):
         model = GNMR(small_taobao, GNMRConfig(pretrain=False, seed=2))
-        store = EmbeddingStore.snapshot(model)
-        before = store.user_matrix.copy()
+        service = RecommendationService(model)
+        before = service.store.user_matrix.copy()
         model.user_embeddings.data += 0.5  # "training step"
         model.on_step_end()
-        assert store.refresh(model) is True
-        assert store.version == model.engine.version
-        assert not store.is_stale(model)
-        assert not np.allclose(store.user_matrix, before)
+        assert service.refresh() is True
+        assert service.store.version == model.engine.version
+        assert service.refresh() is False
+        assert not np.allclose(service.store.user_matrix, before)
 
     def test_refresh_noop_when_fresh(self, small_taobao):
         model = GNMR(small_taobao, GNMRConfig(pretrain=False, seed=3))
-        store = EmbeddingStore.snapshot(model)
-        assert store.refresh(model) is False
-        assert store.refresh(model, force=True) is True
+        service = RecommendationService(model)
+        installed = service.store, service.retriever
+        assert service.refresh() is False
+        assert (service.store, service.retriever) == installed
+        assert service.archived_versions() == []
+        service.reload()  # unconditional
+        assert service.store is not installed[0]
+
+    def test_swap_leaves_the_outgoing_store_untouched(self, small_taobao):
+        model = GNMR(small_taobao, GNMRConfig(pretrain=False, seed=5))
+        service = RecommendationService(model, retriever="ivf")
+        captured = service.store
+        version, content_hash = captured.version, captured.content_hash
+        users, items = captured.user_matrix.copy(), captured.item_matrix.copy()
+        model.user_embeddings.data += 0.5
+        model.on_step_end()
+        service.reload()
+        assert service.store is not captured
+        assert service.store.version != version
+        assert (captured.version, captured.content_hash) == (version,
+                                                             content_hash)
+        np.testing.assert_array_equal(captured.user_matrix, users)
+        np.testing.assert_array_equal(captured.item_matrix, items)
+        assert captured.verify() == content_hash
 
 
 class TestAnnIndexLifecycle:
@@ -84,16 +109,23 @@ class TestAnnIndexLifecycle:
         assert store.ann_index(seed=1) is not store.ann_index(seed=0)
 
     def test_refresh_invalidates_indexes(self, small_taobao):
+        """The store a swap installs has an index of its own; the old
+        store's cached one is untouched."""
         model = GNMR(small_taobao, GNMRConfig(pretrain=False, seed=8))
-        store = EmbeddingStore.snapshot(model)
-        stale_index = store.ann_index()
+        service = RecommendationService(model, retriever="ivf")
+        old_store = service.store
+        stale_index = old_store.ann_index()
+        assert service.retriever.index is stale_index
         model.item_embeddings.data += 0.5
         model.on_step_end()
-        store.refresh(model)
-        fresh_index = store.ann_index()
-        assert fresh_index is not stale_index
+        assert service.refresh()
+        fresh_index = service.store.ann_index()
+        assert service.retriever.index is fresh_index is not stale_index
         np.testing.assert_array_equal(fresh_index.item_matrix,
-                                      store.item_matrix)
+                                      service.store.item_matrix)
+        assert old_store.ann_index() is stale_index
+        np.testing.assert_array_equal(stale_index.item_matrix,
+                                      old_store.item_matrix)
 
     def test_index_covers_snapshot_catalog(self, gnmr):
         store = EmbeddingStore.snapshot(gnmr)
@@ -116,13 +148,13 @@ class TestSnapshotIntegrity:
 
     def test_refresh_rebuilds_hash(self, small_taobao):
         model = GNMR(small_taobao, GNMRConfig(pretrain=False, seed=4))
-        store = EmbeddingStore.snapshot(model)
-        first = store.content_hash
+        service = RecommendationService(model)
+        first = service.store.content_hash
         model.user_embeddings.data += 0.01
         model.on_step_end()
-        assert store.refresh(model)
-        assert store.content_hash != first
-        store.verify()
+        assert service.refresh()
+        assert service.store.content_hash != first
+        service.store.verify()
 
     def test_from_shards_verifies_expected_hash(self, gnmr):
         from repro.serve import SnapshotIntegrityError
