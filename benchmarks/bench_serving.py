@@ -23,11 +23,10 @@ catalogues of 6–8k items, where recall has its own per-run floor::
 """
 
 import sys
-import time
 
 import numpy as np
 
-from gate import main
+from gate import best_time, main
 from repro.serve import ApproxRetriever, ExclusionMask, IVFIndex, MatrixBackend, TopKRetriever
 
 BATCH_SIZES = (64, 256, 1024)
@@ -48,17 +47,6 @@ ANN_QUANTS = ("none", "int8")
 ANN_RECALL_MIN = 0.95
 ANN_SPEEDUP_MIN = 3.0
 ANN_ITEMS_MIN = 100_000
-
-
-def _best_time(fn, rounds: int = 5) -> float:
-    """Minimum wall time over several rounds (robust against noise)."""
-    fn()  # warm up caches / allocator
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _synthetic_catalog(num_users=8192, num_items=20000, dim=64,
@@ -94,7 +82,7 @@ def measure_retrieval_throughput(request_users: int = 4096,
     throughputs = []
     for batch in BATCH_SIZES:
         retriever = TopKRetriever(backend, exclude=exclude, batch_users=batch)
-        seconds = _best_time(lambda: retriever.retrieve(users, TOP_K), rounds)
+        seconds = best_time(lambda: retriever.retrieve(users, TOP_K), rounds)
         throughput = request_users / seconds
         results["batch_sizes"][str(batch)] = {
             "seconds": seconds,
@@ -153,7 +141,7 @@ def measure_ann_tradeoff(request_users: int = 1024, rounds: int = 3) -> dict:
     users = np.arange(request_users, dtype=np.int64)
 
     exact = TopKRetriever(backend, exclude=exclude)
-    exact_seconds = _best_time(lambda: exact.retrieve(users, TOP_K), rounds)
+    exact_seconds = best_time(lambda: exact.retrieve(users, TOP_K), rounds)
     exact_items = exact.retrieve(users, TOP_K).items
 
     # one seeded k-means shared by every quantization level — the sweep
@@ -183,7 +171,7 @@ def measure_ann_tradeoff(request_users: int = 1024, rounds: int = 3) -> dict:
         for nprobe in ANN_NPROBES:
             approx = ApproxRetriever(backend, index, exclude=exclude,
                                      nprobe=nprobe)
-            seconds = _best_time(lambda: approx.retrieve(users, TOP_K),
+            seconds = best_time(lambda: approx.retrieve(users, TOP_K),
                                  rounds)
             recall = _recall_at_k(approx.retrieve(users, TOP_K).items,
                                   exact_items)

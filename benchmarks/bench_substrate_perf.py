@@ -19,12 +19,11 @@ one dtype and only the fused kernel. Absolute step costs are its
 """
 
 import sys
-import time
 
 import numpy as np
 import scipy.sparse as sp
 
-from gate import main
+from gate import best_time, main
 from repro.tensor import (
     SparseAdjacency,
     Tensor,
@@ -40,17 +39,6 @@ FLOAT32_MIN = 1.3
 #: (~1.2x on record, so an absolute 1.3x bar would fail the recorded runs);
 #: it must never cost the SpMM itself — parity with a noise margin
 FUSED_MIN = 0.9
-
-
-def _best_time(fn, rounds: int = 7) -> float:
-    """Minimum wall time over several rounds (robust against noise)."""
-    fn()  # warm up caches / allocator
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _synthetic_workload(num_behaviors=3, num_users=4000, num_items=6000,
@@ -81,7 +69,7 @@ def compare_dtype_propagation(rounds: int = 7) -> dict:
                 dense.zero_grad()
                 stack.matmul(dense).sum().backward()
 
-            results[dtype] = {"seconds": _best_time(step, rounds)}
+            results[dtype] = {"seconds": best_time(step, rounds)}
             # gradient check on a small slice of the same structure;
             # raises (and so fails the run) when a precision breaks it
             small = SparseAdjacency(sp.random(12, 15, density=0.3,
@@ -116,8 +104,8 @@ def compare_fused_spmm(rounds: int = 7) -> dict:
         return out.reshape(k, n, h.shape[1]).transpose(1, 0, 2)
 
     np.testing.assert_array_equal(unfused().data, fused().data)
-    t_unfused = _best_time(unfused, rounds)
-    t_fused = _best_time(fused, rounds)
+    t_unfused = best_time(unfused, rounds)
+    t_fused = best_time(fused, rounds)
     return {
         "unfused_seconds": t_unfused,
         "fused_seconds": t_fused,

@@ -1,4 +1,4 @@
-"""Training step ratios: full-graph vs mini-batch, sharding, the dist sweep.
+"""Training step ratios: full-graph vs mini-batch, and the sharding tax.
 
 Measures per-step wall time and steps/sec of GNMR pairwise training under
 ``TrainConfig.propagation="full"`` (whole-graph SpMM + dense optimizer
@@ -7,8 +7,8 @@ pre-drawn batch stream, fanout-capped per-hop layered blocks, row-sparse
 embedding gradients, lazy per-row Adam) at ``workers=0`` (extraction
 inline on the training thread) and ``workers=1`` (extraction
 double-buffered on a background thread) at two synthetic graph scales.
-Three same-run ratios are gated here — the script prints its payload,
-then one PASS/FAIL/skip line per floor, and exits 1 when one is missed:
+Two same-run ratios are gated here — the script prints its payload,
+then one PASS/FAIL line per floor, and exits 1 when one is missed:
 
 * ``speedup_sampled_large`` ≥ ``SAMPLED_MIN`` — the inline mini-batch step
   against the full-graph step at batch 32 on the large graph (best-of-N
@@ -16,21 +16,12 @@ then one PASS/FAIL/skip line per floor, and exits 1 when one is missed:
   size;
 * ``shard_overhead_large`` ≤ ``SHARD_MAX`` — the inline mini-batch step
   with the embedding tables split across two shards
-  (``GNMRConfig(shards=2)``, parameter-server layout) against the
-  unsharded one, on mean step time;
-* ``dist.sync_speedup`` ≥ ``DIST_MIN`` on ≥ ``DIST_MIN_CORES`` cores — the
-  multi-process parameter server (``repro.dist``: shard-owner processes
-  applying optimizer updates over shared-memory gradient transport), swept
-  across worker counts (sync mode) and staleness windows (async mode),
-  against the single-process sharded step on the same graph. The payload
-  records ``cpu_count`` because the speedup is real concurrency: on fewer
-  cores the sweep still runs and is recorded, and the floor skips.
+  (``GNMRConfig(shards=2)``) against the unsharded one, on mean step time.
 
 ``prefetch_gain`` (inline mean step / ``workers=1`` mean step) rides along
 ungated: it is what the background thread buys on this box, and never
 changes the trajectory. ``benchmarks/e2e`` measures ``train_steps_per_s``
-of one mode (async, unsharded, in-process) and so sees none of the three
-ratios.
+of one mode (async, unsharded) and so sees neither ratio.
 
 The interaction graphs are built directly from random edge lists (the
 latent-factor generator in ``repro.data.synthetic`` is O(users × items)
@@ -39,7 +30,6 @@ and would dominate the benchmark at the large scale)::
     PYTHONPATH=src python benchmarks/bench_training.py [--out DIR]
 """
 
-import os
 import sys
 import time
 
@@ -55,12 +45,6 @@ SAMPLED_MIN = 3.0
 #: bounded constant-factor tax, never an asymptotic one (measured
 #: ~0.8-1.3x; 2x leaves shared-runner headroom)
 SHARD_MAX = 2.0
-#: sync dist must beat the single-process sharded mini-batch step where
-#: concurrent shard owners have real cores; below DIST_MIN_CORES the owner
-#: processes are serialized and the sweep documents transport overhead,
-#: not the concurrency win
-DIST_MIN = 1.6
-DIST_MIN_CORES = 4
 
 BATCH_USERS = 32
 PER_USER = 4
@@ -179,104 +163,31 @@ def _block_loss(model, prepared):
         batch.users, batch.pos_items, batch.neg_items, 1e-4)
 
 
-def _measure_block_steps(model, data, steps: int, workers: int,
-                         optimizer=None, window: int = 0) -> tuple[float, float]:
+def _measure_block_steps(model, data, steps: int,
+                         workers: int) -> tuple[float, float]:
     """(best, mean) per-step seconds of the mini-batch training step.
 
     Mirrors the trainer's ``propagation="async"`` loop: batches come from
     the pipeline's pre-drawn stream, per-hop layered blocks are extracted
     inline (``workers=0``) or by a background worker, the training thread
-    scores via ``block_batch_scores``, and the optimizer — in-process Adam
-    by default, the parameter-server bridge for the dist rows — gets the
-    trainer's four calls: ``sync(window)`` before forward, ``zero_grad``,
-    ``step``, and a final ``sync()``. The timed region includes the
-    ``next(pipeline)`` call — inline extraction, or the blocking wait for
-    the prefetched block, is real per-step cost.
+    scores via ``block_batch_scores`` and steps Adam. The timed region
+    includes the ``next(pipeline)`` call — inline extraction, or the
+    blocking wait for the prefetched block, is real per-step cost.
     """
     from repro.nn.optim import Adam
 
-    optimizer = optimizer or Adam(model.parameters(), lr=1e-3)
+    optimizer = Adam(model.parameters(), lr=1e-3)
     model.train()
     with _block_pipeline(model, data, steps, workers) as pipeline:
         def one_step():
             prepared = next(pipeline)
-            optimizer.sync(window)
             loss = _block_loss(model, prepared)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
             model.on_step_end()
 
-        timing = _time_steps(one_step, steps)
-    optimizer.sync()
-    return timing
-
-
-#: dist sweep workload: the "small" graph with the tables in 4 shards —
-#: enough shards to feed up to 3 owner processes on a 4-core runner
-DIST_SHARDS = 4
-DIST_STEPS = 8
-
-
-def _dist_config_row(data, *, workers: int, staleness: int,
-                     transport: str = "shm") -> dict:
-    from repro.core import GNMR, GNMRConfig
-    from repro.dist import DistParameterServer
-
-    model = GNMR(data, GNMRConfig(pretrain=False, seed=0, num_layers=2,
-                                  dtype="float32", shards=DIST_SHARDS))
-    with DistParameterServer(model.parameters(), optimizer="adam", lr=1e-3,
-                             workers=workers, transport=transport) as server:
-        best, mean = _measure_block_steps(model, data, DIST_STEPS, workers=0,
-                                          optimizer=server, window=staleness)
-    return {
-        "workers": server.num_workers,
-        "staleness": staleness,
-        "transport": transport,
-        "step_ms": best * 1e3,
-        "mean_step_ms": mean * 1e3,
-        "steps_per_sec": 1.0 / mean,
-    }
-
-
-def measure_dist() -> dict:
-    """Worker/staleness sweep of the dist parameter server, small scale."""
-    from repro.core import GNMR, GNMRConfig
-
-    spec = SCALES["small"]
-    data = _random_graph_dataset(spec["num_users"], spec["num_items"],
-                                 spec["edges_per_user"])
-    cpu_count = os.cpu_count() or 1
-    # single-process baseline: the same sharded model, same inline step
-    model = GNMR(data, GNMRConfig(pretrain=False, seed=0, num_layers=2,
-                                  dtype="float32", shards=DIST_SHARDS))
-    best, mean = _measure_block_steps(model, data, DIST_STEPS, workers=0)
-    single = {"step_ms": best * 1e3, "mean_step_ms": mean * 1e3,
-              "steps_per_sec": 1.0 / mean}
-
-    worker_counts = sorted({1, 2, max(1, min(DIST_SHARDS - 1,
-                                             cpu_count - 1))})
-    sync_rows = [_dist_config_row(data, workers=w, staleness=0)
-                 for w in worker_counts]
-    best_sync = max(sync_rows, key=lambda r: r["steps_per_sec"])
-    async_workers = best_sync["workers"]
-    async_rows = [_dist_config_row(data, workers=async_workers, staleness=s)
-                  for s in (1, 2, 4)]
-    for row in sync_rows + async_rows:
-        row["speedup_vs_single"] = (row["steps_per_sec"]
-                                    / single["steps_per_sec"])
-    return {
-        "cpu_count": cpu_count,
-        "shards": DIST_SHARDS,
-        "measure_steps": DIST_STEPS,
-        "single_process": single,
-        "sync_sweep": sync_rows,
-        # the staleness-vs-throughput curve: how much the async stale-push
-        # window buys over the per-step sync barrier
-        "async_staleness_curve": async_rows,
-        "sync_speedup": best_sync["speedup_vs_single"],
-        "sync_best_workers": best_sync["workers"],
-    }
+        return _time_steps(one_step, steps)
 
 
 def measure_scale(name: str, spec: dict) -> dict:
@@ -338,7 +249,6 @@ def measure() -> dict:
         },
         "scales": {name: measure_scale(name, spec)
                    for name, spec in SCALES.items()},
-        "dist": measure_dist(),
     }
     payload["speedup_sampled_large"] = payload["scales"]["large"]["speedup_sampled"]
     payload["shard_overhead_large"] = payload["scales"]["large"]["shard_overhead"]
@@ -354,17 +264,6 @@ def gate(payload: dict, gate) -> None:
     gate.check("shard-overhead", overhead <= SHARD_MAX,
                f"{overhead:.2f}x the unsharded mini-batch step "
                f"(ceiling {SHARD_MAX}x, mean step time)")
-    dist = payload["dist"]
-    if dist["cpu_count"] >= DIST_MIN_CORES:
-        gate.check("dist-sync-speedup", dist["sync_speedup"] >= DIST_MIN,
-                   f"{dist['sync_speedup']:.2f}x over the single-process "
-                   f"sharded step at workers={dist['sync_best_workers']} "
-                   f"(floor {DIST_MIN}x on {dist['cpu_count']} cores)")
-    else:
-        gate.skip("dist-sync-speedup",
-                  f"{dist['sync_speedup']:.2f}x measured on "
-                  f"{dist['cpu_count']} core(s); the {DIST_MIN}x floor "
-                  f"needs >= {DIST_MIN_CORES}")
 
 
 if __name__ == "__main__":

@@ -8,11 +8,23 @@ and the root ``BENCH_<pr>.json`` trajectory, not of anything here.
 
 import argparse
 import json
+import time
 from pathlib import Path
 
 
+def best_time(fn, rounds: int) -> float:
+    """Minimum wall time over several rounds (robust against noise)."""
+    fn()  # warm up caches / allocator
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 class Gate:
-    """One PASS / FAIL / skip line per floor; ``summary()`` is the exit code."""
+    """One PASS / FAIL line per floor; ``summary()`` is the exit code."""
 
     def __init__(self):
         self.failures: list[str] = []
@@ -23,9 +35,6 @@ class Gate:
         print(f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}")
         if not ok:
             self.failures.append(label)
-
-    def skip(self, label: str, reason: str) -> None:
-        print(f"[skip] {label}: {reason}")
 
     def summary(self) -> int:
         print(f"\n{self.checks} checks, {len(self.failures)} failure(s)"

@@ -150,10 +150,6 @@ def cmd_train(args) -> int:
                       f"(got --propagation {args.propagation})",
                       file=sys.stderr)
                 return 2
-    if args.dist != "off" and args.shards is None:
-        print(f"--dist {args.dist} needs --shards: dist training needs a "
-              "model built with sharded tables", file=sys.stderr)
-        return 2
     scale = _scale_from_args(args)
     dataset, scale = _resolve_train_dataset(args, scale)
     split = _split_dataset(dataset, args.split, args.test_fraction, scale.seed)
@@ -178,14 +174,6 @@ def cmd_train(args) -> int:
         train_overrides["fanout"] = args.fanout
     if args.workers is not None:
         train_overrides["workers"] = args.workers
-    if args.dist != "off":
-        # multi-process parameter server: shard-owner processes apply the
-        # optimizer steps, gradients cross the repro.dist transport
-        train_overrides["dist"] = args.dist
-        if args.dist_workers is not None:
-            train_overrides["dist_workers"] = args.dist_workers
-        train_overrides["dist_staleness"] = args.dist_staleness
-        train_overrides["dist_transport"] = args.dist_transport
     if args.save_state:
         train_overrides["save_state"] = args.save_state
         if args.save_every_steps is not None:
@@ -195,8 +183,7 @@ def cmd_train(args) -> int:
                   resume_from=args.resume)
     except ValueError as exc:
         # a flag combination training refuses: --resume under a different
-        # config, --save-state on a model with its own loop, --dist on a
-        # model that has no table to shard, ...
+        # config, --save-state on a model with its own loop, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.eval == "full":
@@ -517,25 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "never changes the trajectory)")
     p_train.add_argument("--shards", type=int, default=None,
                          help="partition the user/item embedding tables "
-                              "across K logical shards (parameter-server "
-                              "layout; 1 bit-matches unsharded, K matches "
-                              "1 under the documented parity contract)")
-    p_train.add_argument("--dist", default="off",
-                         choices=["off", "sync", "async"],
-                         help="multi-process parameter-server training "
-                              "(requires --shards): 'sync' bit-matches "
-                              "in-process training, 'async' allows bounded "
-                              "staleness for throughput")
-    p_train.add_argument("--dist-workers", type=int, default=None,
-                         help="shard-owner process count for --dist "
-                              "(default: one per shard)")
-    p_train.add_argument("--dist-staleness", type=int, default=2,
-                         help="max steps the trainer may lead the slowest "
-                              "shard owner under --dist async (0 = sync)")
-    p_train.add_argument("--dist-transport", default="shm",
-                         choices=["shm", "inline"],
-                         help="gradient transport for --dist: shared-memory "
-                              "rings (default) or in-process inline mode")
+                              "across K logical shards (1 bit-matches "
+                              "unsharded, K matches 1 under the documented "
+                              "parity contract)")
     p_train.add_argument("--shard-strategy", default="range",
                          choices=["range", "hash"],
                          help="row partitioning: contiguous ranges or "

@@ -70,7 +70,8 @@ class GNMRConfig:
         loops), or ``None`` to inherit the ambient tensor default dtype.
     shards:
         Partition the user/item embedding tables across K logical shards
-        (:class:`~repro.shard.ShardedEmbedding`, parameter-server layout).
+        (:class:`~repro.shard.ShardedEmbedding`), all held and stepped by
+        the one training process.
         ``None`` (default) keeps the plain unsharded tables; ``shards=1``
         runs the sharded machinery with one shard and bit-matches the
         unsharded float64 path; ``shards=K`` matches ``shards=1`` exactly

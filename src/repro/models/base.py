@@ -162,8 +162,7 @@ class Recommender(Module):
         """For the models that override :meth:`fit` with their own loop:
         what only :class:`Trainer` implements is refused, not ignored."""
         for setting, given in (("resume_from", resume_from is not None),
-                               ("save_state", config.save_state is not None),
-                               ("dist", config.dist != "off")):
+                               ("save_state", config.save_state is not None)):
             if given:
                 raise ValueError(
                     f"{self.name} trains with its own loop, not through "

@@ -23,7 +23,6 @@ from repro.nn.optim import (
     Adam,
     clip_grad_norm,
     global_grad_norm,
-    shard_param_groups,
 )
 from repro.nn.schedulers import ExponentialDecay, StepDecay, ConstantSchedule
 
@@ -50,7 +49,6 @@ __all__ = [
     "Adam",
     "clip_grad_norm",
     "global_grad_norm",
-    "shard_param_groups",
     "ExponentialDecay",
     "StepDecay",
     "ConstantSchedule",

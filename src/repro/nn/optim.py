@@ -16,40 +16,17 @@ touch keep their state (the Adam moments) frozen, the standard lazy
 semantics of sparse optimizers. Dense gradients take the exact same code
 path as before, bit for bit.
 
-All state is strictly per parameter (moments, step clock, row counters),
-so splitting a parameter list across optimizers — what
-:class:`repro.dist.DistParameterServer` does with the shard-tagged tables
-(:func:`shard_param_groups`) — evolves every parameter exactly as one
-optimizer over the whole list would.
+All state is strictly per parameter (moments, step clock, row counters):
+the tables of a ``shards=K`` model are K parameters, each evolving exactly
+as its rows would inside one unsharded table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Parameter
 from repro.tensor.rowsparse import RowSparseGrad
-
-
-def shard_param_groups(module_or_params) -> list[dict]:
-    """Group parameters by their ``.shard`` tag (``None`` = unsharded).
-
-    Accepts a :class:`~repro.nn.module.Module` or a parameter iterable and
-    returns ``{"params": [...], "shard": label}`` groups: the untagged
-    parameters first (one group, ``shard=None``), then one group per shard
-    id in ascending order. Declaration order inside each group follows the
-    module's parameter walk, so a model with no sharded tables yields a
-    single group equivalent to the flat list.
-    """
-    params = (module_or_params.parameters()
-              if isinstance(module_or_params, Module)
-              else list(module_or_params))
-    by_shard: dict[int | None, list[Parameter]] = {}
-    for p in params:
-        by_shard.setdefault(getattr(p, "shard", None), []).append(p)
-    labels = sorted((k for k in by_shard if k is not None))
-    ordered: list[int | None] = ([None] if None in by_shard else []) + labels
-    return [{"params": by_shard[label], "shard": label} for label in ordered]
 
 
 def _row_bias(correction: np.ndarray, values_ndim: int) -> np.ndarray:
@@ -100,10 +77,8 @@ def clip_grad_norm(parameters: list[Parameter], max_norm: float) -> float:
 class Optimizer:
     """Base optimizer over a flat parameter list.
 
-    The surface the trainer drives — ``lr``, :meth:`zero_grad`,
-    :meth:`step`, :meth:`sync`, :meth:`state_dict`, :meth:`close` — is also
-    what :class:`repro.dist.DistParameterServer` exposes, so who applies a
-    step is decided by which optimizer is built, not by the loop.
+    The trainer drives ``lr``, :meth:`zero_grad`, :meth:`step` and
+    :meth:`state_dict` / :meth:`load_state_dict`.
     """
 
     def __init__(self, parameters, lr: float):
@@ -121,16 +96,11 @@ class Optimizer:
     def step(self) -> None:
         raise NotImplementedError
 
-    def sync(self, window: int = 0) -> None:
-        """Block until all but the newest ``window`` updates are applied.
-
-        A no-op here: nothing is deferred — SGD is stateless, and rows a
-        lazy Adam step does not touch simply keep their state, so
-        parameters are final after every ``step()``.
+    def sync(self) -> None:
+        """A no-op: parameters are final after every ``step()``. Kept only
+        because ``benchmarks/e2e/workloads.py::traced_fit`` calls it; it
+        leaves with ``traced_fit`` (ROADMAP item 3, second step).
         """
-
-    def close(self) -> None:
-        """Release what the optimizer holds (nothing, in-process)."""
 
     # -- state serialization (mid-run checkpointing / resharding) --------
     def _param_state(self, i: int) -> dict:
@@ -271,8 +241,7 @@ class Adam(Optimizer):
 
 def make_optimizer(kind: str, parameters, lr: float) -> Optimizer:
     """The optimizer ``TrainConfig.optimizer`` names, default
-    hyperparameters — one constructor for the trainer and for every shard
-    owner, so both sides of the parity contract build the same thing."""
+    hyperparameters."""
     if kind == "sgd":
         return SGD(parameters, lr=lr)
     if kind == "adam":

@@ -74,9 +74,8 @@ class EmbeddingStore:
         self.user_matrix = user_matrix
         self.item_matrix = item_matrix
         # content fingerprint recorded at snapshot build: sha256 over both
-        # tables' dtype/shape/bytes, the integrity anchor for cross-process
-        # assembly (from_shards), the service's archive and checkpoint
-        # reload round-trips
+        # tables' dtype/shape/bytes, the integrity anchor for the service's
+        # archive and checkpoint reload round-trips
         self.content_hash = array_sha256(user_matrix, item_matrix)
         self._backend: MatrixBackend | None = None
         self._ann_indexes: dict[tuple, object] = {}
@@ -97,52 +96,6 @@ class EmbeddingStore:
         user_matrix, item_matrix = embeddings
         return cls(user_matrix, item_matrix, version=model_version(model),
                    dtype=dtype, source=getattr(model, "name", "unknown"))
-
-    @classmethod
-    def from_shards(cls, user_shards, item_shards, *,
-                    user_spec=None, item_spec=None, version: int | None = None,
-                    dtype="float32", source: str = "sharded",
-                    expected_hash: str | None = None) -> "EmbeddingStore":
-        """Assemble one serving snapshot from shard-local embedding tables.
-
-        The parameter-server serving path: each shard owns a row partition
-        of the user/item tables (``repro.shard.ShardedEmbedding``, or the
-        per-shard matrices pulled from K servers), and the snapshot stitches
-        them back into the dense matrices the blocked top-K retriever
-        wants. Assembly is an exact row scatter, so a snapshot taken from
-        sharded tables is bit-identical (before the serving-dtype cast) to
-        one taken from the unsharded table.
-
-        Parameters
-        ----------
-        user_shards, item_shards:
-            Either a :class:`~repro.shard.ShardedEmbedding` or a list of
-            per-shard row blocks (``shard_rows`` order).
-        user_spec, item_spec:
-            The :class:`~repro.shard.ShardSpec` describing each partition;
-            required with raw block lists, ignored when a
-            ``ShardedEmbedding`` is passed (it knows its own spec).
-        expected_hash:
-            Content fingerprint the assembled snapshot must match
-            (``content_hash`` of the snapshot the shards came from).
-            Guards the cross-process assembly path: a dropped, reordered,
-            or truncated shard block raises
-            :class:`SnapshotIntegrityError` instead of silently serving a
-            scrambled table.
-        """
-        def assemble(shards, spec) -> np.ndarray:
-            if hasattr(shards, "dense_table"):  # ShardedEmbedding
-                return shards.dense_table()
-            if spec is None:
-                raise ValueError("raw shard blocks need an explicit spec")
-            return spec.assemble(list(shards))
-
-        store = cls(assemble(user_shards, user_spec),
-                    assemble(item_shards, item_spec),
-                    version=version, dtype=dtype, source=source)
-        if expected_hash is not None:
-            store.verify(expected_hash)
-        return store
 
     # ------------------------------------------------------------------
     @property
@@ -186,21 +139,17 @@ class EmbeddingStore:
         """Pairwise snapshot scores for parallel (user, item) arrays."""
         return self.backend().score_pairs(users, items)
 
-    def verify(self, expected_hash: str | None = None) -> str:
-        """Re-hash the tables and check them against a fingerprint.
+    def verify(self) -> str:
+        """Re-hash the tables against the hash recorded at snapshot build.
 
-        With ``expected_hash`` the recomputed hash must match it (the
-        cross-process / checkpoint-reload integrity check); without one it
-        must match the hash recorded when the snapshot was built, which
-        catches in-place mutation of a supposedly frozen snapshot. Returns
-        the recomputed hash; raises :class:`SnapshotIntegrityError` on any
+        Catches in-place mutation of a supposedly frozen snapshot. Returns
+        the recomputed hash; raises :class:`SnapshotIntegrityError` on a
         mismatch.
         """
         actual = array_sha256(self.user_matrix, self.item_matrix)
-        expected = self.content_hash if expected_hash is None else expected_hash
-        if actual != expected:
+        if actual != self.content_hash:
             raise SnapshotIntegrityError(
                 f"snapshot content hash {actual[:16]}… does not match the "
-                f"expected fingerprint {expected[:16]}… (source="
+                f"recorded fingerprint {self.content_hash[:16]}… (source="
                 f"{self.source!r}, version={self.version})")
         return actual

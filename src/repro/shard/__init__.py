@@ -6,7 +6,9 @@ Once the tables outgrow one worker's memory, the standard industrial move
 is to partition them row-wise across K shard servers and ship row-sparse
 gradients — exactly the ``(rows, value block)`` wire format
 :class:`~repro.tensor.RowSparseGrad` already carries. This package is
-that partitioning, kept bit-compatible with the unsharded path:
+that partitioning, kept bit-compatible with the unsharded path; every
+shard is held and stepped by the one training process (``docs/training.md``
+records what the multi-process owners measured before they were removed):
 
 * :class:`ShardSpec` — row-range or hashed partitioning arithmetic;
 * :class:`ShardedEmbedding` — one logical table as K shard-local

@@ -17,13 +17,9 @@ bit for bit:
 
 Because each shard is its own ``Parameter``, every optimizer state slot —
 the Adam moments *and the lazy per-row step counters* — is naturally
-shard-local: state never crosses shards, which is exactly the invariant a
-parameter-server deployment needs.
-
-Each shard parameter is tagged with ``.shard = k`` so
-:func:`repro.nn.optim.shard_param_groups` — and through it the
-:mod:`repro.dist` bridge — can partition a model's parameters by owner
-without knowing about this class.
+shard-local: state never crosses shards, which is what lets
+:mod:`repro.shard.reshard` move rows and their state between layouts
+exactly.
 """
 
 from __future__ import annotations
@@ -71,11 +67,9 @@ class ShardedEmbedding(Module):
                              f"has {weight.shape[0]}")
         self.spec = spec
         self.table_name = name
-        self.shards: list[Parameter] = []
-        for k in range(spec.num_shards):
-            p = Parameter(weight[spec.shard_rows(k)], name=f"{name}[shard{k}]")
-            p.shard = k
-            self.shards.append(p)
+        self.shards: list[Parameter] = [
+            Parameter(weight[spec.shard_rows(k)], name=f"{name}[shard{k}]")
+            for k in range(spec.num_shards)]
         # hash layout needs a permutation to reassemble concat → global order;
         # range layout concatenates in global order already (identity map)
         if spec.strategy == "range" or spec.num_shards == 1:

@@ -8,8 +8,8 @@ moments, step clocks and per-row counters), the learning-rate schedule
 position, the recorded history, and the early-stopping counters. Restoring
 all of it and continuing is bit-identical to never having stopped:
 ``train N epochs == train M + resume N-M`` for both propagation modes
-(full/async, any workers) and for dist sync training, which is the oracle
-``tests/train/test_resume`` pins.
+(full/async, any workers), which is the oracle ``tests/train/test_resume``
+pins.
 
 The file is a :mod:`repro.utils.artifact` container: written atomically
 (a crash — including SIGKILL — mid-save leaves the previous complete state
@@ -53,7 +53,7 @@ _OPTIM_PREFIX = "optim::"
 RESUME_CONFIG_KEYS = (
     "steps_per_epoch", "batch_users", "per_user", "lr", "lr_decay",
     "l2_weight", "loss", "margin", "seed", "dtype", "propagation", "fanout",
-    "grad_clip", "optimizer", "eval_every", "dist",
+    "grad_clip", "optimizer", "eval_every",
 )
 
 

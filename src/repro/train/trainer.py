@@ -24,8 +24,7 @@ Two propagation modes (``TrainConfig.propagation``):
 
 The loop itself is the same in every mode. Two things are selected once,
 when a run starts: the batch source (``propagation``) and the optimizer
-(``TrainConfig.dist``: in-process Adam/SGD, or the :mod:`repro.dist`
-parameter-server bridge behind the same surface).
+(``TrainConfig.optimizer``: Adam or SGD). One process applies every step.
 """
 
 from __future__ import annotations
@@ -112,25 +111,6 @@ class TrainConfig:
     #: run ``eval_fn`` every this many epochs (the final epoch always
     #: evaluates so the history ends with a metric)
     eval_every: int = 1
-    #: multi-process parameter-server mode (:mod:`repro.dist`): "off"
-    #: keeps every optimizer step in-process; "sync" ships shard
-    #: gradients to owner processes and barriers each step (bit-matches
-    #: in-process ``shards=K`` training); "async" lets the trainer run
-    #: ahead of the owners by ``dist_staleness`` steps (stale-push mode —
-    #: faster, nondeterministic). Requires a model built with sharded
-    #: tables (``GNMRConfig.shards`` / model ``shards=``): the table layout
-    #: is the parameter-server partition
-    dist: str = "off"
-    #: shard-owner process count for dist modes (default: one per shard)
-    dist_workers: int | None = None
-    #: bounded staleness window for ``dist="async"``: how many steps the
-    #: trainer may lead the slowest shard owner. ``0`` degenerates to the
-    #: synchronous barrier
-    dist_staleness: int = 2
-    #: gradient transport for dist modes: "shm" (shared-memory rings,
-    #: default) or "inline" (owners run in-process through the full wire
-    #: codec — tests/fallback)
-    dist_transport: str = "shm"
     #: path of the training-state file (:mod:`repro.train.resume`) this run
     #: maintains: written atomically every ``save_every_steps`` steps and
     #: once more at the end of the run. ``Trainer.run(resume_from=...)``
@@ -160,18 +140,6 @@ class TrainConfig:
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r} "
                              "(use 'adam' or 'sgd')")
-        if self.dist not in ("off", "sync", "async"):
-            raise ValueError(f"unknown dist mode {self.dist!r} "
-                             "(use 'off', 'sync' or 'async')")
-        if self.dist != "off":
-            if self.dist_transport not in ("shm", "inline"):
-                raise ValueError(
-                    f"unknown dist transport {self.dist_transport!r} "
-                    "(use 'shm' or 'inline')")
-            if self.dist_workers is not None and self.dist_workers < 1:
-                raise ValueError("dist_workers must be >= 1 (or None)")
-            if self.dist_staleness < 0:
-                raise ValueError("dist_staleness must be >= 0")
         if self.save_every_steps is not None:
             if self.save_every_steps < 1:
                 raise ValueError("save_every_steps must be >= 1 (or None)")
@@ -304,17 +272,11 @@ class Trainer:
                 yield from pipeline
 
     def _make_optimizer(self, resume):
-        """``(optimizer, window)`` — who applies a step, and how many steps
-        forward may lead it.
-
-        In-process Adam/SGD under ``dist="off"``; otherwise the
-        parameter-server bridge, which partitions the same parameter list
-        between its owner processes and an in-process remainder. Either
-        way resume state is matched to parameters by name.
-        """
+        """The configured optimizer over ``model.parameters()``; resume
+        state is matched to parameters by name."""
         cfg = self.config
-        params = self.model.parameters()
-        states = None
+        optimizer = make_optimizer(cfg.optimizer, self.model.parameters(),
+                                   cfg.lr)
         if resume is not None:
             states = []
             for name, _ in self.model.named_parameters():
@@ -324,18 +286,8 @@ class Trainer:
                         f"parameter {name!r} — was it saved from a "
                         "different model architecture?")
                 states.append(resume.optimizer_states[name])
-        if cfg.dist != "off":
-            from repro.dist import DistParameterServer
-
-            bridge = DistParameterServer(
-                params, optimizer=cfg.optimizer, lr=cfg.lr,
-                workers=cfg.dist_workers, transport=cfg.dist_transport,
-                initial_state=states)
-            return bridge, cfg.dist_staleness if cfg.dist == "async" else 0
-        optimizer = make_optimizer(cfg.optimizer, params, cfg.lr)
-        if states is not None:
             optimizer.load_state_dict(states)
-        return optimizer, 0
+        return optimizer
 
     def _step_scores(self, prepared: PreparedBatch):
         """(pos, neg, reg) for one step under the configured propagation."""
@@ -369,7 +321,7 @@ class Trainer:
             steps_done = int(resume.meta["steps_done"])
             if stopper is not None and resume.meta.get("stopper") is not None:
                 stopper.load_state_dict(resume.meta["stopper"])
-        optimizer, window = self._make_optimizer(resume)
+        optimizer = self._make_optimizer(resume)
         batches = self._batches(start_epoch * cfg.steps_per_epoch + first_step)
         try:
             scheduler = ExponentialDecay(optimizer, rate=cfg.lr_decay)
@@ -385,10 +337,6 @@ class Trainer:
                 for step_i in range(first_step, cfg.steps_per_epoch):
                     prepared = next(batches)
                     if len(prepared.batch) > 0:
-                        # bounded staleness: forward may only read tables
-                        # whose updates are applied to within the window
-                        # (nothing is ever pending in-process)
-                        optimizer.sync(window)
                         pos_scores, neg_scores, reg = self._step_scores(prepared)
                         loss = loss_fn(pos_scores, neg_scores, cfg.margin)
                         loss = loss + reg
@@ -426,7 +374,6 @@ class Trainer:
                 if (self.eval_fn is not None
                         and ((epoch + 1) % cfg.eval_every == 0
                              or epoch == cfg.epochs - 1)):
-                    optimizer.sync()  # evaluate fully-applied tables
                     self.model.eval()
                     metric = float(self.eval_fn())
                     self.model.train()
@@ -437,7 +384,6 @@ class Trainer:
                 if (stopper is not None and metric is not None
                         and stopper.update(metric)):
                     break
-            optimizer.sync()
             self.model.eval()
             if cfg.save_state is not None:
                 # end-of-run state: resuming it with a larger epoch budget
@@ -447,23 +393,15 @@ class Trainer:
             return self.history
         finally:
             batches.close()
-            optimizer.close()
 
     def _save_state(self, optimizer, scheduler, stopper, epoch: int,
                     step_in_epoch: int, epoch_loss: float,
                     steps_done: int) -> None:
-        """One atomic training-state snapshot at the current cursor.
-
-        A consistent cut: under dist training every in-flight update is
-        waited out before the shard owners' optimizer state is collected
-        and the tables are read, so tables, clocks, and cursor all
-        describe the same step.
-        """
+        """One atomic training-state snapshot at the current cursor."""
         from repro.shard import shard_layout
         from repro.train.resume import config_echo, save_training_state
 
         cfg = self.config
-        optimizer.sync()
         # the optimizer was built over model.parameters(), in this order
         opt_states = {name: state for (name, _), state in
                       zip(self.model.named_parameters(),

@@ -63,6 +63,14 @@ class TestAdam:
         opt.step()
         assert opt._m[0].shape == (2,) and opt._m[1].shape == (3,)
 
+    def test_skips_none_grad_but_advances_the_clock(self):
+        idle, busy = Parameter(np.array([1.0])), Parameter(np.array([0.0]))
+        opt = Adam([idle, busy], lr=0.1)
+        busy.grad = np.array([1.0])
+        opt.step()
+        np.testing.assert_array_equal(idle.data, [1.0])
+        assert opt.state_dict()[0]["param_t"] == 1
+
 
 class TestValidation:
     def test_negative_lr_rejected(self):
@@ -72,3 +80,9 @@ class TestValidation:
     def test_empty_params_rejected(self):
         with pytest.raises(ValueError):
             Adam([], lr=0.1)
+
+    def test_unknown_optimizer_kind_rejected(self):
+        from repro.nn.optim import make_optimizer
+
+        with pytest.raises(ValueError, match="unknown optimizer 'momentum'"):
+            make_optimizer("momentum", [Parameter(np.zeros(1))], 0.1)

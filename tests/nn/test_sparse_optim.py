@@ -103,6 +103,9 @@ class TestClipping:
         a.grad, b.grad = sparse, dense
         expected = float(np.sqrt(2.0 * np.sum(dense ** 2)))
         assert global_grad_norm([a, b]) == pytest.approx(expected)
+        # a parameter that received no gradient adds nothing
+        assert global_grad_norm([a, b, Parameter(np.ones(3))]) == \
+            pytest.approx(expected)
 
     def test_clip_scales_sparse_without_densifying(self):
         p, _, sparse, _ = _pair()

@@ -155,26 +155,3 @@ class TestSnapshotIntegrity:
         assert service.refresh()
         assert service.store.content_hash != first
         service.store.verify()
-
-    def test_from_shards_verifies_expected_hash(self, gnmr):
-        from repro.serve import SnapshotIntegrityError
-        from repro.shard import ShardSpec
-
-        reference = EmbeddingStore.snapshot(gnmr)
-        user_spec = ShardSpec(reference.num_users, 2)
-        item_spec = ShardSpec(reference.num_items, 3)
-        user_shards = [reference.user_matrix[rows]
-                       for rows in map(user_spec.shard_rows, range(2))]
-        item_shards = [reference.item_matrix[rows]
-                       for rows in map(item_spec.shard_rows, range(3))]
-        store = EmbeddingStore.from_shards(
-            user_shards, item_shards, user_spec=user_spec,
-            item_spec=item_spec, dtype=None,
-            expected_hash=reference.content_hash)
-        assert store.content_hash == reference.content_hash
-        # a reordered shard list must fail assembly verification
-        with pytest.raises(SnapshotIntegrityError):
-            EmbeddingStore.from_shards(
-                list(reversed(user_shards)), item_shards,
-                user_spec=user_spec, item_spec=item_spec, dtype=None,
-                expected_hash=reference.content_hash)

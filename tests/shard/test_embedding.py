@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, Embedding, Parameter, shard_param_groups
+from repro.nn import Adam, Embedding, Parameter
 from repro.shard import (
     ShardSpec,
     ShardedEmbedding,
@@ -100,7 +100,6 @@ class TestModuleIntegration:
         emb = ShardedEmbedding(_table(), num_shards=3, name="table")
         params = emb.parameters()
         assert len(params) == 3
-        assert [p.shard for p in params] == [0, 1, 2]
         names = [name for name, _ in emb.named_parameters()]
         assert names == ["shards.0", "shards.1", "shards.2"]
 
@@ -120,13 +119,6 @@ class TestModuleIntegration:
                                       layer.weight.data)
         # identical post-init stream: sharding drew exactly the same numbers
         assert rng_a.random() == rng_b.random()
-
-    def test_shard_param_groups(self):
-        emb = ShardedEmbedding(_table(), num_shards=2)
-        dense = Parameter(np.zeros(3), name="w")
-        groups = shard_param_groups([dense, *emb.parameters()])
-        assert [g["shard"] for g in groups] == [None, 0, 1]
-        assert groups[0]["params"] == [dense]
 
     def test_adam_row_counters_stay_shard_local(self):
         emb = ShardedEmbedding(_table(), num_shards=2)

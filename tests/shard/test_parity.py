@@ -155,38 +155,18 @@ class TestTrainingParity:
                 err_msg=f"{name}: sharded SGD diverged from unsharded")
 
 
-class TestServingFromShards:
-    def test_snapshot_assembled_from_shard_tables(self, tiny_split):
-        model, _ = _train_gnmr(tiny_split, 2, epochs=1)
-        user_matrix, item_matrix = model.serving_embeddings()
-        # pretend the shard-local order-0 tables live on K servers
-        store = EmbeddingStore.from_shards(
-            model.user_embeddings, model.item_embeddings, dtype="float64",
-            source="shard-test")
-        np.testing.assert_array_equal(store.user_matrix,
-                                      model.user_embeddings.dense_table())
-        assert store.num_users == tiny_split.train.num_users
-
-    def test_snapshot_from_raw_blocks(self):
-        from repro.shard import ShardSpec
-
-        rng = np.random.default_rng(0)
-        users = rng.standard_normal((10, 4))
-        items = rng.standard_normal((15, 4))
-        user_spec, item_spec = ShardSpec(10, 2), ShardSpec(15, 3, "hash")
-        store = EmbeddingStore.from_shards(
-            [users[user_spec.shard_rows(k)] for k in range(2)],
-            [items[item_spec.shard_rows(k)] for k in range(3)],
-            user_spec=user_spec, item_spec=item_spec, dtype="float64")
-        np.testing.assert_array_equal(store.user_matrix, users)
-        np.testing.assert_array_equal(store.item_matrix, items)
-        # snapshot bit-matches the unsharded one (before any dtype cast)
-        ref = EmbeddingStore(users, items, dtype="float64")
-        np.testing.assert_array_equal(store.item_matrix, ref.item_matrix)
-
-    def test_raw_blocks_require_spec(self):
-        with pytest.raises(ValueError):
-            EmbeddingStore.from_shards([np.zeros((5, 2))], [np.zeros((5, 2))])
+class TestServingSnapshot:
+    def test_snapshot_of_sharded_model_bit_equals_unsharded(self, tiny_split):
+        # SGD: the exact side of the parity contract
+        plain, _ = _train_gnmr(tiny_split, None, optimizer="sgd", epochs=1)
+        for strategy in ("range", "hash"):
+            sharded, _ = _train_gnmr(tiny_split, 2, optimizer="sgd",
+                                     strategy=strategy, epochs=1)
+            want = EmbeddingStore.snapshot(plain, dtype=None)
+            got = EmbeddingStore.snapshot(sharded, dtype=None)
+            np.testing.assert_array_equal(got.user_matrix, want.user_matrix)
+            np.testing.assert_array_equal(got.item_matrix, want.item_matrix)
+            assert got.content_hash == want.content_hash
 
 
 class TestCheckpointRoundtrip:

@@ -43,9 +43,7 @@ ON_THE_FLOOR = {
                           _ann_row("int8", 4, 3.0, 0.95)]}},
     "bench_training": {
         "speedup_sampled_large": 3.0,
-        "shard_overhead_large": 2.0,
-        "dist": {"cpu_count": 4, "sync_speedup": 1.6,
-                 "sync_best_workers": 3}},
+        "shard_overhead_large": 2.0},
     "bench_http_serving": {
         "configs": {"exact_single": _http_config(1),
                     "exact_batched": _http_config(8),
@@ -74,7 +72,7 @@ def _with(payload, path, value):
 def test_payload_on_every_floor_passes(script, capsys):
     assert _run_gate(script, ON_THE_FLOOR[script]) == (0, [])
     out = capsys.readouterr().out
-    assert "[PASS]" in out and "[FAIL]" not in out and "[skip]" not in out
+    assert "[PASS]" in out and "[FAIL]" not in out
 
 
 @pytest.mark.parametrize("script, path, value, label", [
@@ -93,31 +91,19 @@ def test_payload_on_every_floor_passes(script, capsys):
     ("bench_training", ("speedup_sampled_large",), 2.9,
      "sampled-training-speedup"),
     ("bench_training", ("shard_overhead_large",), 2.1, "shard-overhead"),
-    ("bench_training", ("dist", "sync_speedup"), 1.5, "dist-sync-speedup"),
+    ("bench_http_serving", ("configs", "exact_single", "bit_match"), False,
+     "http-exact_single-bit-match"),
     ("bench_http_serving", ("configs", "exact_batched", "clients"), 7,
      "http-concurrency"),
     ("bench_http_serving", ("batched_speedup_vs_single",), 1.9,
      "http-batched-speedup"),
     ("bench_http_serving", ("configs", "ivf_int8_batched", "errors"), 1,
      "http-ivf_int8_batched-non-200"),
-    ("bench_http_serving", ("configs", "exact_single", "bit_match"), False,
-     "http-exact_single-bit-match"),
 ])
 def test_each_missed_floor_fails_by_name(script, path, value, label, capsys):
     payload = _with(ON_THE_FLOOR[script], path, value)
     assert _run_gate(script, payload) == (1, [label])
     assert f"[FAIL] {label}: " in capsys.readouterr().out
-
-
-def test_dist_floor_skips_below_four_cores(capsys):
-    """1.5x on 2 cores is recorded, not failed: owners need real cores."""
-    payload = _with(ON_THE_FLOOR["bench_training"], ("dist",),
-                    {"cpu_count": 2, "sync_speedup": 1.5,
-                     "sync_best_workers": 1})
-    assert _run_gate("bench_training", payload) == (0, [])
-    out = capsys.readouterr().out
-    assert "[skip] dist-sync-speedup: 1.50x measured on 2 core(s)" in out
-    assert "2 checks, 0 failure(s)" in out
 
 
 def test_main_prints_gates_and_writes_only_under_out(tmp_path, capsys,

@@ -21,6 +21,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--model", "SVD"])
 
+    def test_train_has_no_dist_flag(self, capsys):
+        # one process applies every step; no deprecation shim
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["train", "--shards", "2",
+                                       "--dist", "sync"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --dist sync" in capsys.readouterr().err
+
     def test_scale_overrides(self):
         args = build_parser().parse_args(
             ["train", "--users", "30", "--items", "60", "--epochs", "2"])
@@ -87,12 +95,6 @@ class TestCommands:
     @pytest.mark.parametrize("argv, setting", [
         (["--model", "NMTR", "--save-state", "{tmp}/x.npz"], "save_state"),
         (["--model", "CDAE", "--resume", "{tmp}/x.npz"], "resume_from"),
-        (["--model", "AutoRec", "--shards", "2", "--dist", "sync"], "dist"),
-        # refused up front: nothing to own without --shards ...
-        (["--model", "GNMR", "--dist", "sync"], "--dist sync needs --shards"),
-        # ... and by the bridge when the model has no table to shard
-        (["--model", "DMF", "--shards", "2", "--dist", "sync",
-          "--dist-transport", "inline"], "sharded tables"),
     ])
     def test_settings_training_refuses_exit_2(self, capsys, tmp_path, argv,
                                               setting):

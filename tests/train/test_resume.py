@@ -5,7 +5,7 @@ The oracle behind the whole resume subsystem: a training state written by
 must reproduce the uninterrupted run *bit for bit* — final parameters,
 optimizer state, loss trace, eval history, rng consumption — across every
 propagation mode (full graph; mini-batch layered blocks, extracted inline
-or by the prefetch pipeline) and dist sync training. The crash flavor uses the
+or by the prefetch pipeline). The crash flavor uses the
 :class:`helpers.faults.CrashAtStep` hook: die right after a mid-epoch
 save, resume from the partial epoch, and still match.
 """
@@ -108,16 +108,12 @@ class TestCrashResume:
         h_resumed = resumed.fit(SPLIT.train, config(5), resume_from=state)
         assert_states_equal(full, resumed, h_full, h_resumed)
 
-    @pytest.mark.parametrize("propagation,workers,dist", [
-        ("full", 0, "off"), ("async", 0, "off"), ("async", 1, "off"),
-        ("async", 0, "sync"), ("async", 1, "sync"),
+    @pytest.mark.parametrize("propagation,workers", [
+        ("full", 0), ("async", 0), ("async", 1),
     ])
-    def test_gnmr_modes_mid_epoch_crash(self, tmp_path, propagation, workers,
-                                        dist):
+    def test_gnmr_modes_mid_epoch_crash(self, tmp_path, propagation, workers):
         state = str(tmp_path / "state.npz")
         overrides = dict(propagation=propagation, workers=workers, fanout=5)
-        if dist != "off":
-            overrides.update(dist=dist, dist_transport="inline")
         full = gnmr(shards=3)
         h_full = full.fit(SPLIT.train, config(4, **overrides))
         crashed = gnmr(shards=3)
@@ -133,19 +129,6 @@ class TestCrashResume:
         h_resumed = resumed.fit(SPLIT.train, config(4, **overrides),
                                 resume_from=state)
         assert_states_equal(full, resumed, h_full, h_resumed)
-
-    def test_real_process_dist_resume(self, tmp_path):
-        """End-of-epoch save with real shard-owner processes over shm."""
-        state = str(tmp_path / "state.npz")
-        overrides = dict(propagation="async", workers=0, fanout=5,
-                         dist="sync", dist_transport="shm")
-        full = gnmr(shards=2)
-        full.fit(SPLIT.train, config(3, **overrides))
-        part = gnmr(shards=2)
-        part.fit(SPLIT.train, config(2, save_state=state, **overrides))
-        resumed = gnmr(shards=2)
-        resumed.fit(SPLIT.train, config(3, **overrides), resume_from=state)
-        assert_states_equal(full, resumed)
 
 
 class TestFinalEpochEval:

@@ -89,16 +89,10 @@ class TestTraining:
 
 
 class TestModeMatrix:
-    """One loop, every surviving mode: who applies a step (in-process or
-    the parameter-server bridge, any transport) never changes a
-    trajectory; propagation and optimizer family select it."""
+    """One loop, every surviving mode: propagation and optimizer family
+    select a trajectory; one process applies every step."""
 
-    APPLIERS = {
-        "sync-inline": dict(dist="sync", dist_transport="inline"),
-        "sync-shm": dict(dist="sync", dist_transport="shm", dist_workers=2),
-        "async-window-0": dict(dist="async", dist_staleness=0,
-                               dist_transport="shm", dist_workers=1),
-    }
+    GRAD_CLIP = 0.5
 
     @pytest.fixture(scope="class")
     def split(self):
@@ -116,46 +110,42 @@ class TestModeMatrix:
                                             shards=2))
 
     def train(self, split, path, *, epochs=6, resume_from=None, **overrides):
-        """Eval, clipping, mid-run saves and early stopping all on: every
-        applier has to drain before eval and before each save, and clip
-        before it ships a gradient. Returns what must not depend on the
-        applier: history, tables, the state saved mid-run at step 4 and
-        the end-of-run state."""
+        """Eval, clipping, mid-run saves and early stopping all on.
+        Returns history, tables, the state saved mid-run at step 4, the
+        end-of-run state and the gradient norm left behind by each step."""
+        from repro.nn import global_grad_norm
         from repro.shard import table_array
         from repro.train.resume import load_training_state
 
         model = self.model(split)
-        mid_run = []
+        mid_run, grad_norms = [], []
 
         def eval_fn():
-            # reads the tables (an undrained push would show) and falls
-            # tenfold per epoch, so patience=2 stops the run at epoch 2
+            # reads the tables and falls tenfold per epoch, so patience=2
+            # stops the run at epoch 2
             checksum = np.abs(table_array(model.user_embeddings)).sum()
             return float(checksum) / 10.0 ** len(trainer.history)
 
-        def keep_mid_run_state(trainer, global_step):
+        def after_step(trainer, global_step):
+            # the gradients the optimizer just stepped with are still set
+            grad_norms.append(global_grad_norm(model.parameters()))
             if global_step == 4:
                 mid_run.append(load_training_state(path))
 
         config = TrainConfig(epochs=epochs, steps_per_epoch=3, batch_users=8,
-                             per_user=2, workers=0, seed=0, grad_clip=0.5,
+                             per_user=2, workers=0, seed=0,
+                             grad_clip=self.GRAD_CLIP,
                              early_stopping_patience=2, save_state=str(path),
                              save_every_steps=2, **overrides)
         trainer = Trainer(model, split.train, config, eval_fn=eval_fn,
-                          step_hook=keep_mid_run_state)
+                          step_hook=after_step)
         history = trainer.run(resume_from)
         return (history.rows, model.state_dict(), mid_run,
-                load_training_state(path))
+                load_training_state(path), grad_norms)
 
     @staticmethod
     def assert_same_state(got, want):
-        """Equal training-state files, the config's ``dist`` echo aside."""
-        def without_dist(meta):
-            return dict(meta, config={key: value
-                                      for key, value in meta["config"].items()
-                                      if key != "dist"})
-
-        assert without_dist(got.meta) == without_dist(want.meta)
+        assert got.meta == want.meta
         for kind in ("model_state", "optimizer_states"):
             assert sorted(getattr(got, kind)) == sorted(getattr(want, kind))
         for name, value in want.model_state.items():
@@ -174,34 +164,37 @@ class TestModeMatrix:
         cell = dict(propagation=propagation, optimizer=optimizer)
         if propagation == "async":
             cell["fanout"] = 5
-        rows, tables, mid_run, final = self.train(
-            split, tmp_path / "in-process.npz", **cell)
+        rows, tables, mid_run, final, grad_norms = self.train(
+            split, tmp_path / "first.npz", **cell)
         assert len(rows) == 3 and len(mid_run) == 1  # stopped early; saved
         assert mid_run[0].global_step == 4
         assert final.meta["shards"] == 2
-        for name, applier in self.APPLIERS.items():
-            got_rows, got_tables, got_mid, got_final = self.train(
-                split, tmp_path / f"{name}.npz", **cell, **applier)
-            assert got_rows == rows, name  # losses, lrs and eval metrics
-            assert sorted(got_tables) == sorted(tables)
-            for key, value in tables.items():
-                np.testing.assert_array_equal(got_tables[key], value,
-                                              err_msg=f"{name}: {key}")
-            assert got_final.config["dist"] == applier["dist"]
-            self.assert_same_state(got_mid[0], mid_run[0])
-            self.assert_same_state(got_final, final)
+        # the optimizer stepped with clipped gradients, and clipping bit
+        assert max(grad_norms) == pytest.approx(self.GRAD_CLIP, rel=1e-9)
+        got_rows, got_tables, got_mid, got_final, got_norms = self.train(
+            split, tmp_path / "second.npz", **cell)
+        assert got_rows == rows  # losses, lrs and eval metrics
+        assert got_norms == grad_norms
+        assert sorted(got_tables) == sorted(tables)
+        for key, value in tables.items():
+            np.testing.assert_array_equal(got_tables[key], value, err_msg=key)
+        self.assert_same_state(got_mid[0], mid_run[0])
+        self.assert_same_state(got_final, final)
 
     def test_state_written_by_the_previous_build_resumes(self, split,
                                                          tmp_path):
         """Before the layout was read from the model, a training state
         listed the optimizer entries in grouped order (unsharded first,
         then shard by shard), echoed ``"shards": 2`` in its config and
-        recorded no layout. Entries are matched by parameter name and the
-        echo key is no longer compared, so it continues bit-identically."""
+        recorded no layout; until one process applied every step it also
+        echoed ``"dist"`` — ``"off"``, or ``"sync"``, which bit-matched
+        in-process by contract. Entries are matched by parameter name and
+        neither echo key is compared, so it continues bit-identically."""
         from repro.train.resume import load_training_state, save_training_state
 
         cell = dict(propagation="async", fanout=5, optimizer="adam")
-        rows, tables, _, _ = self.train(split, tmp_path / "full.npz", **cell)
+        rows, tables, _, final, _ = self.train(split, tmp_path / "full.npz",
+                                               **cell)
         self.train(split, tmp_path / "part.npz", epochs=1, **cell)
         saved = load_training_state(tmp_path / "part.npz")
         grouped = sorted(saved.optimizer_states,
@@ -210,19 +203,22 @@ class TestModeMatrix:
         assert grouped != list(saved.optimizer_states)
         meta = {k: v for k, v in saved.meta.items()
                 if k not in ("shards", "shard_strategy")}
-        meta["config"] = dict(saved.config, shards=2)
+        meta["config"] = dict(saved.config, shards=2, dist="sync")
         save_training_state(
             tmp_path / "old.npz", saved.model_state,
             {name: saved.optimizer_states[name] for name in grouped}, meta)
-        got_rows, got_tables, _, _ = self.train(
+        got_rows, got_tables, _, got_final, _ = self.train(
             split, tmp_path / "old.npz", resume_from=str(tmp_path / "old.npz"),
             **cell)
         assert got_rows == rows
         for key, value in tables.items():
             np.testing.assert_array_equal(got_tables[key], value, err_msg=key)
+        self.assert_same_state(got_final, final)
 
-    @pytest.mark.parametrize("removed", [dict(shards=2), dict(verbose=True)])
+    @pytest.mark.parametrize("removed", [dict(shards=2), dict(verbose=True),
+                                         dict(dist="sync")])
     def test_removed_fields_are_gone(self, removed):
-        # the model's tables carry the layout; nothing printed per epoch
+        # the model's tables carry the layout; nothing printed per epoch;
+        # one process applies every step
         with pytest.raises(TypeError):
             TrainConfig(**removed)
