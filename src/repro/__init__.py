@@ -9,7 +9,6 @@ Public entry points:
 * :mod:`repro.graph` — the multi-behavior user–item interaction graph.
 * :mod:`repro.eval` — HR@N / NDCG@N and the sampled ranking protocol.
 * :mod:`repro.train` — the generic pairwise trainer.
-* :mod:`repro.shard` — sharded embedding tables (parameter-server layout).
 * :mod:`repro.serve` — batched top-K serving.
 * :mod:`repro.experiments` — table/figure reproduction harness.
 * :mod:`repro.tensor`, :mod:`repro.nn` — the from-scratch autograd and

@@ -162,12 +162,10 @@ def cmd_train(args) -> int:
     overrides = {"dtype": args.dtype} if args.dtype else None
     with default_dtype(args.dtype):  # None → ambient default
         model = make_model(args.model, split.train, scale,
-                           gnmr_overrides=overrides, shards=args.shards,
-                           shard_strategy=args.shard_strategy)
-    shard_note = f", shards={args.shards}" if args.shards else ""
+                           gnmr_overrides=overrides)
     print(f"training {args.model} on {dataset.name} "
           f"({model.num_parameters():,} parameters, dtype={args.dtype or 'float64'}, "
-          f"propagation={args.propagation}{shard_note})")
+          f"propagation={args.propagation})")
     train_overrides = dict({"dtype": args.dtype} if args.dtype else {})
     train_overrides["propagation"] = args.propagation
     if args.fanout is not _FANOUT_UNSET:
@@ -198,8 +196,7 @@ def cmd_train(args) -> int:
               f"MRR={outcome.mrr():.3f}")
     if args.checkpoint:
         # scale/dtype/split ride along so `recommend` can rebuild this exact
-        # model over the graph it was trained on (the shard layout is
-        # recorded from the model itself)
+        # model over the graph it was trained on
         path = save_checkpoint(model, args.checkpoint,
                                metadata={"model": args.model,
                                          "dataset": dataset.name,
@@ -218,8 +215,8 @@ def cmd_train(args) -> int:
 def _rebuild_serving_model(args):
     """Model + split for the serving commands (checkpoint or in-process).
 
-    Checkpoint metadata restores the model class, dataset, split, scale,
-    dtype and shard layout, so a serving process needs no training-side
+    Checkpoint metadata restores the model class, dataset, split, scale
+    and dtype, so a serving process needs no training-side
     configuration; without a checkpoint the model is trained in-process
     at the requested scale. Returns ``(model, split, dataset, name)``.
     """
@@ -254,15 +251,9 @@ def _rebuild_serving_model(args):
         # pre-training only shapes the initialization, which the checkpoint
         # overwrites anyway — skip the wasted autoencoder epochs
         overrides["pretrain"] = False
-    # a model checkpointed with sharded tables must be rebuilt sharded or
-    # the state-dict keys (per-shard blocks) will not line up
-    shards = meta.get("shards")
-    shards = int(shards) if shards else None
-    shard_strategy = meta.get("shard_strategy") or "range"
     with default_dtype(dtype):  # None → ambient default
         model = make_model(model_name, split.train, scale,
-                           gnmr_overrides=overrides or None,
-                           shards=shards, shard_strategy=shard_strategy)
+                           gnmr_overrides=overrides or None)
     if args.checkpoint:
         load_checkpoint(model, args.checkpoint)
     else:
@@ -363,26 +354,6 @@ def cmd_serve(args) -> int:
     finally:
         server.close()
     print(json.dumps({"serving": False}), flush=True)
-    return 0
-
-
-def cmd_reshard(args) -> int:
-    from repro.shard.reshard import ReshardError, reshard_file
-
-    output = args.output or args.checkpoint
-    try:
-        info = reshard_file(args.checkpoint, output, args.shards,
-                            strategy=args.strategy,
-                            old_strategy=args.old_strategy)
-    except ReshardError as exc:
-        print(f"reshard failed: {exc}", file=sys.stderr)
-        return 1
-    tables = ", ".join(f"{base} ({spec['rows']} rows, "
-                       f"{spec['old_shards']}->{args.shards} shards)"
-                       for base, spec in info["tables"].items())
-    print(f"resharded {info['format']} to {args.shards} "
-          f"{info['strategy']} shards: {tables}")
-    print(f"written to {output}")
     return 0
 
 
@@ -502,15 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="background block-extraction threads for "
                               "--propagation async (0 = inline; default 1; "
                               "never changes the trajectory)")
-    p_train.add_argument("--shards", type=int, default=None,
-                         help="partition the user/item embedding tables "
-                              "across K logical shards (1 bit-matches "
-                              "unsharded, K matches 1 under the documented "
-                              "parity contract)")
-    p_train.add_argument("--shard-strategy", default="range",
-                         choices=["range", "hash"],
-                         help="row partitioning: contiguous ranges or "
-                              "modulo hashing (balances skewed ids)")
     p_train.add_argument("--save-state", default=None,
                          help="write a resumable training state here "
                               "(atomic; end of run, plus mid-run with "
@@ -595,27 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--ready-file", default=None,
                          help="also write the JSON readiness line here "
                               "(for supervisors / smoke tests)")
-    p_reshard = sub.add_parser(
-        "reshard",
-        help="migrate a checkpoint or training state to a new shard "
-             "layout (repro.shard.reshard; exact — rows and their "
-             "optimizer state move bit-for-bit)")
-    p_reshard.add_argument("--checkpoint", required=True,
-                           help=".npz checkpoint or training state to "
-                                "migrate")
-    p_reshard.add_argument("--output", default=None,
-                           help="destination path (default: overwrite the "
-                                "input atomically)")
-    p_reshard.add_argument("--shards", type=int, required=True,
-                           help="target shard count K'")
-    p_reshard.add_argument("--strategy", default=None,
-                           choices=["range", "hash"],
-                           help="target partitioning (default: keep the "
-                                "file's recorded strategy)")
-    p_reshard.add_argument("--old-strategy", default=None,
-                           choices=["range", "hash"],
-                           help="partitioning the file was written under "
-                                "(default: its recorded strategy)")
     p_scenarios = sub.add_parser(
         "scenarios",
         help="list the scenario registry (repro.data.scenarios)")
@@ -672,7 +613,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"stats": cmd_stats, "run": cmd_run, "train": cmd_train,
                 "recommend": cmd_recommend, "serve": cmd_serve,
-                "reshard": cmd_reshard, "scenarios": cmd_scenarios,
+                "scenarios": cmd_scenarios,
                 "ingest": cmd_ingest}
     try:
         return handlers[args.command](args)

@@ -68,18 +68,6 @@ class GNMRConfig:
         propagation: ``"float64"`` (bit-reproducible default), ``"float32"``
         (the fast path: half the memory bandwidth on the SpMM-bound hot
         loops), or ``None`` to inherit the ambient tensor default dtype.
-    shards:
-        Partition the user/item embedding tables across K logical shards
-        (:class:`~repro.shard.ShardedEmbedding`), all held and stepped by
-        the one training process.
-        ``None`` (default) keeps the plain unsharded tables; ``shards=1``
-        runs the sharded machinery with one shard and bit-matches the
-        unsharded float64 path; ``shards=K`` matches ``shards=1`` exactly
-        under SGD and within documented tolerance under Adam (see
-        ``docs/training.md``).
-    shard_strategy:
-        Row partitioning: ``"range"`` (contiguous row ranges) or
-        ``"hash"`` (modulo — load-balances skewed id distributions).
     seed:
         Parameter initialization seed.
     """
@@ -102,19 +90,11 @@ class GNMRConfig:
     graph_behaviors: tuple[str, ...] | None = None
     use_side_features: bool = False
     dtype: str | None = "float64"
-    shards: int | None = None
-    shard_strategy: str = "range"
     seed: int = 0
 
     def __post_init__(self):
         if self.dtype is not None and self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be 'float32', 'float64', or None")
-        if self.shards is not None and self.shards < 1:
-            raise ValueError("shards must be >= 1 (or None for unsharded)")
-        from repro.shard import STRATEGIES
-
-        if self.shard_strategy not in STRATEGIES:
-            raise ValueError(f"shard_strategy must be one of {STRATEGIES}")
         if self.embedding_dim <= 0:
             raise ValueError("embedding_dim must be positive")
         if self.num_heads <= 0 or self.embedding_dim % self.num_heads != 0:

@@ -28,7 +28,6 @@ from repro.models.base import Recommender
 from repro.nn import init as init_schemes
 from repro.nn.layers import Dropout
 from repro.nn.module import ModuleList, Parameter
-from repro.shard import ShardedEmbedding, table_rows, table_tensor
 from repro.tensor import Tensor, default_dtype, no_grad
 
 #: sentinel meaning "use ``config.fanout``" — ``None`` already means "no cap"
@@ -93,18 +92,8 @@ class GNMR(Recommender):
         else:
             user_init = init_schemes.xavier_normal((self.num_users, cfg.embedding_dim), rng)
             item_init = init_schemes.xavier_normal((self.num_items, cfg.embedding_dim), rng)
-        if cfg.shards is None:
-            self.user_embeddings = Parameter(user_init, name="user_embeddings")
-            self.item_embeddings = Parameter(item_init, name="item_embeddings")
-        else:
-            # parameter-server layout: the same init arrays, sliced row-wise
-            # into shard-local tables (shards=1 bit-matches the plain path)
-            self.user_embeddings = ShardedEmbedding(
-                user_init, num_shards=cfg.shards,
-                strategy=cfg.shard_strategy, name="user_embeddings")
-            self.item_embeddings = ShardedEmbedding(
-                item_init, num_shards=cfg.shards,
-                strategy=cfg.shard_strategy, name="item_embeddings")
+        self.user_embeddings = Parameter(user_init, name="user_embeddings")
+        self.item_embeddings = Parameter(item_init, name="item_embeddings")
 
         # optional attribute extension (paper's future work): project side
         # features into the embedding space and add them at order 0
@@ -154,8 +143,8 @@ class GNMR(Recommender):
     # ------------------------------------------------------------------
     def _order0(self) -> tuple[Tensor, Tensor]:
         """Order-0 embeddings, with projected side features when enabled."""
-        h_user: Tensor = table_tensor(self.user_embeddings)
-        h_item: Tensor = table_tensor(self.item_embeddings)
+        h_user: Tensor = self.user_embeddings
+        h_item: Tensor = self.item_embeddings
         if self.user_feature_proj is not None:
             h_user = h_user + self.user_feature_proj(self._user_feature_input)
             h_item = h_item + self.item_feature_proj(self._item_feature_input)
@@ -267,8 +256,8 @@ class GNMR(Recommender):
         :class:`~repro.tensor.RowSparseGrad` holding only the block rows
         and Adam's per-step work scales with the block, not the tables.
         """
-        h_user = table_rows(self.user_embeddings, block.user_levels[0])
-        h_item = table_rows(self.item_embeddings, block.item_levels[0])
+        h_user = self.user_embeddings.embedding_rows(block.user_levels[0])
+        h_item = self.item_embeddings.embedding_rows(block.item_levels[0])
         if self.user_feature_proj is not None:
             h_user = h_user + self.user_feature_proj(
                 Tensor(self._user_feature_input.data[block.user_levels[0]],
@@ -409,7 +398,7 @@ class GNMR(Recommender):
     def _first_layer_stack(self) -> Tensor:
         """η-transformed first-layer user-side messages ``(I, K, d)``."""
         return self.layers[0].type_specific(
-            self.engine.propagate_user(table_tensor(self.item_embeddings)))
+            self.engine.propagate_user(self.item_embeddings))
 
     def behavior_attention(self) -> np.ndarray:
         """Average cross-behavior attention matrix of the first layer.

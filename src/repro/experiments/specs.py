@@ -116,29 +116,20 @@ MULTI_BEHAVIOR_MODELS: tuple[str, ...] = ("NMTR", "DIPN", "GNMR")
 
 def make_model(name: str, train: InteractionDataset,
                scale: ExperimentScale,
-               gnmr_overrides: dict | None = None,
-               shards: int | None = None,
-               shard_strategy: str = "range") -> Recommender:
-    """Factory building any Table-II model against a training dataset.
-
-    ``shards`` partitions the user/item embedding tables of the models
-    that have them (GNMR, NGCF, BiasMF, the NCF family) across K logical
-    shards (see :mod:`repro.shard`); models without row-indexed tables
-    ignore it.
-    """
+               gnmr_overrides: dict | None = None) -> Recommender:
+    """Factory building any Table-II model against a training dataset."""
     seed = scale.seed
     num_users, num_items = train.num_users, train.num_items
-    sharded = {"shards": shards, "shard_strategy": shard_strategy}
     if name == "BiasMF":
-        return BiasMF(num_users, num_items, seed=seed, **sharded)
+        return BiasMF(num_users, num_items, seed=seed)
     if name == "DMF":
         return DMF(train, seed=seed)
     if name == "NCF-M":
-        return NCFMLP(num_users, num_items, seed=seed, **sharded)
+        return NCFMLP(num_users, num_items, seed=seed)
     if name == "NCF-G":
-        return NCFGMF(num_users, num_items, seed=seed, **sharded)
+        return NCFGMF(num_users, num_items, seed=seed)
     if name == "NCF-N":
-        return NeuMF(num_users, num_items, seed=seed, **sharded)
+        return NeuMF(num_users, num_items, seed=seed)
     if name == "AutoRec":
         return AutoRec(train, seed=seed)
     if name == "CDAE":
@@ -148,18 +139,13 @@ def make_model(name: str, train: InteractionDataset,
     if name == "CF-UIcA":
         return CFUIcA(train, seed=seed)
     if name == "NGCF":
-        return NGCF(train, seed=seed, **sharded)
+        return NGCF(train, seed=seed)
     if name == "NMTR":
         return NMTR(train, seed=seed)
     if name == "DIPN":
         return DIPN(train, seed=seed)
     if name == "GNMR":
-        overrides = dict(gnmr_overrides or {})
-        if shards is not None:
-            overrides.setdefault("shards", shards)
-            overrides.setdefault("shard_strategy", shard_strategy)
-        config = scale.gnmr_config(**overrides)
-        return GNMR(train, config)
+        return GNMR(train, scale.gnmr_config(**(gnmr_overrides or {})))
     raise ValueError(f"unknown model {name!r}")
 
 

@@ -105,17 +105,15 @@ class Recommender(Module):
 
         Penalizes each table's touched rows via row-sparse gathers, plus
         every parameter *not* listed as a table densely (layer weights are
-        touched each step regardless of sampling). A table may be a raw
-        ``Parameter``, an ``nn.Embedding``, or a
-        :class:`~repro.shard.ShardedEmbedding` — for the latter two every
-        parameter behind the table (the weight, or all K shard blocks) is
-        excluded from the dense sweep.
+        touched each step regardless of sampling). A table is a raw
+        ``Parameter`` or an ``nn.Embedding``, whose weight is what the
+        dense sweep leaves out.
         """
         from repro.nn.losses import l2_regularization_batch
-        from repro.shard import table_parameters
 
         table_params = [p for table, _ in entries
-                        for p in table_parameters(table)]
+                        for p in ([table] if isinstance(table, Tensor)
+                                  else table.parameters())]
         dense = [p for p in self.parameters()
                  if not any(p is q for q in table_params)]
         return l2_regularization_batch(entries, dense, weight)

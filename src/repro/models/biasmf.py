@@ -15,7 +15,6 @@ import numpy as np
 from repro.models.base import Recommender
 from repro.nn import init as init_schemes
 from repro.nn.module import Parameter
-from repro.shard import ShardedEmbedding, table_rows, table_tensor
 from repro.tensor import Tensor
 
 
@@ -25,39 +24,26 @@ class BiasMF(Recommender):
     name = "BiasMF"
 
     def __init__(self, num_users: int, num_items: int, embedding_dim: int = 16,
-                 seed: int = 0, shards: int | None = None,
-                 shard_strategy: str = "range"):
+                 seed: int = 0):
         super().__init__(num_users, num_items)
         rng = np.random.default_rng(seed)
-        tables = {
-            "P": init_schemes.normal((num_users, embedding_dim), rng, std=0.05),
-            "Q": init_schemes.normal((num_items, embedding_dim), rng, std=0.05),
-            "b_u": np.zeros(num_users),
-            "b_i": np.zeros(num_items),
-        }
-        if shards is None:
-            built = {name: Parameter(init, name=name)
-                     for name, init in tables.items()}
-        else:
-            # every row-indexed table shards — the 1-D bias vectors too
-            built = {name: ShardedEmbedding(init, num_shards=shards,
-                                            strategy=shard_strategy, name=name)
-                     for name, init in tables.items()}
-        self.user_factors = built["P"]
-        self.item_factors = built["Q"]
-        self.user_bias = built["b_u"]
-        self.item_bias = built["b_i"]
+        self.user_factors = Parameter(
+            init_schemes.normal((num_users, embedding_dim), rng, std=0.05), name="P")
+        self.item_factors = Parameter(
+            init_schemes.normal((num_items, embedding_dim), rng, std=0.05), name="Q")
+        self.user_bias = Parameter(np.zeros(num_users), name="b_u")
+        self.item_bias = Parameter(np.zeros(num_items), name="b_i")
         self.global_bias = Parameter(np.zeros(1), name="mu")
 
     def score_tensor(self, users: np.ndarray, items: np.ndarray) -> Tensor:
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
-        p = table_tensor(self.user_factors).gather_rows(users)
-        q = table_tensor(self.item_factors).gather_rows(items)
+        p = self.user_factors.gather_rows(users)
+        q = self.item_factors.gather_rows(items)
         interaction = (p * q).sum(axis=1)
         return (interaction
-                + table_tensor(self.user_bias).gather_rows(users)
-                + table_tensor(self.item_bias).gather_rows(items)
+                + self.user_bias.gather_rows(users)
+                + self.item_bias.gather_rows(items)
                 + self.global_bias.gather_rows(np.zeros_like(users)))
 
     # ------------------------------------------------------------------
@@ -65,12 +51,12 @@ class BiasMF(Recommender):
     # ------------------------------------------------------------------
     def _sparse_scores(self, users: np.ndarray, items: np.ndarray) -> Tensor:
         """``score_tensor`` with row-sparse gathers (1-D bias rows too)."""
-        p = table_rows(self.user_factors, users)
-        q = table_rows(self.item_factors, items)
+        p = self.user_factors.embedding_rows(users)
+        q = self.item_factors.embedding_rows(items)
         interaction = (p * q).sum(axis=1)
         return (interaction
-                + table_rows(self.user_bias, users)
-                + table_rows(self.item_bias, items)
+                + self.user_bias.embedding_rows(users)
+                + self.item_bias.embedding_rows(items)
                 + self.global_bias.gather_rows(np.zeros_like(users)))
 
     def block_batch_scores(self, users: np.ndarray, pos_items: np.ndarray,

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.models.base import Recommender
 from repro.nn.layers import Embedding, MLP, Linear
-from repro.shard import ShardedEmbedding
 from repro.tensor import Tensor
 from repro.tensor.tensor import concat
 
@@ -31,34 +30,17 @@ def _batch_arrays(users, pos_items, neg_items):
             np.asarray(neg_items, dtype=np.int64))
 
 
-def _make_table(num_rows: int, dim: int, rng, shards: int | None,
-                strategy: str, name: str):
-    """An ``nn.Embedding`` or its sharded drop-in, same init stream.
-
-    ``ShardedEmbedding.init`` draws the full table with the same scheme and
-    rng consumption as ``nn.Embedding`` before slicing it, so sharded and
-    unsharded models start from bit-identical weights.
-    """
-    if shards is None:
-        return Embedding(num_rows, dim, rng=rng)
-    return ShardedEmbedding.init(num_rows, dim, rng, num_shards=shards,
-                                 strategy=strategy, name=name)
-
-
 class NCFGMF(Recommender):
     """NCF-G: generalized matrix factorization branch alone."""
 
     name = "NCF-G"
 
     def __init__(self, num_users: int, num_items: int, embedding_dim: int = 16,
-                 seed: int = 0, shards: int | None = None,
-                 shard_strategy: str = "range"):
+                 seed: int = 0):
         super().__init__(num_users, num_items)
         rng = np.random.default_rng(seed)
-        self.user_embeddings = _make_table(num_users, embedding_dim, rng,
-                                           shards, shard_strategy, "gmf_user")
-        self.item_embeddings = _make_table(num_items, embedding_dim, rng,
-                                           shards, shard_strategy, "gmf_item")
+        self.user_embeddings = Embedding(num_users, embedding_dim, rng=rng)
+        self.item_embeddings = Embedding(num_items, embedding_dim, rng=rng)
         self.output = Linear(embedding_dim, 1, rng=rng)
 
     def _combine(self, p: Tensor, q: Tensor) -> Tensor:
@@ -89,14 +71,11 @@ class NCFMLP(Recommender):
     name = "NCF-M"
 
     def __init__(self, num_users: int, num_items: int, embedding_dim: int = 16,
-                 hidden_sizes: tuple[int, ...] = (32, 16), seed: int = 0,
-                 shards: int | None = None, shard_strategy: str = "range"):
+                 hidden_sizes: tuple[int, ...] = (32, 16), seed: int = 0):
         super().__init__(num_users, num_items)
         rng = np.random.default_rng(seed)
-        self.user_embeddings = _make_table(num_users, embedding_dim, rng,
-                                           shards, shard_strategy, "mlp_user")
-        self.item_embeddings = _make_table(num_items, embedding_dim, rng,
-                                           shards, shard_strategy, "mlp_item")
+        self.user_embeddings = Embedding(num_users, embedding_dim, rng=rng)
+        self.item_embeddings = Embedding(num_items, embedding_dim, rng=rng)
         self.mlp = MLP([2 * embedding_dim, *hidden_sizes, 1], rng=rng)
 
     def _combine(self, p: Tensor, q: Tensor) -> Tensor:
@@ -127,18 +106,13 @@ class NeuMF(Recommender):
     name = "NCF-N"
 
     def __init__(self, num_users: int, num_items: int, embedding_dim: int = 16,
-                 hidden_sizes: tuple[int, ...] = (32, 16), seed: int = 0,
-                 shards: int | None = None, shard_strategy: str = "range"):
+                 hidden_sizes: tuple[int, ...] = (32, 16), seed: int = 0):
         super().__init__(num_users, num_items)
         rng = np.random.default_rng(seed)
-        self.gmf_user = _make_table(num_users, embedding_dim, rng,
-                                    shards, shard_strategy, "gmf_user")
-        self.gmf_item = _make_table(num_items, embedding_dim, rng,
-                                    shards, shard_strategy, "gmf_item")
-        self.mlp_user = _make_table(num_users, embedding_dim, rng,
-                                    shards, shard_strategy, "mlp_user")
-        self.mlp_item = _make_table(num_items, embedding_dim, rng,
-                                    shards, shard_strategy, "mlp_item")
+        self.gmf_user = Embedding(num_users, embedding_dim, rng=rng)
+        self.gmf_item = Embedding(num_items, embedding_dim, rng=rng)
+        self.mlp_user = Embedding(num_users, embedding_dim, rng=rng)
+        self.mlp_item = Embedding(num_items, embedding_dim, rng=rng)
         self.mlp = MLP([2 * embedding_dim, *hidden_sizes], out_activation="relu", rng=rng)
         self.output = Linear(embedding_dim + hidden_sizes[-1], 1, rng=rng)
 

@@ -24,7 +24,6 @@ from repro.models.base import Recommender
 from repro.nn import init as init_schemes
 from repro.nn.layers import Linear
 from repro.nn.module import ModuleList, Parameter
-from repro.shard import ShardedEmbedding, table_rows, table_tensor
 from repro.tensor import Tensor, default_dtype, no_grad
 
 
@@ -35,8 +34,7 @@ class NGCF(Recommender):
 
     def __init__(self, dataset: InteractionDataset, embedding_dim: int = 16,
                  num_layers: int = 2, graph_mode: str = "merged", seed: int = 0,
-                 dtype: str | None = None, shards: int | None = None,
-                 shard_strategy: str = "range"):
+                 dtype: str | None = None):
         super().__init__(dataset.num_users, dataset.num_items)
         if graph_mode not in ("merged", "target"):
             raise ValueError("graph_mode must be 'merged' or 'target'")
@@ -44,20 +42,10 @@ class NGCF(Recommender):
             rng = np.random.default_rng(seed)
             behavior = None if graph_mode == "merged" else dataset.target_behavior
             self.engine = PropagationEngine.bipartite(dataset.graph(), behavior)
-            user_init = init_schemes.xavier_normal(
-                (self.num_users, embedding_dim), rng)
-            item_init = init_schemes.xavier_normal(
-                (self.num_items, embedding_dim), rng)
-            if shards is None:
-                self.user_embeddings = Parameter(user_init, name="E_u")
-                self.item_embeddings = Parameter(item_init, name="E_v")
-            else:
-                self.user_embeddings = ShardedEmbedding(
-                    user_init, num_shards=shards, strategy=shard_strategy,
-                    name="E_u")
-                self.item_embeddings = ShardedEmbedding(
-                    item_init, num_shards=shards, strategy=shard_strategy,
-                    name="E_v")
+            self.user_embeddings = Parameter(init_schemes.xavier_normal(
+                (self.num_users, embedding_dim), rng), name="E_u")
+            self.item_embeddings = Parameter(init_schemes.xavier_normal(
+                (self.num_items, embedding_dim), rng), name="E_v")
             self.w1 = ModuleList([Linear(embedding_dim, embedding_dim, rng=rng)
                                   for _ in range(num_layers)])
             self.w2 = ModuleList([Linear(embedding_dim, embedding_dim, rng=rng)
@@ -93,8 +81,7 @@ class NGCF(Recommender):
         """Multi-order embeddings concatenated across layers (NGCF §3.3)."""
         from repro.tensor.tensor import concat
 
-        ego = concat([table_tensor(self.user_embeddings),
-                      table_tensor(self.item_embeddings)], axis=0)
+        ego = concat([self.user_embeddings, self.item_embeddings], axis=0)
         all_layers = concat(self._bi_interaction_stack(
             ego, lambda level, h: self.engine.propagate(h),
             lambda level, h: h), axis=1)
@@ -152,9 +139,9 @@ class NGCF(Recommender):
         item_rows = nodes[nodes >= self.num_users] - self.num_users
         pieces = []
         if user_rows.size:
-            pieces.append(table_rows(self.user_embeddings, user_rows))
+            pieces.append(self.user_embeddings.embedding_rows(user_rows))
         if item_rows.size:
-            pieces.append(table_rows(self.item_embeddings, item_rows))
+            pieces.append(self.item_embeddings.embedding_rows(item_rows))
         return pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
 
     def block_batch_scores(self, users: np.ndarray, pos_items: np.ndarray,

@@ -70,8 +70,8 @@ class Embedding(Module):
         return self.weight.embedding_rows(np.asarray(indices, dtype=np.int64))
 
     #: alias so an ``Embedding`` can stand in wherever a raw table
-    #: parameter (or a :class:`~repro.shard.ShardedEmbedding`) is expected,
-    #: e.g. in ``l2_regularization_batch`` ``(table, rows)`` entries
+    #: parameter is expected, e.g. in ``l2_regularization_batch``
+    #: ``(table, rows)`` entries
     embedding_rows = rows
 
     def all(self) -> Tensor:

@@ -1,7 +1,7 @@
 """First-order optimizers.
 
 The paper trains GNMR with Adam (lr 1e-3, exponential decay 0.96); plain
-SGD is the stateless reference the sharded bit-parity contract pins on.
+SGD is the stateless reference.
 
 Optimizer state mirrors each parameter's dtype (``np.zeros_like``), and all
 updates are in-place, so float32 models keep float32 state and updates even
@@ -16,9 +16,7 @@ touch keep their state (the Adam moments) frozen, the standard lazy
 semantics of sparse optimizers. Dense gradients take the exact same code
 path as before, bit for bit.
 
-All state is strictly per parameter (moments, step clock, row counters):
-the tables of a ``shards=K`` model are K parameters, each evolving exactly
-as its rows would inside one unsharded table.
+All state is strictly per parameter (moments, step clock, row counters).
 """
 
 from __future__ import annotations
@@ -102,7 +100,7 @@ class Optimizer:
         leaves with ``traced_fit`` (ROADMAP item 3, second step).
         """
 
-    # -- state serialization (mid-run checkpointing / resharding) --------
+    # -- state serialization (mid-run checkpointing) --------
     def _param_state(self, i: int) -> dict:
         """Serializable state for parameter ``i`` (stateless = empty)."""
         return {}

@@ -167,16 +167,13 @@ class RecommendationService:
         Callers hold ``self._lock``.
         """
         outgoing = self.store
-        archive_outgoing = archive_outgoing and outgoing is not None
-        if archive_outgoing:
-            outgoing.verify()
+        archived = None
+        if archive_outgoing and outgoing is not None:
+            archived = outgoing.verified_copy()
         retriever = self._build_retriever(store)
-        if archive_outgoing and self._archive.maxlen:
-            # a store over the same tables without the derived caches (the
-            # transposed catalog copy, an IVF index): a restore rebuilds them
-            self._archive.append(EmbeddingStore(
-                outgoing.user_matrix, outgoing.item_matrix,
-                version=outgoing.version, dtype=None, source=outgoing.source))
+        if archived is not None:
+            # without the derived caches: a restore rebuilds them
+            self._archive.append(archived)
         self._current = (store, retriever)
 
     def reload(self) -> None:

@@ -13,6 +13,8 @@ business.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.serve.retriever import MatrixBackend
@@ -153,3 +155,14 @@ class EmbeddingStore:
                 f"recorded fingerprint {self.content_hash[:16]}… (source="
                 f"{self.source!r}, version={self.version})")
         return actual
+
+    def verified_copy(self) -> "EmbeddingStore":
+        """:meth:`verify`, then a store over the same tables without the
+        derived caches (the transposed catalog copy, an IVF index) — what
+        the service archives. The tables are hashed once: the copy keeps
+        the fingerprint just checked instead of computing it again.
+        """
+        self.verify()
+        bare = copy.copy(self)
+        bare._backend, bare._ann_indexes = None, {}
+        return bare

@@ -23,11 +23,10 @@ Array names and metadata:
   ``v``, ``row_steps``, …), keyed by the owning parameter's name,
 * scalar optimizer slots (``optim_scalars``) and all trainer scalars ride
   in the artifact's metadata,
-* ``shards`` / ``shard_strategy`` — the sharded-table layout the arrays
-  are stored under, read from the model (absent for an unsharded one).
-  Resuming into a different shard count fails by parameter name;
-  :mod:`repro.shard.reshard` migrates a state and reads the old layout
-  from here.
+* ``shards`` / ``shard_strategy`` — only in states of earlier builds
+  that stored each table as K row blocks; such a state is merged back to
+  one table per name as it is read
+  (:func:`repro.utils.checkpoint.merge_shards`).
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.utils.artifact import ArtifactError, read_artifact, write_artifact
+from repro.utils.checkpoint import merge_shards
 
 #: metadata ``format`` tag distinguishing training states from checkpoints
 TRAIN_STATE_FORMAT = "train-state"
@@ -105,8 +105,7 @@ def save_training_state(path: str | Path, model_state: dict[str, np.ndarray],
                         trainer_meta: dict) -> Path:
     """Write one atomic training-state file; returns the final path.
 
-    ``model_state`` is a ``model.state_dict()`` mapping; the reshard tool
-    writes migrated states through the same function.
+    ``model_state`` is a ``model.state_dict()`` mapping.
     """
     arrays: dict[str, np.ndarray] = {}
     for name, value in model_state.items():
@@ -162,6 +161,8 @@ def unpack_training_state(path: str | Path, arrays: dict[str, np.ndarray],
                     "build that wrote it")
             slots.pop("saw_dense", None)
             slots.pop("hist_base", None)
+    model_state, optimizer_states, meta = merge_shards(
+        path, model_state, optimizer_states, meta)
     return TrainState(model_state=model_state,
                       optimizer_states=optimizer_states, meta=meta)
 

@@ -104,9 +104,8 @@ class TrainConfig:
     #: global-norm gradient clipping threshold (``None`` → no clipping);
     #: sparse-grad aware — row-sparse grads are scaled without densifying
     grad_clip: float | None = None
-    #: optimizer family: "adam" (the paper's choice, default) or "sgd" —
-    #: the latter is the reference for the sharded-table bit-parity
-    #: contract (`shards=K` must match `shards=1` exactly under SGD)
+    #: optimizer family: "adam" (the paper's choice, default) or "sgd"
+    #: (the stateless reference)
     optimizer: str = "adam"
     #: run ``eval_fn`` every this many epochs (the final epoch always
     #: evaluates so the history ends with a metric)
@@ -398,7 +397,6 @@ class Trainer:
                     step_in_epoch: int, epoch_loss: float,
                     steps_done: int) -> None:
         """One atomic training-state snapshot at the current cursor."""
-        from repro.shard import shard_layout
         from repro.train.resume import config_echo, save_training_state
 
         cfg = self.config
@@ -418,8 +416,6 @@ class Trainer:
             "rng_state": self._rng.bit_generator.state,
             "history": self.history.rows,
             "stopper": None if stopper is None else stopper.state_dict(),
-            # the table layout the arrays are stored under (reshard input)
-            **shard_layout(self.model),
         }
         save_training_state(cfg.save_state, self.model.state_dict(),
                             opt_states, meta)

@@ -1,9 +1,9 @@
 """The one on-disk container: named arrays plus a JSON header in one file.
 
-Checkpoints, training states, reshard output and dataset artifacts are all
-written by :func:`write_artifact` and read by :func:`read_artifact`; no
-other module touches an archive (``docs/operations.md`` § On-disk format
-has the layout and the compatibility policy). In short: a zip — a valid
+Checkpoints, training states and dataset artifacts are all written by
+:func:`write_artifact` and read by :func:`read_artifact`; no other module
+touches an archive (``docs/operations.md`` § On-disk format has the
+layout and the compatibility policy). In short: a zip — a valid
 ``.npz`` — whose first member is ``meta.json`` (the caller's metadata with
 its ``format`` tag, plus the ``array_sha256`` manifest) followed by one
 *stored* ``{name}.npy`` per array in caller order, all with a fixed

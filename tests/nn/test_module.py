@@ -12,7 +12,8 @@ class Composite(Module):
         super().__init__()
         self.direct = Parameter(np.zeros(3))
         self.child = Linear(4, 2, rng=np.random.default_rng(0))
-        self.layer_list = [Linear(2, 2, rng=np.random.default_rng(1))]
+        self.layer_list = [Linear(2, 2, rng=np.random.default_rng(1)),
+                           Parameter(np.ones(2))]
         self.layer_dict = {"a": Parameter(np.ones((2, 2)))}
 
     def forward(self, x):
@@ -24,13 +25,13 @@ class TestParameterDiscovery:
         names = {name for name, _ in Composite().named_parameters()}
         assert "direct" in names
         assert "child.weight" in names and "child.bias" in names
-        assert "layer_list.0.weight" in names
+        assert "layer_list.0.weight" in names and "layer_list.1" in names
         assert "layer_dict.a" in names
 
     def test_parameters_count(self):
         model = Composite()
-        # direct(3) + child W(8)+b(2) + list W(4)+b(2) + dict(4)
-        assert model.num_parameters() == 3 + 8 + 2 + 4 + 2 + 4
+        # direct(3) + child W(8)+b(2) + list W(4)+b(2), bare(2) + dict(4)
+        assert model.num_parameters() == 3 + 8 + 2 + 4 + 2 + 2 + 4
 
     def test_module_list_registered(self):
         container = ModuleList([Linear(2, 2, rng=np.random.default_rng(0))])

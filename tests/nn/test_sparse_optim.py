@@ -63,6 +63,24 @@ class TestLazyRowUpdates:
         np.testing.assert_array_equal(counts[[1, 2, 5]], [1, 2, 1])
         assert np.all(counts[[0, 3, 4, 6, 7]] == 0)
 
+    def test_adam_row_counters_are_per_parameter(self):
+        # two tables under one optimizer: each gets counters of its own
+        # size, only once a row-sparse gradient reaches it, and one
+        # table's steps never advance the other's rows
+        users, items = Parameter(np.zeros((8, 4))), Parameter(np.zeros((5, 4)))
+        opt = Adam([users, items], lr=0.01)
+        users.grad = RowSparseGrad([1, 7], np.ones((2, 4)), 8)
+        opt.step()
+        assert opt._row_steps[0].shape == (8,) and opt._row_steps[1] is None
+        users.grad = RowSparseGrad([7], np.ones((1, 4)), 8)
+        items.grad = RowSparseGrad([0, 4], np.ones((2, 4)), 5)
+        opt.step()
+        np.testing.assert_array_equal(opt._row_steps[0],
+                                      [0, 1, 0, 0, 0, 0, 0, 2])
+        # seeded with the parameter's clock minus one, then advanced
+        np.testing.assert_array_equal(opt._row_steps[1], [2, 1, 1, 1, 2])
+        assert [state["param_t"] for state in opt.state_dict()] == [2, 2]
+
     def test_adam_fresh_row_matches_dense_first_step(self):
         # a row first touched at sparse step t must get the t=1 bias
         # correction, exactly like a dense Adam's first step on that row

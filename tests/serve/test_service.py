@@ -78,6 +78,38 @@ class TestReload:
         assert service.retriever.exclude is service.exclusions
         assert service.retriever.backend is service.store.backend()
 
+    def test_reload_hashes_each_table_pair_once(self, split, monkeypatch):
+        """One swap hashes the incoming tables (their fingerprint) and the
+        outgoing ones (are they still what was snapshotted?) — the archived
+        copy carries the hash just verified instead of computing a third."""
+        from repro.serve import SnapshotIntegrityError
+        from repro.serve import store as store_module
+
+        model = GNMR(split.train, GNMRConfig(pretrain=False, seed=5))
+        service = RecommendationService(model, train=split.train)
+        hashed = []
+        real = store_module.array_sha256
+        monkeypatch.setattr(
+            store_module, "array_sha256",
+            lambda *arrays: hashed.append(arrays) or real(*arrays))
+        outgoing = service.store
+        service.reload()
+        assert len(hashed) == 2
+        assert [arrays[0] is outgoing.user_matrix for arrays in hashed] == \
+            [False, True]
+        archived = service._archive[-1]
+        assert archived.user_matrix is outgoing.user_matrix
+        assert archived.content_hash == outgoing.content_hash
+        assert archived._backend is None and archived._ann_indexes == {}
+        # and a mutated outgoing snapshot is still neither archived nor
+        # replaced
+        served = service.store
+        served.item_matrix[0, 0] += 1.0
+        with pytest.raises(SnapshotIntegrityError):
+            service.reload()
+        assert service.store is served
+        assert service.archived_versions() == [outgoing.version]
+
     def test_removed_options_are_type_errors(self, gnmr, split):
         with pytest.raises(TypeError):
             RecommendationService(gnmr, train=split.train, auto_refresh=False)

@@ -2,12 +2,12 @@
 
 Accumulation is the operation everything downstream trusts: backward
 passes chain ``add_grads`` over arbitrary mixes of sparse and dense
-contributions, optimizers read the coalesced result, and the shard router
-re-partitions it. Each trial here draws a random accumulation program —
-random row counts, duplicate-heavy index batches, random sparse/dense
-mixing order, random scalar scalings — executes it through the sparse
-types, and checks the outcome against a dense reference accumulator that
-uses nothing but plain numpy. Seeded trials, so failures replay exactly.
+contributions and optimizers read the coalesced result. Each trial here
+draws a random accumulation program — random row counts, duplicate-heavy
+index batches, random sparse/dense mixing order, random scalar scalings —
+executes it through the sparse types, and checks the outcome against a
+dense reference accumulator that uses nothing but plain numpy. Seeded
+trials, so failures replay exactly.
 """
 
 import numpy as np

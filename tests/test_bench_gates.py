@@ -42,8 +42,7 @@ ON_THE_FLOOR = {
                 "sweep": [_ann_row("none", 32, 0.7, 1.0),
                           _ann_row("int8", 4, 3.0, 0.95)]}},
     "bench_training": {
-        "speedup_sampled_large": 3.0,
-        "shard_overhead_large": 2.0},
+        "speedup_sampled_large": 3.0},
     "bench_http_serving": {
         "configs": {"exact_single": _http_config(1),
                     "exact_batched": _http_config(8),
@@ -90,7 +89,6 @@ def test_payload_on_every_floor_passes(script, capsys):
      "ann-workload-size"),
     ("bench_training", ("speedup_sampled_large",), 2.9,
      "sampled-training-speedup"),
-    ("bench_training", ("shard_overhead_large",), 2.1, "shard-overhead"),
     ("bench_http_serving", ("configs", "exact_single", "bit_match"), False,
      "http-exact_single-bit-match"),
     ("bench_http_serving", ("configs", "exact_batched", "clients"), 7,

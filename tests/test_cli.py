@@ -22,12 +22,19 @@ class TestParser:
             build_parser().parse_args(["train", "--model", "SVD"])
 
     def test_train_has_no_dist_flag(self, capsys):
-        # one process applies every step; no deprecation shim
-        with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["train", "--shards", "2",
-                                       "--dist", "sync"])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --dist sync" in capsys.readouterr().err
+        # one process applies every step to one table per name; no
+        # deprecation shim for the flags or the subcommand
+        for argv, message in [
+                (["train", "--shards", "2", "--dist", "sync"],
+                 "unrecognized arguments: --shards 2 --dist sync"),
+                (["train", "--shard-strategy", "hash"],
+                 "unrecognized arguments: --shard-strategy hash"),
+                (["reshard", "--checkpoint", "m.npz", "--shards", "2"],
+                 "invalid choice: 'reshard'")]:
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(argv)
+            assert exit_info.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_scale_overrides(self):
         args = build_parser().parse_args(
@@ -310,11 +317,10 @@ class TestHostileFiles:
 
     @pytest.mark.parametrize("argv", [
         ["recommend", "--checkpoint", "{junk}"],
-        ["reshard", "--checkpoint", "{junk}", "--shards", "2"],
         ["train", "--scenario", "{junk}", "--epochs", "1"],
         ["train", "--model", "BiasMF", "--users", "30", "--items", "80",
          "--epochs", "1", "--resume", "{junk}"],
-    ], ids=["recommend", "reshard", "train-scenario", "train-resume"])
+    ], ids=["recommend", "train-scenario", "train-resume"])
     def test_junk_file_exits_2_naming_it(self, argv, tmp_path, capsys):
         junk = tmp_path / "junk.npz"
         junk.write_bytes(bytes(range(256)) + b"\x00" * 44)  # 300 bytes

@@ -13,11 +13,12 @@ save, resume from the partial epoch, and still match.
 import numpy as np
 import pytest
 from helpers.faults import CrashAtStep, TrainerKilled
+from helpers.shards import split_state
 
 from repro.core import GNMR, GNMRConfig
 from repro.data import leave_one_out_split, taobao_like
 from repro.models import BiasMF
-from repro.train.resume import load_training_state
+from repro.train.resume import load_training_state, save_training_state
 from repro.train.trainer import TrainConfig
 
 SPLIT = leave_one_out_split(taobao_like(num_users=40, num_items=90, seed=0))
@@ -27,10 +28,9 @@ def bias_mf():
     return BiasMF(SPLIT.train.num_users, SPLIT.train.num_items, seed=0)
 
 
-def gnmr(shards=None, strategy="range"):
+def gnmr():
     return GNMR(SPLIT.train, GNMRConfig(pretrain=False, seed=0, num_layers=2,
-                                        dropout=0.0, shards=shards,
-                                        shard_strategy=strategy))
+                                        dropout=0.0))
 
 
 def config(epochs, **overrides):
@@ -114,9 +114,9 @@ class TestCrashResume:
     def test_gnmr_modes_mid_epoch_crash(self, tmp_path, propagation, workers):
         state = str(tmp_path / "state.npz")
         overrides = dict(propagation=propagation, workers=workers, fanout=5)
-        full = gnmr(shards=3)
+        full = gnmr()
         h_full = full.fit(SPLIT.train, config(4, **overrides))
-        crashed = gnmr(shards=3)
+        crashed = gnmr()
         from repro.train.trainer import Trainer
 
         trainer = Trainer(crashed, SPLIT.train,
@@ -125,10 +125,44 @@ class TestCrashResume:
                           step_hook=CrashAtStep(10))
         with pytest.raises(TrainerKilled):
             trainer.run()
-        resumed = gnmr(shards=3)
+        resumed = gnmr()
         h_resumed = resumed.fit(SPLIT.train, config(4, **overrides),
                                 resume_from=state)
         assert_states_equal(full, resumed, h_full, h_resumed)
+
+
+class TestStateOfAnEarlierBuild:
+    """A state that holds each table, and its Adam moments and row
+    counters, as K row blocks continues exactly like the one-table state
+    it was cut from: the blocks are merged as the file is read."""
+
+    @pytest.mark.parametrize("count,strategy", [(3, "hash"), (2, "range"),
+                                                (1, None)])
+    def test_blocks_resume_like_the_state_they_were_cut_from(
+            self, tmp_path, count, strategy):
+        overrides = dict(propagation="async", workers=0, fanout=5)
+        whole, blocks = str(tmp_path / "whole.npz"), str(tmp_path / "blocks.npz")
+        gnmr().fit(SPLIT.train, config(2, save_state=whole, **overrides))
+        saved = load_training_state(whole)
+        assert "row_steps" in saved.optimizer_states["user_embeddings"]
+        model_state, optimizer_states = split_state(
+            saved.model_state, saved.optimizer_states,
+            ("user_embeddings", "item_embeddings"), count, strategy)
+        assert f"item_embeddings.shards.{count - 1}" in model_state
+        layout = {"shards": count}
+        if strategy is not None:  # one block is one table either way
+            layout["shard_strategy"] = strategy
+        save_training_state(blocks, model_state, optimizer_states,
+                            {**saved.meta, **layout})
+        merged = load_training_state(blocks)
+        assert not {"shards", "shard_strategy"} & set(merged.meta)
+        assert sorted(merged.optimizer_states) == sorted(saved.optimizer_states)
+        from_whole, from_blocks = gnmr(), gnmr()
+        h_whole = from_whole.fit(SPLIT.train, config(4, **overrides),
+                                 resume_from=whole)
+        h_blocks = from_blocks.fit(SPLIT.train, config(4, **overrides),
+                                   resume_from=blocks)
+        assert_states_equal(from_whole, from_blocks, h_whole, h_blocks)
 
 
 class TestFinalEpochEval:

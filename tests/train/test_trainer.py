@@ -1,9 +1,13 @@
 """Tests of the generic pairwise trainer (Algorithm 1)."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from repro.models import BiasMF
+from repro.core import GNMRConfig
+from repro.experiments import make_model
+from repro.models import NGCF, BiasMF
 from repro.train import TrainConfig, Trainer
 
 
@@ -106,15 +110,13 @@ class TestModeMatrix:
         from repro.core import GNMR, GNMRConfig
 
         return GNMR(split.train, GNMRConfig(pretrain=False, seed=0,
-                                            num_layers=2, dropout=0.0,
-                                            shards=2))
+                                            num_layers=2, dropout=0.0))
 
     def train(self, split, path, *, epochs=6, resume_from=None, **overrides):
         """Eval, clipping, mid-run saves and early stopping all on.
         Returns history, tables, the state saved mid-run at step 4, the
         end-of-run state and the gradient norm left behind by each step."""
         from repro.nn import global_grad_norm
-        from repro.shard import table_array
         from repro.train.resume import load_training_state
 
         model = self.model(split)
@@ -123,7 +125,7 @@ class TestModeMatrix:
         def eval_fn():
             # reads the tables and falls tenfold per epoch, so patience=2
             # stops the run at epoch 2
-            checksum = np.abs(table_array(model.user_embeddings)).sum()
+            checksum = np.abs(model.user_embeddings.data).sum()
             return float(checksum) / 10.0 ** len(trainer.history)
 
         def after_step(trainer, global_step):
@@ -168,7 +170,6 @@ class TestModeMatrix:
             split, tmp_path / "first.npz", **cell)
         assert len(rows) == 3 and len(mid_run) == 1  # stopped early; saved
         assert mid_run[0].global_step == 4
-        assert final.meta["shards"] == 2
         # the optimizer stepped with clipped gradients, and clipping bit
         assert max(grad_norms) == pytest.approx(self.GRAD_CLIP, rel=1e-9)
         got_rows, got_tables, got_mid, got_final, got_norms = self.train(
@@ -183,13 +184,17 @@ class TestModeMatrix:
 
     def test_state_written_by_the_previous_build_resumes(self, split,
                                                          tmp_path):
-        """Before the layout was read from the model, a training state
-        listed the optimizer entries in grouped order (unsharded first,
-        then shard by shard), echoed ``"shards": 2`` in its config and
-        recorded no layout; until one process applied every step it also
-        echoed ``"dist"`` — ``"off"``, or ``"sync"``, which bit-matched
-        in-process by contract. Entries are matched by parameter name and
-        neither echo key is compared, so it continues bit-identically."""
+        """While tables could be stored as row blocks, a training state
+        held each table as ``<base>.shards.<k>`` arrays, recorded the
+        layout, once listed the optimizer entries in grouped order
+        (unsharded first, then shard by shard) and echoed ``"shards": 2``
+        in its config; until one process applied every step it also echoed
+        ``"dist"`` — ``"off"``, or ``"sync"``, which bit-matched in-process
+        by contract. The blocks are merged on read, entries are matched by
+        parameter name and neither echo key is compared, so it continues
+        bit-identically."""
+        from helpers.shards import split_state
+
         from repro.train.resume import load_training_state, save_training_state
 
         cell = dict(propagation="async", fanout=5, optimizer="adam")
@@ -197,16 +202,18 @@ class TestModeMatrix:
                                                **cell)
         self.train(split, tmp_path / "part.npz", epochs=1, **cell)
         saved = load_training_state(tmp_path / "part.npz")
-        grouped = sorted(saved.optimizer_states,
+        model_state, optimizer_states = split_state(
+            saved.model_state, saved.optimizer_states,
+            ("user_embeddings", "item_embeddings"), 2, "range")
+        grouped = sorted(optimizer_states,
                          key=lambda name: (".shards." in name,
                                            name.rsplit(".", 1)[-1]))
-        assert grouped != list(saved.optimizer_states)
-        meta = {k: v for k, v in saved.meta.items()
-                if k not in ("shards", "shard_strategy")}
-        meta["config"] = dict(saved.config, shards=2, dist="sync")
+        assert grouped != list(optimizer_states)
+        meta = dict(saved.meta, shards=2, shard_strategy="range",
+                    config=dict(saved.config, shards=2, dist="sync"))
         save_training_state(
-            tmp_path / "old.npz", saved.model_state,
-            {name: saved.optimizer_states[name] for name in grouped}, meta)
+            tmp_path / "old.npz", model_state,
+            {name: optimizer_states[name] for name in grouped}, meta)
         got_rows, got_tables, _, got_final, _ = self.train(
             split, tmp_path / "old.npz", resume_from=str(tmp_path / "old.npz"),
             **cell)
@@ -215,10 +222,19 @@ class TestModeMatrix:
             np.testing.assert_array_equal(got_tables[key], value, err_msg=key)
         self.assert_same_state(got_final, final)
 
-    @pytest.mark.parametrize("removed", [dict(shards=2), dict(verbose=True),
-                                         dict(dist="sync")])
+    @pytest.mark.parametrize("removed", [
+        (TrainConfig, dict(shards=2)), (TrainConfig, dict(verbose=True)),
+        (TrainConfig, dict(dist="sync")),
+        (GNMRConfig, dict(shards=2)),
+        (GNMRConfig, dict(shard_strategy="hash")),
+        (NGCF, dict(dataset=None, shards=2)),
+        (BiasMF, dict(num_users=4, num_items=5, shards=2)),
+        (make_model, dict(name="GNMR", train=None, scale=None, shards=2)),
+        (importlib.import_module, dict(name="repro.shard"))])
     def test_removed_fields_are_gone(self, removed):
-        # the model's tables carry the layout; nothing printed per epoch;
-        # one process applies every step
-        with pytest.raises(TypeError):
-            TrainConfig(**removed)
+        # nothing printed per epoch; one process applies every step; a
+        # table is one array, so no model or factory takes a layout and
+        # the package that split them is not importable
+        build, kwargs = removed
+        with pytest.raises((TypeError, ModuleNotFoundError)):
+            build(**kwargs)

@@ -1,12 +1,13 @@
 """Corruption and compatibility of the one on-disk container.
 
 Every kind of file the project persists — checkpoint, training state,
-resharded training state, dataset artifact — goes through
-:mod:`repro.utils.artifact`, so every way a file can be wrong has one
-outcome: :class:`ArtifactError` naming the file, never a partial load and
-never zipfile's / numpy's own exception. Files written before the
-container existed (``np.savez_compressed`` + ``__checkpoint_meta__``,
-manifest-less dataset zips) load through the same reader.
+the training state of a build that stored tables as row blocks, dataset
+artifact — goes through :mod:`repro.utils.artifact`, so every way a file
+can be wrong has one outcome: :class:`ArtifactError` naming the file,
+never a partial load and never zipfile's / numpy's own exception. Files
+written before the container existed (``np.savez_compressed`` +
+``__checkpoint_meta__``, manifest-less dataset zips) load through the
+same reader, and row blocks are merged back into one table as they do.
 """
 
 import io
@@ -16,15 +17,11 @@ import zipfile
 
 import numpy as np
 import pytest
+from helpers.shards import split_state
 
 from repro.data import load_dataset_npz, save_dataset_npz, taobao_like
-from repro.nn import MLP
-from repro.shard.reshard import reshard_file
-from repro.train.resume import (
-    TRAIN_STATE_VERSION,
-    load_training_state,
-    save_training_state,
-)
+from repro.nn import MLP, Module, Parameter
+from repro.train.resume import load_training_state, save_training_state
 from repro.utils import (
     array_sha256,
     load_checkpoint,
@@ -60,18 +57,21 @@ def _load_checkpoint(path):
     return model.state_dict()
 
 
+EMB_ROWS = 7  # three blocks of it are uneven: 3, 2, 2
+
+
 def _train_state_parts(seed):
     rng = np.random.default_rng(seed)
-    tables = {f"emb.shards.{k}": rng.standard_normal((4, 3)) for k in (0, 1)}
-    model_state = dict(tables, **{"dense.weight": rng.standard_normal((3, 3))})
+    model_state = {"emb": rng.standard_normal((EMB_ROWS, 3)),
+                   "bias": rng.standard_normal(EMB_ROWS),
+                   "dense.weight": rng.standard_normal((3, 3))}
     optimizer_states = {
         name: {"m": rng.standard_normal(value.shape),
                "v": rng.standard_normal(value.shape) ** 2,
                "row_steps": rng.integers(0, 9, size=value.shape[0]),
                "param_t": 9}
-        for name, value in tables.items()}
-    meta = {"epoch": 1, "step_in_epoch": 2, "global_step": 6,
-            "config": {}, "shards": 2, "shard_strategy": "range"}
+        for name, value in model_state.items() if name != "dense.weight"}
+    meta = {"epoch": 1, "step_in_epoch": 2, "global_step": 6, "config": {}}
     return model_state, optimizer_states, meta
 
 
@@ -79,10 +79,18 @@ def _write_train_state(path, seed=0):
     return save_training_state(path, *_train_state_parts(seed))
 
 
-def _write_resharded(path, seed=0):
-    source = _write_train_state(path.with_name("before_reshard.npz"), seed)
-    reshard_file(source, path, 3)
-    return path
+def _sharded_parts(seed, count=3, strategy="hash"):
+    """The same state as an earlier build stored it: ``emb`` and ``bias``
+    (and their Adam slots) as ``count`` row blocks each."""
+    model_state, optimizer_states, meta = _train_state_parts(seed)
+    model_state, optimizer_states = split_state(
+        model_state, optimizer_states, ("emb", "bias"), count, strategy)
+    return model_state, optimizer_states, dict(
+        meta, shards=count, shard_strategy=strategy)
+
+
+def _write_sharded(path, seed=0):
+    return save_training_state(path, *_sharded_parts(seed))
 
 
 def _load_train_state(path):
@@ -111,7 +119,7 @@ def _load_dataset(path):
 KINDS = {
     "checkpoint": (_write_checkpoint, _load_checkpoint),
     "train-state": (_write_train_state, _load_train_state),
-    "resharded-train-state": (_write_resharded, _load_train_state),
+    "sharded-train-state": (_write_sharded, _load_train_state),
     "dataset": (_write_dataset, _load_dataset),
 }
 
@@ -233,7 +241,55 @@ HOSTILE = {
 }
 
 
+#: ``edit(model_state, optimizer_states, meta)`` of a 3-block hash state →
+#: what the refusal says. Such a file hashes clean; only merging it exactly
+#: is impossible.
+UNMERGEABLE = {
+    "strategy-unrecorded": (
+        lambda model, optim, meta: meta.pop("shard_strategy"),
+        "shard_strategy is None"),
+    "strategy-unknown": (
+        lambda model, optim, meta: meta.update(shard_strategy="modulo"),
+        "shard_strategy is 'modulo'"),
+    "row-slot-on-some-blocks": (
+        lambda model, optim, meta: optim["emb.shards.1"].pop("row_steps"),
+        "'emb'.*slot 'row_steps' is on some blocks only"),
+    "optimizer-entry-on-some-blocks": (
+        lambda model, optim, meta: optim.pop("bias.shards.2"),
+        "'bias'.*slot 'm' is on some blocks only"),
+    "param-t-differs": (
+        lambda model, optim, meta: optim["emb.shards.2"].update(param_t=8),
+        r"'emb'.*slot 'param_t' differs by block: \[9, 9, 8\]"),
+    "indices-not-dense": (
+        lambda model, optim, meta: model.update(
+            {"emb.shards.4": model.pop("emb.shards.2")}),
+        r"'emb'.*block indices \[0, 1, 4\] are not dense"),
+    "block-sizes-do-not-fit": (
+        lambda model, optim, meta: model.update(
+            {"emb.shards.1": model["emb.shards.1"][:-1]}),
+        r"'emb'.*weight blocks .* are not 6 rows split \[2, 2, 2\]"),
+    "slot-sizes-do-not-fit-the-table": (
+        lambda model, optim, meta: optim["bias.shards.0"].update(
+            m=optim["bias.shards.0"]["m"][:-1]),
+        r"'bias'.*slot 'm' blocks .* are not 7 rows split \[3, 2, 2\]"),
+    "row-shapes-differ": (
+        lambda model, optim, meta: model.update(
+            {"emb.shards.1": model["emb.shards.1"][:, :2]}),
+        "'emb'.*weight blocks"),
+}
+
+
 class TestHostileFiles:
+    @pytest.mark.parametrize("case", list(UNMERGEABLE))
+    def test_unmergeable_row_blocks_are_refused(self, tmp_path, case):
+        edit, message = UNMERGEABLE[case]
+        model_state, optimizer_states, meta = _sharded_parts(0)
+        edit(model_state, optimizer_states, meta)
+        path = save_training_state(tmp_path / "artifact.npz", model_state,
+                                   optimizer_states, meta)
+        with pytest.raises(ArtifactError, match=f"artifact.npz.*{message}"):
+            load_training_state(path)
+
     @pytest.mark.parametrize("case", list(HOSTILE))
     def test_one_defined_failure(self, kind, case):
         path, _, load = kind
@@ -313,8 +369,6 @@ class TestHostileFiles:
                     load(path)
         with pytest.raises(ArtifactError, match="not a model checkpoint"):
             peek_checkpoint(paths["dataset"])
-        with pytest.raises(ArtifactError, match="neither a checkpoint"):
-            reshard_file(paths["dataset"], tmp_path / "out.npz", 2)
 
     def test_missing_file_stays_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -454,20 +508,53 @@ class TestLegacyFiles:
             load_checkpoint(_model(1), path)
         load_checkpoint(_model(1), path, verify=False)
 
-    def test_legacy_checkpoint_reshards(self, tmp_path):
-        rng = np.random.default_rng(0)
-        state = {f"emb.shards.{k}": rng.standard_normal((4, 3))
-                 for k in (0, 1)}
-        path = _legacy_npz(tmp_path / "old.npz", state, {"shards": 2}, True)
-        # written before the layout was recorded: the caller must say
-        info = reshard_file(path, tmp_path / "new.npz", 4,
-                            old_strategy="range")
-        assert info["format"] == "checkpoint"
-        arrays, meta = read_artifact(tmp_path / "new.npz")
-        assert meta["shards"] == 4 and len(arrays) == 4
-        np.testing.assert_array_equal(
-            np.concatenate(list(arrays.values())),
-            np.concatenate(list(state.values())))
+    @pytest.mark.parametrize("count,strategy", [(2, "range"), (3, "hash"),
+                                                (1, None)])
+    def test_legacy_checkpoint_of_row_blocks_merges(self, tmp_path, count,
+                                                    strategy):
+        class Tables(Module):
+            def __init__(self):
+                super().__init__()
+                self.emb = Parameter(np.zeros((EMB_ROWS, 3)))
+                self.bias = Parameter(np.zeros(EMB_ROWS))
+
+        whole = {"emb": np.random.default_rng(0).standard_normal((EMB_ROWS, 3)),
+                 "bias": np.arange(float(EMB_ROWS))}
+        blocks, _ = split_state(whole, {}, whole, count, strategy)
+        assert len(blocks) == 2 * count
+        layout = {"shards": count}
+        path = _legacy_npz(tmp_path / "old.npz", blocks, layout, True)
+        model = Tables()
+        if count > 1:
+            # written before the layout was recorded: range and hash blocks
+            # have the same sizes, so nothing in the file says which
+            with pytest.raises(ArtifactError, match="shard_strategy is None"):
+                load_checkpoint(model, path)
+            layout["shard_strategy"] = strategy
+            path = _legacy_npz(tmp_path / "old.npz", blocks, layout, True)
+        assert load_checkpoint(model, path) == {"format": "checkpoint"}
+        for name, value in whole.items():
+            np.testing.assert_array_equal(model.state_dict()[name], value)
+
+    @pytest.mark.parametrize("count,strategy", [(2, "range"), (3, "hash"),
+                                                (7, "hash"), (1, "range")])
+    def test_row_blocks_merge_to_the_state_they_were_cut_from(
+            self, tmp_path, count, strategy):
+        model_state, optimizer_states, meta = _train_state_parts(0)
+        path = save_training_state(tmp_path / "blocks.npz",
+                                   *_sharded_parts(0, count, strategy))
+        state = load_training_state(path)
+        assert list(state.model_state) == ["dense.weight", "emb", "bias"]
+        for name, value in model_state.items():
+            np.testing.assert_array_equal(state.model_state[name], value)
+        assert sorted(state.optimizer_states) == sorted(optimizer_states)
+        for name, slots in optimizer_states.items():
+            assert sorted(state.optimizer_states[name]) == sorted(slots)
+            for slot, value in slots.items():
+                np.testing.assert_array_equal(
+                    state.optimizer_states[name][slot], value)
+        assert {key: state.meta[key] for key in meta} == meta
+        assert not {"shards", "shard_strategy"} & set(state.meta)
 
     @staticmethod
     def _v1_train_state(path, with_row_t):
@@ -479,7 +566,7 @@ class TestLegacyFiles:
                            for slot in ("m", "v", "row_steps")})
             scalars[name] = {"param_t": 9, "saw_dense": False, "hist_base": 0}
             if with_row_t:
-                arrays[f"optim::{name}::row_t"] = np.full(4, 9)
+                arrays[f"optim::{name}::row_t"] = np.full(EMB_ROWS, 9)
                 arrays[f"optim::{name}::lr_hist"] = np.ones((1, 2))
         meta = dict(meta, format="train-state", state_version=1,
                     optim_scalars=scalars)
@@ -494,15 +581,10 @@ class TestLegacyFiles:
         for name, slots in optimizer_states.items():
             assert set(state.optimizer_states[name]) == set(slots)
             assert state.optimizer_states[name]["param_t"] == 9
-        # and rides the reshard tool into a current-version file
-        reshard_file(path, tmp_path / "v2.npz", 4)
-        assert read_meta(tmp_path / "v2.npz")["state_version"] == \
-            TRAIN_STATE_VERSION
-        assert load_training_state(tmp_path / "v2.npz").meta["shards"] == 4
 
     def test_v1_train_state_with_row_t_is_refused_by_name(self, tmp_path):
         path = self._v1_train_state(tmp_path / "v1.npz", with_row_t=True)
-        with pytest.raises(ArtifactError, match=r"row_t.*emb\.shards\.0"):
+        with pytest.raises(ArtifactError, match=r"row_t.*'emb'"):
             load_training_state(path)
 
     def test_dataset_v1_without_manifest_loads(self, tmp_path):

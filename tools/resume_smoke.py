@@ -5,7 +5,7 @@ this script delivers a real ``SIGKILL`` — no cleanup handlers, no atexit,
 the process is simply gone mid-epoch — and requires the resume contract
 to hold anyway:
 
-1. train a tiny sharded GNMR to completion in-process (the reference);
+1. train a tiny GNMR to completion in-process (the reference);
 2. run the same training in a child process that saves its state every 3
    steps and SIGKILLs itself after step 7 (one step past the last save);
 3. resume from the surviving state file and require the final embedding
@@ -40,8 +40,7 @@ def build():
     split = leave_one_out_split(taobao_like(num_users=40, num_items=90,
                                             seed=0))
     model = GNMR(split.train, GNMRConfig(pretrain=False, seed=0,
-                                         num_layers=2, dropout=0.0,
-                                         shards=2, shard_strategy="range"))
+                                         num_layers=2, dropout=0.0))
     return model, split
 
 
@@ -70,7 +69,6 @@ def child(state_path: str) -> int:
 
 
 def main() -> int:
-    from repro.shard import table_array
     from repro.train import Trainer
     from repro.train.resume import load_training_state
 
@@ -101,10 +99,10 @@ def main() -> int:
         resume_from=state_path).series("loss")
 
     loss_ok = losses == ref_losses
-    users_ok = bool(np.array_equal(table_array(resumed.user_embeddings),
-                                   table_array(reference.user_embeddings)))
-    items_ok = bool(np.array_equal(table_array(resumed.item_embeddings),
-                                   table_array(reference.item_embeddings)))
+    users_ok = bool(np.array_equal(resumed.user_embeddings.data,
+                                   reference.user_embeddings.data))
+    items_ok = bool(np.array_equal(resumed.item_embeddings.data,
+                                   reference.item_embeddings.data))
     print(json.dumps({"killed_at_step": KILL_AT_STEP,
                       "resumed_from_step": saved.global_step,
                       "loss_trace_identical": loss_ok,
