@@ -17,8 +17,10 @@ one PASS/FAIL line per floor, and exits 1 when one is missed:
 
 ``prefetch_gain`` (inline mean step / ``workers=1`` mean step) rides along
 ungated: it is what the background thread buys on this box, and never
-changes the trajectory. ``benchmarks/e2e`` measures ``train_steps_per_s``
-of one mode (async) and so sees neither ratio.
+changes the trajectory. So does ``extract_ms`` (best-of-N
+``model.extract_block`` alone, inline), the part of the inline step the
+thread can hide. ``benchmarks/e2e`` measures ``train_steps_per_s`` of one
+mode (async) and so sees neither ratio.
 
 The interaction graphs are built directly from random edge lists (the
 latent-factor generator in ``repro.data.synthetic`` is O(users × items)
@@ -32,7 +34,7 @@ import time
 
 import numpy as np
 
-from gate import main
+from gate import best_time, main
 
 #: the row-sparse mini-batch path's reason to exist (measured 50x+ on the
 #: large graph; 3x is the acceptance bar — a same-machine ratio, so
@@ -183,6 +185,15 @@ def _measure_block_steps(model, data, steps: int,
         return _time_steps(one_step, steps)
 
 
+def _measure_extract(model, data, rounds: int) -> float:
+    """Best-of seconds of one inline ``extract_block`` (one fixed batch)."""
+    batch = _batch_drawer(data)(np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    return best_time(lambda: model.extract_block(
+        batch.users, batch.pos_items, batch.neg_items, fanout=FANOUT, rng=rng),
+        rounds)
+
+
 def measure_scale(name: str, spec: dict) -> dict:
     from repro.core import GNMR, GNMRConfig
 
@@ -212,6 +223,7 @@ def measure_scale(name: str, spec: dict) -> dict:
     for workers in (0, 1):
         row[f"async_w{workers}"] = mode_row(
             *_measure_block_steps(model, data, steps, workers))
+    row["extract_ms"] = _measure_extract(model, data, steps) * 1e3
     row["speedup_sampled"] = (row["full"]["step_ms"]
                               / row["async_w0"]["step_ms"])
     # compares MEANS: every mode pays its amortized extraction cost,
@@ -235,6 +247,7 @@ def measure() -> dict:
                    for name, spec in SCALES.items()},
     }
     payload["speedup_sampled_large"] = payload["scales"]["large"]["speedup_sampled"]
+    payload["extract_ms"] = payload["scales"]["large"]["extract_ms"]
     return payload
 
 

@@ -138,7 +138,9 @@ class PropagationEngine:
         # Only the fused stacks are retained — the per-behavior lists are
         # discarded after vstacking and re-materialized on demand as row
         # slices (see user_adjacencies), so the engine holds one copy of
-        # each side's adjacency values, not two.
+        # each side's adjacency values, not two. Propagation and block
+        # extraction both read the stacks, so a training run never makes
+        # the second.
         self._user_stack = _stack_adjacencies(user_adjacencies, self.dtype)
         self._item_stack = _stack_adjacencies(item_adjacencies, self.dtype)
         self._user_slices: list[SparseAdjacency] | None = None
@@ -195,7 +197,8 @@ class PropagationEngine:
 
         Behavior ``k`` occupies rows ``[k·N, (k+1)·N)``; a CSR row slice is
         cheap and only paid when these views are actually requested
-        (introspection, tests) — propagation never needs them.
+        (introspection, tests) — propagation and block extraction never
+        need them.
         """
         return [
             SparseAdjacency(stack.matrix[k * num_targets:(k + 1) * num_targets],
@@ -272,9 +275,8 @@ class PropagationEngine:
             raise RuntimeError("single-graph engine: use layered_subgraph_nodes()")
         rng = rng or np.random.default_rng()
         return sample_layered_bipartite(
-            [a.matrix for a in self.user_adjacencies],
-            [a.matrix for a in self.item_adjacencies],
-            seed_users, seed_items, hops, fanout, rng,
+            self._user_stack.matrix, self._item_stack.matrix,
+            self.num_behaviors, seed_users, seed_items, hops, fanout, rng,
             dtype=self.dtype,
             renormalize=self.normalization == "row",
         )

@@ -22,6 +22,11 @@ subset sum; NGCF's self-loops keep the identity component intact). With
 re-normalized row equals the full-graph row, and the seed outputs are
 *bit-exact* full-graph values — the property the layered tests pin down.
 
+Both steps read the engine's fused ``(K·n) × m`` stacks as they are:
+expansion samples each behavior's row range, a hop is one gather over the
+K row ranges (:func:`_hop_slice`), and the blocks are bit for bit those of
+the per-behavior scipy slicing this replaced, rng stream included.
+
 Per-hop fanout schedules compose naturally: ``fanout=[10, 5]`` caps the
 first expansion away from the seeds at 10 neighbors per (node, behavior)
 and the second at 5, bounding the deepest (cheapest-per-row, but largest)
@@ -128,6 +133,64 @@ def parse_fanout(text: str) -> int | None | tuple[int | None, ...]:
     return tuple(resolved)
 
 
+def _bounds(lengths: np.ndarray) -> np.ndarray:
+    """``[0, cumsum(lengths)]``, in ``lengths``' own integer type."""
+    bounds = np.zeros(lengths.size + 1, dtype=lengths.dtype)
+    np.cumsum(lengths, dtype=lengths.dtype, out=bounds[1:])
+    return bounds
+
+
+def _row_positions(indptr: np.ndarray, rows: np.ndarray):
+    """``(pos, lengths, bounds)``: ``pos[bounds[i]:bounds[i + 1]]`` are the
+    CSR positions of ``rows[i]``'s ``lengths[i]`` entries.
+
+    All three keep ``indptr``'s integer type: edge-length temporaries are
+    what the extraction thread's malloc arena grows by and never returns.
+    """
+    starts = indptr[rows]
+    lengths = indptr[rows + 1]
+    lengths -= starts
+    bounds = _bounds(lengths)
+    starts -= bounds[:-1]
+    pos = np.repeat(starts, lengths)
+    pos += np.arange(bounds[-1], dtype=pos.dtype)
+    return pos, lengths, bounds
+
+
+def _segment_sums(values: np.ndarray, bounds: np.ndarray, dtype) -> np.ndarray:
+    """``values[bounds[i]:bounds[i + 1]].sum()`` per segment, empty ones 0.
+
+    ``reduceat`` over the non-empty segments is how scipy sums CSR rows, so
+    a float32 row sum here has the bits of ``csr.sum(axis=1)``.
+    """
+    sums = np.zeros(bounds.size - 1, dtype=dtype)
+    filled = np.flatnonzero(bounds[1:] != bounds[:-1])
+    sums[filled] = np.add.reduceat(values, bounds[filled], dtype=dtype)
+    return sums
+
+
+def _keyed_order(rng: np.random.Generator, lengths: np.ndarray) -> np.ndarray:
+    """One random key per edge; edges ordered by row, then by key.
+
+    Always the stable ``lexsort`` permutation of (key, row), which cost 65
+    of a block's 100 ms. With no two keys equal, two passes give the same
+    order: an unstable sort of the keys, then a stable sort of the row ids
+    as ``uint16`` (numpy's radix path). Equal keys, or a frontier too wide
+    for ``uint16`` row ids, fall back to ``lexsort`` itself.
+    """
+    keys = rng.random(int(lengths.sum()))
+    if lengths.size <= np.iinfo(np.uint16).max:
+        by_key = np.argsort(keys)
+        ranked = keys[by_key]
+        if not np.any(ranked[1:] == ranked[:-1]):
+            del keys, ranked  # 16 bytes an edge, dead before the second sort
+            row_of_edge = np.repeat(
+                np.arange(lengths.size, dtype=np.uint16), lengths)[by_key]
+            return by_key[np.argsort(row_of_edge, kind="stable")]
+    row_of_edge = np.repeat(np.arange(lengths.size), lengths)
+    return np.lexsort((keys, row_of_edge))  # exact-fallback
+
+
 def sample_neighbors(matrix: sp.csr_matrix, nodes: np.ndarray,
                      fanout: int | None,
                      rng: np.random.Generator) -> np.ndarray:
@@ -136,56 +199,73 @@ def sample_neighbors(matrix: sp.csr_matrix, nodes: np.ndarray,
     Returns the (non-unique) concatenation of the sampled neighbor ids;
     ``fanout=None`` keeps every neighbor. Sampling is per node — a hub's
     neighborhood is capped, a sparse node keeps everything it has — and
-    fully vectorized: every candidate edge gets a random key and a stable
-    ``lexsort`` ranks edges within their row, so selecting ``rank < fanout``
-    draws without replacement across all rows in one pass (no per-node
-    Python loop on the training hot path).
+    fully vectorized: every candidate edge gets a random key, edges are
+    ordered by key within their row (:func:`_keyed_order`), and selecting
+    ``rank < fanout`` draws without replacement across all rows in one
+    pass (no per-node Python loop on the training hot path). Keys are
+    drawn only when some row exceeds the cap.
     """
     if fanout is not None and fanout < 1:
         raise ValueError("fanout must be >= 1 (or None for no cap)")
-    indptr, indices = matrix.indptr, matrix.indices
-    starts = indptr[nodes]
-    lengths = indptr[nodes + 1] - starts
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    # global CSR position of each candidate edge, frontier-row by row
-    pos = np.repeat(starts - offsets[:-1], lengths) + np.arange(total)
-    candidates = indices[pos]
-    if fanout is None or int(lengths.max()) <= fanout:
+    pos, lengths, _ = _row_positions(matrix.indptr, nodes)
+    candidates = matrix.indices[pos]
+    if fanout is None or pos.size == 0 or int(lengths.max()) <= fanout:
         return candidates
-    row_of_edge = np.repeat(np.arange(nodes.size), lengths)
-    keys = rng.random(total)
-    order = np.lexsort((keys, row_of_edge))  # stable: rows stay contiguous
-    rank = np.arange(total) - np.repeat(offsets[:-1], lengths)
-    return candidates[order][rank < fanout]
+    pos -= np.repeat(matrix.indptr[nodes], lengths)  # now: rank within the row
+    return candidates[_keyed_order(rng, lengths)[pos < fanout]]
 
 
-def _expand(matrices: list[sp.csr_matrix], frontier: np.ndarray,
+def _expand(stack: sp.csr_matrix, num_behaviors: int, frontier: np.ndarray,
             fanout: int | None, rng: np.random.Generator) -> np.ndarray:
-    """Unique sampled neighbors of a frontier across K adjacencies."""
-    if frontier.size == 0:
-        return np.empty(0, dtype=np.int64)
-    gathered = [sample_neighbors(m, frontier, fanout, rng) for m in matrices]
-    merged = np.concatenate(gathered) if gathered else np.empty(0, dtype=np.int64)
-    return np.unique(merged.astype(np.int64, copy=False))
+    """Unique sampled neighbors of a frontier across a ``(K·n) × m`` stack.
+
+    Behavior ``k`` is rows ``[k·n, (k+1)·n)``; keys are drawn per behavior,
+    in behavior order.
+    """
+    n = stack.shape[0] // num_behaviors
+    reached = np.zeros(stack.shape[1], dtype=bool)
+    for k in range(num_behaviors):
+        reached[sample_neighbors(stack, frontier + k * n, fanout, rng)] = True
+    return np.flatnonzero(reached)
 
 
-def _renormalize_rows(matrix: sp.csr_matrix) -> sp.csr_matrix:
-    """Rescale each row to sum 1 (mean over the sampled neighborhood)."""
-    sums = np.asarray(matrix.sum(axis=1)).ravel()
-    inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
-    return (sp.diags(inv.astype(matrix.dtype)) @ matrix).tocsr()
+def _hop_slice(stack: sp.csr_matrix, num_behaviors: int, rows: np.ndarray,
+               cols: np.ndarray, renormalize: bool, dtype) -> SparseAdjacency:
+    """Induced ``(K·|rows|) × |cols|`` slice of a ``(K·n) × m`` stacked CSR.
 
-
-def _slice_block(matrix: sp.csr_matrix, rows: np.ndarray,
-                 cols: np.ndarray, renormalize: bool) -> sp.csr_matrix:
-    """Induced sub-adjacency ``matrix[rows][:, cols]`` as CSR."""
-    block = matrix[rows][:, cols].tocsr()
+    One gather over the stack's arrays: the K row ranges of ``rows``, the
+    columns filtered and relabelled through a ``global → local`` scratch
+    (−1 = absent), and with ``renormalize`` each row rescaled to sum 1 (the
+    mean over the sampled neighborhood). The result is, bit for bit, the
+    per-behavior scipy row slice → column slice → ``diags(1 / sums) @`` →
+    ``vstack`` it replaced (the oracle in ``tests/helpers``). That product
+    left each renormalized row in *reversed* column order, which the
+    forward SpMM accumulates in: so such rows are gathered last row first,
+    summed front to back, and one flip of the whole arrays puts the rows
+    in order and each row's entries in reverse.
+    """
+    n = stack.shape[0] // num_behaviors
+    stacked_rows = (np.arange(num_behaviors)[:, None] * n + rows).ravel()
     if renormalize:
-        block = _renormalize_rows(block)
-    return block
+        stacked_rows = stacked_rows[::-1]
+    pos, _, bounds = _row_positions(stack.indptr, stacked_rows)
+    local = np.full(stack.shape[1], -1, dtype=stack.indices.dtype)
+    local[cols] = np.arange(cols.size, dtype=local.dtype)
+    indices = local[stack.indices[pos]]
+    keep = indices >= 0
+    lengths = _segment_sums(keep, bounds, dtype=bounds.dtype)
+    indices = indices[keep]
+    data = stack.data[pos[keep]]
+    del pos, keep
+    if renormalize:
+        sums = _segment_sums(data, _bounds(lengths), dtype=data.dtype)
+        inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
+        data *= np.repeat(inv, lengths)
+        data, indices, lengths = (np.ascontiguousarray(flipped[::-1])
+                                  for flipped in (data, indices, lengths))
+    block = sp.csr_matrix((data, indices, _bounds(lengths)),
+                          shape=(stacked_rows.size, cols.size))
+    return SparseAdjacency(block, dtype=dtype, precompute_transpose=True)
 
 
 class _IndexMap:
@@ -225,14 +305,6 @@ class _BipartiteHop:
         out = self.stack.matmul(h_src)                       # (K·dst, d)
         return out.reshape(self.num_behaviors, self.num_dst,
                            h_src.shape[-1]).transpose(1, 0, 2)
-
-
-def _fused_slice(matrices: list[sp.csr_matrix], rows: np.ndarray,
-                 cols: np.ndarray, renormalize: bool, dtype) -> SparseAdjacency:
-    """Vstack the K per-behavior induced slices into one stacked CSR."""
-    blocks = [_slice_block(m, rows, cols, renormalize) for m in matrices]
-    return SparseAdjacency(sp.vstack(blocks, format="csr"), dtype=dtype,
-                           precompute_transpose=True)
 
 
 class LayeredBlock:
@@ -328,8 +400,8 @@ class LayeredNodeBlocks:
         return self.hops[level].matmul(h)
 
 
-def sample_layered_bipartite(user_matrices: list[sp.csr_matrix],
-                             item_matrices: list[sp.csr_matrix],
+def sample_layered_bipartite(user_stack: sp.csr_matrix,
+                             item_stack: sp.csr_matrix, num_behaviors: int,
                              seed_users: np.ndarray, seed_items: np.ndarray,
                              hops: int, fanout,
                              rng: np.random.Generator,
@@ -337,34 +409,36 @@ def sample_layered_bipartite(user_matrices: list[sp.csr_matrix],
                              renormalize: bool) -> LayeredBlock:
     """Build a :class:`LayeredBlock` by backward expansion from the seeds.
 
-    ``fanout`` follows :func:`resolve_fanout` semantics: ``schedule[0]``
-    caps the first expansion away from the seeds (i.e. the neighbors
-    aggregated by the *last* layer).
+    ``user_stack`` / ``item_stack`` are the engine's fused ``(K·users) ×
+    items`` / ``(K·items) × users`` CSR stacks. ``fanout`` follows
+    :func:`resolve_fanout` semantics: ``schedule[0]`` caps the first
+    expansion away from the seeds (i.e. the neighbors aggregated by the
+    *last* layer).
     """
     schedule = resolve_fanout(fanout, hops)
+    k = num_behaviors
     users = [np.unique(np.asarray(seed_users, dtype=np.int64))]
     items = [np.unique(np.asarray(seed_items, dtype=np.int64))]
     for hop_fanout in schedule:
         # the level-l computation pulls from sampled neighbors of level l's
         # node sets; union with the current sets keeps levels nested so
         # residual connections can restrict instead of re-gather
-        next_items = _expand(user_matrices, users[-1], hop_fanout, rng)
-        next_users = _expand(item_matrices, items[-1], hop_fanout, rng)
+        next_items = _expand(user_stack, k, users[-1], hop_fanout, rng)
+        next_users = _expand(item_stack, k, items[-1], hop_fanout, rng)
         users.append(np.union1d(users[-1], next_users))
         items.append(np.union1d(items[-1], next_items))
     # built seed-first; level 0 must be the widest set
     users.reverse()
     items.reverse()
-    k = len(user_matrices)
     user_hops = [
-        _BipartiteHop(_fused_slice(user_matrices, users[level + 1],
-                                   items[level], renormalize, dtype),
+        _BipartiteHop(_hop_slice(user_stack, k, users[level + 1],
+                                 items[level], renormalize, dtype),
                       num_dst=users[level + 1].size, num_behaviors=k)
         for level in range(hops)
     ]
     item_hops = [
-        _BipartiteHop(_fused_slice(item_matrices, items[level + 1],
-                                   users[level], renormalize, dtype),
+        _BipartiteHop(_hop_slice(item_stack, k, items[level + 1],
+                                 users[level], renormalize, dtype),
                       num_dst=items[level + 1].size, num_behaviors=k)
         for level in range(hops)
     ]
@@ -379,18 +453,18 @@ def sample_layered_square(matrix: sp.csr_matrix, seed_nodes: np.ndarray,
 
     ``seed_nodes`` live in the joint (users+items) index space; ``fanout``
     accepts the same scalar-or-schedule forms as
-    :func:`sample_layered_bipartite`.
+    :func:`sample_layered_bipartite`. The square matrix is a stack of one
+    behavior, sliced by the same gather with its edge values kept.
     """
     schedule = resolve_fanout(fanout, hops)
     levels = [np.unique(np.asarray(seed_nodes, dtype=np.int64))]
     for hop_fanout in schedule:
-        neighbors = _expand([matrix], levels[-1], hop_fanout, rng)
+        neighbors = _expand(matrix, 1, levels[-1], hop_fanout, rng)
         levels.append(np.union1d(levels[-1], neighbors))
     levels.reverse()
     slices = [
-        SparseAdjacency(_slice_block(matrix, levels[level + 1], levels[level],
-                                     renormalize=False),
-                        dtype=dtype, precompute_transpose=True)
+        _hop_slice(matrix, 1, levels[level + 1], levels[level],
+                   renormalize=False, dtype=dtype)
         for level in range(hops)
     ]
     return LayeredNodeBlocks(levels, slices)

@@ -65,6 +65,20 @@ class TestFusedPropagation:
         assert engine._user_stack._transpose_cache is not None
         assert engine._item_stack._transpose_cache is not None
 
+    def test_block_extraction_keeps_one_copy_of_the_adjacency(self, dataset):
+        # blocks are gathered from the stacks; the per-behavior row slices
+        # (a second copy of every value) are for introspection only
+        from repro.core import GNMR, GNMRConfig
+
+        model = GNMR(dataset, GNMRConfig(pretrain=False, seed=0))
+        model.extract_block(np.arange(4), np.arange(4), np.arange(4, 8),
+                            fanout=(3, 2), rng=np.random.default_rng(0))
+        model.cold_user_embeddings(np.array([1]))
+        assert model.engine._user_slices is None
+        assert model.engine._item_slices is None
+        assert len(model.engine.user_adjacencies) == model.engine.num_behaviors
+        assert model.engine._user_slices is not None
+
 
 class TestVersionedCache:
     def test_cached_reuses_until_invalidated(self, dataset):

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from helpers import layered_oracle as oracle
+from hypothesis import given, settings, strategies as st
 
 from repro.core import GNMR, GNMRConfig
 from repro.data import leave_one_out_split, taobao_like
-from repro.graph import PropagationEngine
+from repro.graph import MultiBehaviorGraph, PropagationEngine
 from repro.graph.layered import sample_neighbors
 from repro.models import NGCF
 from repro.tensor import RowSparseGrad, Tensor
@@ -327,3 +330,219 @@ class TestGradients:
         history = Trainer(model, tiny_split.train, config).run()
         losses = history.series("loss")
         assert losses[-1] < losses[0]
+
+
+# ----------------------------------------------------------------------
+# bit identity with the per-behaviour scipy builder (helpers.layered_oracle)
+# ----------------------------------------------------------------------
+
+def _csr_bits(matrix):
+    return [matrix.shape] + [(a.dtype.str, a.tobytes()) for a in
+                             (matrix.indptr, matrix.indices, matrix.data)]
+
+
+def _assert_same_adjacency(got, want):
+    assert _csr_bits(got.matrix) == _csr_bits(want.matrix)
+    assert _csr_bits(got._transposed()) == _csr_bits(want._transposed())
+
+
+def _assert_same_levels(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def _assert_block_matches_oracle(engine, seed_users, seed_items, hops, fanout,
+                                 seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = engine.layered_subgraph(seed_users, seed_items, hops=hops,
+                                  fanout=fanout, rng=rng)
+    want = oracle.sample_layered_bipartite(
+        [a.matrix for a in engine.user_adjacencies],
+        [a.matrix for a in engine.item_adjacencies],
+        seed_users, seed_items, hops, fanout, oracle_rng, dtype=engine.dtype,
+        renormalize=engine.normalization == "row")
+    _assert_same_levels(got.user_levels, want.user_levels)
+    _assert_same_levels(got.item_levels, want.item_levels)
+    for got_hop, want_hop in zip(got.user_hops + got.item_hops,
+                                 want.user_hops + want.item_hops, strict=True):
+        assert got_hop.num_dst == want_hop.num_dst
+        _assert_same_adjacency(got_hop.stack, want_hop.stack)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _assert_node_blocks_match_oracle(engine, seeds, hops, fanout, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = engine.layered_subgraph_nodes(seeds, hops=hops, fanout=fanout,
+                                        rng=rng)
+    want = oracle.sample_layered_square(engine.adjacency.matrix, seeds, hops,
+                                        fanout, oracle_rng, dtype=engine.dtype)
+    _assert_same_levels(got.levels, want.levels)
+    for got_hop, want_hop in zip(got.hops, want.hops, strict=True):
+        _assert_same_adjacency(got_hop, want_hop)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@st.composite
+def graph_and_request(draw):
+    """A sparse random graph (empty rows included) and a block request."""
+    num_users = draw(st.integers(1, 24))
+    num_items = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    interactions = {}
+    for name in (f"b{i}" for i in range(k)):
+        # from no edge at all to hubs well over any fanout drawn below
+        count = int(draw(st.sampled_from([0.0, 0.03, 0.15, 0.5]))
+                    * num_users * num_items)
+        interactions[name] = (rng.integers(0, num_users, count),
+                              rng.integers(0, num_items, count))
+    graph = MultiBehaviorGraph(num_users, num_items, tuple(interactions),
+                               interactions)
+    hops = draw(st.integers(0, 3))
+    cap = st.one_of(st.none(), st.integers(1, 4))
+    # a schedule must match the hop count and may not be empty
+    schedule = st.lists(cap, min_size=hops, max_size=hops)
+    fanout = draw(st.one_of(cap, schedule) if hops else cap)
+    seed_users = draw(st.lists(st.integers(0, num_users - 1), max_size=6))
+    seed_items = draw(st.lists(st.integers(0, num_items - 1), max_size=6))
+    return (graph, np.array(seed_users, dtype=np.int64),
+            np.array(seed_items, dtype=np.int64), hops, fanout,
+            draw(st.integers(0, 2**16)))
+
+
+class TestBitIdenticalToOracle:
+    """Blocks are the bits of the per-behaviour scipy construction.
+
+    Level sets, ``indptr`` / ``indices`` / ``data`` of every hop and of its
+    cached transpose (raw bytes and dtype), and the rng state after the
+    call: training trajectories, the cross-worker golden and ``hr_at_10``
+    rest on all three.
+    """
+
+    @given(graph_and_request(),
+           st.sampled_from(["row", "sym", None]),
+           st.sampled_from(["float32", "float64"]))
+    @settings(max_examples=120, deadline=None)
+    def test_bipartite_blocks(self, request_, normalization, dtype):
+        graph, seed_users, seed_items, hops, fanout, seed = request_
+        engine = PropagationEngine(graph, normalization=normalization,
+                                   dtype=dtype)
+        _assert_block_matches_oracle(engine, seed_users, seed_items, hops,
+                                     fanout, seed)
+
+    @given(graph_and_request(), st.sampled_from(["float32", "float64"]))
+    @settings(max_examples=60, deadline=None)
+    def test_square_blocks(self, request_, dtype):
+        graph, seed_users, seed_items, hops, fanout, seed = request_
+        engine = PropagationEngine.bipartite(graph, dtype=dtype)
+        seeds = np.concatenate([seed_users, graph.num_users + seed_items])
+        _assert_node_blocks_match_oracle(engine, seeds, hops, fanout, seed)
+
+    @given(graph_and_request(), st.one_of(st.none(), st.integers(1, 4)))
+    @settings(max_examples=60, deadline=None)
+    def test_sample_neighbors_returns_the_oracle_array(self, request_, fanout):
+        graph, seed_users, _, _, _, seed = request_
+        engine = PropagationEngine(graph)
+        for adjacency in engine.user_adjacencies:
+            rng, oracle_rng = (np.random.default_rng(seed),
+                               np.random.default_rng(seed))
+            got = sample_neighbors(adjacency.matrix, seed_users, fanout, rng)
+            want = oracle.sample_neighbors(adjacency.matrix, seed_users,
+                                           fanout, oracle_rng)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("normalization", ["row", "sym", None])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("fanout", [None, 3, (None, 2), (4, None, 2)])
+    def test_fixed_bipartite_cases(self, normalization, dtype, fanout):
+        data = taobao_like(num_users=80, num_items=160, seed=3)
+        engine = PropagationEngine(data.graph(), normalization=normalization,
+                                   dtype=dtype)
+        hops = len(fanout) if isinstance(fanout, tuple) else 2
+        _assert_block_matches_oracle(engine, np.array([0, 5, 17, 5]),
+                                     np.array([2, 9]), hops, fanout, seed=4)
+        # the cold-user request: one seed user, no seed item, so the top
+        # item level — the frontier of the last item hop — is empty
+        _assert_block_matches_oracle(engine, np.array([3]),
+                                     np.empty(0, dtype=np.int64), hops,
+                                     fanout, seed=5)
+
+    @pytest.mark.parametrize("fanout", [None, 3, (5, None)])
+    def test_fixed_square_cases(self, single_engine, fanout):
+        _assert_node_blocks_match_oracle(single_engine, np.array([0, 4, 45]),
+                                         2, fanout, seed=6)
+
+    def test_ordinary_block_takes_the_two_pass_sort(self, engine,
+                                                    monkeypatch):
+        calls = _count_lexsort(monkeypatch)
+        engine.layered_subgraph(np.arange(6), np.arange(4), hops=2, fanout=2,
+                                rng=np.random.default_rng(0))
+        assert calls == []
+
+    def test_tied_keys_fall_back_to_lexsort(self, monkeypatch):
+        # keys with one decimal: ties inside a row and across the cap, where
+        # only lexsort's by-position tie-break says which edge is kept
+        class CoarseKeys:
+            def __init__(self):
+                self.rng = np.random.default_rng(0)
+
+            def random(self, size):
+                return np.round(self.rng.random(size), 1)
+
+        matrix = sp.random(40, 600, density=0.3, format="csr",
+                           random_state=np.random.default_rng(1))
+        nodes = np.arange(40)
+        assert np.diff(matrix.indptr).max() > 100
+        want = oracle.sample_neighbors(matrix, nodes, 7, CoarseKeys())
+        calls = _count_lexsort(monkeypatch)
+        got = sample_neighbors(matrix, nodes, 7, CoarseKeys())
+        np.testing.assert_array_equal(got, want)
+        assert len(calls) == 1
+
+        # the smallest straddle: keys 0.5 at ranks 2-5 of a cap of 3
+        row = sp.csr_matrix(np.ones((1, 6)))
+
+        class Straddle:
+            def random(self, size):
+                return np.array([0.9, 0.5, 0.5, 0.5, 0.1, 0.5])
+
+        np.testing.assert_array_equal(
+            sample_neighbors(row, np.array([0]), 3, Straddle()), [4, 1, 2])
+        assert len(calls) == 2
+
+    def test_wide_frontier_falls_back_to_lexsort(self, monkeypatch):
+        # 70 000 frontier rows do not fit the uint16 row ids of the fast path
+        matrix = sp.random(70_000, 40, density=0.08, format="csr",
+                           random_state=np.random.default_rng(2))
+        nodes = np.arange(70_000)
+        want = oracle.sample_neighbors(matrix, nodes, 2,
+                                       np.random.default_rng(3))
+        calls = _count_lexsort(monkeypatch)
+        rng = np.random.default_rng(3)
+        got = sample_neighbors(matrix, nodes, 2, rng)
+        np.testing.assert_array_equal(got, want)
+        assert len(calls) == 1
+        # one row fewer than the limit takes the fast path, same answer
+        narrow = nodes[:65_535]
+        want = oracle.sample_neighbors(matrix, narrow, 2,
+                                       np.random.default_rng(3))
+        got = sample_neighbors(matrix, narrow, 2, np.random.default_rng(3))
+        np.testing.assert_array_equal(got, want)
+        assert len(calls) == 2  # the oracle's own call, not a fallback
+
+
+def _count_lexsort(monkeypatch) -> list:
+    """Record every ``np.lexsort`` call made from here on."""
+    calls = []
+    real = np.lexsort
+
+    def counted(keys, *args, **kwargs):
+        calls.append(len(keys[0]))
+        return real(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    return calls
