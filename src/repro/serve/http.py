@@ -6,12 +6,14 @@ stdlib-only (``http.server`` / ``socketserver`` / ``threading`` — the
 repo's no-deps stance extends to the serving tier):
 
 * **Dynamic batching** — concurrent single-user ``GET /recommend``
-  requests land in a bounded queue; a worker drains up to ``max_batch``
-  of them within ``max_wait_ms`` of the first arrival and answers them
-  with *one* blocked retrieval call (``TopKRetriever`` or
-  ``ApproxRetriever``), fanning the rows back out per request. Retrieval
-  cost is dominated by the catalog scan, which batching amortizes across
-  requesters — the two dials trade tail latency for throughput.
+  requests land in a bounded queue; a worker drains them and answers
+  each batch with *one* blocked retrieval call (``TopKRetriever`` or
+  ``ApproxRetriever``), fanning the rows back out per request. A batch
+  closes once it is as large as the batch before it (or ``max_batch``),
+  and at the latest ``max_wait_ms`` after its first request: a lone
+  request after a lone request waits for nobody, a fleet keeps waiting
+  for the co-riders it was just seen with. Retrieval cost is dominated
+  by the catalog scan, which batching amortizes across requesters.
 * **Hot snapshot swap** — a background thread polls
   ``service.refresh()``, which builds the next snapshot (and, for
   ``retriever="ivf"``, its IVF index) *off* the request path and then
@@ -69,7 +71,7 @@ MAX_K = 1000
 class _Pending:
     """One in-flight request: a single-waiter future the batcher resolves."""
 
-    __slots__ = ("user", "k", "enqueued_at", "dequeued_at",
+    __slots__ = ("user", "k", "enqueued_at", "dequeued_at", "abandoned",
                  "_done", "_value", "_error")
 
     def __init__(self, user: int, k: int):
@@ -77,6 +79,9 @@ class _Pending:
         self.k = int(k)
         self.enqueued_at = time.monotonic()
         self.dequeued_at: float | None = None
+        #: set by a waiter that gave up (already answered 503): a batch
+        #: that has not run yet leaves this request out
+        self.abandoned = False
         self._done = threading.Event()
         self._value = None
         self._error: BaseException | None = None
@@ -110,18 +115,28 @@ class DynamicBatcher:
 
     ``fn(users, k)`` must return one result row per user, in order; the
     batcher merges concurrent ``submit`` calls into as few ``fn`` calls
-    as the two dials allow:
+    as the two dials allow. The worker remembers the size of the batch
+    it flushed last (``max_batch`` before the first) and closes the next
+    batch at the first of:
 
-    * ``max_batch`` — flush as soon as this many requests are pending
-      (throughput dial: bigger batches amortize the catalog scan);
-    * ``max_wait_ms`` — flush at most this long after the *first* queued
-      request was picked up (latency dial: the most any request waits
-      for co-riders).
+    * the batch is as large as the last one — then whatever is already
+      queued still joins it, without waiting for more;
+    * the batch holds ``max_batch`` requests (throughput dial: bigger
+      batches amortize the catalog scan);
+    * ``max_wait_ms`` has passed since its *first* request was picked up
+      (latency dial: the most any request waits for co-riders).
+
+    So a lone request after a lone batch is answered at once, while a
+    fleet whose requests arrived together keeps waiting for the company
+    it was just seen with; ``max_wait_ms`` is paid only by a batch that
+    falls short of the one before it.
 
     Requests with different ``k`` coalesce into the same drain cycle but
-    execute as one ``fn`` call per distinct ``k``. The queue is bounded
-    (``max_queue``); an overfull queue raises :class:`ServerBusy` at
-    ``submit`` — load shedding beats unbounded latency.
+    execute as one ``fn`` call per distinct ``k``; a request whose waiter
+    gave up (``abandoned``) before its batch ran is left out of it. The
+    queue is bounded (``max_queue``); an overfull queue raises
+    :class:`ServerBusy` at ``submit`` — load shedding beats unbounded
+    latency.
 
     The coalescing contract, observable because ``autostart=False``
     delays the worker until requests are already queued:
@@ -185,6 +200,7 @@ class DynamicBatcher:
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
+        target = self.max_batch  # size of the last flushed batch
         while True:
             first = self._queue.get()
             if first is _SHUTDOWN:
@@ -192,26 +208,30 @@ class DynamicBatcher:
             batch = [first]
             deadline = time.monotonic() + self.max_wait_ms / 1000.0
             while len(batch) < self.max_batch:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
                 try:
-                    item = self._queue.get(timeout=remaining)
+                    if len(batch) >= target:  # drain, do not wait
+                        item = self._queue.get_nowait()
+                    else:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            break
+                        item = self._queue.get(timeout=remaining)
                 except queue_mod.Empty:
                     break
                 if item is _SHUTDOWN:
                     self._flush(batch)
                     return
                 batch.append(item)
+            target = len(batch)
             self._flush(batch)
 
     def _flush(self, batch: list[_Pending]) -> None:
         now = time.monotonic()
-        for pending in batch:
-            pending.dequeued_at = now
         groups: dict[int, list[_Pending]] = {}
         for pending in batch:
-            groups.setdefault(pending.k, []).append(pending)
+            pending.dequeued_at = now
+            if not pending.abandoned:
+                groups.setdefault(pending.k, []).append(pending)
         for k, group in groups.items():
             try:
                 rows = list(self._fn([p.user for p in group], k))
@@ -230,9 +250,9 @@ class DynamicBatcher:
                 pending._finish(row)
         with self._lock:
             self._batches += len(groups)
-            self._executed += len(batch)
-            self._largest = max(self._largest,
-                                max(len(g) for g in groups.values()))
+            self._executed += sum(len(g) for g in groups.values())
+            self._largest = max([self._largest,
+                                 *(len(g) for g in groups.values())])
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
@@ -402,7 +422,9 @@ class RecommendationHTTPServer(ThreadingHTTPServer):
     poll_interval_ms:
         Freshness-check period of the snapshot watcher thread.
     request_timeout_s:
-        How long a handler waits on its batch before answering 503.
+        How long a handler waits on its batch before answering 503; a
+        request given up on this way is not computed if its batch has
+        not run yet.
     quiet:
         Suppress the per-request stderr log lines (default).
 
@@ -532,7 +554,11 @@ class RecommendationHTTPServer(ThreadingHTTPServer):
         else:
             self.stats.record_request("recommend")
             pending = self.batcher.submit(user, k)
-            row, version = pending.result(timeout=self.request_timeout_s)
+            try:
+                row, version = pending.result(timeout=self.request_timeout_s)
+            except TimeoutError:
+                pending.abandoned = True  # answered 503: not worth computing
+                raise
             self.stats.record_latency("queue_wait", pending.queue_wait_s)
         return {"user": int(user), "k": int(k), "cold": bool(cold),
                 "snapshot_version": version, "items": row["items"]}

@@ -201,6 +201,85 @@ class TestDynamicBatcher:
             DynamicBatcher(lambda users, k: list(users), **kwargs)
 
 
+class TestWindowRule:
+    """A batch closes once it is as large as the last one, at ``max_batch``
+    or at ``max_wait_ms`` — the dials are wide so no bound is tight."""
+
+    @staticmethod
+    def _recording():
+        """An identity ``fn`` and the list of user batches it was called on."""
+        calls = []
+
+        def fn(users, k):
+            calls.append(list(users))
+            return list(users)
+
+        return calls, fn
+
+    def _after_batch_of_three(self, max_wait_ms):
+        """A batcher whose last flushed batch held three requests."""
+        calls, fn = self._recording()
+        batcher = DynamicBatcher(fn, max_batch=8, max_wait_ms=max_wait_ms,
+                                 autostart=False)
+        pending = [batcher.submit(user, k=1) for user in (0, 1, 2)]
+        batcher.start()
+        assert [p.result(timeout=10.0) for p in pending] == [0, 1, 2]
+        assert calls == [[0, 1, 2]]
+        return batcher, calls
+
+    def test_lone_request_after_lone_batch_waits_for_nobody(self):
+        batcher = DynamicBatcher(lambda users, k: list(users), max_batch=8,
+                                 max_wait_ms=500.0)
+        try:
+            assert batcher.submit(1, k=1).result(timeout=5.0) == 1
+            started = time.monotonic()
+            assert batcher.submit(2, k=1).result(timeout=5.0) == 2
+            assert time.monotonic() - started < 0.1
+            assert batcher.stats()["batches"] == 2
+        finally:
+            batcher.close()
+
+    def test_batch_closes_when_as_large_as_the_last(self):
+        batcher, calls = self._after_batch_of_three(max_wait_ms=2000.0)
+        try:
+            batches = batcher.stats()["batches"]
+            started = time.monotonic()
+            pending = []
+            for user in (3, 4, 5):
+                pending.append(batcher.submit(user, k=1))
+                time.sleep(0.02)
+            assert [p.result(timeout=5.0) for p in pending] == [3, 4, 5]
+            assert time.monotonic() - started < 0.5
+            assert batcher.stats()["batches"] == batches + 1
+            assert calls[-1] == [3, 4, 5]
+        finally:
+            batcher.close()
+
+    def test_short_batch_still_closes_at_max_wait(self):
+        batcher, calls = self._after_batch_of_three(max_wait_ms=200.0)
+        try:
+            started = time.monotonic()
+            pending = [batcher.submit(user, k=1) for user in (3, 4)]
+            assert [p.result(timeout=5.0) for p in pending] == [3, 4]
+            assert time.monotonic() - started >= 0.2
+            assert calls[-1] == [3, 4]
+        finally:
+            batcher.close()
+
+    def test_max_batch_still_caps(self):
+        calls, fn = self._recording()
+        batcher = DynamicBatcher(fn, max_batch=2, max_wait_ms=20.0,
+                                 autostart=False)
+        pending = [batcher.submit(user, k=1) for user in range(5)]
+        batcher.start()
+        try:
+            assert [p.result(timeout=5.0) for p in pending] == list(range(5))
+            assert calls == [[0, 1], [2, 3], [4]]
+            assert batcher.stats()["largest_batch"] == 2
+        finally:
+            batcher.close()
+
+
 # ----------------------------------------------------------------------
 # HTTP endpoints
 # ----------------------------------------------------------------------
@@ -468,6 +547,35 @@ class TestCoalescingOverHTTP:
             status, payload = _get(server.port, "/recommend?user=0&k=2")
             assert status == 503
             assert "did not complete" in payload["error"]
+        finally:
+            service.gate.set()
+            server.close()
+
+    def test_request_answered_503_is_not_computed(self, gnmr, split,
+                                                  monkeypatch):
+        service = GatedService(gnmr, train=split.train, k_default=5)
+        server = RecommendationHTTPServer(service, port=0,
+                                          poll_interval_ms=60_000.0).start()
+        try:
+            service.gate.clear()
+            pinned = threading.Thread(
+                target=_get, args=(server.port, "/recommend?user=0&k=2"),
+                daemon=True)
+            pinned.start()
+            # the worker holds user 0's batch open on the gate
+            _wait_until(lambda: len(service.calls) >= 1)
+            monkeypatch.setattr(server, "request_timeout_s", 0.05)
+            status, payload = _get(server.port, "/recommend?user=1&k=2")
+            assert status == 503
+            assert "did not complete" in payload["error"]
+            monkeypatch.setattr(server, "request_timeout_s", 30.0)
+            service.gate.set()
+            pinned.join(timeout=30)
+            # queued after user 1, so answered after its batch was drained
+            assert _get(server.port, "/recommend?user=2&k=2")[0] == 200
+            assert service.calls[0] == [0]
+            assert all(1 not in call for call in service.calls)
+            assert server.batcher.stats()["submitted"] == 3
         finally:
             service.gate.set()
             server.close()

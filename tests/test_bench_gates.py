@@ -46,7 +46,10 @@ ON_THE_FLOOR = {
     "bench_http_serving": {
         "configs": {"exact_single": _http_config(1),
                     "exact_batched": _http_config(8),
-                    "ivf_int8_batched": _http_config(8)},
+                    "ivf_int8_batched": _http_config(8),
+                    "ivf_int8_one_client": {**_http_config(1),
+                                            "max_wait_ms": 2.0,
+                                            "queue_wait_p50_ms": 0.5}},
         "batched_speedup_vs_single": 2.0},
 }
 
@@ -97,6 +100,10 @@ def test_payload_on_every_floor_passes(script, capsys):
      "http-batched-speedup"),
     ("bench_http_serving", ("configs", "ivf_int8_batched", "errors"), 1,
      "http-ivf_int8_batched-non-200"),
+    # a lone request that sat out the window
+    ("bench_http_serving", ("configs", "ivf_int8_one_client",
+                            "queue_wait_p50_ms"), 0.51,
+     "http-lone-request-wait"),
 ])
 def test_each_missed_floor_fails_by_name(script, path, value, label, capsys):
     payload = _with(ON_THE_FLOOR[script], path, value)
