@@ -1,48 +1,41 @@
 """Model zoo comparison: the paper's Table II in miniature.
 
 Trains every implemented recommender (12 baselines + GNMR) on the same
-Yelp-like dataset and prints a ranking table next to the paper's reported
-numbers. Absolute values differ (synthetic data, laptop scale); the
-*ordering* — GNMR first, multi-behavior models strong — is the claim
-being reproduced.
+Yelp-like dataset through the experiment table's ``table2`` entry and
+prints a ranking table next to the paper's reported numbers, then the
+shape claims checked on it. Absolute values differ (synthetic data,
+laptop scale); the *ordering* — GNMR first, multi-behavior models strong
+— is the claim being reproduced.
 
-Run:  python examples/model_comparison.py        (~2-3 minutes)
+Run:  python examples/model_comparison.py        (~30 seconds)
 """
 
 import time
 
 from repro.experiments import (
-    MODEL_NAMES,
-    PAPER_TABLE2,
+    EXPERIMENTS,
     ExperimentScale,
     dataset_by_name,
+    format_claims,
     format_comparison,
+    run_experiment,
 )
-from repro.experiments.runners import _prepare, train_and_evaluate
 
 
 def main() -> None:
     scale = ExperimentScale(num_users=110, num_items=220, epochs=30)
-    run = _prepare(dataset_by_name("yelp", scale), scale)
-    print(f"Dataset: {run.dataset.describe()}")
-    print(f"Evaluating {len(MODEL_NAMES)} models "
-          f"on {len(run.candidates)} test users...\n")
+    experiment = EXPERIMENTS["table2"]
+    print(f"Dataset: {dataset_by_name('yelp', scale).describe()}")
+    start = time.time()
+    measured = run_experiment("table2", "yelp", scale)
+    print(f"Trained and ranked {len(measured)} models in {time.time() - start:.0f}s\n")
 
-    measured: dict[str, dict[str, float]] = {}
-    for name in MODEL_NAMES:
-        start = time.time()
-        outcome = train_and_evaluate(name, run)
-        measured[name] = {"HR@10": outcome.hr(10), "NDCG@10": outcome.ndcg(10)}
-        print(f"  {name:10s} HR@10={outcome.hr(10):.3f} "
-              f"NDCG@10={outcome.ndcg(10):.3f}  ({time.time() - start:.1f}s)")
-
-    paper = {m: PAPER_TABLE2[m]["yelp"] for m in MODEL_NAMES}
-    print()
-    print(format_comparison(measured, paper,
+    print(format_comparison(measured, experiment.paper("yelp"),
                             title="Yelp-like data: ours (synthetic, small) vs paper"))
 
     best = max(measured, key=lambda m: measured[m]["HR@10"])
     print(f"\nBest model by HR@10: {best}")
+    print(format_claims(experiment.check(measured, scale)))
 
 
 if __name__ == "__main__":

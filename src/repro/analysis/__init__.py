@@ -13,7 +13,6 @@ from repro.analysis.stats import (
     mean_std,
     metric_std_error,
 )
-from repro.analysis.curves import learning_curve
 
 __all__ = [
     "replicate",
@@ -21,5 +20,4 @@ __all__ = [
     "mean_std",
     "metric_std_error",
     "bootstrap_paired_difference",
-    "learning_curve",
 ]

@@ -4,6 +4,7 @@ Examples::
 
     python -m repro.cli stats                       # Table I
     python -m repro.cli run table2 --dataset yelp   # one Table-II column
+    python -m repro.cli run table3 --dataset yelp   # + one line per claim
     python -m repro.cli run fig2 --dataset movielens
     python -m repro.cli train --dataset taobao --model GNMR --epochs 20
     python -m repro.cli scenarios                   # the scenario registry
@@ -21,17 +22,17 @@ import json
 import sys
 
 from repro.experiments import (
+    EXPERIMENTS,
     MODEL_NAMES,
     SMALL_SCALE,
     ExperimentScale,
     dataset_by_name,
+    format_claims,
+    format_comparison,
     format_table,
     make_model,
-    run_fig2,
-    run_fig3,
+    run_experiment,
     run_table1,
-    run_table2,
-    run_table4,
 )
 from repro.utils.artifact import ArtifactError
 
@@ -79,22 +80,20 @@ def cmd_stats(args) -> int:
 
 
 def cmd_run(args) -> int:
+    """One experiment: its table (beside the paper's numbers where it
+    reports them), then one line per shape claim. A claim that does not
+    hold is a finding, not an error: the exit status stays 0."""
     scale = _scale_from_args(args)
-    experiment = args.experiment
-    if experiment == "table2":
-        results = run_table2(args.dataset, scale)
-    elif experiment == "fig2":
-        results = run_fig2(args.dataset, scale)
-    elif experiment == "table4":
-        results = run_table4(args.dataset, scale)
-    elif experiment == "fig3":
-        results = {f"GNMR-{d}": row for d, row in run_fig3(args.dataset, scale).items()}
-    else:
-        print(f"unknown experiment {experiment!r}", file=sys.stderr)
-        return 2
-    print(format_table(results, title=f"{experiment} on {args.dataset}"))
+    experiment = EXPERIMENTS[args.experiment]
+    results = run_experiment(args.experiment, args.dataset, scale)
+    title = f"{experiment.title} on {args.dataset}"
+    paper = experiment.paper(args.dataset)
+    print(format_comparison(results, paper, title=title) if paper
+          else format_table(results, title=title))
+    claims = experiment.check(results, scale)
+    print(format_claims(claims))
     if args.json:
-        print(json.dumps(results, indent=2))
+        print(json.dumps({**results, "claims": claims}, indent=2))
     return 0
 
 
@@ -279,10 +278,18 @@ def cmd_recommend(args) -> int:
     """Serve top-K recommendations as JSON (stdout stays machine-readable)."""
     import numpy as np
 
+    requested = []
+    for token in (args.user_ids.split(",") if args.user_ids else ()):
+        try:
+            requested.append(int(token))
+        except ValueError:
+            print(f"--user-ids: {token!r} is not an integer user id",
+                  file=sys.stderr)
+            return 2
     model, split, dataset, model_name = _rebuild_serving_model(args)
     service = _build_service(args, model, split)
-    if args.user_ids:
-        users = np.array([int(u) for u in args.user_ids.split(",")], dtype=np.int64)
+    if requested:
+        users = np.array(requested, dtype=np.int64)
         bad = users[(users < 0) | (users >= model.num_users)]
         if bad.size:
             print(f"user ids out of range [0, {model.num_users}): "
@@ -421,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="print Table-I dataset statistics")
     p_run = sub.add_parser("run", help="run one paper experiment")
-    p_run.add_argument("experiment",
-                       choices=["table2", "fig2", "table4", "fig3"])
+    p_run.add_argument("experiment", choices=list(EXPERIMENTS))
     p_run.add_argument("--dataset", default="taobao",
                        choices=["movielens", "yelp", "taobao"])
     p_run.add_argument("--json", action="store_true",

@@ -321,15 +321,8 @@ class GNMR(Recommender):
     def _propagated_arrays(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Forward-propagated embedding tables, cached per engine version."""
         def compute():
-            was_training = self.training
-            if was_training:
-                self.eval()  # dropout must be off for cached inference
-            try:
-                with no_grad():
-                    user_layers, item_layers = self.propagate()
-            finally:
-                if was_training:
-                    self.train()
+            with no_grad():  # also keeps dropout off
+                user_layers, item_layers = self.propagate()
             return ([t.data for t in user_layers], [t.data for t in item_layers])
 
         return self.engine.cached("gnmr.layers", compute)
@@ -372,15 +365,8 @@ class GNMR(Recommender):
         block = self.engine.layered_subgraph(
             users, np.empty(0, dtype=np.int64),
             hops=self.config.num_layers, fanout=None)
-        was_training = self.training
-        if was_training:
-            self.eval()  # dropout must be off, matching cached inference
-        try:
-            with no_grad():
-                user_layers, _ = self.propagate_layered(block)
-        finally:
-            if was_training:
-                self.train()
+        with no_grad():  # dropout off, matching cached inference
+            user_layers, _ = self.propagate_layered(block)
         rows = [h.data[block.localize_users(level, users)]
                 for level, h in enumerate(user_layers)]
         matrix = np.concatenate(rows, axis=1)

@@ -1,4 +1,4 @@
-"""Datasets: container, splits, synthetic generators, loaders, ingestion."""
+"""Datasets: container, splits, synthetic generators, ingestion."""
 
 from repro.data.dataset import Interaction, InteractionDataset
 from repro.data.splits import (
@@ -15,12 +15,6 @@ from repro.data.synthetic import (
     yelp_like,
     taobao_like,
     synthesize_attributes,
-)
-from repro.data.loaders import (
-    load_interactions_csv,
-    load_interactions_csv_with_report,
-    map_ratings_to_behaviors,
-    RATING_BEHAVIOR_RULES,
 )
 from repro.data.ingest import (
     BadRowError,
@@ -56,10 +50,6 @@ __all__ = [
     "taobao_like",
     "synthesize_attributes",
     "BadRowError",
-    "load_interactions_csv",
-    "load_interactions_csv_with_report",
-    "map_ratings_to_behaviors",
-    "RATING_BEHAVIOR_RULES",
     "IngestOptions",
     "IngestReport",
     "ingest_csv",

@@ -1,19 +1,21 @@
-"""Experiment harness: one runner per table/figure of the paper.
+"""Experiment harness: the paper's evaluation as one experiment table.
 
-========  =============================================  ====================
-ID        Paper artifact                                 Runner
-========  =============================================  ====================
-table1    Dataset statistics                             :func:`run_table1`
-table2    HR@10/NDCG@10, 13 models × 3 datasets          :func:`run_table2`
-table3    HR@N/NDCG@N sweep on Yelp                      :func:`run_table3`
-fig2      GNMR-be / GNMR-ma ablation                     :func:`run_fig2`
-table4    Behavior-type ablation                         :func:`run_table4`
-fig3      Propagation-depth sweep                        :func:`run_fig3`
-ext       Extension ablations (init / loss / aggregator) :func:`run_ext_ablation`
-========  =============================================  ====================
+========  =============================================
+ID        Paper artifact
+========  =============================================
+table1    Dataset statistics (:func:`run_table1`)
+table2    HR@10/NDCG@10, 13 models × 3 datasets
+table3    HR@N/NDCG@N sweep, N ∈ {1, 3, 5, 7, 9}
+table4    Behavior-type ablation
+fig2      GNMR-be / GNMR-ma ablation
+fig3      Propagation-depth sweep
+ext       Extension ablations (init / loss / aggregator)
+========  =============================================
 
-Each runner returns structured results and can print the paper-formatted
-table; ``benchmarks/`` wraps them with pytest-benchmark.
+Every id but ``table1`` is an entry of :data:`EXPERIMENTS` — rows to
+train, metric columns, the paper's numbers and the shape claims checked
+on the result — run by :func:`run_experiment` and from the command line
+by ``python -m repro.cli run <id> --dataset <name>``.
 """
 
 from repro.experiments.specs import (
@@ -29,16 +31,12 @@ from repro.experiments.specs import (
     MULTI_BEHAVIOR_MODELS,
 )
 from repro.experiments.runners import (
+    EXPERIMENTS,
+    Experiment,
+    run_experiment,
     run_table1,
-    run_table2,
-    run_table3,
-    run_fig2,
-    run_table4,
-    run_fig3,
-    run_ext_ablation,
-    train_and_evaluate,
 )
-from repro.experiments.reporting import format_table, format_comparison
+from repro.experiments.reporting import format_claims, format_comparison, format_table
 
 __all__ = [
     "ExperimentScale",
@@ -51,14 +49,11 @@ __all__ = [
     "make_model",
     "MODEL_NAMES",
     "MULTI_BEHAVIOR_MODELS",
+    "EXPERIMENTS",
+    "Experiment",
+    "run_experiment",
     "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_fig2",
-    "run_table4",
-    "run_fig3",
-    "run_ext_ablation",
-    "train_and_evaluate",
     "format_table",
     "format_comparison",
+    "format_claims",
 ]

@@ -36,22 +36,26 @@ def format_table(results: Mapping[str, Mapping[str, float]], title: str = "",
     return "\n".join(lines)
 
 
-def format_comparison(measured: Mapping[str, Mapping[str, float]],
-                      paper: Mapping[str, tuple[float, float]],
-                      title: str = "") -> str:
-    """Side-by-side measured vs. paper-reported HR@10/NDCG@10 table.
+def format_claims(claims: Mapping[str, Mapping[str, object]]) -> str:
+    """One ``claim <name>: holds — <detail>`` line per checked claim."""
+    return "\n".join(
+        f"claim {name}: {'holds' if claim['holds'] else 'DOES NOT HOLD'} — {claim['detail']}"
+        for name, claim in claims.items())
 
-    ``paper[model] = (hr, ndcg)``; models missing on either side are shown
-    with blanks so the rows always line up with the paper's roster.
+
+def format_comparison(measured: Mapping[str, Mapping[str, float]],
+                      paper: Mapping[str, Mapping[str, float]],
+                      title: str = "") -> str:
+    """Side-by-side measured vs. paper-reported table.
+
+    Both sides are ``{row → {column → value}}``; each column appears as
+    ``"<column> (ours)"`` and ``"<column> (paper)"``. Rows missing on
+    either side are shown with blanks so the rows always line up with the
+    paper's roster.
     """
     merged: dict[str, dict[str, object]] = {}
-    for model in list(paper) + [m for m in measured if m not in paper]:
-        row: dict[str, object] = {}
-        if model in measured:
-            row["HR@10 (ours)"] = measured[model].get("HR@10", "")
-            row["NDCG@10 (ours)"] = measured[model].get("NDCG@10", "")
-        if model in paper:
-            row["HR@10 (paper)"] = paper[model][0]
-            row["NDCG@10 (paper)"] = paper[model][1]
-        merged[model] = row
+    for row in list(paper) + [r for r in measured if r not in paper]:
+        cells = {f"{c} (ours)": v for c, v in measured.get(row, {}).items()}
+        cells.update({f"{c} (paper)": v for c, v in paper.get(row, {}).items()})
+        merged[row] = cells
     return format_table(merged, title=title)

@@ -127,16 +127,9 @@ class Recommender(Module):
              (item_table, np.concatenate([pos_items, neg_items]))], weight)
 
     def score(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Inference-mode scores (no autograd graph, dropout disabled)."""
-        was_training = self.training
-        if was_training:
-            self.eval()
-        try:
-            with no_grad():
-                return self.score_tensor(np.asarray(users), np.asarray(items)).data
-        finally:
-            if was_training:
-                self.train()
+        """Inference-mode scores (no autograd graph, so no dropout either)."""
+        with no_grad():
+            return self.score_tensor(np.asarray(users), np.asarray(items)).data
 
     def on_step_end(self) -> None:
         """Hook called after each optimizer step (cache invalidation)."""

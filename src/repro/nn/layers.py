@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nn import init as init_schemes
 from repro.nn.module import Module, ModuleList, Parameter
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor, functional as F, is_grad_enabled
 
 
 class Identity(Module):
@@ -80,7 +80,9 @@ class Embedding(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout honoring the module's ``training`` flag."""
+    """Inverted dropout, active only in ``training`` mode *and* while the
+    calling thread records gradients: inference under ``no_grad`` never
+    drops, so it needs no ``eval()`` flip on a module a trainer shares."""
 
     def __init__(self, rate: float, rng: np.random.Generator | None = None):
         super().__init__()
@@ -90,7 +92,8 @@ class Dropout(Module):
         self.rng = rng or np.random.default_rng()
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.rate, training=self.training, rng=self.rng)
+        return F.dropout(x, self.rate, training=self.training and is_grad_enabled(),
+                         rng=self.rng)
 
 
 _ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {

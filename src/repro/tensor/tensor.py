@@ -21,13 +21,22 @@ gradients of broadcast operands are reduced back to the operand shape with
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.tensor.rowsparse import RowSparseGrad, add_grads
 
-_GRAD_ENABLED: bool = True
+
+class _GradMode(threading.local):
+    """Per-thread recording switch: a ``no_grad`` block in a serving or
+    snapshot thread must not turn autodiff off under a trainer in another."""
+
+    enabled: bool = True
+
+
+_GRAD_MODE = _GradMode()
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _DEFAULT_DTYPE: np.dtype = np.dtype(np.float64)
@@ -72,20 +81,21 @@ def default_dtype(dtype):
 
 
 def is_grad_enabled() -> bool:
-    """Return whether new operations will be recorded for autodiff."""
-    return _GRAD_ENABLED
+    """Return whether new operations will be recorded for autodiff
+    (in the calling thread)."""
+    return _GRAD_MODE.enabled
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager disabling graph recording (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager disabling graph recording (inference mode) in the
+    calling thread only."""
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -149,7 +159,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str | None = None,
                  dtype=None):
         self.data: np.ndarray = _as_array(data, dtype)
-        self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad: bool = bool(requires_grad) and _GRAD_MODE.enabled
         self.grad: np.ndarray | RowSparseGrad | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -237,7 +247,7 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         """Create a non-leaf tensor recording its parents when grads are on."""
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=False)
         out.requires_grad = requires
         if requires:

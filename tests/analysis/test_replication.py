@@ -1,10 +1,10 @@
-"""Tests of seed-replicated evaluation and learning curves."""
+"""Tests of seed-replicated evaluation."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import learning_curve, replicate
-from repro.data import build_eval_candidates, leave_one_out_split, taobao_like
+from repro.analysis import replicate
+from repro.data import taobao_like
 from repro.models import BiasMF
 from repro.train import TrainConfig
 
@@ -47,17 +47,3 @@ class TestReplicate:
         from repro.analysis import ReplicateResult
 
         assert ReplicateResult().summary() == {}
-
-
-class TestLearningCurve:
-    def test_metric_series_recorded(self):
-        data = taobao_like(num_users=30, num_items=80, seed=5)
-        split = leave_one_out_split(data)
-        candidates = build_eval_candidates(split.train, split.test_users,
-                                           split.test_items, num_negatives=20,
-                                           rng=np.random.default_rng(0))
-        model = BiasMF(split.train.num_users, split.train.num_items, seed=0)
-        history = learning_curve(model, split.train, candidates, FAST)
-        series = history.series("metric")
-        assert len(series) == FAST.epochs
-        assert all(0.0 <= v <= 1.0 for v in series)

@@ -14,7 +14,6 @@ from repro.data import (
     ingest_csv,
     iter_event_chunks,
     load_dataset_npz,
-    load_interactions_csv,
     save_dataset_npz,
     taobao_like,
     temporal_split,
@@ -84,10 +83,9 @@ class TestIterEventChunks:
 
 class TestIngestCsv:
     def test_matches_in_memory_loader(self, tmp_path):
-        """Any chunking == the whole file as one chunk (what the loader does)."""
+        """Any chunking == the whole file as one chunk (the default)."""
         path = _write_log(tmp_path / "log.csv", _random_log_rows(500))
-        reference = load_interactions_csv(path, name="ref",
-                                          target_behavior="buy")
+        reference, _ = ingest_csv(path, name="ref", target_behavior="buy")
         for chunk_rows in (7, 64, 10_000):
             dataset, report = ingest_csv(path, name="ref",
                                          target_behavior="buy",
@@ -161,12 +159,11 @@ class TestHeaderAndEncoding:
         """Not one BadRowError per row — and under "skip" not an empty
         dataset with "target behavior absent" either."""
         path = _write_log(tmp_path / "log.csv", ["u1,i1,buy,1"], header=header)
-        for load in (ingest_csv, load_interactions_csv):
-            with pytest.raises(ValueError, match=f"column '{column}'") as raised:
-                load(path, name="x", target_behavior="buy",
-                     on_bad_rows=on_bad_rows)
-            assert not isinstance(raised.value, BadRowError)
-            assert str(header.split(",")) in str(raised.value)
+        with pytest.raises(ValueError, match=f"column '{column}'") as raised:
+            ingest_csv(path, name="x", target_behavior="buy",
+                       on_bad_rows=on_bad_rows)
+        assert not isinstance(raised.value, BadRowError)
+        assert str(header.split(",")) in str(raised.value)
 
     def test_missing_rating_column_and_empty_file(self, tmp_path):
         path = _write_log(tmp_path / "log.csv", ["u1,i1,buy,1"])

@@ -1,25 +1,37 @@
-"""Tests of the file loaders and the paper's rating→behavior mapping."""
+"""Tests of CSV loading through ``ingest_csv`` and the paper's rating→behavior
+mapping."""
 
 import numpy as np
 import pytest
 
-from repro.data import (
-    BadRowError,
-    load_interactions_csv,
-    load_interactions_csv_with_report,
-    map_ratings_to_behaviors,
-)
+from repro.data import BadRowError, ingest_csv
+
+
+def _rating_behaviors(tmp_path, ratings):
+    """The behavior ``ingest_csv`` gives each rating, in file order."""
+    path = tmp_path / "ratings.csv"
+    path.write_text("user,item,rating\n" + "".join(
+        f"u{row},i,{rating}\n" for row, rating in enumerate(ratings)))
+    data, _ = ingest_csv(path, name="r", target_behavior="like",
+                         behavior_names=("dislike", "neutral", "like"),
+                         behavior_col=None, rating_col="rating",
+                         timestamp_col=None)
+    out = [None] * len(ratings)
+    for behavior in data.behavior_names:
+        for user in data.arrays(behavior)[0]:
+            out[user] = behavior  # users are dense in file order
+    return out
 
 
 class TestRatingMapping:
-    def test_paper_thresholds(self):
+    def test_paper_thresholds(self, tmp_path):
         """§IV-A: r ≤ 2 dislike, 2 < r < 4 neutral, r ≥ 4 like."""
-        out = map_ratings_to_behaviors(np.array([0.5, 2.0, 2.5, 3.9, 4.0, 5.0]))
+        out = _rating_behaviors(tmp_path, [0.5, 2.0, 2.5, 3.9, 4.0, 5.0])
         assert list(out) == ["dislike", "dislike", "neutral", "neutral", "like", "like"]
 
-    def test_boundaries_exact(self):
-        assert map_ratings_to_behaviors(np.array([2.0]))[0] == "dislike"
-        assert map_ratings_to_behaviors(np.array([4.0]))[0] == "like"
+    def test_boundaries_exact(self, tmp_path):
+        assert _rating_behaviors(tmp_path, [2.0])[0] == "dislike"
+        assert _rating_behaviors(tmp_path, [4.0])[0] == "like"
 
 
 class TestCsvLoader:
@@ -32,7 +44,7 @@ class TestCsvLoader:
             "u2,i1,buy,3\n"
             "u1,i1,buy,4\n"
         )
-        data = load_interactions_csv(path, name="t", target_behavior="buy")
+        data, _ = ingest_csv(path, name="t", target_behavior="buy")
         assert data.num_users == 2 and data.num_items == 2
         assert data.behavior_names == ("view", "buy")
         assert data.interaction_count("buy") == 3
@@ -48,8 +60,8 @@ class TestCsvLoader:
             "a,y,1,11\n"
             "b,x,3,12\n"
         )
-        data = load_interactions_csv(path, name="ml", target_behavior="like",
-                                     behavior_col=None, rating_col="rating")
+        data, _ = ingest_csv(path, name="ml", target_behavior="like",
+                             behavior_col=None, rating_col="rating")
         assert set(data.behavior_names) == {"like", "dislike", "neutral"}
         assert data.interaction_count("like") == 1
         assert data.interaction_count("dislike") == 1
@@ -58,17 +70,17 @@ class TestCsvLoader:
     def test_headerless_positional(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("u1,i1,view,1\nu1,i2,buy,2\nu2,i2,buy,5\n")
-        data = load_interactions_csv(path, name="p", target_behavior="buy",
-                                     has_header=False)
+        data, _ = ingest_csv(path, name="p", target_behavior="buy",
+                             has_header=False)
         assert data.interaction_count() == 3
 
     def test_explicit_behavior_filter(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text(
             "user,item,behavior\nu1,i1,view\nu1,i2,buy\nu2,i1,weird\nu2,i2,buy\n")
-        data = load_interactions_csv(path, name="f", target_behavior="buy",
-                                     behavior_names=("view", "buy"),
-                                     timestamp_col=None)
+        data, _ = ingest_csv(path, name="f", target_behavior="buy",
+                             behavior_names=("view", "buy"),
+                             timestamp_col=None)
         assert data.behavior_names == ("view", "buy")
         assert data.interaction_count() == 3  # 'weird' row dropped
 
@@ -76,17 +88,17 @@ class TestCsvLoader:
         path = tmp_path / "x.csv"
         path.write_text("user,item,behavior\n")
         with pytest.raises(ValueError):
-            load_interactions_csv(path, name="x", target_behavior="buy",
-                                  behavior_col="behavior", rating_col="rating")
+            ingest_csv(path, name="x", target_behavior="buy",
+                       behavior_col="behavior", rating_col="rating")
         with pytest.raises(ValueError):
-            load_interactions_csv(path, name="x", target_behavior="buy",
-                                  behavior_col=None, rating_col=None)
+            ingest_csv(path, name="x", target_behavior="buy",
+                       behavior_col=None, rating_col=None)
 
     def test_missing_target_raises(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("user,item,behavior\nu1,i1,view\n")
         with pytest.raises(ValueError):
-            load_interactions_csv(path, name="m", target_behavior="buy")
+            ingest_csv(path, name="m", target_behavior="buy")
 
     def test_roundtrip_into_pipeline(self, tmp_path):
         """A loaded dataset drives the graph/split machinery end to end."""
@@ -99,8 +111,8 @@ class TestCsvLoader:
                 rows.append(f"u{u},i{rng.integers(0, 15)},buy,{rng.random()}")
         path = tmp_path / "rt.csv"
         path.write_text("\n".join(rows) + "\n")
-        data = load_interactions_csv(path, name="rt", target_behavior="buy",
-                                     behavior_names=("view", "buy"))
+        data, _ = ingest_csv(path, name="rt", target_behavior="buy",
+                             behavior_names=("view", "buy"))
         graph = data.graph()
         assert graph.num_behaviors == 2
         from repro.data import leave_one_out_split
@@ -116,23 +128,23 @@ class TestBadRowPolicy:
         path = tmp_path / "nan.csv"
         path.write_text("user,item,rating\na,x,5\nb,y,nan\n")
         with pytest.raises(BadRowError, match="row 2"):
-            load_interactions_csv(path, name="n", target_behavior="like",
-                                  behavior_col=None, rating_col="rating",
-                                  timestamp_col=None)
+            ingest_csv(path, name="n", target_behavior="like",
+                       behavior_col=None, rating_col="rating",
+                       timestamp_col=None)
 
     def test_garbage_rating_raises(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("user,item,rating\na,x,five\n")
         with pytest.raises(BadRowError):
-            load_interactions_csv(path, name="g", target_behavior="like",
-                                  behavior_col=None, rating_col="rating",
-                                  timestamp_col=None)
+            ingest_csv(path, name="g", target_behavior="like",
+                       behavior_col=None, rating_col="rating",
+                       timestamp_col=None)
 
     def test_skip_mode_counts_drops(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text(
             "user,item,rating\na,x,5\nb,y,nan\nc,z,inf\na,y,1\n")
-        data, report = load_interactions_csv_with_report(
+        data, report = ingest_csv(
             path, name="s", target_behavior="like", behavior_col=None,
             rating_col="rating", timestamp_col=None, on_bad_rows="skip")
         assert data.interaction_count() == 2
@@ -145,8 +157,8 @@ class TestBadRowPolicy:
         path = tmp_path / "m.csv"
         path.write_text("user,item,behavior\nu1,,buy\n")
         with pytest.raises(BadRowError, match="row 1"):
-            load_interactions_csv(path, name="m", target_behavior="buy",
-                                  timestamp_col=None)
+            ingest_csv(path, name="m", target_behavior="buy",
+                       timestamp_col=None)
 
     def test_headerless_short_row_is_a_bad_row(self, tmp_path):
         """Pinned regression: a positional row without an item cell used to
@@ -154,9 +166,9 @@ class TestBadRowPolicy:
         path = tmp_path / "short.csv"
         path.write_text("u1,i1,buy,1\nu2\nu1,i2,buy,2\n")
         with pytest.raises(BadRowError, match="row 1: missing user/item id"):
-            load_interactions_csv(path, name="s", target_behavior="buy",
-                                  has_header=False)
-        data, report = load_interactions_csv_with_report(
+            ingest_csv(path, name="s", target_behavior="buy",
+                       has_header=False)
+        data, report = ingest_csv(
             path, name="s", target_behavior="buy", has_header=False,
             on_bad_rows="skip")
         assert data.interaction_count() == 2
@@ -166,8 +178,8 @@ class TestBadRowPolicy:
         path = tmp_path / "p.csv"
         path.write_text("user,item,behavior\nu1,i1,buy\n")
         with pytest.raises(ValueError, match="on_bad_rows"):
-            load_interactions_csv(path, name="p", target_behavior="buy",
-                                  timestamp_col=None, on_bad_rows="ignore")
+            ingest_csv(path, name="p", target_behavior="buy",
+                       timestamp_col=None, on_bad_rows="ignore")
 
 
 class TestBehaviorFilterIndexing:
@@ -182,9 +194,9 @@ class TestBehaviorFilterIndexing:
             "ghost_user,ghost_item,weird\n"
             "u1,i2,buy\n"
             "u2,i1,buy\n")
-        data = load_interactions_csv(path, name="ph", target_behavior="buy",
-                                     behavior_names=("view", "buy"),
-                                     timestamp_col=None)
+        data, _ = ingest_csv(path, name="ph", target_behavior="buy",
+                             behavior_names=("view", "buy"),
+                             timestamp_col=None)
         assert data.num_users == 2
         assert data.num_items == 2
 
@@ -193,7 +205,7 @@ class TestBehaviorFilterIndexing:
         path.write_text(
             "user,item,behavior\n"
             "u1,i1,view\nu1,i2,buy\nu2,i1,weird\nu3,i3,odd\nu2,i2,buy\n")
-        data, report = load_interactions_csv_with_report(
+        data, report = ingest_csv(
             path, name="fc", target_behavior="buy",
             behavior_names=("view", "buy"), timestamp_col=None)
         assert report.rows_dropped_behavior == 2
@@ -210,9 +222,9 @@ class TestBehaviorFilterIndexing:
             "zed,late,weird\n"   # filtered: must not claim id 0
             "abe,early,buy\n"
             "zed,late,buy\n")
-        data = load_interactions_csv(path, name="fo", target_behavior="buy",
-                                     behavior_names=("buy",),
-                                     timestamp_col=None)
+        data, _ = ingest_csv(path, name="fo", target_behavior="buy",
+                             behavior_names=("buy",),
+                             timestamp_col=None)
         users, items, _ = data.arrays("buy")
         assert users.tolist() == [0, 1]
         assert items.tolist() == [0, 1]

@@ -1,6 +1,6 @@
 """Tests of report formatting."""
 
-from repro.experiments import format_comparison, format_table
+from repro.experiments import format_claims, format_comparison, format_table
 
 
 class TestFormatTable:
@@ -26,11 +26,19 @@ class TestFormatTable:
 class TestFormatComparison:
     def test_shows_both_sides(self):
         measured = {"GNMR": {"HR@10": 0.40, "NDCG@10": 0.25}}
-        paper = {"GNMR": (0.857, 0.575)}
+        paper = {"GNMR": {"HR@10": 0.857, "NDCG@10": 0.575}}
         text = format_comparison(measured, paper)
-        assert "ours" in text and "paper" in text
+        assert "HR@10 (ours)" in text and "NDCG@10 (paper)" in text
         assert "0.400" in text and "0.857" in text
 
     def test_paper_only_rows_included(self):
-        text = format_comparison({}, {"BiasMF": (0.7, 0.4)})
+        text = format_comparison({}, {"BiasMF": {"HR@10": 0.7, "NDCG@10": 0.4}})
         assert "BiasMF" in text
+
+
+class TestFormatClaims:
+    def test_one_line_each(self):
+        text = format_claims({"a": {"holds": True, "detail": "1 ≥ 0"},
+                              "b": {"holds": False, "detail": "0 ≥ 1"}})
+        assert text.splitlines() == ["claim a: holds — 1 ≥ 0",
+                                     "claim b: DOES NOT HOLD — 0 ≥ 1"]

@@ -1,8 +1,8 @@
 """Row-by-row reference for :mod:`repro.data.ingest`.
 
 This is the parser ``ingest.py`` had before it went columnar — one
-``_parse_row`` call per row, a numpy round trip per rating, the whole log
-held as Python tuples — kept here so that the differential tests have
+``_parse_row`` call per row, the rating partition as plain comparisons,
+the whole log held as Python tuples — kept here so that the differential tests have
 something slow and obvious to compare the column-wise code with. It reads
 the file the way ``iter_event_chunks`` documents: ``utf-8-sig``, the first
 non-blank record is the header, row numbers count records from 0.
@@ -17,7 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from repro.data import BadRowError, IngestOptions, IngestReport, InteractionDataset
-from repro.data.loaders import map_ratings_to_behaviors
+
+
+def rating_behavior(rating: float) -> str:
+    """Paper §IV-A: r ≤ 2 → dislike, 2 < r < 4 → neutral, r ≥ 4 → like."""
+    if rating <= 2.0:
+        return "dislike"
+    if rating < 4.0:
+        return "neutral"
+    return "like"
 
 
 def parse_rating(text: str, row_num: int) -> float:
@@ -68,7 +76,7 @@ def parse_row(row: list[str], row_num: int, column_of: dict[str, int] | None,
             raise BadRowError(f"row {row_num}: missing column "
                               f"{options.rating_col!r}")
         rating = parse_rating(raw_rating, row_num)
-        behavior = str(map_ratings_to_behaviors(np.array([rating]))[0])
+        behavior = rating_behavior(rating)
     else:
         behavior = cell(options.behavior_col)
         if not behavior:

@@ -66,6 +66,17 @@ class TestDropout:
         out = layer(Tensor(np.ones((100, 100))))
         assert (out.data == 0).any()
 
+    def test_no_grad_is_inference_even_in_train_mode(self):
+        from repro.tensor import no_grad
+
+        rng = np.random.default_rng(0)
+        layer = Dropout(0.5, rng=rng)
+        x = Tensor(np.ones((4, 4)))
+        state = rng.bit_generator.state
+        with no_grad():
+            assert layer(x) is x
+        assert layer.training and rng.bit_generator.state == state
+
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             Dropout(1.5)

@@ -84,6 +84,29 @@ class TestNoGrad:
                 raise ValueError("boom")
         assert is_grad_enabled()
 
+    def test_no_grad_is_per_thread(self):
+        import threading
+
+        entered, done = threading.Event(), threading.Event()
+        seen = []
+
+        def inference():
+            with no_grad():
+                entered.set()
+                done.wait(timeout=10)
+                seen.append(is_grad_enabled())
+
+        thread = threading.Thread(target=inference)
+        thread.start()
+        entered.wait(timeout=10)
+        x = Tensor([1.0], requires_grad=True)
+        y = x * 2.0  # recorded here while the other thread is in no_grad
+        done.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert is_grad_enabled() and y.requires_grad
+        assert seen == [False]
+
     def test_detach(self):
         x = Tensor([1.0], requires_grad=True)
         d = (x * 2.0).detach()

@@ -71,6 +71,22 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "GNMR-0" in out
+        payload = json.loads(out[out.index("\n{") + 1:])
+        assert set(payload) == {"GNMR-0", "GNMR-1", "GNMR-2", "GNMR-3", "claims"}
+        assert set(payload["claims"]) == {"metrics-valid", "propagation-helps"}
+        for claim in payload["claims"].values():
+            assert isinstance(claim["holds"], bool) and claim["detail"]
+
+    def test_run_table3_beside_the_paper(self, capsys):
+        """Table III was reachable only through a pytest-benchmark wrapper;
+        on Yelp it prints the paper's numbers beside ours, then its claims."""
+        code = main(["run", "table3", "--dataset", "yelp", "--users", "30",
+                     "--items", "80", "--epochs", "1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "HR@9 (ours)" in out and "HR@9 (paper)" in out
+        assert "0.831" in out  # GNMR's HR@9 in the paper
+        assert "claim gnmr-top-two: " in out
 
     def test_train_full_catalog_eval(self, capsys):
         code = main(["train", "--model", "BiasMF", "--dataset", "taobao",
@@ -159,6 +175,22 @@ class TestRecommend:
             seen = set(split.train.user_target_items(entry["user"]).tolist())
             recommended = {rec["item"] for rec in entry["items"]}
             assert not (recommended & seen)
+
+    @pytest.mark.parametrize("user_ids, named", [
+        ("1,x", "'x' is not an integer user id"),
+        ("1,,2", "'' is not an integer user id"),
+        ("0,25,-1", "user ids out of range [0, 25): [25, -1]"),
+    ])
+    def test_bad_user_ids_exit_2_naming_them(self, checkpoint, capsys,
+                                             user_ids, named):
+        capsys.readouterr()
+        code = main(["recommend", "--checkpoint", str(checkpoint),
+                     "--user-ids", user_ids])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and named in err[0]
 
     def test_metadata_restores_scale(self, checkpoint, capsys):
         """No --users/--items flags needed: checkpoint metadata has them."""
