@@ -15,9 +15,10 @@ configurations over one synthetic factored catalog:
 * ``ivf_int8_one_client`` — one client against that retriever at the
   default dials: what a lone request pays the batcher.
 
-The first two run interleaved, ``REPEATS`` times each, and count at their
-fastest, so the ratio's denominator is read next to its numerator. Each
-configuration reports p50/p99/max request latency and sustained
+The first two run interleaved, ``REPEATS`` times each, with library-direct
+calls over batches of 1 and of ``BATCHED_CLIENTS`` users between them, and
+each counts at its fastest, so a ratio's denominator is read next to its
+numerator. Each configuration reports p50/p99/max request latency and sustained
 users/sec, the batcher's coalescing counters and the server's own
 ``/stats`` queue-wait p50. Every response body is compared against a
 library-direct ``RecommendationService.recommend`` call for the same
@@ -25,7 +26,7 @@ users — the HTTP tier must be a transport, not a different answer
 (``bit_match``). Gated here — the script prints its payload, then one
 PASS/FAIL line per floor, and exits 1 when one is missed: the batched
 exact configuration runs ≥ ``CLIENTS_MIN`` clients and sustains
-≥ ``COALESCED_MIN``× the single-client throughput, the lone client's
+≥ ``EFFICIENCY_MIN``× the library's batched throughput, the lone client's
 queue-wait p50 stays ≤ ``LONE_WAIT_MAX`` × ``max_wait_ms``, and every
 configuration answers 200 every time with ``bit_match`` true.
 ``benchmarks/e2e`` drives two closed-loop clients — mostly batches of one
@@ -47,13 +48,19 @@ from repro.serve import RecommendationService
 from repro.serve.http import RecommendationHTTPServer
 
 #: the coalescing batcher's reason to exist is the catalog scan amortized
-#: across concurrent requesters: under at least this many closed-loop
-#: clients it must sustain this multiple of the single-client throughput
-#: (a same-payload ratio: 2.56x on one quiet core; 1.6-2.9x run to run on
-#: the shared 2-vCPU VM, where the single client alone swings 64-107
-#: users/sec with the neighbours)
+#: across concurrent requesters, so it is measured under at least this
+#: many closed-loop clients
 CLIENTS_MIN = 8
-COALESCED_MIN = 2.0
+#: and it can at most turn the fleet's requests into the library's own
+#: batched call: the batched fleet must sustain this share of the
+#: library-direct users/sec over batches of BATCHED_CLIENTS users (the
+#: widest batch the fleet can form), both interleaved, fastest of 3. This
+#: replaced a floor of 2x the single client, which the library itself
+#: misses at this catalog (batch 16 / batch 1: 1.67-1.76x, 1.87-1.98x on
+#: one BLAS thread). Fixed from the library numbers before the HTTP tier
+#: was measured against it: a tier that never coalesces reads at most
+#: batch 1 / batch 16 = 0.50-0.60 of it, a free transport 1.0
+EFFICIENCY_MIN = 0.75
 #: one client alone must not sit out the coalescing window: its median
 #: queue wait stays under this share of ``max_wait_ms`` (a batcher that
 #: holds every batch open reads ≈ 1.05)
@@ -70,11 +77,11 @@ DIM = 128
 REQUEST_USERS = 256          # distinct users the clients cycle through
 SINGLE_REQUESTS = 192        # exact_single request count
 # 16 concurrent clients: the scan's per-user cost keeps dropping through
-# batch 16 (≈3x over single-user), so the fleet is sized to let coalesced
-# batches actually reach that width
+# batch 16 (1.7-2.0x over single-user; batch 8 only 1.0-1.2x), so the
+# fleet is sized to let coalesced batches actually reach that width
 BATCHED_CLIENTS = 16
 REQUESTS_PER_CLIENT = 64     # per client in the batched configurations
-REPEATS = 3                  # interleaved runs of exact_single / _batched
+REPEATS = 3                  # interleaved rounds: library, single, batched
 
 
 class _FactoredTables:
@@ -218,6 +225,16 @@ def measure_http_config(service: RecommendationService,
     }
 
 
+def measure_library(service: RecommendationService, batch: int,
+                    users: int = SINGLE_REQUESTS, k: int = TOP_K) -> float:
+    """Library-direct users/sec over batches of ``batch`` pool users."""
+    pool = np.arange(REQUEST_USERS, dtype=np.int64)
+    started = time.perf_counter()
+    for first in range(0, users, batch):
+        service.recommend(pool[np.arange(first, first + batch) % pool.size], k)
+    return users / (time.perf_counter() - started)
+
+
 def fastest(runs: list[dict]) -> dict:
     """The run with the highest users/sec, answerable for every run: its
     ``errors`` and ``requests`` are summed and ``bit_match`` holds only if
@@ -249,7 +266,10 @@ def measure() -> dict:
     }
     exact_refs = library_references(exact_service)
     runs: dict[str, list[dict]] = {"exact_single": [], "exact_batched": []}
+    library: dict[int, list[float]] = {1: [], BATCHED_CLIENTS: []}
     for _ in range(REPEATS):
+        for batch, samples in library.items():
+            samples.append(measure_library(exact_service, batch))
         runs["exact_single"].append(measure_http_config(
             exact_service, exact_refs, clients=1,
             requests_per_client=SINGLE_REQUESTS, max_batch=1,
@@ -274,7 +294,13 @@ def measure() -> dict:
         requests_per_client=SINGLE_REQUESTS, max_batch=32, max_wait_ms=2.0)
     single = payload["configs"]["exact_single"]["users_per_sec"]
     batched = payload["configs"]["exact_batched"]["users_per_sec"]
+    payload["library_users_per_sec"] = {
+        f"batch_{batch}": {"fastest": max(samples), "runs": samples}
+        for batch, samples in library.items()}
+    library_batched = max(library[BATCHED_CLIENTS])
     payload["batched_speedup_vs_single"] = batched / single
+    payload["library_speedup_vs_single"] = library_batched / max(library[1])
+    payload["batched_efficiency"] = batched / library_batched
     return payload
 
 
@@ -292,10 +318,13 @@ def gate(payload: dict, gate) -> None:
     clients = payload["configs"]["exact_batched"]["clients"]
     gate.check("http-concurrency", clients >= CLIENTS_MIN,
                f"{clients} concurrent clients (floor {CLIENTS_MIN})")
-    speedup = payload["batched_speedup_vs_single"]
-    gate.check("http-batched-speedup", speedup >= COALESCED_MIN,
-               f"{speedup:.2f}x the single-client throughput "
-               f"(floor {COALESCED_MIN}x)")
+    efficiency = payload["batched_efficiency"]
+    gate.check("http-batched-efficiency", efficiency >= EFFICIENCY_MIN,
+               f"{efficiency:.2f}x the library-direct batch-{BATCHED_CLIENTS} "
+               f"throughput (floor {EFFICIENCY_MIN}x; "
+               f"{payload['batched_speedup_vs_single']:.2f}x one client, where "
+               f"the library reaches "
+               f"{payload['library_speedup_vs_single']:.2f}x)")
     lone = payload["configs"]["ivf_int8_one_client"]
     ceiling = LONE_WAIT_MAX * lone["max_wait_ms"]
     gate.check("http-lone-request-wait", lone["queue_wait_p50_ms"] <= ceiling,

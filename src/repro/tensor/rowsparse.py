@@ -71,6 +71,8 @@ class RowSparseGrad:
             raise IndexError(f"row index out of range [0, {num_rows})")
         if not coalesced:
             indices, values = _coalesce(indices, values)
+        if values.base is not None or not values.flags.writeable:
+            values = values.copy()  # scale_ writes in place: own the block
         self.indices = indices
         self.values = values
         self.num_rows = int(num_rows)

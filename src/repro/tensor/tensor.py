@@ -15,7 +15,9 @@ operand they combine with, so a float32 graph stays float32 without an
 ambient context. Integer index arrays used by gather/scatter ops are kept
 as plain numpy arrays outside the graph. Broadcasting is fully supported —
 gradients of broadcast operands are reduced back to the operand shape with
-:func:`_unbroadcast`.
+:func:`_unbroadcast`. Backward builds no array only to sum it: a constant
+operand gets no gradient, and a weight shared by every row of a batched
+operand gets one GEMM or one contraction.
 """
 
 from __future__ import annotations
@@ -115,6 +117,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _mul_grad(grad: np.ndarray, other: np.ndarray, operand: "Tensor"):
+    """``operand``'s gradient in ``operand * other`` (``None`` for a constant).
+
+    An operand broadcast only along a trailing size-1 axis — a per-row gate
+    or weight, ``(..., 1)`` against ``(..., d)`` — is reduced by one
+    contraction instead of a full-size product that is then summed.
+    """
+    if not operand.requires_grad:
+        return None
+    shape = operand.shape
+    if (shape[-1:] == (1,) and grad.shape[-1:] != (1,)
+            and shape[:-1] == grad.shape[:-1] and other.shape == grad.shape):
+        return np.einsum("...i,...i->...", grad, other)[..., None]
+    return _unbroadcast(grad * other, shape)
 
 
 def _as_array(data, dtype=None) -> np.ndarray:
@@ -325,10 +343,6 @@ class Tensor:
                 grads[key] = add_grads(grads[key], contribution)
             else:
                 grads[key] = contribution
-            if parent._backward is None:
-                # leaves keep their running .grad so repeated backward()
-                # calls accumulate, mirroring torch semantics
-                pass
 
     # ------------------------------------------------------------------
     # elementwise arithmetic
@@ -339,8 +353,8 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad, self.shape),
-                _unbroadcast(grad, other.shape),
+                _unbroadcast(grad, self.shape) if self.requires_grad else None,
+                _unbroadcast(grad, other.shape) if other.requires_grad else None,
             )
 
         return Tensor._make(data, (self, other), backward)
@@ -359,8 +373,8 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad, self.shape),
-                _unbroadcast(-grad, other.shape),
+                _unbroadcast(grad, self.shape) if self.requires_grad else None,
+                _unbroadcast(-grad, other.shape) if other.requires_grad else None,
             )
 
         return Tensor._make(data, (self, other), backward)
@@ -374,10 +388,7 @@ class Tensor:
         a, b = self, other
 
         def backward(grad: np.ndarray):
-            return (
-                _unbroadcast(grad * b.data, a.shape),
-                _unbroadcast(grad * a.data, b.shape),
-            )
+            return _mul_grad(grad, b.data, a), _mul_grad(grad, a.data, b)
 
         return Tensor._make(data, (a, b), backward)
 
@@ -389,9 +400,12 @@ class Tensor:
         a, b = self, other
 
         def backward(grad: np.ndarray):
+            # -a / b² summed over b's broadcast axes, where b is constant:
+            # reduce grad · a first (a contraction for a (…, 1) divisor)
+            gb = _mul_grad(grad, a.data, b)
             return (
-                _unbroadcast(grad / b.data, a.shape),
-                _unbroadcast(-grad * a.data / (b.data ** 2), b.shape),
+                _unbroadcast(grad / b.data, a.shape) if a.requires_grad else None,
+                None if gb is None else -gb / (b.data ** 2),
             )
 
         return Tensor._make(data, (a, b), backward)
@@ -513,8 +527,8 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad * take_self, a.shape),
-                _unbroadcast(grad * ~take_self, b.shape),
+                _unbroadcast(grad * take_self, a.shape) if a.requires_grad else None,
+                _unbroadcast(grad * ~take_self, b.shape) if b.requires_grad else None,
             )
 
         return Tensor._make(data, (a, b), backward)
@@ -527,8 +541,8 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad * take_self, a.shape),
-                _unbroadcast(grad * ~take_self, b.shape),
+                _unbroadcast(grad * take_self, a.shape) if a.requires_grad else None,
+                _unbroadcast(grad * ~take_self, b.shape) if b.requires_grad else None,
             )
 
         return Tensor._make(data, (a, b), backward)
@@ -547,7 +561,9 @@ class Tensor:
                 axes = tuple(a % len(in_shape) for a in axes)
                 for a in sorted(axes):
                     g = np.expand_dims(g, a)
-            return (np.broadcast_to(g, in_shape).copy(),)
+            # a read-only view: no closure writes into its grad, and a leaf
+            # or row-sparse grad copies before it keeps one
+            return (np.broadcast_to(g, in_shape),)
 
         return Tensor._make(data, (self,), backward)
 
@@ -594,6 +610,17 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             ad, bd = a.data, b.data
+            if ad.ndim > 2 and bd.ndim <= 2:
+                # One right operand shared by every batch row (a layer's
+                # weight): flatten the batch axes so each gradient is one
+                # GEMM, not a batched product summed over the batch.
+                b2 = bd.reshape(bd.shape[0], -1)
+                g2 = grad.reshape(-1, b2.shape[1])
+                return (
+                    (g2 @ b2.T).reshape(ad.shape) if a.requires_grad else None,
+                    (ad.reshape(-1, ad.shape[-1]).T @ g2).reshape(bd.shape)
+                    if b.requires_grad else None,
+                )
             # Promote 1-D operands to matrices so one general rule applies,
             # then reduce broadcast/batch axes and restore original shapes.
             a2 = ad[None, :] if ad.ndim == 1 else ad
@@ -605,8 +632,10 @@ class Tensor:
                 g = np.expand_dims(grad, -2)
             elif bd.ndim == 1:
                 g = np.expand_dims(grad, -1)
-            ga = _unbroadcast(np.matmul(g, b2.swapaxes(-1, -2)), a2.shape).reshape(ad.shape)
-            gb = _unbroadcast(np.matmul(a2.swapaxes(-1, -2), g), b2.shape).reshape(bd.shape)
+            ga = (_unbroadcast(np.matmul(g, b2.swapaxes(-1, -2)), a2.shape)
+                  .reshape(ad.shape) if a.requires_grad else None)
+            gb = (_unbroadcast(np.matmul(a2.swapaxes(-1, -2), g), b2.shape)
+                  .reshape(bd.shape) if b.requires_grad else None)
             return (ga, gb)
 
         return Tensor._make(data, (a, b), backward)
@@ -763,9 +792,17 @@ class Tensor:
         return Tensor(values.astype(resolve_dtype(dtype)), requires_grad=requires_grad)
 
 
+def _as_tensors(values: Iterable) -> list[Tensor]:
+    """Wrap non-Tensor operands at the first Tensor operand's dtype, as
+    :meth:`Tensor._coerce` does (the module default when there is none)."""
+    values = list(values)
+    dtype = next((v.data.dtype for v in values if isinstance(v, Tensor)), None)
+    return [v if isinstance(v, Tensor) else Tensor(v, dtype=dtype) for v in values]
+
+
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient splitting."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
+    tensors = _as_tensors(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -783,7 +820,7 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis with gradient unstacking."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
+    tensors = _as_tensors(tensors)
     data = np.stack([t.data for t in tensors], axis=axis)
 
     def backward(grad: np.ndarray):
@@ -796,14 +833,13 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Select elementwise from ``a`` where condition else ``b``."""
     condition = condition.data.astype(bool) if isinstance(condition, Tensor) else np.asarray(condition, dtype=bool)
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
+    a, b = _as_tensors((a, b))
     data = np.where(condition, a.data, b.data)
 
     def backward(grad: np.ndarray):
         return (
-            _unbroadcast(grad * condition, a.shape),
-            _unbroadcast(grad * ~condition, b.shape),
+            _unbroadcast(grad * condition, a.shape) if a.requires_grad else None,
+            _unbroadcast(grad * ~condition, b.shape) if b.requires_grad else None,
         )
 
     return Tensor._make(data, (a, b), backward)

@@ -24,6 +24,7 @@ from repro.tensor import (
     set_default_dtype,
 )
 from repro.tensor import functional as F
+from repro.tensor.tensor import concat, stack, where
 
 
 @pytest.fixture(autouse=True)
@@ -75,6 +76,21 @@ class TestDefaultDtypeAPI:
         """float32 graphs stay float32 through scalar arithmetic."""
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         out = ((x * 2.0 + 1.0) / 3.0 - 0.5).maximum(0.0)
+        assert out.dtype == np.float32
+        out.sum().backward()
+        assert x.grad.dtype == np.float32
+
+    @pytest.mark.parametrize("build", [
+        lambda x: where(np.array([True, False, True]), x, 0.0),
+        lambda x: where(np.array([True, False, True]), [1, 2, 3], x),
+        lambda x: stack([x, [0, 0, 0]]),
+        lambda x: concat([[0, 0], x]),
+    ], ids=["where", "where-left", "stack", "concat"])
+    def test_free_functions_adopt_operand_dtype(self, build):
+        """``where`` / ``stack`` / ``concat`` wrap python operands at the
+        Tensor operand's dtype, as the methods do: float32 stays float32."""
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        out = build(x)
         assert out.dtype == np.float32
         out.sum().backward()
         assert x.grad.dtype == np.float32

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, check_gradients
+from repro.nn.module import Parameter
+from repro.nn.optim import clip_grad_norm, global_grad_norm
+from repro.tensor import RowSparseGrad, Tensor, check_gradients
 from repro.tensor.tensor import concat, stack, where
 
 RNG = np.random.default_rng(0)
@@ -144,6 +146,22 @@ class TestReductions:
     def test_min(self):
         check_gradients(lambda a: a.min(axis=0), [t((4, 5))])
 
+    def test_sum_view_never_becomes_a_stored_grad(self):
+        """``sum`` hands its broadcast view on uncopied; what a leaf or a
+        row-sparse grad keeps is its own writable memory, which
+        ``clip_grad_norm`` may scale in place."""
+        dense = Parameter(np.ones((3, 4)))
+        table = Parameter(np.ones((5, 4)))
+        (dense.sum() + table.embedding_rows(np.array([0, 2])).sum()).backward()
+        assert isinstance(table.grad, RowSparseGrad)
+        for grad in (dense.grad, table.grad.values):
+            assert grad.flags.writeable and grad.flags.owndata
+        norm = clip_grad_norm([dense, table], max_norm=1.0)
+        assert norm == pytest.approx(np.sqrt(20.0))
+        np.testing.assert_allclose(dense.grad, 1.0 / np.sqrt(20.0))
+        np.testing.assert_allclose(table.grad.values, 1.0 / np.sqrt(20.0))
+        assert global_grad_norm([dense, table]) == pytest.approx(1.0)
+
     def test_max_ties_split_gradient(self):
         a = Tensor(np.array([[2.0, 2.0, 1.0]]), requires_grad=True)
         a.max(axis=1).sum().backward()
@@ -177,6 +195,81 @@ class TestMatmul:
 
     def test_matrix_broadcast_into_batch(self):
         check_gradients(lambda a, b: a.matmul(b), [t((3, 4)), t((5, 4, 2))])
+
+    @pytest.mark.parametrize("shapes", [
+        ((4, 3, 5), (5, 2)),        # (N, K, d) @ (d, p): one flat GEMM each
+        ((2, 3, 2, 5), (5, 3)),     # two batch axes flatten alike
+    ], ids=["batch@matrix", "4d@matrix"])
+    def test_shared_right_operand(self, shapes):
+        # (N, K, d) @ (d,) is test_batched_times_vector; the general rule
+        # (2-D @ 2-D, 4-D @ 4-D) is pinned by test_matrix_matrix and
+        # test_batched_4d
+        check_gradients(lambda a, b: a.matmul(b), [t(shape) for shape in shapes])
+
+
+class TestOnlyNeededGradients:
+    """A broadcast ``(…, 1)`` factor is contracted, and a constant operand
+    of any binary op gets no gradient at all — not one computed and then
+    dropped."""
+
+    @pytest.mark.parametrize("shapes", [((3, 4, 5), (3, 4, 1)),
+                                        ((3, 4, 1), (3, 4, 5)),
+                                        ((6, 1), (6, 3))],
+                             ids=["right", "left", "2d"])
+    def test_mul_by_trailing_singleton(self, shapes):
+        check_gradients(lambda a, b: a * b, [t(shape) for shape in shapes])
+
+    @pytest.mark.parametrize("shapes", [((3, 4, 5), (3, 4, 1)),
+                                        ((6, 1), (6, 3)),
+                                        ((2, 3), (3,))],
+                             ids=["softmax-denominator", "left", "vector"])
+    def test_div_by_broadcast_divisor(self, shapes):
+        a, b = (t(shape) for shape in shapes)
+        b.data = np.abs(b.data) + 1.0
+        check_gradients(lambda a, b: a / b, [a, b])
+
+    def test_mul_by_trailing_singleton_keeps_float32(self):
+        a = Tensor(RNG.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
+        b = Tensor(RNG.standard_normal((3, 1)).astype(np.float32), requires_grad=True)
+        (a * b).sum().backward()
+        assert b.grad.dtype == np.float32 and b.grad.shape == (3, 1)
+        np.testing.assert_allclose(b.grad[:, 0], a.data.sum(axis=1),
+                                   rtol=1e-6, atol=1e-6)
+
+    OPS = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "div": lambda a, b: a / b,
+        "maximum": lambda a, b: a.maximum(b),
+        "minimum": lambda a, b: a.minimum(b),
+        "where": lambda a, b: where(np.arange(12).reshape(3, 4) % 3 == 0, a, b),
+        "matmul": lambda a, b: a.matmul(b.T),
+        "batch-matmul": lambda a, b: a.reshape(3, 2, 2).matmul(b.T[:2]),
+    }
+
+    @pytest.mark.parametrize("constant", [0, 1], ids=["left", "right"])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_constant_operand_gets_none(self, op, constant):
+        fn = self.OPS[op]
+        inputs = [t((3, 4)), t((3, 4))]
+        # away from zero (div) and from each other (maximum / minimum ties)
+        inputs[1].data = np.abs(inputs[1].data) + 3.0
+        inputs[constant].requires_grad = False
+        out = fn(*inputs)
+        seen = []
+        closure = out._backward
+
+        def spy(grad):
+            seen.append(closure(grad))
+            return seen[-1]
+
+        out._backward = spy
+        out.sum().backward()
+        assert seen[0][constant] is None
+        assert seen[0][1 - constant] is not None
+        assert inputs[constant].grad is None
+        check_gradients(fn, inputs)
 
 
 class TestShapeOps:
