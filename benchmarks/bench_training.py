@@ -22,9 +22,9 @@ changes the trajectory. So does ``extract_ms`` (best-of-N
 thread can hide. ``benchmarks/e2e`` measures ``train_steps_per_s`` of one
 mode (async) and so sees neither ratio.
 
-The interaction graphs are built directly from random edge lists (the
-latent-factor generator in ``repro.data.synthetic`` is O(users × items)
-and would dominate the benchmark at the large scale)::
+The interaction graphs are built directly from random edge lists, not
+through ``repro.data.synthetic``: the gate's graph is pinned here, so its
+floor stays comparable from one change of the generator to the next::
 
     PYTHONPATH=src python benchmarks/bench_training.py [--out DIR]
 """

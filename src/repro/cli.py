@@ -8,7 +8,7 @@ Examples::
     python -m repro.cli run fig2 --dataset movielens
     python -m repro.cli train --dataset taobao --model GNMR --epochs 20
     python -m repro.cli scenarios                   # the scenario registry
-    python -m repro.cli train --scenario tmall-like # skew-matched synthetic
+    python -m repro.cli train --scenario tmall-like # a synthetic preset
     python -m repro.cli ingest log.csv --out d.npz --target buy  # real log
     python -m repro.cli train --scenario d.npz --split temporal
     python -m repro.cli recommend --checkpoint m.npz --topk 10  # JSON top-K
@@ -101,7 +101,7 @@ def _resolve_train_dataset(args, scale):
     """Dataset + (possibly rescaled) scale for ``train``.
 
     ``--scenario`` wins over ``--dataset``: a registry name builds the
-    skew-matched synthetic shape at the requested (or default) scale, an
+    synthetic preset at the requested (or default) scale, an
     artifact path loads the ingested log as-is. Either way the scale is
     re-anchored to the actual dataset so embedding tables and the
     negative-candidate count fit the data, not the synthetic defaults.

@@ -128,17 +128,6 @@ class GNMR(Recommender):
         self.dropout = Dropout(cfg.dropout, rng=rng) if cfg.dropout > 0 else None
 
     # ------------------------------------------------------------------
-    # compatibility views (per-behavior adjacency lists live on the engine)
-    # ------------------------------------------------------------------
-    @property
-    def _user_adjacencies(self):
-        return self.engine.user_adjacencies
-
-    @property
-    def _item_adjacencies(self):
-        return self.engine.item_adjacencies
-
-    # ------------------------------------------------------------------
     # propagation
     # ------------------------------------------------------------------
     def _order0(self) -> tuple[Tensor, Tensor]:
@@ -358,8 +347,8 @@ class GNMR(Recommender):
         float64 ulp (the sliced-CSR hop kernels may sum a row in a
         different order than the fused full-graph SpMM), at the cost of
         one L-hop neighborhood instead of the whole graph. This is the
-        serving tier's cold-user path: users who entered the graph after
-        the last snapshot get a real embedding instead of waiting.
+        serving tier's ``cold=1`` path: a user's rows from the current
+        parameters, without waiting for the next snapshot.
         """
         users = np.atleast_1d(np.asarray(users, dtype=np.int64))
         block = self.engine.layered_subgraph(

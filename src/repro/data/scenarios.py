@@ -1,195 +1,93 @@
 """Scenario registry: named dataset shapes behind one string.
 
-The public multi-behavior benchmarks (Tmall / Taobao UserBehavior
-click→cart→fav→buy logs; MovieLens and Yelp rating platforms; Gowalla
-check-ins as a single-behavior stress scale) cannot be vendored into this
-repository, but their *shapes* — behavior inventories, funnel ratios,
-density, popularity skew — are what every perf and quality claim stands
-on. Each :class:`ScenarioSpec` binds a name like ``tmall-like`` to either
-
-* a **skew-matched synthetic generator** reproducing that shape at any
-  requested scale, or
-* an **ingested artifact** (``repro.cli ingest <csv> --out <npz>``) when
-  the real log is available — ``resolve_scenario`` accepts a registry
-  name or a path to such an artifact interchangeably, which is what makes
-  ``repro.cli train --scenario tmall-like`` and
-  ``repro.cli train --scenario taobao.npz`` the same one-liner.
-
-The registry builds on :mod:`repro.experiments.specs`: ``dataset_by_name``
-resolves scenario names through here, so every experiment runner and the
-CLI share one catalog.
+The public multi-behavior benchmarks (Tmall / Taobao logs, MovieLens and
+Yelp ratings, Gowalla check-ins) cannot be vendored, but their *shapes*
+can: each :class:`ScenarioSpec` binds a name like ``tmall-like`` to a
+:class:`~repro.data.synthetic.SyntheticConfig` preset. ``resolve_scenario``
+takes a registry name or an ingested artifact path (``repro.cli ingest``);
+the CLI and every experiment share this one catalog.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
 
 from repro.data.dataset import InteractionDataset
-from repro.data.synthetic import (
-    SyntheticConfig,
-    generate_multi_behavior_dataset,
-    movielens_like,
-    taobao_like,
-    yelp_like,
-)
+from repro.data.synthetic import (MOVIELENS, TAOBAO, YELP, SyntheticConfig,
+                                  generate_multi_behavior_dataset)
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One named dataset shape.
-
-    Attributes
-    ----------
-    name:
-        Registry key (``tmall-like``, ...).
-    description:
-        What real workload the shape mirrors.
-    behavior_names, target_behavior:
-        The behavior inventory and the predicted behavior.
-    default_users, default_items:
-        Scale used when the caller does not override it; the user:item
-        ratio mirrors the real dataset (Gowalla has ~12× more venues than
-        the item-poor rating platforms, for example).
-    skew:
-        The generator knobs that make the shape: per-behavior
-        ``(alignment, mean events/user)`` pairs, popularity-skew exponent,
-        funnel notes. Documented verbatim in ``docs/data.md``.
-    builder:
-        ``(num_users, num_items, seed) -> InteractionDataset``.
-    """
+    """A named shape: what it mirrors and the config that makes it. The
+    config's size is the default scale, at the real dataset's user:item
+    ratio; ``docs/experiments.md`` tables every config."""
 
     name: str
     description: str
-    behavior_names: tuple[str, ...]
-    target_behavior: str
-    default_users: int
-    default_items: int
-    skew: dict[str, object]
-    builder: Callable[[int, int, int], InteractionDataset]
+    config: SyntheticConfig
+
+    @property
+    def behavior_names(self) -> tuple[str, ...]:
+        return self.config.behavior_names
+
+    @property
+    def target_behavior(self) -> str:
+        return self.config.target_behavior
 
     def build(self, num_users: int | None = None,
               num_items: int | None = None,
               seed: int = 0) -> InteractionDataset:
-        return self.builder(num_users or self.default_users,
-                            num_items or self.default_items, seed)
+        return generate_multi_behavior_dataset(
+            self.config.at(num_users, num_items, seed))
 
     def describe(self) -> dict[str, object]:
         return {
             "behaviors": "{" + ", ".join(self.behavior_names) + "}",
             "target": self.target_behavior,
-            "default scale": f"{self.default_users}u x {self.default_items}i",
+            "default scale": f"{self.config.num_users}u x "
+                             f"{self.config.num_items}i",
             "description": self.description,
         }
-
-
-def _tmall_like(num_users: int, num_items: int, seed: int) -> InteractionDataset:
-    """Tmall/Taobao *UserBehavior* shape: click ≫ fav ≈ cart ≫ buy.
-
-    Clicks are dense and exploratory (weakly aligned with preference);
-    favorites and carts are sparse, affinity-biased; purchases are the
-    sparsest and most aligned. Heavier popularity skew than the rating
-    platforms — campaign traffic concentrates on head items.
-    """
-    return generate_multi_behavior_dataset(SyntheticConfig(
-        num_users=num_users, num_items=num_items, seed=seed,
-        name="tmall-like", target_behavior="buy",
-        popularity_skew=1.2,
-        behavior_specs={
-            "click": (0.30, 36.0),
-            "fav": (0.55, 5.0),
-            "cart": (0.60, 6.0),
-            "buy": (0.80, 3.5),
-        },
-    ))
-
-
-def _gowalla_like(num_users: int, num_items: int, seed: int) -> InteractionDataset:
-    """Gowalla check-ins: one behavior, huge catalog, extreme long tail."""
-    return generate_multi_behavior_dataset(SyntheticConfig(
-        num_users=num_users, num_items=num_items, seed=seed,
-        name="gowalla-like", target_behavior="checkin",
-        popularity_skew=1.5,
-        behavior_specs={"checkin": (0.55, 9.0)},
-    ))
-
-
-def _movielens_10m_like(num_users: int, num_items: int, seed: int) -> InteractionDataset:
-    # scale=1.5 over the base generator: the 10M dump averages ~140
-    # ratings/user, the densest shape in the catalog
-    return movielens_like(num_users=num_users, num_items=num_items,
-                          seed=seed, scale=1.5)
-
-
-def _taobao_like(num_users: int, num_items: int, seed: int) -> InteractionDataset:
-    return taobao_like(num_users=num_users, num_items=num_items, seed=seed)
-
-
-def _yelp_like(num_users: int, num_items: int, seed: int) -> InteractionDataset:
-    return yelp_like(num_users=num_users, num_items=num_items, seed=seed)
 
 
 SCENARIOS: dict[str, ScenarioSpec] = {
     spec.name: spec for spec in (
         ScenarioSpec(
-            name="tmall-like",
-            description="Tmall/Taobao UserBehavior e-commerce log: dense "
-                        "exploratory clicks over a fav/cart funnel into "
-                        "sparse purchases; heavy head-item skew",
-            behavior_names=("click", "fav", "cart", "buy"),
-            target_behavior="buy",
-            default_users=200, default_items=400,
-            skew={"click": (0.30, 36.0), "fav": (0.55, 5.0),
-                  "cart": (0.60, 6.0), "buy": (0.80, 3.5),
-                  "popularity_skew": 1.2},
-            builder=_tmall_like,
-        ),
+            "tmall-like",
+            "Tmall/Taobao UserBehavior e-commerce log: dense exploratory clicks over "
+            "a fav/cart funnel into sparse purchases; heavy head-item skew",
+            SyntheticConfig(name="tmall-like", num_users=200, num_items=400,
+                            popularity_skew=1.2, behaviors={
+                                "click": (0.30, 36.0),
+                                "fav": (0.55, 5.0, 1.0, "click"),
+                                "cart": (0.60, 6.0, 1.0, "click"),
+                                "buy": (0.80, 3.5, 0.5, "cart"),
+                            })),
         ScenarioSpec(
-            name="taobao-like",
-            description="paper's Taobao schema: page_view -> favorite/cart "
-                        "-> purchase funnel with direct (trace-free) buys",
-            behavior_names=("page_view", "favorite", "cart", "purchase"),
-            target_behavior="purchase",
-            default_users=200, default_items=300,
-            skew={"view_alignment": 0.35, "direct_purchase_fraction": 0.55,
-                  "mean_purchases": 3.5, "popularity_skew": 1.0},
-            builder=_taobao_like,
-        ),
+            "taobao-like",
+            "paper's Taobao schema: page_view -> favorite/cart -> purchase "
+            "funnel with direct (trace-free) buys",
+            TAOBAO),
         ScenarioSpec(
-            name="movielens-10m-like",
-            description="MovieLens-10M rating platform: dense explicit "
-                        "ratings mapped to dislike/neutral/like (paper "
-                        "SIV-A thresholds)",
-            behavior_names=("dislike", "neutral", "like"),
-            target_behavior="like",
-            default_users=200, default_items=300,
-            skew={"mean_ratings_scale": 1.5, "rating_noise": 0.8,
-                  "popularity_skew": 1.0},
-            builder=_movielens_10m_like,
-        ),
+            "movielens-10m-like",
+            "MovieLens-10M rating platform: dense explicit ratings mapped "
+            "to dislike/neutral/like (paper SIV-A thresholds)",
+            # 1.5x the base rate: the 10M dump averages ~140 ratings/user,
+            # the densest shape in the catalog
+            replace(MOVIELENS.at(scale=1.5), name="movielens-10m-like")),
         ScenarioSpec(
-            name="yelp-like",
-            description="Yelp venues: rating-derived behaviors plus a "
-                        "satisfaction-biased 'tip' auxiliary",
-            behavior_names=("tip", "dislike", "neutral", "like"),
-            target_behavior="like",
-            default_users=200, default_items=300,
-            skew={"mean_ratings_scale": 1.0, "tip_base_rate": 0.15,
-                  "popularity_skew": 1.0},
-            builder=_yelp_like,
-        ),
+            "yelp-like",
+            "Yelp venues: rating-derived behaviors plus a satisfaction-biased 'tip' "
+            "auxiliary",
+            YELP),
         ScenarioSpec(
-            name="gowalla-like",
-            description="Gowalla check-ins: single sparse behavior over a "
-                        "catalog ~2x the user count, extreme long tail "
-                        "(single-behavior stress scale)",
-            behavior_names=("checkin",),
-            target_behavior="checkin",
-            default_users=200, default_items=420,
-            skew={"checkin": (0.55, 9.0), "popularity_skew": 1.5},
-            builder=_gowalla_like,
-        ),
+            "gowalla-like",
+            "Gowalla check-ins: single sparse behavior over a catalog ~2x the user "
+            "count, extreme long tail (single-behavior stress scale)",
+            SyntheticConfig(name="gowalla-like", num_users=200, num_items=420,
+                            popularity_skew=1.5, behaviors={"checkin": (0.55, 9.0)})),
     )
 }
 

@@ -1,295 +1,245 @@
-"""Synthetic multi-behavior datasets mirroring MovieLens / Yelp / Taobao.
+"""Synthetic multi-behavior datasets: one O(events) generator, its presets.
 
-The offline environment cannot download the paper's datasets, so we generate
-synthetic equivalents that preserve the *generative assumptions* the paper's
-claims rest on:
-
-1. every behavior type is a (differently) noisy view of one latent user–item
-   affinity — so auxiliary behaviors carry transferable signal;
-2. auxiliary behaviors are denser and noisier than the target behavior
-   (page views ≫ purchases; all ratings ≫ likes);
-3. e-commerce behaviors form a funnel (view ⊇ cart ⊇ purchase), the cascade
-   structure NMTR exploits;
-4. rating platforms map scores to {dislike, neutral, like} exactly as the
-   paper does (r ≤ 2 → dislike, 2 < r < 4 → neutral, r ≥ 4 → like);
-5. item popularity is long-tailed and user activity is heterogeneous.
-
-Under these assumptions the paper's *relative* results (multi-behavior >
-single-behavior; GNMR ablations ordered as reported) are reproducible at
-laptop scale.
+The paper's datasets cannot be downloaded here, so every dataset is a
+preset of one cluster-mixture generator. Each assumption the paper's
+claims rest on is carried by one parameter (``docs/data.md`` tables
+them). Cost is O(events + items): no per-user loop, no users × items
+array. The target is the last behavior; every user holds at least
+``MIN_TARGET`` distinct target items, so leave-one-out keeps a train edge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.data.dataset import InteractionDataset
 
+#: the Zipf–Mandelbrot offset as a share of the ranked list's length, so
+#: a 40-item cluster and the whole catalogue get the same head share
+ZIPF_OFFSET = 0.005
+#: behaviors without a funnel fill [0, EXPOSURE_END); a funnel event
+#: follows its source within FUNNEL_LAG; a funnel behavior's direct draws
+#: come after the exposure window, as a log window truncates history
+EXPOSURE_END, FUNNEL_LAG = 0.7, 0.1
+#: items per preference cluster, within [MIN_CLUSTERS, MAX_CLUSTERS] clusters
+CLUSTER_ITEMS, MIN_CLUSTERS, MAX_CLUSTERS = 40, 4, 50
+#: the paper's rating partition (§IV-A)
+RATING_BEHAVIORS = ("dislike", "neutral", "like")
+#: a rating is 3 + 1.2·(±1 + RATING_NOISE·N(0, 1)), + inside the user's cluster
+RATING_NOISE = 0.8
+#: P(tip | rating r) = TIP_BASE + TIP_SLOPE·(r − 3): satisfied visitors tip
+TIP_BASE, TIP_SLOPE = 0.15, 0.1
+#: distinct target items per user, so leave-one-out keeps a training edge
+MIN_TARGET = 2
 
-@dataclass
+Events = tuple[np.ndarray, np.ndarray, np.ndarray]  # users, items, timestamps
+
+
+class Behavior(NamedTuple):
+    """How one behavior's events are drawn (a plain tuple works too)."""
+
+    alignment: float      # share of direct draws inside the user's cluster
+    rate: float           # mean events per user, before de-duplication
+    funnel: float = 0.0   # share of events re-drawn from ``source``'s events
+    source: str = ""      # an earlier behavior, required when funnel > 0
+
+
+@dataclass(frozen=True)
 class SyntheticConfig:
-    """Knobs of the latent-factor generator.
+    """One dataset shape; :meth:`at` re-sizes it. ``behaviors`` maps name →
+    :class:`Behavior` fields, in order, the last one the target; with
+    ``ratings`` (``"paper"`` / ``"tip"``) it holds the one rated stream."""
 
-    Attributes
-    ----------
-    num_users, num_items:
-        Entity counts.
-    num_factors:
-        Dimensionality of the latent affinity model.
-    behavior_specs:
-        Ordered mapping behavior → (alignment, mean_interactions_per_user).
-        ``alignment`` ∈ [0, 1] is how strongly the behavior follows the true
-        affinity (1 = pure preference, 0 = pure noise).
-    target_behavior:
-        Which behavior the models must predict.
-    popularity_skew:
-        Exponent of the item-popularity power law (larger = heavier head).
-    seed:
-        Generator seed; every dataset is fully reproducible.
-    """
-
+    name: str = "synthetic"
     num_users: int = 200
     num_items: int = 300
-    num_factors: int = 8
-    behavior_specs: dict[str, tuple[float, float]] = field(default_factory=dict)
-    target_behavior: str = "like"
-    popularity_skew: float = 1.0
     seed: int = 0
-    name: str = "synthetic"
+    behaviors: dict[str, tuple] = field(default_factory=dict)
+    popularity_skew: float = 1.0
+    ratings: str = ""
+
+    @property
+    def behavior_names(self) -> tuple[str, ...]:
+        if not self.behaviors:
+            raise ValueError("behaviors must not be empty")
+        if not self.ratings:
+            return tuple(self.behaviors)
+        if self.ratings not in ("paper", "tip") or len(self.behaviors) != 1:
+            raise ValueError("ratings must be 'paper' or 'tip', over exactly "
+                             "one rated behavior")
+        return ("tip",) * (self.ratings == "tip") + RATING_BEHAVIORS
+
+    @property
+    def target_behavior(self) -> str:
+        return self.behavior_names[-1]
+
+    def at(self, num_users: int | None = None, num_items: int | None = None,
+           seed: int | None = None, scale: float = 1.0) -> "SyntheticConfig":
+        """The same shape at another size and seed, every rate × ``scale``."""
+        return replace(
+            self, num_users=num_users or self.num_users,
+            num_items=num_items or self.num_items,
+            seed=self.seed if seed is None else seed,
+            behaviors={name: Behavior(*spec)._replace(rate=spec[1] * scale)
+                       for name, spec in self.behaviors.items()})
 
 
-def _latent_affinity(cfg: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:
-    """True affinity matrix: low-rank structure + popularity + user bias."""
-    user_factors = rng.standard_normal((cfg.num_users, cfg.num_factors))
-    item_factors = rng.standard_normal((cfg.num_items, cfg.num_factors))
-    affinity = user_factors @ item_factors.T / np.sqrt(cfg.num_factors)
-    # long-tailed item popularity, shared across behaviors
-    ranks = np.arange(1, cfg.num_items + 1)
-    popularity = 1.0 / ranks ** cfg.popularity_skew
-    popularity = (popularity - popularity.mean()) / popularity.std()
-    item_order = rng.permutation(cfg.num_items)
-    affinity = affinity + 0.6 * popularity[item_order][None, :]
-    return affinity
+def _zipf(n: int, skew: float, size: int,
+          rng: np.random.Generator) -> np.ndarray:
+    """``size`` ranks in ``[0, n)`` under the Zipf–Mandelbrot law."""
+    cdf = np.cumsum((np.arange(n, dtype=np.float64) + ZIPF_OFFSET * n) ** -skew)
+    draws = rng.random(size) * cdf[-1]
+    return np.minimum(np.searchsorted(cdf, draws, side="right"), n - 1)
 
 
-def _sample_user_items(scores: np.ndarray, count: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Sample ``count`` distinct items for one user ∝ softmax(scores)."""
-    count = min(count, scores.size)
-    logits = scores - scores.max()
-    probs = np.exp(2.0 * logits)
-    probs /= probs.sum()
-    return rng.choice(scores.size, size=count, replace=False, p=probs)
+def _distinct(users: np.ndarray, items: np.ndarray, times: np.ndarray,
+              num_items: int) -> Events:
+    """The first event of every (user, item) pair, ordered by user."""
+    _, first = np.unique(users * num_items + items, return_index=True)
+    return users[first], items[first], times[first]
 
 
 def generate_multi_behavior_dataset(cfg: SyntheticConfig) -> InteractionDataset:
-    """Generate a dataset where each behavior is a noisy affinity view."""
-    if not cfg.behavior_specs:
-        raise ValueError("behavior_specs must not be empty")
-    if cfg.target_behavior not in cfg.behavior_specs:
-        raise ValueError("target behavior missing from behavior_specs")
+    """Draw every behavior's events of ``cfg`` at once (O(events))."""
+    names = cfg.behavior_names
     rng = np.random.default_rng(cfg.seed)
-    affinity = _latent_affinity(cfg, rng)
+    num_users, num_items = cfg.num_users, cfg.num_items
+    clusters = min(int(np.clip(num_items // CLUSTER_ITEMS, MIN_CLUSTERS,
+                               MAX_CLUSTERS)), num_items)
+    per_cluster = num_items // clusters
+    activity = rng.lognormal(0.0, 0.5, size=num_users)
+    activity /= activity.mean()
+    user_cluster = rng.integers(0, clusters, size=num_users)
+    # popularity slot → item; cluster c owns slots c, c+C, c+2C, …, so an
+    # item popular inside its cluster is popular across the catalogue too
+    slot_item = rng.permutation(num_items)
+    item_cluster = np.full(num_items, -1)
+    item_cluster[slot_item[:per_cluster * clusters]] = (
+        np.arange(per_cluster * clusters) % clusters)
 
-    interactions: dict[str, dict[str, np.ndarray]] = {}
-    for behavior, (alignment, mean_count) in cfg.behavior_specs.items():
-        users_list: list[np.ndarray] = []
-        items_list: list[np.ndarray] = []
-        # heterogeneous user activity: gamma-distributed interaction counts
-        counts = rng.gamma(shape=2.0, scale=mean_count / 2.0, size=cfg.num_users)
-        counts = np.maximum(1, counts.round().astype(int))
-        noise = rng.standard_normal((cfg.num_users, cfg.num_items))
-        scores = alignment * affinity + (1.0 - alignment) * noise
-        for user in range(cfg.num_users):
-            chosen = _sample_user_items(scores[user], int(counts[user]), rng)
-            users_list.append(np.full(chosen.size, user, dtype=np.int64))
-            items_list.append(chosen.astype(np.int64))
-        users = np.concatenate(users_list)
-        items = np.concatenate(items_list)
-        timestamps = rng.uniform(0.0, 1.0, size=users.size)
-        interactions[behavior] = {"users": users, "items": items, "timestamps": timestamps}
+    def direct(users: np.ndarray, alignment: float) -> np.ndarray:
+        local = rng.random(users.size) < alignment
+        slots = _zipf(num_items, cfg.popularity_skew, users.size, rng)
+        ranks = _zipf(per_cluster, cfg.popularity_skew, int(local.sum()), rng)
+        slots[local] = ranks * clusters + user_cluster[users[local]]
+        return slot_item[slots]
+
+    def funnel(users: np.ndarray, alignment: float, source: Events):
+        """One of each user's ``source`` events — an in-cluster one with
+        probability ``alignment`` when the user has any."""
+        src_users, src_items, src_times = source
+        inside = item_cluster[src_items] == user_cluster[src_users]
+        order = np.argsort(2 * src_users + ~inside, kind="stable")
+        total = np.bincount(src_users, minlength=num_users)
+        local = np.bincount(src_users[inside], minlength=num_users)
+        prefer = (rng.random(users.size) < alignment) & (local[users] > 0)
+        span = np.where(prefer, local[users], total[users])
+        pick = order[(np.cumsum(total) - total)[users]
+                     + (rng.random(users.size) * span).astype(np.int64)]
+        return src_items[pick], src_times[pick]
+
+    def direct_times(size: int, spec: Behavior) -> np.ndarray:
+        if spec.funnel:  # after the exposure window
+            return EXPOSURE_END + (1.0 - EXPOSURE_END) * rng.random(size)
+        return EXPOSURE_END * rng.random(size)
+
+    events: dict[str, Events] = {}
+    taken = np.empty(0, dtype=np.int64)  # pairs the target top-up may not draw
+    for name, spec in cfg.behaviors.items():
+        spec = Behavior(*spec)
+        users = np.repeat(np.arange(num_users),
+                          rng.poisson(spec.rate * activity))
+        items = np.empty(users.size, dtype=np.int64)
+        times = direct_times(users.size, spec)
+        via = rng.random(users.size) < spec.funnel
+        if spec.funnel:
+            if spec.source not in events:
+                raise ValueError(f"{name!r}: funnel source {spec.source!r} "
+                                 f"is not an earlier behavior")
+            source = events[spec.source]
+            via &= np.bincount(source[0], minlength=num_users)[users] > 0
+            items[via], source_times = funnel(users[via], spec.alignment,
+                                              source)
+            times[via] = source_times + FUNNEL_LAG * rng.random(int(via.sum()))
+        items[~via] = direct(users[~via], spec.alignment)
+        events[name] = _distinct(users, items, times, num_items)
+
+    if cfg.ratings:
+        users, items, times = events.pop(next(iter(cfg.behaviors)))
+        taken = users * num_items + items  # a rated pair keeps its one band
+        inside = item_cluster[items] == user_cluster[users]
+        rating = 3.0 + 1.2 * (np.where(inside, 1.0, -1.0)
+                              + RATING_NOISE * rng.standard_normal(users.size))
+        band = (rating > 2.0).astype(int) + (rating >= 4.0)
+        if cfg.ratings == "tip":
+            tip = rng.random(users.size) < TIP_BASE + TIP_SLOPE * (rating - 3.0)
+            later = times[tip] + (1.0 - times[tip]) * rng.random(int(tip.sum()))
+            events["tip"] = users[tip], items[tip], later
+        for code, name in enumerate(RATING_BEHAVIORS):
+            events[name] = users[band == code], items[band == code], times[band == code]
+
+    # top up the target with direct draws until every user holds
+    # MIN_TARGET distinct items (a few vectorised rounds, bounded)
+    users, items, times = events[cfg.target_behavior]
+    for _ in range(64):
+        held = np.bincount(users, minlength=num_users)
+        short = np.repeat(np.arange(num_users), np.maximum(MIN_TARGET - held, 0))
+        if short.size == 0:
+            break
+        drawn = direct(short, spec.alignment)  # the last spec: target or rated
+        new = ~np.isin(short * num_items + drawn, taken)
+        users, items, times = _distinct(
+            np.concatenate([users, short[new]]), np.concatenate([items, drawn[new]]),
+            np.concatenate([times, direct_times(short.size, spec)[new]]),
+            num_items)
+    events[cfg.target_behavior] = users, items, times
 
     return InteractionDataset(
-        name=cfg.name,
-        num_users=cfg.num_users,
-        num_items=cfg.num_items,
-        behavior_names=tuple(cfg.behavior_specs),
-        target_behavior=cfg.target_behavior,
-        interactions=interactions,
-    )
+        name=cfg.name, num_users=num_users, num_items=num_items,
+        behavior_names=names, target_behavior=cfg.target_behavior,
+        interactions={name: dict(zip(("users", "items", "timestamps"),
+                                     events[name])) for name in names})
 
 
-# ----------------------------------------------------------------------
-# Named generators mirroring the paper's three datasets (Table I schemas)
-# ----------------------------------------------------------------------
+#: MovieLens: dense explicit ratings, partitioned as the paper does
+MOVIELENS = SyntheticConfig(name="movielens-like", seed=0, ratings="paper",
+                            behaviors={"rating": (0.8, 24.0)})
+#: Yelp: rating-derived behaviors plus a satisfaction-biased tip
+YELP = SyntheticConfig(name="yelp-like", seed=1, ratings="tip",
+                       behaviors={"rating": (0.8, 18.0)})
+#: Taobao: exploratory page views; favorites and carts are in-cluster
+#: leaning subsets of the views; 45 % of purchases convert carts, the
+#: rest are later direct buys that leave no view trace
+TAOBAO = SyntheticConfig(name="taobao-like", seed=2, behaviors={
+    "page_view": (0.35, 30.0),
+    "favorite": (0.6, 6.0, 1.0, "page_view"),
+    "cart": (0.6, 8.0, 1.0, "page_view"),
+    "purchase": (0.75, 3.5, 0.45, "cart"),
+})
+
 
 def movielens_like(num_users: int = 200, num_items: int = 300,
                    seed: int = 0, scale: float = 1.0) -> InteractionDataset:
-    """MovieLens-like data: ratings mapped to {dislike, neutral, like}.
-
-    Ratings come from the latent affinity plus observation noise; the
-    thresholds reproduce the paper's mapping (§IV-A). Users rate many items,
-    so all three behaviors are dense relative to Taobao's funnel.
-    """
-    cfg = SyntheticConfig(num_users=num_users, num_items=num_items, seed=seed,
-                          name="movielens-like", target_behavior="like")
-    rng = np.random.default_rng(seed)
-    affinity = _latent_affinity(cfg, rng)
-
-    mean_ratings = max(8, int(24 * scale))
-    counts = np.maximum(2, rng.gamma(2.0, mean_ratings / 2.0, cfg.num_users).astype(int))
-    interactions = {b: {"users": [], "items": [], "timestamps": []}
-                    for b in ("dislike", "neutral", "like")}
-    for user in range(cfg.num_users):
-        rated = _sample_user_items(affinity[user], int(counts[user]), rng)
-        # rating ∈ [0.5, 5]: affinity quantile + noise, like the 10M scale
-        raw = affinity[user, rated] + 0.8 * rng.standard_normal(rated.size)
-        rating = np.clip(3.0 + 1.2 * raw, 0.5, 5.0)
-        for item, r in zip(rated, rating):
-            if r <= 2.0:
-                behavior = "dislike"
-            elif r >= 4.0:
-                behavior = "like"
-            else:
-                behavior = "neutral"
-            interactions[behavior]["users"].append(user)
-            interactions[behavior]["items"].append(int(item))
-            interactions[behavior]["timestamps"].append(rng.uniform())
-    return _finalize(cfg, interactions)
+    """MovieLens-like data: ratings mapped to {dislike, neutral, like}."""
+    return generate_multi_behavior_dataset(
+        MOVIELENS.at(num_users, num_items, seed, scale))
 
 
 def yelp_like(num_users: int = 200, num_items: int = 300,
               seed: int = 1, scale: float = 1.0) -> InteractionDataset:
-    """Yelp-like data: rating-derived behaviors plus a 'tip' behavior.
-
-    Tips are given on a visited-venue subset with mild affinity bias —
-    an auxiliary behavior weaker than 'like' but informative.
-    """
-    cfg = SyntheticConfig(num_users=num_users, num_items=num_items, seed=seed,
-                          name="yelp-like", target_behavior="like")
-    rng = np.random.default_rng(seed)
-    affinity = _latent_affinity(cfg, rng)
-
-    mean_ratings = max(6, int(18 * scale))
-    counts = np.maximum(2, rng.gamma(2.0, mean_ratings / 2.0, cfg.num_users).astype(int))
-    interactions = {b: {"users": [], "items": [], "timestamps": []}
-                    for b in ("tip", "dislike", "neutral", "like")}
-    for user in range(cfg.num_users):
-        rated = _sample_user_items(affinity[user], int(counts[user]), rng)
-        raw = affinity[user, rated] + 0.9 * rng.standard_normal(rated.size)
-        rating = np.clip(3.0 + 1.2 * raw, 1.0, 5.0)
-        for item, r in zip(rated, rating):
-            if r <= 2.0:
-                behavior = "dislike"
-            elif r >= 4.0:
-                behavior = "like"
-            else:
-                behavior = "neutral"
-            interactions[behavior]["users"].append(user)
-            interactions[behavior]["items"].append(int(item))
-            interactions[behavior]["timestamps"].append(rng.uniform())
-            # tip probability grows with satisfaction
-            if rng.random() < 0.15 + 0.1 * (r - 3.0):
-                interactions["tip"]["users"].append(user)
-                interactions["tip"]["items"].append(int(item))
-                interactions["tip"]["timestamps"].append(rng.uniform())
-    return _finalize(cfg, interactions)
+    """Yelp-like data: rating-derived behaviors plus a 'tip' behavior."""
+    return generate_multi_behavior_dataset(
+        YELP.at(num_users, num_items, seed, scale))
 
 
 def taobao_like(num_users: int = 200, num_items: int = 300,
-                seed: int = 2, scale: float = 1.0,
-                view_alignment: float = 0.35,
-                direct_purchase_fraction: float = 0.55,
-                purchase_sharpness: float = 0.75,
-                mean_purchases: float = 3.5) -> InteractionDataset:
-    """Taobao-like data: the page-view → favorite/cart → purchase funnel.
-
-    Page views are dense and only weakly aligned with true preference
-    (browsing is exploratory); favorites and carts are affinity-biased
-    subsets of views; purchases mix *funnel* buys (from carted items) with
-    *direct* buys that leave no view trace — mimicking real logs, where
-    interaction windows truncate history and most test purchases are not
-    simply "viewed but not yet bought" items. Target = purchase.
-
-    Parameters
-    ----------
-    view_alignment:
-        Weight of true affinity in the view score (rest is noise).
-    direct_purchase_fraction:
-        Fraction of each user's purchases drawn directly from preference
-        rather than through the recorded view→cart funnel.
-    purchase_sharpness:
-        Multiplier on affinity when sampling direct purchases; lower means
-        purchases are less predictable from the latent structure alone.
-    mean_purchases:
-        Poisson mean of purchases per user (≥ 2 enforced so leave-one-out
-        always keeps a training edge).
-    """
-    cfg = SyntheticConfig(num_users=num_users, num_items=num_items, seed=seed,
-                          name="taobao-like", target_behavior="purchase")
-    rng = np.random.default_rng(seed)
-    affinity = _latent_affinity(cfg, rng)
-
-    mean_views = max(10, int(30 * scale))
-    view_counts = np.maximum(6, rng.gamma(2.0, mean_views / 2.0, cfg.num_users).astype(int))
-    buy_counts = np.maximum(2, rng.poisson(mean_purchases, cfg.num_users))
-    interactions = {b: {"users": [], "items": [], "timestamps": []}
-                    for b in ("page_view", "favorite", "cart", "purchase")}
-
-    def _sigmoid(z: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-z))
-
-    for user in range(cfg.num_users):
-        view_scores = (view_alignment * affinity[user]
-                       + (1.0 - view_alignment) * rng.standard_normal(cfg.num_items))
-        viewed = _sample_user_items(view_scores, int(view_counts[user]), rng)
-        t_view = np.sort(rng.uniform(0.0, 0.7, size=viewed.size))
-        for item, t in zip(viewed, t_view):
-            interactions["page_view"]["users"].append(user)
-            interactions["page_view"]["items"].append(int(item))
-            interactions["page_view"]["timestamps"].append(float(t))
-        aff = affinity[user, viewed]
-        fav_mask = rng.random(viewed.size) < _sigmoid(1.2 * aff - 1.5)
-        cart_mask = rng.random(viewed.size) < _sigmoid(1.2 * aff - 1.2)
-        for item, t, m in zip(viewed, t_view, fav_mask):
-            if m:
-                interactions["favorite"]["users"].append(user)
-                interactions["favorite"]["items"].append(int(item))
-                interactions["favorite"]["timestamps"].append(float(t) + 0.1)
-        carted: list[tuple[int, float, float]] = []
-        for item, t, m, a in zip(viewed, t_view, cart_mask, aff):
-            if m:
-                interactions["cart"]["users"].append(user)
-                interactions["cart"]["items"].append(int(item))
-                interactions["cart"]["timestamps"].append(float(t) + 0.15)
-                carted.append((int(item), float(t), float(a)))
-
-        total = int(buy_counts[user])
-        n_direct = max(1, int(round(total * direct_purchase_fraction)))
-        n_funnel = max(1, total - n_direct)
-        purchases: dict[int, float] = {}
-        # funnel purchases: the user's best carted items convert
-        for item, t, a in sorted(carted, key=lambda c: -c[2])[:n_funnel]:
-            if rng.random() < _sigmoid(1.5 * a):
-                purchases[item] = t + 0.2
-        # direct purchases: preference-driven, no view/cart trace recorded
-        for item in _sample_user_items(purchase_sharpness * affinity[user], n_direct, rng):
-            purchases.setdefault(int(item), rng.uniform(0.7, 1.0))
-        # guarantee ≥ 2 purchases so leave-one-out keeps a train edge
-        attempts = 0
-        while len(purchases) < 2 and attempts < 20:
-            attempts += 1
-            for item in _sample_user_items(purchase_sharpness * affinity[user], 3, rng):
-                if int(item) not in purchases:
-                    purchases[int(item)] = rng.uniform(0.7, 1.0)
-                    break
-        for item, t in purchases.items():
-            interactions["purchase"]["users"].append(user)
-            interactions["purchase"]["items"].append(item)
-            interactions["purchase"]["timestamps"].append(t)
-    return _finalize(cfg, interactions)
+                seed: int = 2, scale: float = 1.0) -> InteractionDataset:
+    """Taobao-like data: the page-view → favorite/cart → purchase funnel."""
+    return generate_multi_behavior_dataset(
+        TAOBAO.at(num_users, num_items, seed, scale))
 
 
 def synthesize_attributes(dataset: InteractionDataset, num_features: int = 8,
@@ -332,24 +282,4 @@ def synthesize_attributes(dataset: InteractionDataset, num_features: int = 8,
                       for b in dataset.behavior_names},
         user_features=user_features,
         item_features=item_features,
-    )
-
-
-def _finalize(cfg: SyntheticConfig,
-              interactions: dict[str, dict[str, list]]) -> InteractionDataset:
-    arrays = {
-        behavior: {
-            "users": np.asarray(rec["users"], dtype=np.int64),
-            "items": np.asarray(rec["items"], dtype=np.int64),
-            "timestamps": np.asarray(rec["timestamps"], dtype=np.float64),
-        }
-        for behavior, rec in interactions.items()
-    }
-    return InteractionDataset(
-        name=cfg.name,
-        num_users=cfg.num_users,
-        num_items=cfg.num_items,
-        behavior_names=tuple(interactions),
-        target_behavior=cfg.target_behavior,
-        interactions=arrays,
     )

@@ -11,14 +11,13 @@ item's user history — so collaborative signal flows along both axes:
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.data.dataset import InteractionDataset
 from repro.models.base import Recommender
+from repro.models.nade import autoregressive_hidden
 from repro.nn import init as init_schemes
 from repro.nn.module import Parameter
 from repro.tensor import Tensor
-from repro.tensor.sparse import SparseAdjacency
 
 
 class CFUIcA(Recommender):
@@ -53,37 +52,12 @@ class CFUIcA(Recommender):
             init_schemes.normal((self.num_users, hidden_dim), rng, std=0.05), name="U")
         self.bias = Parameter(np.zeros(self.num_items), name="b")
 
-    def _conditioned_hidden(self, table: Parameter, bias: Parameter,
-                            histories: list[np.ndarray], anchors: np.ndarray,
-                            exclude: np.ndarray) -> Tensor:
-        """tanh(bias + Σ history rows), excluding the predicted partner."""
-        anchors = np.asarray(anchors, dtype=np.int64)
-        picked: list[np.ndarray] = []
-        lengths: list[int] = []
-        for row, anchor in enumerate(anchors):
-            history = histories[int(anchor)]
-            history = history[history != exclude[row]]
-            picked.append(history)
-            lengths.append(history.size)
-        if sum(lengths) == 0:
-            ones = Tensor(np.ones((anchors.size, 1)))
-            return (bias * ones).tanh()
-        flat = np.concatenate([h for h in picked if h.size])
-        rows = table.gather_rows(flat)
-        segment = np.repeat(np.arange(anchors.size), lengths)
-        scatter = sp.csr_matrix(
-            (np.ones(segment.size), (segment, np.arange(segment.size))),
-            shape=(anchors.size, segment.size),
-        )
-        summed = SparseAdjacency(scatter).matmul(rows)
-        return (summed + bias).tanh()
-
     def score_tensor(self, users: np.ndarray, items: np.ndarray) -> Tensor:
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
-        user_hidden = self._conditioned_hidden(
+        user_hidden = autoregressive_hidden(
             self.w_item, self.c_user, self._user_histories, users, items)
-        item_hidden = self._conditioned_hidden(
+        item_hidden = autoregressive_hidden(
             self.z_user, self.d_item, self._item_histories, items, users)
         user_term = (user_hidden * self.v_item.gather_rows(items)).sum(axis=1)
         item_term = (item_hidden * self.u_user.gather_rows(users)).sum(axis=1)

@@ -13,12 +13,14 @@ autoregressive structure while fitting the common evaluation protocol.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.data.dataset import InteractionDataset
 from repro.models.base import Recommender
 from repro.nn import init as init_schemes
 from repro.nn.module import Parameter
 from repro.tensor import Tensor
+from repro.tensor.sparse import SparseAdjacency
 
 
 class NADE(Recommender):
@@ -42,46 +44,38 @@ class NADE(Recommender):
         self.b_out = Parameter(np.zeros(self.num_items), name="b")
         self._rng = rng
 
-    def _hidden(self, users: np.ndarray, held_out: np.ndarray | None) -> Tensor:
-        """Hidden state from each user's history, excluding the held-out item.
-
-        Excluding the predicted item from its own conditioning set is what
-        makes the model autoregressive rather than autoencoding.
-        """
-        users = np.asarray(users, dtype=np.int64)
-        gather_indices: list[np.ndarray] = []
-        offsets = []
-        for row, user in enumerate(users):
-            history = self._histories[int(user)]
-            if held_out is not None:
-                history = history[history != held_out[row]]
-            gather_indices.append(history)
-            offsets.append(history.size)
-        if sum(offsets) == 0:
-            return (self.c * Tensor(np.ones((users.size, 1)))).tanh()
-        flat = np.concatenate([h for h in gather_indices if h.size])
-        rows = self.w_in.gather_rows(flat)
-        # segment-sum the flattened history rows back per user
-        segment = np.repeat(np.arange(users.size), offsets)
-        summed = _segment_sum(rows, segment, users.size)
-        return (summed + self.c).tanh()
-
     def score_tensor(self, users: np.ndarray, items: np.ndarray) -> Tensor:
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
-        hidden = self._hidden(users, held_out=items)
+        hidden = autoregressive_hidden(self.w_in, self.c, self._histories,
+                                       users, exclude=items)
         v = self.v_out.gather_rows(items)
         return (hidden * v).sum(axis=1) + self.b_out.gather_rows(items)
 
 
-def _segment_sum(rows: Tensor, segment: np.ndarray, num_segments: int) -> Tensor:
-    """Differentiable segment sum via a binary scatter matrix product."""
-    import scipy.sparse as sp
+def autoregressive_hidden(table: Parameter, bias: Parameter,
+                          histories: list[np.ndarray], anchors: np.ndarray,
+                          exclude: np.ndarray) -> Tensor:
+    """``tanh(bias + Σ table[history])`` per anchor, leaving out its partner.
 
-    from repro.tensor.sparse import SparseAdjacency
-
-    matrix = sp.csr_matrix(
+    Excluding the predicted partner (``exclude[row]``) from its own
+    conditioning set is what makes the model autoregressive rather than
+    autoencoding. NADE conditions a user on their items; CF-UIcA also
+    conditions an item on its users.
+    """
+    anchors = np.asarray(anchors, dtype=np.int64)
+    picked = []
+    for row, anchor in enumerate(anchors):
+        history = histories[int(anchor)]
+        picked.append(history[history != exclude[row]])
+    lengths = [history.size for history in picked]
+    if sum(lengths) == 0:
+        return (bias * Tensor(np.ones((anchors.size, 1)))).tanh()
+    rows = table.gather_rows(np.concatenate(picked))
+    # segment-sum the flattened history rows back per anchor
+    segment = np.repeat(np.arange(anchors.size), lengths)
+    scatter = sp.csr_matrix(
         (np.ones(segment.size), (segment, np.arange(segment.size))),
-        shape=(num_segments, segment.size),
+        shape=(anchors.size, segment.size),
     )
-    return SparseAdjacency(matrix).matmul(rows)
+    return (SparseAdjacency(scatter).matmul(rows) + bias).tanh()

@@ -52,11 +52,6 @@ class NGCF(Recommender):
                                   for _ in range(num_layers)])
         self.num_layers = num_layers
 
-    @property
-    def _laplacian(self):
-        """The engine's normalized bipartite Laplacian (compat view)."""
-        return self.engine.adjacency
-
     # ------------------------------------------------------------------
     def _bi_interaction_stack(self, ego: Tensor, propagate,
                               restrict) -> list[Tensor]:

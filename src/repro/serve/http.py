@@ -21,10 +21,11 @@ repo's no-deps stance extends to the serving tier):
   in-flight requests finish on the old snapshot, the next batch sees the
   new one, no request ever waits on a rebuild, and every body reports
   the ``snapshot_version`` of the tables that produced its items.
-* **Cold users** — a user who entered the graph after the current
-  snapshot gets a fresh embedding on demand through single-seed layered
-  extraction (``graph/layered.py``, ``fanout=None``) instead of a 404 or
-  a stale row; see ``RecommendationService.recommend_cold``.
+* **Cold rows** — ``cold=1`` answers a user from rows computed on
+  demand from the *current* parameters through single-seed layered
+  extraction (``graph/layered.py``, ``fanout=None``) instead of the
+  snapshot's row; see ``RecommendationService.recommend_cold``. A user id
+  outside the model's user table is a 400.
 
 Endpoints (all JSON): ``GET /recommend?user=U&k=K[&cold=1]``,
 ``POST /recommend`` with ``{"users": [...], "k": K}``, ``GET /healthz``,
@@ -545,9 +546,6 @@ class RecommendationHTTPServer(ThreadingHTTPServer):
 
     def recommend_one(self, user: int, k: int, cold: bool = False) -> dict:
         """One user's recommendations — batched warm path or cold path."""
-        store = self.service.store
-        if not cold and store is not None and user >= store.num_users:
-            cold = True  # user entered the graph after the snapshot
         if cold:
             self.stats.record_request("cold")
             row, version = self._retrieve([user], k, cold=True)[0]

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.data import InteractionDataset, taobao_like, yelp_like
+from repro.data import InteractionDataset, load_dataset_npz, taobao_like, yelp_like
+
+#: ``taobao_like(40, 60, seed=3)`` as the per-user-loop generator drew it,
+#: frozen through ``save_dataset_npz``: the float64 goldens were recorded
+#: on exactly this dataset
+FROZEN_TAOBAO = Path(__file__).parent / "fixtures" / "seed_parity_taobao.npz"
 
 
 @pytest.fixture
@@ -35,6 +42,11 @@ def tiny_dataset() -> InteractionDataset:
             },
         },
     )
+
+
+@pytest.fixture(scope="session")
+def frozen_taobao() -> InteractionDataset:
+    return load_dataset_npz(FROZEN_TAOBAO)[0]
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,7 @@ class TestConstruction:
         sub = GNMR(dataset, GNMRConfig(pretrain=False,
                                        graph_behaviors=("cart", "purchase")))
         assert sub.behavior_names == ("cart", "purchase")
-        assert len(sub._user_adjacencies) == 2
+        assert len(sub.engine.user_adjacencies) == 2
 
     def test_unknown_graph_behavior_rejected(self, dataset):
         with pytest.raises(ValueError):

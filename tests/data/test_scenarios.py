@@ -29,8 +29,8 @@ class TestRegistry:
         for name, spec in SCENARIOS.items():
             assert spec.name == name
             assert spec.target_behavior in spec.behavior_names
-            assert spec.default_users > 0 and spec.default_items > 0
-            assert spec.skew
+            assert spec.config.num_users > 0 and spec.config.num_items > 0
+            assert spec.config.behaviors
             row = spec.describe()
             assert spec.target_behavior in row["target"]
 

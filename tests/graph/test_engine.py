@@ -157,7 +157,7 @@ class TestModelsShareEngine:
         model = NGCF(dataset, embedding_dim=8, num_layers=1)
         assert isinstance(model.engine, PropagationEngine)
         n = dataset.num_users + dataset.num_items
-        assert model._laplacian.shape == (n, n)
+        assert model.engine.adjacency.shape == (n, n)
         model.score(np.arange(4), np.arange(4))
         assert model.engine._cache
         model.on_step_end()

@@ -18,6 +18,7 @@ from repro.models import (
     NMTR,
     NeuMF,
 )
+from repro.models.nade import autoregressive_hidden
 from repro.train import TrainConfig
 
 FAST = TrainConfig(epochs=3, steps_per_epoch=4, batch_users=8, per_user=2,
@@ -136,16 +137,37 @@ class TestModelSpecifics:
         history = model._histories[user]
         assert history.size > 0
         held = history[0]
-        hidden_with_exclusion = model._hidden(np.array([user]),
-                                              np.array([held]))
-        hidden_without = model._hidden(np.array([user]),
-                                       np.array([split.train.num_items + 0 - 1]))
+        def hidden(exclude):
+            return autoregressive_hidden(model.w_in, model.c, model._histories,
+                                         np.array([user]), np.array([exclude]))
+
+        hidden_with_exclusion = hidden(held)
+        hidden_without = hidden(split.train.num_items - 1)
         assert not np.allclose(hidden_with_exclusion.data, hidden_without.data)
+
+    @pytest.mark.parametrize("model_cls, golden", [
+        (NADE, [-0.013752774183075338, -0.03223549084314764,
+                0.007711440834958167, 0.010223365750834644,
+                0.013882452697650371, 0.027097728852783613,
+                0.018075689021233535, 0.009222816393294243]),
+        (CFUIcA, [-0.013752774183075338, -0.03223549084314764,
+                  0.03921995619829196, 0.020844663973888802,
+                  0.004568650422504605, 0.009209051676132986,
+                  0.011025036261279614, 0.01760292904853685]),
+    ])
+    def test_autoregressive_scores_float64_bit_identical(
+            self, frozen_taobao, model_cls, golden):
+        """NADE and CF-UIcA share one hidden-state helper; recorded from
+        their two separate implementations before it was shared."""
+        model = model_cls(frozen_taobao, seed=0)
+        model.eval()
+        scores = model.score(np.arange(8), np.arange(8, 16))
+        assert (scores == np.array(golden)).all()
 
     def test_ngcf_graph_modes(self, split):
         merged = NGCF(split.train, graph_mode="merged", seed=0)
         target = NGCF(split.train, graph_mode="target", seed=0)
-        assert merged._laplacian.nnz >= target._laplacian.nnz
+        assert merged.engine.adjacency.nnz >= target.engine.adjacency.nnz
         with pytest.raises(ValueError):
             NGCF(split.train, graph_mode="bogus")
 

@@ -226,10 +226,8 @@ class TestSeedParity:
     ])
 
     @pytest.fixture(scope="class")
-    def dataset(self):
-        from repro.data import taobao_like
-
-        return taobao_like(num_users=40, num_items=60, seed=3)
+    def dataset(self, frozen_taobao):
+        return frozen_taobao
 
     def test_gnmr_float64_bit_identical(self, dataset):
         from repro.core import GNMR, GNMRConfig
