@@ -11,9 +11,12 @@ import numpy as np
 
 from repro.nn import init as init_schemes
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, functional as F
-from repro.tensor.sparse import SparseAdjacency
-from repro.tensor.tensor import stack
+from repro.tensor import Tensor, functional as F, is_grad_enabled
+
+#: budget of a no-grad layer's widest per-chunk temporary, η's ``(rows·K, C·d)``
+#: projection, so a full-graph pass never builds ``(N·K, C·d)``: smaller chunks
+#: pay per-call overhead, larger ones only peak higher (= ``SELECT_CHUNK_BYTES``)
+CHUNK_BYTES = 4 * 1024 * 1024
 
 
 class BehaviorEmbeddingLayer(Module):
@@ -57,8 +60,7 @@ class BehaviorEmbeddingLayer(Module):
         # (N, d) @ (d, C·d) -> (N, C, d): all memory transforms at once
         w2_flat = self.w2.transpose(1, 0, 2).reshape(self.dim, self.memory_dims * self.dim)
         projected = aggregated.matmul(w2_flat).reshape(n, self.memory_dims, self.dim)
-        gated = projected * alpha.reshape(n, self.memory_dims, 1)
-        return gated.sum(axis=1)                                     # (N, d)
+        return F.gated_sum(alpha, projected)                         # (N, d)
 
 
 class CrossBehaviorAttention(Module):
@@ -118,9 +120,7 @@ class GatedMessageAggregation(Module):
         hidden = (messages.matmul(self.w3.T) + self.b2).relu()       # (N, K, h)
         gamma = hidden.matmul(self.w2) + self.b3                     # (N, K)
         weights = F.softmax(gamma, axis=-1)
-        n, k, d = messages.shape
-        fused = (messages * weights.reshape(n, k, 1)).sum(axis=1)
-        return fused, weights
+        return F.gated_sum(weights, messages), weights
 
 
 class GNMRPropagationLayer(Module):
@@ -141,6 +141,7 @@ class GNMRPropagationLayer(Module):
                  use_message_attention: bool = True,
                  use_gated_aggregation: bool = True):
         super().__init__()
+        self.memory_dims = memory_dims
         self.use_behavior_embedding = use_behavior_embedding
         self.use_message_attention = use_message_attention
         self.use_gated_aggregation = use_gated_aggregation
@@ -175,8 +176,22 @@ class GNMRPropagationLayer(Module):
         The stack comes from
         :meth:`repro.graph.engine.PropagationEngine.propagate_user` /
         ``propagate_item`` (one fused SpMM for all K behaviors); this layer
-        applies η → ξ → ψ on top.
+        applies η → ξ → ψ on top. Every step is row-wise, so with grad off
+        it runs in :data:`CHUNK_BYTES` row chunks, bit-equal to one pass.
+        No chunk is one row: a one-row product is a GEMV and rounds otherwise.
         """
+        n, k, d = stacked.shape
+        rows = max(CHUNK_BYTES // (k * self.memory_dims * d * stacked.dtype.itemsize), 2)
+        if is_grad_enabled() or n <= rows:
+            return self._fuse(stacked)
+        starts = range(0, n - 1, rows)  # a start at n − 1 folds into the chunk before
+        fused = np.empty((n, d), dtype=stacked.dtype)
+        for start, stop in zip(starts, [*starts[1:], n]):
+            fused[start:stop] = self._fuse(Tensor(stacked.data[start:stop])).data
+        return Tensor(fused)
+
+    def _fuse(self, stacked: Tensor) -> Tensor:
+        """η → ξ → ψ over one block of rows."""
         stacked = self.type_specific(stacked)
         if self.attention is not None:
             stacked, _ = self.attention(stacked)
@@ -185,15 +200,3 @@ class GNMRPropagationLayer(Module):
         else:
             fused = stacked.mean(axis=1)
         return fused
-
-    def propagate_side(self, adjacencies: list[SparseAdjacency],
-                       source: Tensor) -> Tensor:
-        """Messages for one side from explicit per-behavior adjacencies.
-
-        Convenience path (tests, ad-hoc use): aggregates with K separate
-        SpMMs and defers to :meth:`forward`. Models go through the
-        :class:`~repro.graph.engine.PropagationEngine`, which fuses the K
-        products into one stacked SpMM instead.
-        """
-        per_type = [adjacency.matmul(source) for adjacency in adjacencies]
-        return self.forward(stack(per_type, axis=1))

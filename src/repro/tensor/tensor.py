@@ -606,7 +606,13 @@ class Tensor:
         """
         other = self._coerce(other)
         a, b = self, other
-        data = np.matmul(a.data, b.data)
+        if a.ndim > 2 and b.ndim == 2 and a.shape[-2] > 1:
+            # a 2-D weight shared by every batch entry: one GEMM, not one
+            # each. Bit-equal as each entry's product is a GEMM too; a 1-D
+            # weight or a one-row entry makes a GEMV, which rounds otherwise
+            data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+        else:
+            data = np.matmul(a.data, b.data)
 
         def backward(grad: np.ndarray):
             ad, bd = a.data, b.data
@@ -828,6 +834,23 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
         return tuple(pieces[i] for i in range(len(tensors)))
 
     return Tensor._make(data, tensors, backward)
+
+
+def gated_sum(gates: Tensor, values: Tensor) -> Tensor:
+    """``(N, C)`` gates × ``(N, C, d)`` values → ``(N, d)``, one contraction
+    bit-equal to ``(values * gates[..., None]).sum(axis=1)`` without its
+    ``(N, C, d)`` product; the backward applies ``_mul_grad``'s two rules."""
+    data = np.einsum("nc,ncd->nd", gates.data, values.data)
+
+    def backward(grad: np.ndarray):
+        spread = np.broadcast_to(grad[:, None, :], values.shape)
+        return (
+            np.einsum("...i,...i->...", spread, values.data)
+            if gates.requires_grad else None,
+            spread * gates.data[:, :, None] if values.requires_grad else None,
+        )
+
+    return Tensor._make(data, (gates, values), backward)
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:

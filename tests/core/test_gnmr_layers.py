@@ -11,11 +11,17 @@ from repro.core import (
 )
 from repro.tensor import Tensor, check_gradients
 from repro.tensor.sparse import SparseAdjacency
+from repro.tensor.tensor import stack
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def _message_stack(adjacencies, source):
+    """The ``(N, K, d)`` per-behavior messages, one SpMM per adjacency."""
+    return stack([adjacency.matmul(source) for adjacency in adjacencies], axis=1)
 
 
 class TestBehaviorEmbedding:
@@ -112,9 +118,9 @@ class TestPropagationLayer:
         return [SparseAdjacency(sp.random(6, 9, density=0.4, random_state=s))
                 for s in (1, 2)]
 
-    def test_propagate_side_shape(self, rng, adjacencies):
+    def test_layer_output_shape(self, rng, adjacencies):
         layer = GNMRPropagationLayer(dim=8, memory_dims=4, num_heads=2, rng=rng)
-        out = layer.propagate_side(adjacencies, Tensor(rng.standard_normal((9, 8))))
+        out = layer(_message_stack(adjacencies, Tensor(rng.standard_normal((9, 8)))))
         assert out.shape == (6, 8)
 
     def test_ablations_remove_submodules(self, rng):
@@ -130,11 +136,11 @@ class TestPropagationLayer:
                                      use_behavior_embedding=False,
                                      use_message_attention=False,
                                      use_gated_aggregation=False)
-        out = layer.propagate_side(adjacencies, Tensor(rng.standard_normal((9, 8))))
+        out = layer(_message_stack(adjacencies, Tensor(rng.standard_normal((9, 8)))))
         assert out.shape == (6, 8)
 
     def test_end_to_end_gradient(self, rng, adjacencies):
         layer = GNMRPropagationLayer(4, 2, 2, rng)
         source = Tensor(rng.standard_normal((9, 4)), requires_grad=True)
-        check_gradients(lambda s: layer.propagate_side(adjacencies, s),
+        check_gradients(lambda s: layer(_message_stack(adjacencies, s)),
                         [source], atol=1e-4)

@@ -7,6 +7,9 @@ batch row summed by ``_unbroadcast``, (b) building both gradients of every
 to shape, and (c) copying the broadcast grad of ``sum``. The new rules reorder the
 sums, so they promise values, not bits: ``tests/tensor/test_backward_oracle.py``
 bounds how far a training run under them drifts from one under these.
+:func:`gated_sum` is the composed product-then-sum GNMR's η and ψ gates ran
+before they became one contraction; that op promises bits, forward and
+backward (``tests/tensor/test_gated_sum.py``).
 Test-only: nothing under ``src/`` imports it.
 """
 
@@ -87,6 +90,13 @@ def sum_(self, axis: int | tuple[int, ...] | None = None,
         return (np.broadcast_to(g, in_shape).copy(),)
 
     return Tensor._make(data, (self,), backward)
+
+
+def gated_sum(gates: Tensor, values: Tensor) -> Tensor:
+    """``(values * gates[..., None]).sum(axis=1)`` as a broadcast ``*`` node
+    building the ``(N, C, d)`` product and a ``sum`` node reducing it."""
+    n, c = gates.shape
+    return (values * gates.reshape(n, c, 1)).sum(axis=1)
 
 
 @contextlib.contextmanager

@@ -30,6 +30,18 @@ class TestSoftmax:
         out = F.softmax(Tensor(rng.standard_normal((3, 4))), axis=0)
         np.testing.assert_allclose(out.data.sum(axis=0), 1.0)
 
+    @pytest.mark.parametrize("shape, axis", [((50, 2, 4, 4), -1), ((50, 4), -1),
+                                             ((4, 50), 0), ((5, 9), -1)],
+                             ids=["xi-scores", "psi-gates", "axis0", "long-axis"])
+    def test_short_axis_max_gives_the_reduction_bits(self, rng, shape, axis):
+        """A short axis takes its max as the max of its slices: the same
+        shift, so the same softmax bits as ``data.max`` gives."""
+        for dtype in (np.float64, np.float32):
+            x = rng.standard_normal(shape).astype(dtype)
+            shifted = x - x.max(axis=axis, keepdims=True)
+            want = np.exp(shifted) / np.exp(shifted).sum(axis=axis, keepdims=True)
+            np.testing.assert_array_equal(F.softmax(Tensor(x), axis=axis).data, want)
+
 
 class TestLogSoftmax:
     def test_matches_log_of_softmax(self, rng):

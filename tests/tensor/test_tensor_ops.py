@@ -206,6 +206,19 @@ class TestMatmul:
         # test_batched_4d
         check_gradients(lambda a, b: a.matmul(b), [t(shape) for shape in shapes])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("weight", [(16, 16), (16, 128), (16,)],
+                             ids=["square", "wide", "vector"])
+    def test_shared_right_operand_forward_is_np_matmul(self, dtype, k, weight):
+        """GNMR's per-node K messages times a layer weight, any K: the one
+        flat GEMM gives ``np.matmul``'s bits. K = 1 rows and a 1-D weight
+        stay per-entry products (a GEMV rounds apart from a GEMM row)."""
+        rng = np.random.default_rng(k)
+        a = rng.standard_normal((300, k, 16)).astype(dtype)
+        b = rng.standard_normal(weight).astype(dtype)
+        np.testing.assert_array_equal(Tensor(a).matmul(Tensor(b)).data, np.matmul(a, b))
+
 
 class TestOnlyNeededGradients:
     """A broadcast ``(…, 1)`` factor is contracted, and a constant operand
