@@ -29,6 +29,7 @@ from repro.nn import init as init_schemes
 from repro.nn.layers import Dropout
 from repro.nn.module import ModuleList, Parameter
 from repro.tensor import Tensor, default_dtype, no_grad
+from repro.utils.integrity import array_sha256
 
 #: sentinel meaning "use ``config.fanout``" — ``None`` already means "no cap"
 _CONFIG_FANOUT = object()
@@ -366,6 +367,41 @@ class GNMR(Recommender):
     def on_step_end(self) -> None:
         """Parameters changed — drop the cached propagation."""
         self.engine.invalidate()
+
+    def propagation_fingerprint(self) -> str:
+        """sha256 of what layers 1..L read besides the parameters (not
+        ``seed``, ``pretrain``, ``dropout``, ``fanout``, ``layer_combination``)."""
+        settings = np.array([getattr(self.config, name) for name in (
+            "num_layers", "num_heads", "self_connection", "use_behavior_embedding",
+            "use_message_attention", "use_gated_aggregation")])
+        stacks = [getattr(stack.matrix, part)
+                  for stack in (self.engine._user_stack, self.engine._item_stack)
+                  for part in ("indptr", "indices", "data")]
+        features = [f.data for f in (self._user_feature_input,
+                                     self._item_feature_input) if f is not None]
+        return array_sha256(settings, *stacks, *features)
+
+    def propagation_tables(self) -> tuple[str, dict[str, np.ndarray]]:
+        """Fingerprint and layers 1..L (``"user.1"`` … ``"item.L"``) for a checkpoint."""
+        sides = zip(("user", "item"), self._propagated_arrays())
+        return self.propagation_fingerprint(), {
+            f"{side}.{level}": arrays[level]
+            for side, arrays in sides for level in range(1, len(arrays))}
+
+    def restore_propagation(self, fingerprint: str | None,
+                            tables: dict[str, np.ndarray]) -> None:
+        """Serve stored layers 1..L if they fit this model's fingerprint and
+        layout; otherwise the model propagates on first use."""
+        with no_grad():
+            order0 = [h.data for h in self._order0()]
+        layers = tuple([h] + [tables.get(f"{side}.{level}")
+                              for level in range(1, len(self.layers) + 1)]
+                       for side, h in zip(("user", "item"), order0))
+        fits = all(t is not None and (t.shape, t.dtype) == (side[0].shape, side[0].dtype)
+                   for side in layers for t in side)
+        if (fits and len(tables) == 2 * len(self.layers)
+                and fingerprint == self.propagation_fingerprint()):
+            self.engine.prime("gnmr.layers", layers)
 
     # ------------------------------------------------------------------
     # introspection (used by examples and tests)

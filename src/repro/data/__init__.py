@@ -1,6 +1,6 @@
 """Datasets: container, splits, synthetic generators, ingestion."""
 
-from repro.data.dataset import Interaction, InteractionDataset
+from repro.data.dataset import InteractionDataset
 from repro.data.splits import (
     LeaveOneOutSplit,
     TemporalSplit,
@@ -35,7 +35,6 @@ from repro.data.scenarios import (
 )
 
 __all__ = [
-    "Interaction",
     "InteractionDataset",
     "LeaveOneOutSplit",
     "TemporalSplit",

@@ -9,21 +9,10 @@ the :class:`~repro.graph.MultiBehaviorGraph` used for message passing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.graph.interaction_graph import MultiBehaviorGraph
-
-
-@dataclass(frozen=True)
-class Interaction:
-    """One observed user–item interaction event."""
-
-    user: int
-    item: int
-    behavior: str
-    timestamp: float = 0.0
 
 
 class InteractionDataset:
@@ -92,10 +81,6 @@ class InteractionDataset:
     def num_behaviors(self) -> int:
         return len(self.behavior_names)
 
-    @property
-    def auxiliary_behaviors(self) -> tuple[str, ...]:
-        return tuple(b for b in self.behavior_names if b != self.target_behavior)
-
     def arrays(self, behavior: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (users, items, timestamps) for one behavior."""
         record = self._interactions[behavior]
@@ -105,11 +90,6 @@ class InteractionDataset:
         if behavior is not None:
             return int(self._interactions[behavior]["users"].size)
         return int(sum(rec["users"].size for rec in self._interactions.values()))
-
-    def iter_interactions(self, behavior: str):
-        users, items, timestamps = self.arrays(behavior)
-        for u, i, t in zip(users, items, timestamps):
-            yield Interaction(int(u), int(i), behavior, float(t))
 
     # ------------------------------------------------------------------
     def graph(self) -> MultiBehaviorGraph:
@@ -168,34 +148,6 @@ class InteractionDataset:
             raise ValueError(f"row index out of range [0, {n})")
         keep_mask = np.ones(n, dtype=bool)
         keep_mask[rows] = False
-        return self._with_target_mask(keep_mask)
-
-    def remove_target_pairs(self, users: np.ndarray, items: np.ndarray) -> "InteractionDataset":
-        """Copy with one target-behavior row removed per (user, item) pair.
-
-        Exactly one occurrence — the earliest in log order — is removed for
-        each occurrence of a pair in ``users``/``items``; repeat
-        interactions with the same item keep their other rows. Pairs absent
-        from the log are ignored.
-        """
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        record = self._interactions[self.target_behavior]
-        # pack (user, item) into one sortable key; items < num_items keeps it
-        # collision-free
-        keys = record["users"] * np.int64(self.num_items) + record["items"]
-        held = users * np.int64(self.num_items) + items
-        order = np.argsort(keys, kind="stable")  # stable → log order per key
-        sorted_keys = keys[order]
-        held_sorted = np.sort(held, kind="stable")
-        # the k-th duplicate of a held pair maps to the pair's k-th log row
-        first = np.searchsorted(held_sorted, held_sorted, side="left")
-        pos = np.searchsorted(sorted_keys, held_sorted, side="left")
-        pos = pos + (np.arange(held_sorted.size) - first)
-        valid = pos < keys.size
-        valid[valid] &= sorted_keys[pos[valid]] == held_sorted[valid]
-        keep_mask = np.ones(keys.size, dtype=bool)
-        keep_mask[order[pos[valid]]] = False
         return self._with_target_mask(keep_mask)
 
     def _with_target_mask(self, keep_mask: np.ndarray) -> "InteractionDataset":

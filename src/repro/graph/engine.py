@@ -322,5 +322,9 @@ class PropagationEngine:
         if entry is not None and entry[0] == self._version:
             return entry[1]  # type: ignore[return-value]
         value = compute()
-        self._cache[key] = (self._version, value)
+        self.prime(key, value)
         return value
+
+    def prime(self, key, value) -> None:
+        """Hold ``value`` (from the current parameters) as ``key``'s product."""
+        self._cache[key] = (self._version, value)

@@ -82,7 +82,6 @@ class MultiBehaviorGraph:
             matrix.sum_duplicates()
             matrix.data[:] = 1.0
             self._adjacency[name] = SparseAdjacency(matrix)
-        self._norm_cache: dict[tuple[str, str], SparseAdjacency] = {}
         self._merged_cache: SparseAdjacency | None = None
 
     # ------------------------------------------------------------------
@@ -90,19 +89,9 @@ class MultiBehaviorGraph:
     def num_behaviors(self) -> int:
         return len(self.behavior_names)
 
-    def behavior_index(self, name: str) -> int:
-        return self.behavior_names.index(name)
-
     def adjacency(self, behavior: str) -> SparseAdjacency:
         """Raw binary users×items adjacency for one behavior type."""
         return self._adjacency[behavior]
-
-    def normalized_adjacency(self, behavior: str, mode: str = "row") -> SparseAdjacency:
-        """Degree-normalized adjacency (cached)."""
-        key = (behavior, mode)
-        if key not in self._norm_cache:
-            self._norm_cache[key] = self._adjacency[behavior].normalized(mode)
-        return self._norm_cache[key]
 
     def merged_adjacency(self) -> SparseAdjacency:
         """Union over behavior types (binary), for single-graph baselines."""
@@ -120,16 +109,10 @@ class MultiBehaviorGraph:
     def user_degree(self, behavior: str) -> np.ndarray:
         return self._adjacency[behavior].row_degrees()
 
-    def item_degree(self, behavior: str) -> np.ndarray:
-        return self._adjacency[behavior].col_degrees()
-
     def user_items(self, behavior: str, user: int) -> np.ndarray:
         """Item neighbors N(i, k) of a user under one behavior."""
         matrix = self._adjacency[behavior].matrix
         return matrix.indices[matrix.indptr[user]:matrix.indptr[user + 1]]
-
-    def has_edge(self, behavior: str, user: int, item: int) -> bool:
-        return item in self.user_items(behavior, user)
 
     def interaction_count(self, behavior: str | None = None) -> int:
         if behavior is not None:
@@ -148,26 +131,3 @@ class MultiBehaviorGraph:
             interactions_per_behavior=per_behavior,
             density=total / cells if cells else 0.0,
         )
-
-    # ------------------------------------------------------------------
-    def subgraph_without(self, behaviors: list[str] | tuple[str, ...]) -> "MultiBehaviorGraph":
-        """Copy of the graph with the given behavior types removed.
-
-        Used for the Table-IV "w/o <behavior>" ablations.
-        """
-        drop = set(behaviors)
-        keep = [b for b in self.behavior_names if b not in drop]
-        if not keep:
-            raise ValueError("cannot drop every behavior type")
-        interactions = {}
-        for b in keep:
-            coo = self._adjacency[b].matrix.tocoo()
-            interactions[b] = (coo.row.astype(np.int64), coo.col.astype(np.int64))
-        return MultiBehaviorGraph(self.num_users, self.num_items, tuple(keep), interactions)
-
-    def to_interaction_tensor(self) -> np.ndarray:
-        """Dense X ∈ {0,1}^{I×J×K}; only safe for small graphs (tests)."""
-        x = np.zeros((self.num_users, self.num_items, self.num_behaviors))
-        for k, b in enumerate(self.behavior_names):
-            x[:, :, k] = self._adjacency[b].to_dense()
-        return x

@@ -134,6 +134,11 @@ class Recommender(Module):
     def on_step_end(self) -> None:
         """Hook called after each optimizer step (cache invalidation)."""
 
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Load parameters; what was cached from the old ones is dropped."""
+        super().load_state_dict(state)
+        self.on_step_end()
+
     # ------------------------------------------------------------------
     # training
     # ------------------------------------------------------------------

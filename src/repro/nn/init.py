@@ -27,12 +27,6 @@ def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarra
     return (rng.standard_normal(shape) * std).astype(get_default_dtype())
 
 
-def he_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Kaiming normal for ReLU networks: N(0, 2 / fan_in)."""
-    fan_in, _ = _fans(shape)
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(get_default_dtype())
-
-
 def normal(shape: tuple[int, ...], rng: np.random.Generator, std: float = 0.01) -> np.ndarray:
     """Plain Gaussian init, the classic MF embedding initializer."""
     return (rng.standard_normal(shape) * std).astype(get_default_dtype())

@@ -109,13 +109,14 @@ class Module:
         unexpected = set(state) - set(own)
         if missing or unexpected:
             raise KeyError(f"state mismatch: missing={sorted(missing)} unexpected={sorted(unexpected)}")
+        # keep each parameter's dtype (a float32 model stays float32), and
+        # check every shape before the first parameter changes
+        arrays = {name: np.asarray(state[name], dtype=p.data.dtype) for name, p in own.items()}
         for name, p in own.items():
-            # preserve each parameter's dtype so checkpoints restore into
-            # float32 models without silently upcasting them
-            array = np.asarray(state[name], dtype=p.data.dtype)
-            if array.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {array.shape} vs {p.data.shape}")
-            p.data = array.copy()
+            if arrays[name].shape != p.data.shape:
+                raise ValueError(f"shape mismatch for {name}: {arrays[name].shape} vs {p.data.shape}")
+        for name, p in own.items():
+            p.data = arrays[name].copy()
 
     # ------------------------------------------------------------------
     def forward(self, *args, **kwargs):

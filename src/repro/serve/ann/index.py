@@ -88,11 +88,6 @@ class IVFIndex:
     def compressed_nbytes(self) -> int:
         return self.codes.nbytes
 
-    def list_items(self, list_id: int) -> np.ndarray:
-        """Item ids assigned to one inverted list (ascending)."""
-        start, stop = self.list_offsets[list_id], self.list_offsets[list_id + 1]
-        return self.perm[start:stop]
-
     def probe(self, queries: np.ndarray, nprobe: int) -> np.ndarray:
         """(B, nprobe) highest-inner-product lists per query row."""
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))

@@ -87,9 +87,3 @@ class QuantizedItems:
         if self.kind == "none":
             return rows
         return rows.astype(np.float32)
-
-    def decode(self) -> np.ndarray:
-        """Full float32 reconstruction (tests / error analysis)."""
-        if self._scale is not None:
-            return dequantize_int8(self._rows, self._scale)
-        return self._rows.astype(np.float32)

@@ -263,10 +263,6 @@ class ExclusionMask:
                               np.concatenate(item_parts) if item_parts else np.array([], dtype=np.int64),
                               dataset.num_users, dataset.num_items)
 
-    def items_for(self, user: int) -> np.ndarray:
-        """Excluded item ids of one user (sorted)."""
-        return self._indices[self._indptr[user]:self._indptr[user + 1]]
-
     def counts(self, users: np.ndarray) -> np.ndarray:
         """Number of excluded items per requested user."""
         users = np.asarray(users, dtype=np.int64)

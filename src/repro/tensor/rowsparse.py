@@ -87,10 +87,6 @@ class RowSparseGrad:
     def dtype(self) -> np.dtype:
         return self.values.dtype
 
-    @property
-    def nnz_rows(self) -> int:
-        return int(self.indices.size)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"RowSparseGrad(rows={self.indices.size}/{self.num_rows}, "
                 f"row_shape={self.values.shape[1:]})")

@@ -123,16 +123,5 @@ class SparseAdjacency:
     def __matmul__(self, dense: Tensor) -> Tensor:
         return self.matmul(dense)
 
-    def rmatmul(self, dense: Tensor) -> Tensor:
-        """Differentiable ``H @ A`` (gradient is ``grad @ Aᵀ``)."""
-        dense = dense if isinstance(dense, Tensor) else Tensor(dense)
-        data = dense.data @ self.matrix
-        at = self._transposed()
-
-        def backward(grad: np.ndarray):
-            return (np.asarray(grad @ at),)
-
-        return Tensor._make(np.asarray(data), (dense,), backward)
-
     def to_dense(self) -> np.ndarray:
         return np.asarray(self.matrix.todense())

@@ -224,10 +224,6 @@ class Tensor:
             )
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def astype(self, dtype) -> "Tensor":
         """Differentiable dtype cast; the gradient is cast back on backward."""
         dtype = resolve_dtype(dtype)
@@ -785,17 +781,6 @@ class Tensor:
             shape = tuple(shape[0])
         return Tensor(np.ones(shape, dtype=resolve_dtype(dtype)),
                       requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape, rng: np.random.Generator | None = None, scale: float = 1.0,
-              requires_grad: bool = False, dtype=None) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        # Draw in float64 so the same seed yields the same values at every
-        # precision, then round to the requested dtype.
-        values = rng.standard_normal(shape) * scale
-        return Tensor(values.astype(resolve_dtype(dtype)), requires_grad=requires_grad)
 
 
 def _as_tensors(values: Iterable) -> list[Tensor]:

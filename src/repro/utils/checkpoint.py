@@ -24,6 +24,8 @@ from repro.utils.artifact import (
 CHECKPOINT_FORMAT = "checkpoint"
 #: block ``k`` of a table an earlier build stored as K row partitions
 _SHARD_KEY = re.compile(r"^(?P<base>.+)\.shards\.(?P<k>\d+)$")
+#: array-name prefix of a stored propagation table
+_PROPAGATION = "propagation::"
 
 
 def _check_format(path: str | Path, meta: dict) -> None:
@@ -36,6 +38,9 @@ def save_checkpoint(model, path: str | Path,
                     metadata: dict | None = None) -> Path:
     """Write ``model.state_dict()`` (plus metadata) to ``path`` (.npz).
 
+    A model with ``propagation_tables`` adds them (free after
+    ``evaluate_model``, one propagation otherwise) and their fingerprint.
+
     Parameters
     ----------
     model:
@@ -46,6 +51,10 @@ def save_checkpoint(model, path: str | Path,
     state = model.state_dict()
     meta = {**(metadata or {}), "format": CHECKPOINT_FORMAT}
     meta.setdefault("num_parameters", int(sum(v.size for v in state.values())))
+    if hasattr(model, "propagation_tables"):
+        meta["propagation"], tables = model.propagation_tables()
+        state.update({_PROPAGATION + name: table
+                      for name, table in tables.items()})
     return write_artifact(path, state, meta)
 
 
@@ -128,10 +137,15 @@ def load_checkpoint(model, path: str | Path, verify: bool = True) -> dict:
     Every array is re-hashed against the file's manifest before it reaches
     the model; a damaged or edited file raises
     :class:`~repro.utils.artifact.ArtifactError`. Pass ``verify=False`` to
-    skip the hash check (e.g. deliberately patched archives).
+    skip the hash check (e.g. deliberately patched archives); stored
+    propagation tables are then left unused.
     """
     state, meta = read_artifact(path, verify=verify)
     _check_format(path, meta)
+    tables = {name[len(_PROPAGATION):]: state.pop(name) for name in list(state)
+              if name.startswith(_PROPAGATION)}
     state, _, meta = merge_shards(path, state, {}, meta)
     model.load_state_dict(state)
+    if verify and tables and hasattr(model, "restore_propagation"):
+        model.restore_propagation(meta.get("propagation"), tables)
     return meta

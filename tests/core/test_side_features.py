@@ -55,8 +55,7 @@ class TestSynthesizeAttributes:
     def test_features_survive_derived_datasets(self, featured):
         only = featured.only_target()
         assert only.user_features is not None
-        reduced = featured.remove_target_pairs(np.array([0]),
-                                               featured.user_target_items(0)[:1])
+        reduced = featured.remove_target_rows(np.array([0]))
         assert reduced.item_features is not None
 
 

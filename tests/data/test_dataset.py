@@ -12,17 +12,9 @@ class TestBasics:
         assert tiny_dataset.interaction_count() == 12
         assert tiny_dataset.interaction_count("buy") == 5
 
-    def test_auxiliary_behaviors(self, tiny_dataset):
-        assert tiny_dataset.auxiliary_behaviors == ("view",)
-
     def test_arrays_parallel(self, tiny_dataset):
         users, items, timestamps = tiny_dataset.arrays("view")
         assert users.shape == items.shape == timestamps.shape
-
-    def test_iter_interactions(self, tiny_dataset):
-        events = list(tiny_dataset.iter_interactions("buy"))
-        assert len(events) == 5
-        assert events[0].behavior == "buy"
 
     def test_user_target_items(self, tiny_dataset):
         np.testing.assert_array_equal(sorted(tiny_dataset.user_target_items(0)), [0, 1])
@@ -68,17 +60,6 @@ class TestDerivedDatasets:
         assert only.behavior_names == ("buy",)
         assert only.target_behavior == "buy"
 
-    def test_remove_target_pairs(self, tiny_dataset):
-        reduced = tiny_dataset.remove_target_pairs(np.array([0]), np.array([1]))
-        assert reduced.interaction_count("buy") == 4
-        assert 1 not in reduced.user_target_items(0)
-        # auxiliary behavior untouched
-        assert reduced.interaction_count("view") == 7
-
-    def test_remove_target_pairs_keeps_other_users(self, tiny_dataset):
-        reduced = tiny_dataset.remove_target_pairs(np.array([0]), np.array([1]))
-        np.testing.assert_array_equal(reduced.user_target_items(1), [2])
-
 
 def _dup_dataset() -> InteractionDataset:
     """Target behavior with repeated (user, item) rows."""
@@ -95,34 +76,6 @@ def _dup_dataset() -> InteractionDataset:
 class TestRemoveExactOccurrences:
     """Pinned regression: removal takes one ROW per request, never every
     occurrence of a repeated (user, item) pair."""
-
-    def test_remove_pair_takes_single_earliest_occurrence(self):
-        reduced = _dup_dataset().remove_target_pairs(np.array([0]),
-                                                     np.array([2]))
-        users, items, ts = reduced.arrays("buy")
-        # (0, 2) appeared at t=1, 3, 5; only the earliest row leaves
-        assert reduced.interaction_count("buy") == 4
-        mask = (users == 0) & (items == 2)
-        assert sorted(ts[mask].tolist()) == [3.0, 5.0]
-
-    def test_duplicate_requests_remove_that_many_rows(self):
-        reduced = _dup_dataset().remove_target_pairs(np.array([0, 0]),
-                                                     np.array([2, 2]))
-        assert reduced.interaction_count("buy") == 3
-        users, items, _ = reduced.arrays("buy")
-        assert int(((users == 0) & (items == 2)).sum()) == 1
-
-    def test_absent_pairs_silently_ignored(self):
-        reduced = _dup_dataset().remove_target_pairs(np.array([1, 1]),
-                                                     np.array([0, 2]))
-        # (1, 0) never happened; only (1, 2) leaves
-        assert reduced.interaction_count("buy") == 4
-
-    def test_empty_request_is_identity(self):
-        dataset = _dup_dataset()
-        reduced = dataset.remove_target_pairs(np.array([], dtype=np.int64),
-                                              np.array([], dtype=np.int64))
-        assert reduced.interaction_count("buy") == dataset.interaction_count("buy")
 
     def test_remove_rows_by_index(self):
         reduced = _dup_dataset().remove_target_rows(np.array([1, 3]))

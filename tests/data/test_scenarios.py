@@ -63,7 +63,7 @@ class TestShapes:
     def test_gowalla_single_behavior_long_tail(self):
         data = build_scenario("gowalla-like", num_users=80, num_items=160)
         assert data.behavior_names == ("checkin",)
-        degrees = data.graph().item_degree("checkin")
+        degrees = data.graph().adjacency("checkin").col_degrees()
         top = np.sort(degrees)[::-1]
         # heavy head: top 10% of venues take a disproportionate share
         head = top[: max(1, len(top) // 10)].sum()

@@ -60,7 +60,9 @@ class TestLeaveOneOut:
 
     def test_auxiliary_behaviors_untouched(self, small_taobao):
         split = leave_one_out_split(small_taobao)
-        for behavior in small_taobao.auxiliary_behaviors:
+        for behavior in small_taobao.behavior_names:
+            if behavior == small_taobao.target_behavior:
+                continue
             assert (split.train.interaction_count(behavior)
                     == small_taobao.interaction_count(behavior))
 

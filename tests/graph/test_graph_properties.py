@@ -38,7 +38,8 @@ def test_degrees_match_adjacency(graph):
     for behavior in graph.behavior_names:
         dense = graph.adjacency(behavior).to_dense()
         np.testing.assert_allclose(graph.user_degree(behavior), dense.sum(axis=1))
-        np.testing.assert_allclose(graph.item_degree(behavior), dense.sum(axis=0))
+        np.testing.assert_allclose(graph.adjacency(behavior).col_degrees(),
+                                   dense.sum(axis=0))
 
 
 @given(random_graph())
@@ -55,7 +56,7 @@ def test_merged_is_union(graph):
 @settings(max_examples=30, deadline=None)
 def test_row_normalization_is_stochastic(graph):
     for behavior in graph.behavior_names:
-        normalized = graph.normalized_adjacency(behavior, "row").to_dense()
+        normalized = graph.adjacency(behavior).normalized("row").to_dense()
         sums = normalized.sum(axis=1)
         degrees = graph.user_degree(behavior)
         for row_sum, degree in zip(sums, degrees):

@@ -316,7 +316,7 @@ class TestGradients:
         assert isinstance(model.user_embeddings.grad, RowSparseGrad)
         assert isinstance(model.item_embeddings.grad, RowSparseGrad)
         # the sparse grad covers at most the widest level set
-        assert (model.user_embeddings.grad.nnz_rows
+        assert (model.user_embeddings.grad.indices.size
                 <= block.user_levels[0].size)
 
     def test_layered_training_converges(self, tiny_split):

@@ -23,11 +23,6 @@ def test_xavier_normal_std(rng):
     assert w.std() == pytest.approx(expected, rel=0.1)
 
 
-def test_he_normal_std(rng):
-    w = init.he_normal((300, 300), rng)
-    assert w.std() == pytest.approx(np.sqrt(2.0 / 300), rel=0.1)
-
-
 def test_normal_std(rng):
     w = init.normal((500, 100), rng, std=0.02)
     assert w.std() == pytest.approx(0.02, rel=0.1)

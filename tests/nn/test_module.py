@@ -83,6 +83,16 @@ class TestStateDict:
         with pytest.raises(ValueError):
             model.load_state_dict(state)
 
+    def test_mismatched_shape_changes_nothing(self):
+        """Every shape is checked before the first parameter is assigned."""
+        model = Linear(2, 2, rng=np.random.default_rng(0))
+        before = model.state_dict()
+        assert list(before) == ["weight", "bias"]
+        with pytest.raises(ValueError, match="bias"):
+            model.load_state_dict({"weight": np.ones((2, 2)),
+                                   "bias": np.zeros(3)})
+        np.testing.assert_array_equal(model.weight.data, before["weight"])
+
 
 def test_base_forward_not_implemented():
     with pytest.raises(NotImplementedError):

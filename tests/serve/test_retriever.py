@@ -117,8 +117,8 @@ class TestExclusionMask:
         every = ExclusionMask.from_dataset(tiny_dataset, behaviors="all")
         # user 0: bought {0, 1}, viewed {0, 1} → same; user 2 bought {3},
         # viewed {3} → same; user 1 bought {2}, viewed {1, 2}
-        assert set(target.items_for(1).tolist()) == {2}
-        assert set(every.items_for(1).tolist()) == {1, 2}
+        assert set(target.gather([1])[1].tolist()) == {2}
+        assert set(every.gather([1])[1].tolist()) == {1, 2}
         assert every.counts(np.arange(4)).sum() >= target.counts(np.arange(4)).sum()
 
     def test_empty_users_are_noops(self):
@@ -159,7 +159,7 @@ class TestTopKRetriever:
         result = retriever.retrieve(np.arange(num_users), k=10)
         for row, user in enumerate(result.users):
             leaked = set(result.items[row].tolist()) & set(
-                mask.items_for(int(user)).tolist())
+                mask.gather([user])[1].tolist())
             assert not leaked, f"user {user} leaked {leaked}"
 
     def test_exhausted_catalog_pads_with_minus_one(self, tables):

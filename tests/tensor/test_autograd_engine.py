@@ -107,13 +107,6 @@ class TestNoGrad:
         assert is_grad_enabled() and y.requires_grad
         assert seen == [False]
 
-    def test_detach(self):
-        x = Tensor([1.0], requires_grad=True)
-        d = (x * 2.0).detach()
-        assert not d.requires_grad
-        out = d * 3.0
-        assert not out.requires_grad
-
 
 class TestTensorBasics:
     def test_dtype_coercion(self):
@@ -140,9 +133,6 @@ class TestTensorBasics:
     def test_constructors(self):
         assert Tensor.zeros(2, 3).shape == (2, 3)
         assert Tensor.ones((4,)).data.sum() == 4.0
-        r = Tensor.randn(5, 5, rng=np.random.default_rng(0), scale=0.1)
-        assert r.shape == (5, 5)
-        assert np.abs(r.data).max() < 1.0
 
     def test_comparison_produces_constants(self):
         x = Tensor([1.0, 5.0], requires_grad=True)

@@ -61,12 +61,6 @@ class TestMatmul:
         h = Tensor(rng.standard_normal((8, 3)), requires_grad=True)
         check_gradients(lambda h: adjacency.matmul(h).tanh(), [h])
 
-    def test_rmatmul_forward_and_grad(self, adjacency, rng):
-        h = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-        out = adjacency.rmatmul(h)
-        np.testing.assert_allclose(out.data, h.data @ adjacency.to_dense())
-        check_gradients(lambda h: adjacency.rmatmul(h), [h])
-
     def test_chained_propagation_gradient(self, adjacency, rng):
         h = Tensor(rng.standard_normal((8, 3)), requires_grad=True)
         check_gradients(lambda h: adjacency.T.matmul(adjacency.matmul(h)), [h])

@@ -299,8 +299,8 @@ class TestIngest:
             return [len(set(train.user_target_items(user).tolist()))
                     for user in range(dataset.num_users)]
 
-        served = [built[0].exclusions.items_for(user).size
-                  for user in range(dataset.num_users)]
+        served = built[0].exclusions.counts(
+            list(range(dataset.num_users))).tolist()
         assert served == seen_counts(
             temporal_split(dataset, test_fraction=0.2).train)
         assert served != seen_counts(leave_one_out_split(dataset).train)

@@ -1,15 +1,17 @@
 """Corruption and compatibility of the one on-disk container.
 
-Every kind of file the project persists — checkpoint, training state,
-the training state of a build that stored tables as row blocks, dataset
-artifact — goes through :mod:`repro.utils.artifact`, so every way a file
-can be wrong has one outcome: :class:`ArtifactError` naming the file,
-never a partial load and never zipfile's / numpy's own exception. Files
+Every kind of file the project persists — checkpoint, a checkpoint that
+carries its model's propagation, training state, the training state of a
+build that stored tables as row blocks, dataset artifact — goes through
+:mod:`repro.utils.artifact`, so every way a file can be wrong has one
+outcome: :class:`ArtifactError` naming the file, never a partial load and
+never zipfile's / numpy's own exception. Files
 written before the container existed (``np.savez_compressed`` +
 ``__checkpoint_meta__``, manifest-less dataset zips) load through the
 same reader, and row blocks are merged back into one table as they do.
 """
 
+import functools
 import io
 import json
 import struct
@@ -55,6 +57,31 @@ def _load_checkpoint(path):
     model = _model(99)
     load_checkpoint(model, path)
     return model.state_dict()
+
+
+@functools.cache
+def _gnmr_data():
+    return taobao_like(num_users=6, num_items=8, seed=0)
+
+
+def _gnmr(seed):
+    from repro.core import GNMR, GNMRConfig
+
+    return GNMR(_gnmr_data(), GNMRConfig(
+        embedding_dim=4, memory_dims=2, num_heads=2, num_layers=1,
+        pretrain=False, seed=seed))
+
+
+def _write_gnmr_checkpoint(path, seed=0):
+    return save_checkpoint(_gnmr(seed), path, metadata={"epoch": 3})
+
+
+def _load_gnmr_checkpoint(path):
+    """The loaded parameters and the tables the model then serves."""
+    model = _gnmr(99)
+    load_checkpoint(model, path)
+    user, item = model.serving_embeddings()
+    return {**model.state_dict(), "serving::user": user, "serving::item": item}
 
 
 EMB_ROWS = 7  # three blocks of it are uneven: 3, 2, 2
@@ -118,6 +145,7 @@ def _load_dataset(path):
 
 KINDS = {
     "checkpoint": (_write_checkpoint, _load_checkpoint),
+    "gnmr-checkpoint": (_write_gnmr_checkpoint, _load_gnmr_checkpoint),
     "train-state": (_write_train_state, _load_train_state),
     "sharded-train-state": (_write_sharded, _load_train_state),
     "dataset": (_write_dataset, _load_dataset),
@@ -307,8 +335,10 @@ class TestHostileFiles:
             load(path)
         assert member[:-4] in str(excinfo.value)
 
-    def test_truncation_at_every_offset(self, tmp_path):
-        path = _write_checkpoint(tmp_path / "artifact.npz")
+    @pytest.mark.parametrize("write", [_write_checkpoint,
+                                       _write_gnmr_checkpoint])
+    def test_truncation_at_every_offset(self, tmp_path, write):
+        path = write(tmp_path / "artifact.npz")
         raw = path.read_bytes()
         for cut in range(len(raw)):
             path.write_bytes(raw[:cut])
@@ -343,27 +373,49 @@ class TestHostileFiles:
                 outcomes["intact"] += 1
         assert outcomes["refused"] > outcomes["intact"] > 0
 
-    def test_failed_load_leaves_the_model_untouched(self, tmp_path):
-        path = _write_checkpoint(tmp_path / "artifact.npz")
+    @pytest.mark.parametrize("write, build", [(_write_checkpoint, _model),
+                                              (_write_gnmr_checkpoint, _gnmr)])
+    def test_failed_load_leaves_the_model_untouched(self, tmp_path, write,
+                                                    build):
+        path = write(tmp_path / "artifact.npz")
         _edit_array_keep_manifest(path)
-        model = _model(5)
+        model = build(5)
         before = {k: v.copy() for k, v in model.state_dict().items()}
+        served = getattr(model, "serving_embeddings", lambda: None)()
+        version = getattr(getattr(model, "engine", None), "version", None)
         with pytest.raises(ArtifactError, match="hash mismatch"):
             load_checkpoint(model, path)
         for name, value in model.state_dict().items():
             np.testing.assert_array_equal(value, before[name])
+        # nor the propagation it had cached from those parameters
+        if served is not None:
+            assert model.engine.version == version
+            assert model.serving_embeddings() is served
         # the deliberate-patch escape hatch skips the hashes, nothing else
         load_checkpoint(model, path, verify=False)
         _remove_member(path)
         with pytest.raises(ArtifactError, match="listed but missing"):
             load_checkpoint(model, path, verify=False)
 
+    def test_flipped_propagation_member_is_refused_by_name(self, tmp_path):
+        path = _write_gnmr_checkpoint(tmp_path / "artifact.npz")
+        raw = path.read_bytes()
+        with zipfile.ZipFile(path) as archive:
+            members = [name for name in archive.namelist()
+                       if name.startswith("propagation::")]
+        assert len(members) == 2
+        for member in members:
+            path.write_bytes(raw)
+            _flip_byte(path, member)
+            with pytest.raises(ArtifactError, match=member[:-4]):
+                _load_gnmr_checkpoint(path)
+
     def test_loader_refuses_the_other_kinds(self, tmp_path):
         paths = {name: write(tmp_path / f"{name}.npz")
                  for name, (write, _) in KINDS.items()}
         for name, path in paths.items():
             for other, (_, load) in KINDS.items():
-                if KINDS[other][1] is KINDS[name][1]:
+                if read_meta(paths[other])["format"] == read_meta(path)["format"]:
                     continue
                 with pytest.raises(ArtifactError, match="format="):
                     load(path)

@@ -62,3 +62,42 @@ class TestIntegrity:
         assert array_sha256(a) != array_sha256(a.astype(np.float32))
         assert array_sha256(a) != array_sha256(a.reshape(2, 3))
         assert array_sha256(a) == array_sha256(a.copy())
+
+
+class TestLoadIntoAServedModel:
+    """Loading parameters changes them: a model that has already served
+    drops what it cached from the old ones, its engine version moves, and
+    a service over it swaps on the next refresh."""
+
+    @staticmethod
+    def _models(dataset, name):
+        from repro.core import GNMR, GNMRConfig
+        from repro.models import NGCF
+
+        if name == "GNMR":
+            return [GNMR(dataset, GNMRConfig(pretrain=False, seed=seed))
+                    for seed in (1, 2)]
+        return [NGCF(dataset, seed=seed) for seed in (1, 2)]
+
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize("name", ["GNMR", "NGCF"])
+    def test_served_model_serves_the_loaded_parameters(
+            self, small_taobao, tmp_path, name, verify):
+        from repro.serve import RecommendationService
+
+        source, served = self._models(small_taobao, name)
+        path = save_checkpoint(source, tmp_path / "m.npz")
+        service = RecommendationService(served, train=small_taobao,
+                                        dtype=None)
+        version = served.engine.version
+        load_checkpoint(served, path, verify=verify)
+        assert served.engine.version != version
+        for got, want in zip(served.serving_embeddings(),
+                             source.serving_embeddings()):
+            np.testing.assert_array_equal(got, want)
+        assert service.refresh()
+        users = np.arange(6)
+        expected = RecommendationService(source, train=small_taobao,
+                                         dtype=None).recommend(users, k=5)
+        np.testing.assert_array_equal(service.recommend(users, k=5).items,
+                                      expected.items)
