@@ -270,7 +270,8 @@ class DynamicBatcher:
             }
 
     def close(self) -> None:
-        """Stop the worker and fail anything still queued (idempotent)."""
+        """Stop the worker, fail anything still queued and drop ``fn``
+        (idempotent)."""
         with self._lock:
             if self._closed:
                 return
@@ -292,6 +293,11 @@ class DynamicBatcher:
                     if leftover is not _SHUTDOWN:
                         leftover._fail(error)
             worker.join(timeout=10.0)
+        if worker is None or not worker.is_alive():
+            # fn is often its owner's bound method (the HTTP server's
+            # _retrieve): dropping it breaks that cycle, so the owner and
+            # what it serves are freed by refcount, not by a full collection
+            self._fn = None
         while True:  # drain anything the worker never reached
             try:
                 leftover = self._queue.get_nowait()

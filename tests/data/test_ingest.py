@@ -1,5 +1,6 @@
 """Tests of the streaming, memory-bounded ingestion pipeline."""
 
+import gc
 import hashlib
 import json
 import re
@@ -145,6 +146,96 @@ class TestIngestCsv:
             IngestOptions(on_bad_rows="ignore")
         with pytest.raises(ValueError):
             IngestOptions(chunk_rows=0)
+
+
+class TestCollectorPause:
+    """A block is read and parsed with the cyclic collector paused, and
+    nothing else is: the consumer, the encode step and every way out of
+    the generator see the collector as the caller left it."""
+
+    def _log(self, tmp_path, num_rows=257):
+        return _write_log(tmp_path / "log.csv", _random_log_rows(num_rows))
+
+    def test_collector_on_after_ingest(self, tmp_path):
+        ingest_csv(self._log(tmp_path), name="g", target_behavior="buy",
+                   chunk_rows=50)
+        assert gc.isenabled()
+
+    def test_collector_on_after_a_bad_row_mid_block(self, tmp_path):
+        rows = _random_log_rows(100)
+        rows[70] = "u1,i1,buy,oops"  # file row 71, in the second block
+        path = _write_log(tmp_path / "bad.csv", rows)
+        with pytest.raises(BadRowError, match="row 71"):
+            ingest_csv(path, name="g", target_behavior="buy", chunk_rows=64)
+        assert gc.isenabled()
+
+    def test_collector_on_after_the_consumer_closes(self, tmp_path):
+        chunks = iter_event_chunks(self._log(tmp_path),
+                                   IngestOptions(chunk_rows=50))
+        assert len(next(chunks)) == 50
+        chunks.close()
+        assert gc.isenabled()
+
+    def test_consumer_runs_with_the_collector_on(self, tmp_path):
+        seen = [gc.isenabled() for _ in iter_event_chunks(
+            self._log(tmp_path), IngestOptions(chunk_rows=50))]
+        assert seen == [True] * 6
+
+    def test_a_disabled_collector_stays_disabled(self, tmp_path):
+        path = self._log(tmp_path)
+        gc.disable()
+        try:
+            seen = [gc.isenabled() for _ in iter_event_chunks(
+                path, IngestOptions(chunk_rows=50))]
+            ingest_csv(path, name="g", target_behavior="buy", chunk_rows=50)
+            after = gc.isenabled()
+        finally:
+            gc.enable()
+        assert seen == [False] * 6
+        assert not after
+
+    def test_a_block_is_dropped_before_its_chunk_is_yielded(self, tmp_path):
+        """The row lists go inside the pause, so while the consumer holds a
+        chunk the rows of that block (and of the one before) are gone:
+        traced memory is under half of the peak its parse reached (0.29-0.40
+        here; 0.53-0.95 when the block lived until the next read)."""
+        import tracemalloc
+
+        path = _write_log(tmp_path / "log.csv",
+                          _random_log_rows(20_000, seed=3))
+        shares = []
+        tracemalloc.start()
+        try:
+            for _ in iter_event_chunks(path, IngestOptions(chunk_rows=5_000)):
+                current, peak = tracemalloc.get_traced_memory()
+                shares.append(current / peak)
+                tracemalloc.reset_peak()
+        finally:
+            tracemalloc.stop()
+        assert len(shares) == 4
+        assert max(shares) < 0.5, shares
+
+    def test_at_most_one_collection_per_block(self, tmp_path):
+        """Each block's 5 000 row lists are freed inside the pause, so they
+        never count towards a collection (before the pause this log set
+        off 26 generation-0 and 2 generation-1 collections)."""
+        path = _write_log(tmp_path / "log.csv",
+                          _random_log_rows(20_000, seed=3))
+        generations = []
+
+        def record(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            _, report = ingest_csv(path, name="g", target_behavior="buy",
+                                   chunk_rows=5_000)
+        finally:
+            gc.callbacks.remove(record)
+        assert report.chunks == 4
+        assert len(generations) <= report.chunks, generations
 
 
 class TestHeaderAndEncoding:

@@ -6,12 +6,14 @@ requests, the cold-user extraction path, the reload lock, and the CLI
 ``serve`` entry point driven from a worker thread.
 """
 
+import gc
 import http.client
 import json
 import socket
 import struct
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -865,6 +867,28 @@ class TestShutdown:
         server = RecommendationHTTPServer(service, port=0,
                                           poll_interval_ms=60_000.0)
         server.close()
+
+    def test_close_releases_the_service_by_refcount(self, gnmr, split):
+        """The batcher calls the server's bound ``_retrieve``, a cycle
+        through the server; after ``close()`` the service (its tables,
+        index and mask) goes with its last reference, not at the next
+        full collection. The collector stays off so only refcounts act."""
+        gc.disable()
+        try:
+            service = RecommendationService(gnmr, train=split.train,
+                                            k_default=5)
+            server = RecommendationHTTPServer(service, port=0,
+                                              poll_interval_ms=60_000.0).start()
+            assert _get(server.port, "/recommend?user=7&k=4")[0] == 200
+            body = json.dumps({"users": [3, 9], "k": 4}).encode()
+            assert _post(server.port, "/recommend", body)[0] == 200
+            server.close()
+            alive = weakref.ref(service)
+            del server, service
+            # a handler thread may still be unwinding its last connection
+            _wait_until(lambda: alive() is None, timeout=5.0)
+        finally:
+            gc.enable()
 
 
 class TestReloadRace:
