@@ -5,10 +5,13 @@ the dominant cost of GNMR (paper §III) and of graph baselines like NGCF.
 This module centralizes the three concerns that used to be duplicated
 across ``core/gnmr.py``, ``models/ngcf.py`` and the introspection helpers:
 
-* **Adjacency building & normalization.** The engine owns the per-behavior
-  user-side (users × items) and item-side (items × users) adjacency stacks,
-  degree-normalized as requested, materialized once in the engine's compute
+* **Adjacency building & normalization.** The engine propagates over the
+  per-behavior user-side (users × items) and item-side (items × users)
+  adjacency stacks, degree-normalized as requested, in the engine's compute
   dtype (float32 for the fast path) with backward transposes precomputed.
+  The graph builds them once per (behaviors, normalization, dtype) —
+  :meth:`~repro.graph.MultiBehaviorGraph.normalized_stacks` — and every
+  engine over it shares the same read-only arrays.
 
 * **Fused multi-behavior SpMM.** The K per-behavior products ``A_k @ H``
   collapse into a single stacked-CSR product: the K adjacencies are
@@ -66,12 +69,6 @@ def bipartite_laplacian(r: sp.spmatrix, dtype=None) -> SparseAdjacency:
     return SparseAdjacency(normalized, dtype=dtype, precompute_transpose=True)
 
 
-def _stack_adjacencies(adjacencies: list[SparseAdjacency], dtype) -> SparseAdjacency:
-    """Vstack K adjacencies into one (K·N) × M CSR for the fused SpMM."""
-    stacked = sp.vstack([a.matrix for a in adjacencies], format="csr")
-    return SparseAdjacency(stacked, dtype=dtype, precompute_transpose=True)
-
-
 class PropagationEngine:
     """Owns adjacency structure, fused SpMM, and the propagation cache.
 
@@ -124,25 +121,13 @@ class PropagationEngine:
         self.num_users = graph.num_users
         self.num_items = graph.num_items
 
-        user_adjacencies: list[SparseAdjacency] = []
-        item_adjacencies: list[SparseAdjacency] = []
-        for behavior in self.behaviors:
-            raw = graph.adjacency(behavior)
-            user_adj = raw
-            item_adj = SparseAdjacency(raw._transposed(), dtype=raw.dtype)
-            if normalization is not None:
-                user_adj = user_adj.normalized(normalization)
-                item_adj = item_adj.normalized(normalization)
-            user_adjacencies.append(user_adj.astype(self.dtype))
-            item_adjacencies.append(item_adj.astype(self.dtype))
-        # Only the fused stacks are retained — the per-behavior lists are
-        # discarded after vstacking and re-materialized on demand as row
-        # slices (see user_adjacencies), so the engine holds one copy of
-        # each side's adjacency values, not two. Propagation and block
-        # extraction both read the stacks, so a training run never makes
-        # the second.
-        self._user_stack = _stack_adjacencies(user_adjacencies, self.dtype)
-        self._item_stack = _stack_adjacencies(item_adjacencies, self.dtype)
+        # The graph builds each (behaviors, normalization, dtype) stack pair
+        # once and every engine over it shares the read-only arrays; only
+        # the fused stacks exist — per-behavior adjacencies are
+        # re-materialized on demand as row slices (see user_adjacencies).
+        # Propagation and block extraction both read the stacks.
+        self._user_stack, self._item_stack = graph.normalized_stacks(
+            self.behaviors, normalization, self.dtype)
         self._user_slices: list[SparseAdjacency] | None = None
         self._item_slices: list[SparseAdjacency] | None = None
         self._single: SparseAdjacency | None = None

@@ -38,6 +38,17 @@ class GraphStats:
         }
 
 
+def _read_only_stack(adjacencies: list[SparseAdjacency], dtype) -> SparseAdjacency:
+    """Vstack K adjacencies into one (K·N) × M CSR for the fused SpMM, its
+    arrays and its transpose's arrays made read-only."""
+    stacked = sp.vstack([a.matrix for a in adjacencies], format="csr")
+    stack = SparseAdjacency(stacked, dtype=dtype, precompute_transpose=True)
+    for matrix in (stack.matrix, stack._transposed()):
+        for part in (matrix.data, matrix.indices, matrix.indptr):
+            part.flags.writeable = False
+    return stack
+
+
 class MultiBehaviorGraph:
     """Per-behavior bipartite adjacency over users and items.
 
@@ -83,6 +94,7 @@ class MultiBehaviorGraph:
             matrix.data[:] = 1.0
             self._adjacency[name] = SparseAdjacency(matrix)
         self._merged_cache: SparseAdjacency | None = None
+        self._stacks: dict[tuple, tuple[SparseAdjacency, SparseAdjacency]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -104,6 +116,42 @@ class MultiBehaviorGraph:
             total.data[:] = 1.0
             self._merged_cache = SparseAdjacency(total)
         return self._merged_cache
+
+    def normalized_stacks(self, behaviors: tuple[str, ...],
+                          normalization: str | None, dtype,
+                          ) -> tuple[SparseAdjacency, SparseAdjacency]:
+        """Fused user-side ``(K·I) × J`` and item-side ``(K·J) × I`` stacks.
+
+        Behavior ``k`` of ``behaviors`` occupies rows ``[k·N, (k+1)·N)``,
+        degree-normalized as ``normalization`` asks (see
+        :meth:`SparseAdjacency.normalized`; ``None`` keeps raw sums), with
+        values in ``dtype`` and the backward transpose precomputed. Built
+        once per ``(behaviors, normalization, dtype)`` and shared by every
+        engine over this graph, so their arrays are read-only: one model
+        cannot change another's structure.
+        """
+        behaviors, dtype = tuple(behaviors), np.dtype(dtype)
+        key = (behaviors, normalization, dtype)
+        stacks = self._stacks.get(key)
+        if stacks is None:
+            user_side: list[SparseAdjacency] = []
+            item_side: list[SparseAdjacency] = []
+            for behavior in behaviors:
+                # the raw transpose is built here and dropped with the
+                # other intermediates, not cached on the raw adjacency:
+                # nothing but this build reads it
+                raw = self._adjacency[behavior]
+                user_adj = raw
+                item_adj = SparseAdjacency(raw.matrix.T.tocsr(), dtype=raw.dtype)
+                if normalization is not None:
+                    user_adj = user_adj.normalized(normalization)
+                    item_adj = item_adj.normalized(normalization)
+                user_side.append(user_adj.astype(dtype))
+                item_side.append(item_adj.astype(dtype))
+            stacks = (_read_only_stack(user_side, dtype),
+                      _read_only_stack(item_side, dtype))
+            self._stacks[key] = stacks
+        return stacks
 
     # ------------------------------------------------------------------
     def user_degree(self, behavior: str) -> np.ndarray:

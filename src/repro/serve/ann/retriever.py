@@ -32,7 +32,8 @@ class ApproxRetriever:
     Parameters
     ----------
     backend:
-        A :class:`~repro.serve.retriever.MatrixBackend` (anything with
+        A :class:`~repro.serve.retriever.MatrixBackend` or an
+        :class:`~repro.serve.store.EmbeddingStore` (anything with
         ``user_matrix`` / ``item_matrix`` / ``num_items``); brute-force
         scorer backends have no embedding geometry to index.
     index:

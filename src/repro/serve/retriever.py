@@ -75,6 +75,23 @@ class TopKResult:
         ]
 
 
+#: rows of the (J, D) catalog transposed per block into the backend's
+#: (D, J) copy: a block is read and written while both sides sit in cache.
+#: One strided pass (``np.ascontiguousarray(item_matrix.T)``) took 91 ms
+#: at 200 000 × 48 float32 on a 2-vCPU VM, blocks of 256–4 096 rows
+#: 20–24 ms, 16 384 rows 25 ms; float64 259 ms against 45 ms at 1 024
+TRANSPOSE_BLOCK_ROWS = 1024
+
+
+def _contiguous_transpose(matrix: np.ndarray) -> np.ndarray:
+    """C-contiguous copy of ``matrix.T``, filled in cache-sized row blocks."""
+    out = np.empty(matrix.shape[::-1], dtype=matrix.dtype)
+    for start in range(0, matrix.shape[0], TRANSPOSE_BLOCK_ROWS):
+        stop = start + TRANSPOSE_BLOCK_ROWS
+        out[:, start:stop] = matrix[start:stop].T
+    return out
+
+
 class MatrixBackend:
     """Full-catalog scoring as one blocked matmul over serving embeddings.
 
@@ -112,7 +129,7 @@ class MatrixBackend:
         self.user_matrix = user_matrix
         # keep the transposed catalog contiguous so every block matmul hits
         # the fast GEMM path instead of a strided fallback
-        self._item_t = np.ascontiguousarray(item_matrix.T)
+        self._item_t = _contiguous_transpose(item_matrix)
 
     @property
     def num_users(self) -> int:

@@ -143,8 +143,11 @@ class RecommendationService:
                 num_lists=opts.get("num_lists"),
                 quant=opts.get("quant", "none"),
                 seed=opts.get("seed", 0))
+            # the store has what the IVF search reads (user rows, item
+            # count); the exact backend's transposed catalog copy is built
+            # only when something scans exactly
             return ApproxRetriever(
-                store.backend(), index, exclude=self.exclusions,
+                store, index, exclude=self.exclusions,
                 batch_users=self.batch_users,
                 nprobe=opts.get("nprobe", 8),
                 shortlist_k=opts.get("shortlist_k"))

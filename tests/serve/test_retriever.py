@@ -10,6 +10,7 @@ from repro.serve import (
     TopKRetriever,
     backend_for,
 )
+from repro.serve.retriever import TRANSPOSE_BLOCK_ROWS
 
 
 @pytest.fixture
@@ -44,6 +45,33 @@ class TestMatrixBackend:
         backend = MatrixBackend(*tables, dtype="float32")
         assert backend.user_matrix.dtype == np.float32
         assert backend.score_block(np.array([0])).dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [1, 48])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1, "3b+7"])
+    def test_blocked_transpose_is_the_contiguous_one(self, rng, dtype, dim,
+                                                     offset):
+        block = TRANSPOSE_BLOCK_ROWS
+        num_items = {None: 1, "3b+7": 3 * block + 7}.get(offset)
+        if num_items is None:
+            num_items = block + offset
+        item_matrix = rng.standard_normal((num_items, dim)).astype(dtype)
+        user_matrix = rng.standard_normal((5, dim)).astype(dtype)
+        backend = MatrixBackend(user_matrix, item_matrix)
+        want = np.ascontiguousarray(item_matrix.T)
+        assert backend._item_t.flags.c_contiguous
+        assert backend._item_t.dtype == dtype
+        np.testing.assert_array_equal(backend._item_t, want)
+        np.testing.assert_array_equal(backend.item_matrix, item_matrix)
+        queries = user_matrix[[4, 0, 2]]
+        out = np.empty((3, num_items), dtype=dtype)
+        assert backend.score_queries(queries, out=out) is out
+        np.testing.assert_array_equal(out, queries @ want)
+        users = np.array([0, 1, 4, 4])
+        items = np.array([0, num_items - 1, num_items // 2, 0])
+        np.testing.assert_array_equal(
+            backend.score_pairs(users, items),
+            np.einsum("bd,bd->b", user_matrix[users], want.T[items]))
 
     def test_dim_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -130,6 +130,36 @@ class TestApproxServing:
         b = exact.recommend(users, k=10)
         np.testing.assert_array_equal(a.items, b.items)
 
+    def test_ivf_builds_no_exact_backend(self, gnmr, split, monkeypatch):
+        """An IVF service reads the store's user rows; the exact backend's
+        transposed catalog copy is made only when something scans exactly."""
+        from repro.serve import ApproxRetriever, MatrixBackend
+
+        built = []
+        init = MatrixBackend.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MatrixBackend, "__init__", counted)
+        ann = {"nprobe": 2, "quant": "int8"}
+        service = RecommendationService(gnmr, train=split.train,
+                                        retriever="ivf", ann=ann)
+        users = np.arange(split.train.num_users)
+        got = service.recommend(users, k=10)
+        got_cold = service.recommend_cold(users, k=10)
+        assert built == [] and service.store._backend is None
+        store = service.store
+        index = store.ann_index(quant="int8")
+        over_backend = ApproxRetriever(store.backend(), index, nprobe=2,
+                                       exclude=service.exclusions)
+        assert len(built) == 1
+        want = over_backend.retrieve(users, k=10)
+        np.testing.assert_array_equal(got.items, want.items)
+        np.testing.assert_array_equal(got.scores, want.scores)
+        np.testing.assert_array_equal(got_cold.items, want.items)
+
     def test_ivf_excludes_training_positives(self, gnmr, split):
         service = RecommendationService(gnmr, train=split.train,
                                         retriever="ivf",
