@@ -180,7 +180,7 @@ def cmd_train(args) -> int:
                   resume_from=args.resume)
     except ValueError as exc:
         # a flag combination training refuses: --resume under a different
-        # config, --save-state on a model with its own loop, ...
+        # config, --propagation async on a model that samples no blocks
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.eval == "full":

@@ -109,6 +109,8 @@ class GNMRConfig:
             raise ValueError("layer_combination must be 'sum' or 'mean'")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if self.pretrain and (self.pretrain_epochs < 1 or self.pretrain_lr <= 0):
+            raise ValueError("pretrain_epochs must be >= 1 and pretrain_lr > 0")
         from repro.graph.layered import resolve_fanout, validate_fanout
 
         validate_fanout(self.fanout)

@@ -15,23 +15,26 @@ import numpy as np
 from repro.data.dataset import InteractionDataset
 from repro.nn.layers import Linear
 from repro.nn.module import Module
-from repro.nn.optim import Adam
 from repro.tensor import Tensor
+from repro.train.sources import ProfileSource
+from repro.train.trainer import TrainConfig, Trainer
 
 
 class AutoencoderPretrainer(Module):
-    """One-hidden-layer autoencoder: x → σ(Wx+b) → W'h+b'.
+    """One-hidden-layer autoencoder over ``profiles``: x → σ(Wx+b) → W'h+b'.
 
     Trained with MSE on the full profile vectors (they are dense binary
     aggregates, so full reconstruction is the AutoRec objective with
     observed-everything weighting — appropriate for implicit data).
     """
 
-    def __init__(self, input_dim: int, embedding_dim: int,
-                 rng: np.random.Generator):
+    def __init__(self, profiles: np.ndarray, embedding_dim: int,
+                 rng: np.random.Generator, batch_size: int = 64):
         super().__init__()
-        self.encoder = Linear(input_dim, embedding_dim, rng=rng)
-        self.decoder = Linear(embedding_dim, input_dim, rng=rng)
+        self.profiles, self.batch_size = profiles, batch_size
+        self._rng = rng
+        self.encoder = Linear(profiles.shape[1], embedding_dim, rng=rng)
+        self.decoder = Linear(embedding_dim, profiles.shape[1], rng=rng)
 
     def encode(self, x: Tensor) -> Tensor:
         return self.encoder(x).sigmoid()
@@ -39,34 +42,18 @@ class AutoencoderPretrainer(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.decoder(self.encode(x))
 
-    def fit(self, profiles: np.ndarray, epochs: int, lr: float,
-            batch_size: int, rng: np.random.Generator) -> list[float]:
-        """Train; returns the per-epoch reconstruction losses."""
-        optimizer = Adam(self.parameters(), lr=lr)
-        losses: list[float] = []
-        n = profiles.shape[0]
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            for start in range(0, n, batch_size):
-                rows = order[start:start + batch_size]
-                x = Tensor(profiles[rows])
-                recon = self(x)
-                diff = recon - x
-                loss = (diff * diff).mean()
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                epoch_loss += float(loss.data) * len(rows)
-            losses.append(epoch_loss / n)
-        return losses
+    def batch_source(self, train, config) -> ProfileSource:
+        """``batch_size`` rows a step, no L2, permuted by the rng that
+        initialised the layers; ``train`` is not read."""
+        return ProfileSource(self.profiles, self.batch_size, self._rng,
+                             lambda x, rows: self(x))
 
-    def embeddings(self, profiles: np.ndarray) -> np.ndarray:
+    def embeddings(self) -> np.ndarray:
         """Encoder outputs, centered and variance-normalized for use as H⁰."""
         from repro.tensor import no_grad
 
         with no_grad():
-            codes = self.encode(Tensor(profiles)).data
+            codes = self.encode(Tensor(self.profiles)).data
         codes = codes - codes.mean(axis=0, keepdims=True)
         std = codes.std()
         if std > 1e-8:
@@ -101,10 +88,12 @@ def pretrain_embeddings(dataset: InteractionDataset, embedding_dim: int,
     Returns arrays of shape (I, d) and (J, d).
     """
     rng = np.random.default_rng(seed)
-    user_profiles, item_profiles = _behavior_weighted_profiles(dataset)
-
-    user_ae = AutoencoderPretrainer(dataset.num_items, embedding_dim, rng)
-    user_ae.fit(user_profiles, epochs=epochs, lr=lr, batch_size=batch_size, rng=rng)
-    item_ae = AutoencoderPretrainer(dataset.num_users, embedding_dim, rng)
-    item_ae.fit(item_profiles, epochs=epochs, lr=lr, batch_size=batch_size, rng=rng)
-    return user_ae.embeddings(user_profiles), item_ae.embeddings(item_profiles)
+    # pre-training runs at a constant learning rate
+    config = TrainConfig(epochs=epochs, lr=lr, lr_decay=1.0, seed=seed)
+    codes = []
+    for profiles in _behavior_weighted_profiles(dataset):
+        autoencoder = AutoencoderPretrainer(profiles, embedding_dim, rng,
+                                            batch_size)
+        Trainer(autoencoder, dataset, config).run()
+        codes.append(autoencoder.embeddings())
+    return tuple(codes)

@@ -139,7 +139,10 @@ def _fixed(rows: list[Row]) -> Callable[[InteractionDataset], list[Row]]:
 
 
 def _models(names: tuple[str, ...]) -> list[Row]:
-    return [(name, name, {}, {}) for name in names]
+    # the two autoencoder baselines train at a constant learning rate
+    return [(name, name, {},
+             {"lr_decay": 1.0} if name in ("AutoRec", "CDAE") else {})
+            for name in names]
 
 
 def _gnmr(variants: dict[str, dict]) -> list[Row]:
@@ -307,7 +310,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         relative_to="GNMR-2"),
     "ext": Experiment(
         title="Extension ablations (init / aggregator / fusion / heads / loss)",
-        # the one row with a TrainConfig override
+        # the one GNMR row with a TrainConfig override
         rows=_fixed(_gnmr(EXT_VARIANTS)
                     + [("BPR loss (vs hinge)", "GNMR", {}, {"loss": "bpr"})]),
         claims={"metrics-valid": metrics_valid}),

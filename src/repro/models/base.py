@@ -4,8 +4,9 @@ Every model — GNMR and all Table-II baselines — subclasses
 :class:`Recommender`, so the experiment harness can train and evaluate them
 uniformly:
 
-* :meth:`Recommender.fit` — pairwise training via :class:`repro.train.Trainer`
-  (reconstruction-style models override ``fit`` entirely);
+* :meth:`Recommender.fit` — training via :class:`repro.train.Trainer`, one
+  loop for every model; what a step draws and minimises is the model's
+  :meth:`Recommender.batch_source` (pairwise by default);
 * :meth:`Recommender.score` — numpy scoring for evaluation;
 * :meth:`Recommender.score_tensor` — differentiable scoring for training;
 * :meth:`Recommender.recommend` — top-N item lists for applications.
@@ -19,6 +20,7 @@ from repro.data.dataset import InteractionDataset
 from repro.nn.module import Module
 from repro.tensor import Tensor, no_grad
 from repro.train.callbacks import HistoryRecorder
+from repro.train.sources import FullGraphSource, SampledBlockSource
 from repro.train.trainer import TrainConfig, Trainer
 
 
@@ -142,9 +144,17 @@ class Recommender(Module):
     # ------------------------------------------------------------------
     # training
     # ------------------------------------------------------------------
+    def batch_source(self, train: InteractionDataset, config: TrainConfig):
+        """What each training step draws and minimises
+        (:mod:`repro.train.sources`): by default the paper's pairwise
+        objective, full-graph or mini-batch as ``config.propagation`` says."""
+        if config.propagation == "async":
+            return SampledBlockSource(self, train, config)
+        return FullGraphSource(self, train, config)
+
     def fit(self, train: InteractionDataset, config: TrainConfig | None = None,
             eval_fn=None, resume_from: str | None = None) -> HistoryRecorder:
-        """Train with the paper's pairwise objective; returns history.
+        """Train through :class:`Trainer`; returns the history.
 
         ``resume_from`` continues bit-exactly from a training-state file a
         previous run wrote via ``TrainConfig.save_state``.
@@ -152,18 +162,6 @@ class Recommender(Module):
         config = config or TrainConfig()
         trainer = Trainer(self, train, config, eval_fn=eval_fn)
         return trainer.run(resume_from=resume_from)
-
-    def _refuse_trainer_settings(self, config: TrainConfig,
-                                 resume_from: str | None) -> None:
-        """For the models that override :meth:`fit` with their own loop:
-        what only :class:`Trainer` implements is refused, not ignored."""
-        for setting, given in (("resume_from", resume_from is not None),
-                               ("save_state", config.save_state is not None)):
-            if given:
-                raise ValueError(
-                    f"{self.name} trains with its own loop, not through "
-                    f"Trainer, which is what implements {setting} — "
-                    "train it without that setting")
 
     # ------------------------------------------------------------------
     # serving API

@@ -4,8 +4,9 @@ Neural Multi-Task Recommendation: one shared embedding layer; one NCF-style
 interaction function per behavior type; predictions are *cascaded* along
 the behavior funnel — the logit for behavior k adds the logit for behavior
 k−1, encoding "later behaviors presuppose earlier ones". Training is
-multi-task: a pairwise loss per behavior, weighted and summed, so the
-:meth:`fit` is overridden to sample batches per behavior.
+multi-task: a pairwise loss per behavior, weighted and summed — its batch
+source (:class:`~repro.train.sources.MultiBehaviorSource`) samples one
+batch per behavior each step.
 """
 
 from __future__ import annotations
@@ -13,15 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import InteractionDataset
-from repro.graph.sampling import NegativeSampler, sample_pairwise_batch
 from repro.models.base import Recommender
 from repro.nn.layers import Embedding, Linear
-from repro.nn.losses import l2_regularization, pairwise_hinge_loss
 from repro.nn.module import ModuleList
-from repro.nn.optim import Adam
-from repro.nn.schedulers import ExponentialDecay
 from repro.tensor import Tensor
-from repro.train.callbacks import HistoryRecorder
+from repro.train.sources import MultiBehaviorSource
 from repro.train.trainer import TrainConfig
 
 
@@ -66,57 +63,7 @@ class NMTR(Recommender):
         return self._cascaded_logits(np.asarray(users), np.asarray(items),
                                      self._target_index)
 
-    # ------------------------------------------------------------------
-    def fit(self, train: InteractionDataset, config: TrainConfig | None = None,
-            eval_fn=None, resume_from: str | None = None) -> HistoryRecorder:
+    def batch_source(self, train: InteractionDataset, config: TrainConfig):
         """Multi-task pairwise training across all behavior types."""
-        config = config or TrainConfig()
-        self._refuse_trainer_settings(config, resume_from)
-        rng = np.random.default_rng(config.seed)
-        graph = train.graph()
-        samplers = {b: NegativeSampler(graph, b) for b in self.behavior_names}
-        eligible = {
-            b: np.flatnonzero(graph.user_degree(b) > 0) for b in self.behavior_names
-        }
-        optimizer = Adam(self.parameters(), lr=config.lr)
-        scheduler = ExponentialDecay(optimizer, rate=config.lr_decay)
-        history = HistoryRecorder()
-
-        self.train()
-        for epoch in range(config.epochs):
-            total_loss = 0.0
-            count = 0
-            for _ in range(config.steps_per_epoch):
-                loss: Tensor | None = None
-                for k, behavior in enumerate(self.behavior_names):
-                    if eligible[behavior].size == 0:
-                        continue
-                    batch = sample_pairwise_batch(
-                        graph, behavior, samplers[behavior],
-                        config.batch_users, config.per_user, rng,
-                        eligible_users=eligible[behavior],
-                    )
-                    if len(batch) == 0:
-                        continue
-                    pos = self._cascaded_logits(batch.users, batch.pos_items, k)
-                    neg = self._cascaded_logits(batch.users, batch.neg_items, k)
-                    task_loss = pairwise_hinge_loss(pos, neg, margin=config.margin)
-                    task_loss = task_loss * self.task_weights[k]
-                    loss = task_loss if loss is None else loss + task_loss
-                    count += len(batch)
-                if loss is None:
-                    continue
-                loss = loss + l2_regularization(self.parameters(), config.l2_weight)
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                total_loss += float(loss.data)
-            lr = scheduler.step()
-            record = {"epoch": epoch, "loss": total_loss / max(count, 1), "lr": lr}
-            if eval_fn is not None:
-                self.eval()
-                record["metric"] = float(eval_fn())
-                self.train()
-            history.record(**record)
-        self.eval()
-        return history
+        return MultiBehaviorSource(self, train, config, self.behavior_names,
+                                   self.task_weights, self._cascaded_logits)

@@ -1,7 +1,7 @@
 """Minimal neural-network library on top of :mod:`repro.tensor`.
 
 Provides the module/parameter abstraction, common layers, initializers,
-losses, optimizers and learning-rate schedulers used by GNMR and all the
+losses, optimizers and the learning-rate schedule used by GNMR and all the
 baseline recommenders.
 """
 
@@ -24,7 +24,7 @@ from repro.nn.optim import (
     clip_grad_norm,
     global_grad_norm,
 )
-from repro.nn.schedulers import ExponentialDecay, StepDecay, ConstantSchedule
+from repro.nn.schedulers import ExponentialDecay
 
 __all__ = [
     "Module",
@@ -50,6 +50,4 @@ __all__ = [
     "clip_grad_norm",
     "global_grad_norm",
     "ExponentialDecay",
-    "StepDecay",
-    "ConstantSchedule",
 ]

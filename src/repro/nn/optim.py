@@ -97,7 +97,7 @@ class Optimizer:
     def sync(self) -> None:
         """A no-op: parameters are final after every ``step()``. Kept only
         because ``benchmarks/e2e/workloads.py::traced_fit`` calls it; it
-        leaves with ``traced_fit`` (ROADMAP item 3, second step).
+        leaves with ``traced_fit`` (ROADMAP item 7, second step).
         """
 
     # -- state serialization (mid-run checkpointing) --------

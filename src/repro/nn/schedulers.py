@@ -1,23 +1,13 @@
 """Learning-rate schedules.
 
-The paper applies an exponential decay of 0.96 during training; schedules
-here mutate the wrapped optimizer's ``lr`` when :meth:`step` is called at
-each epoch boundary.
+The paper applies an exponential decay of 0.96 during training; the
+schedule mutates the wrapped optimizer's ``lr`` when :meth:`step` is called
+at each epoch boundary.
 """
 
 from __future__ import annotations
 
 from repro.nn.optim import Optimizer
-
-
-class ConstantSchedule:
-    """No-op schedule (keeps the initial learning rate)."""
-
-    def __init__(self, optimizer: Optimizer):
-        self.optimizer = optimizer
-
-    def step(self) -> float:
-        return self.optimizer.lr
 
 
 class ExponentialDecay:
@@ -34,22 +24,4 @@ class ExponentialDecay:
     def step(self) -> float:
         self.epoch += 1
         self.optimizer.lr = self.initial_lr * self.rate ** self.epoch
-        return self.optimizer.lr
-
-
-class StepDecay:
-    """Multiply lr by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5):
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self.initial_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> float:
-        self.epoch += 1
-        self.optimizer.lr = self.initial_lr * self.gamma ** (self.epoch // self.step_size)
         return self.optimizer.lr

@@ -1,4 +1,4 @@
-"""Training harness: generic pairwise trainer, seeding, callbacks."""
+"""Training harness: one trainer, its batch sources, seeding, callbacks."""
 
 from repro.train.seed import seeded_rng, spawn_rngs
 from repro.train.trainer import Trainer, TrainConfig, EpochLog

@@ -1,59 +1,43 @@
-"""Generic pairwise trainer implementing Algorithm 1 of the paper.
+"""One training loop for every model (Algorithm 1 of the paper).
 
-Each epoch: sample seed users, draw S positives and S negatives per user,
-score both sides, apply the margin loss of Eq. (7) plus λ‖Θ‖², and update
-with Adam under an exponential learning-rate decay (rate 0.96).
+Each epoch runs a fixed number of steps; each step draws a batch, takes
+its loss (for the pairwise models the margin loss of Eq. (7) plus
+λ‖Θ‖²) and updates with Adam under an exponential learning-rate decay
+(rate 0.96). Two things are selected once, when a run starts: the batch
+source (the model's ``batch_source``, :mod:`repro.train.sources`) and the
+optimizer (``TrainConfig.optimizer``: Adam or SGD); the loop never
+branches on either. One process applies every step.
 
-Two propagation modes (``TrainConfig.propagation``):
-
-* ``"full"`` — every step propagates over the whole graph and regularizes
-  every parameter; float64 runs are bit-reproducible with the seed goldens.
-* ``"async"`` — the mini-batch path (:mod:`repro.train.pipeline`): batches
-  come from a pre-drawn deterministic stream, per-hop *layered* blocks are
-  extracted around each batch's seeds (fanout-capped L-hop sampling; each
-  layer computes only the rows the next one needs — see
-  :mod:`repro.graph.layered`), the model scores through
-  ``block_batch_scores`` with row-sparse embedding gradients and
-  regularizes batch-locally via ``model.l2_batch`` (λ‖Θ_batch‖²), and the
-  optimizer applies lazy per-row updates — so the step cost scales with
-  batch size and fanout instead of graph size. ``workers=0`` extracts
-  inline; ``workers>=1`` double-buffers extraction on background threads
-  ahead of the optimizer. The trajectory is bit-identical for any worker
-  count (extraction rngs are split per step, not per worker) — workers
-  change only how much extraction overlaps compute.
-
-The loop itself is the same in every mode. Two things are selected once,
-when a run starts: the batch source (``propagation``) and the optimizer
-(``TrainConfig.optimizer``: Adam or SGD). One process applies every step.
+The pairwise models have two sources, by ``TrainConfig.propagation``:
+``"full"`` propagates over the whole graph every step and regularizes
+every parameter (float64 runs are bit-reproducible with the seed
+goldens); ``"async"`` is the mini-batch path (:mod:`repro.train.pipeline`):
+fanout-capped per-hop *layered* blocks (:mod:`repro.graph.layered`)
+around each batch's seeds, row-sparse embedding gradients, the
+batch-local ``model.l2_batch`` and lazy per-row optimizer updates, so the
+step cost scales with batch size and fanout instead of graph size.
+``workers=0`` extracts inline; ``workers>=1`` double-buffers extraction
+on background threads. The trajectory is bit-identical for any worker
+count (extraction rngs are split per step, not per worker).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
-
-import numpy as np
+from typing import Callable
 
 from repro.data.dataset import InteractionDataset
-from repro.graph.sampling import NegativeSampler, sample_pairwise_batch
 from repro.graph.layered import validate_fanout
-from repro.nn.losses import bpr_loss, l2_regularization, pairwise_hinge_loss
+from repro.nn.layers import Dropout
 from repro.nn.optim import clip_grad_norm, make_optimizer
 from repro.nn.schedulers import ExponentialDecay
 from repro.train.callbacks import EarlyStopping, HistoryRecorder
-from repro.train.pipeline import PreparedBatch, SampledBatchPipeline
-
-
-_LOSSES: dict[str, Callable] = {
-    "hinge": lambda pos, neg, margin: pairwise_hinge_loss(pos, neg, margin=margin),
-    "bpr": lambda pos, neg, margin: bpr_loss(pos, neg),
-}
+from repro.train.sources import PAIRWISE_LOSSES, SampledBlockSource
 
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters of the pairwise training loop.
+    """Hyperparameters of the training loop.
 
     Defaults follow the paper: Adam, lr 1e-3, decay 0.96, batch size 32
     (seed users per step), margin hinge loss.
@@ -120,31 +104,46 @@ class TrainConfig:
     save_every_steps: int | None = None
 
     def __post_init__(self):
+        # a value that would train nothing (zero steps, a zero rate) is
+        # refused here, not discovered as a run that reports loss 0.0
+        rules = [(name, ">= 1", getattr(self, name) >= 1) for name in (
+            "epochs", "steps_per_epoch", "batch_users", "per_user",
+            "prefetch_depth", "eval_every")]
+        rules += [
+            ("lr", "> 0", self.lr > 0),
+            ("lr_decay", "in (0, 1]", 0 < self.lr_decay <= 1),
+            ("l2_weight", ">= 0", self.l2_weight >= 0),
+            ("grad_clip", "> 0 (or None)",
+             self.grad_clip is None or self.grad_clip > 0),
+            ("early_stopping_patience", ">= 1 (or None)",
+             self.early_stopping_patience is None
+             or self.early_stopping_patience >= 1),
+            ("dtype", "'float32', 'float64' or None",
+             self.dtype in (None, "float32", "float64")),
+            ("workers", ">= 0", self.workers >= 0),
+            ("save_every_steps", ">= 1 (or None)",
+             self.save_every_steps is None or self.save_every_steps >= 1),
+        ]
+        for name, rule, holds in rules:
+            if not holds:
+                raise ValueError(f"{name} must be {rule}, got "
+                                 f"{getattr(self, name)!r}")
         if self.propagation not in ("full", "async"):
             raise ValueError(
                 f"unknown propagation mode {self.propagation!r} (use 'full' "
                 "or 'async'; the inline mini-batch path is "
                 'propagation="async", workers=0)')
-        if self.loss not in _LOSSES:
+        if self.loss not in PAIRWISE_LOSSES:
             raise ValueError(f"unknown loss {self.loss!r} "
                              "(use 'hinge' or 'bpr')")
         if self.fanout != "model":
             validate_fanout(self.fanout)
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
-        if self.prefetch_depth < 1:
-            raise ValueError("prefetch_depth must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r} "
                              "(use 'adam' or 'sgd')")
-        if self.save_every_steps is not None:
-            if self.save_every_steps < 1:
-                raise ValueError("save_every_steps must be >= 1 (or None)")
-            if self.save_state is None:
-                raise ValueError("save_every_steps requires save_state "
-                                 "(where would the state go?)")
+        if self.save_every_steps is not None and self.save_state is None:
+            raise ValueError("save_every_steps requires save_state "
+                             "(where would the state go?)")
 
     def fanout_kwargs(self) -> dict:
         """``{"fanout": ...}`` for the model calls, or ``{}`` to defer.
@@ -166,19 +165,15 @@ class EpochLog:
 
 
 class Trainer:
-    """Drives pairwise training of any model exposing ``batch_scores``.
+    """Drives the training of any model through its batch source.
 
     The model contract (see :class:`repro.models.base.Recommender`):
 
-    * ``parameters()`` — trainable parameters,
-    * ``batch_scores(users, pos_items, neg_items)`` — differentiable
-      (pos_scores, neg_scores) tensors,
-    * ``extract_block(...)`` / ``block_batch_scores(...)`` / ``l2_batch(...)``
-      — the mini-batch (async-mode) entry point: parameter-free block
-      extraction the pipeline can prefetch on a worker thread, scoring over
-      the extracted block, and the batch-local regularizer (base fallback:
-      ``None`` block + dense scoring + full L2, so every model trains in
-      async mode),
+    * ``parameters()`` / ``named_parameters()`` — trainable parameters,
+    * ``batch_source(train, config)`` — the run's batch source
+      (:mod:`repro.train.sources`): its steps per epoch, step-ordered
+      draws and each step's loss; the base class's is the pairwise one,
+      full-graph or mini-batch by ``config.propagation``,
     * ``train()`` / ``eval()`` — mode switching,
     * ``on_step_end()`` — optional cache-invalidation hook.
 
@@ -197,7 +192,6 @@ class Trainer:
                  eval_fn: Callable[[], float] | None = None,
                  step_hook: Callable[["Trainer", int], None] | None = None):
         self.model = model
-        self.data = train_data
         self.config = config
         self.eval_fn = eval_fn
         #: called as ``step_hook(trainer, global_step)`` after every loop
@@ -205,11 +199,14 @@ class Trainer:
         #: handy for external progress reporting
         self.step_hook = step_hook
         self.history = HistoryRecorder()
-        self._rng = np.random.default_rng(config.seed)
-        self._graph = train_data.graph()
-        self._sampler = NegativeSampler(self._graph, train_data.target_behavior)
-        degrees = self._graph.user_degree(train_data.target_behavior)
-        self._eligible = np.flatnonzero(degrees > 0)
+        #: picked once per run; the step loop never branches on the mode
+        self.source = model.batch_source(train_data, config)
+        if (config.propagation == "async"
+                and not isinstance(self.source, SampledBlockSource)):
+            raise ValueError(
+                f"{type(model).__name__} trains from its own batch source, "
+                "which samples no blocks: propagation='async' applies only "
+                "to the pairwise models — train it with propagation='full'")
 
     def run(self, resume_from: str | None = None) -> HistoryRecorder:
         """Train for the configured epochs; returns the history.
@@ -229,46 +226,13 @@ class Trainer:
         if resume_from is not None:
             resume = load_training_state(resume_from)
             check_resume_config(resume.config, cfg)
-            if resume.global_step > cfg.epochs * cfg.steps_per_epoch:
+            total_steps = cfg.epochs * self.source.steps_per_epoch
+            if resume.global_step > total_steps:
                 raise ValueError(
                     f"saved state is {resume.global_step} steps in; this "
-                    f"config only trains "
-                    f"{cfg.epochs * cfg.steps_per_epoch} steps")
+                    f"config only trains {total_steps} steps")
         with default_dtype(cfg.dtype):  # None → ambient default
             return self._epoch_loop(resume)
-
-    def _draw_batch(self, rng: np.random.Generator):
-        cfg = self.config
-        return sample_pairwise_batch(
-            self._graph, self.data.target_behavior, self._sampler,
-            cfg.batch_users, cfg.per_user, rng,
-            eligible_users=self._eligible)
-
-    def _batches(self, start_step: int) -> Iterator[PreparedBatch]:
-        """The run's step-ordered batch source from ``start_step`` on.
-
-        ``"full"`` draws from the trainer's own rng and carries no block;
-        ``"async"`` is the prefetching pipeline over the whole run's step
-        budget (its own seeded streams, fast-forwarded to ``start_step``).
-        Closing the generator stops the pipeline's workers.
-        """
-        cfg = self.config
-        if cfg.propagation == "full":
-            for step in itertools.count(start_step):
-                yield PreparedBatch(step, self._draw_batch(self._rng), None)
-        else:
-            def extract(batch, rng: np.random.Generator):
-                return self.model.extract_block(
-                    batch.users, batch.pos_items, batch.neg_items,
-                    rng=rng, **cfg.fanout_kwargs())
-
-            with SampledBatchPipeline(
-                    self._draw_batch, extract,
-                    total_steps=cfg.epochs * cfg.steps_per_epoch,
-                    seed=cfg.seed, workers=cfg.workers,
-                    depth=cfg.prefetch_depth,
-                    start_step=start_step) as pipeline:
-                yield from pipeline
 
     def _make_optimizer(self, resume):
         """The configured optimizer over ``model.parameters()``; resume
@@ -288,31 +252,21 @@ class Trainer:
             optimizer.load_state_dict(states)
         return optimizer
 
-    def _step_scores(self, prepared: PreparedBatch):
-        """(pos, neg, reg) for one step under the configured propagation."""
-        cfg = self.config
-        batch = prepared.batch
-        if cfg.propagation == "full":
-            pos_scores, neg_scores = self.model.batch_scores(
-                batch.users, batch.pos_items, batch.neg_items)
-            reg = l2_regularization(self.model.parameters(), cfg.l2_weight)
-            return pos_scores, neg_scores, reg
-        pos_scores, neg_scores = self.model.block_batch_scores(
-            batch.users, batch.pos_items, batch.neg_items, prepared.block)
-        reg = self.model.l2_batch(
-            batch.users, batch.pos_items, batch.neg_items, cfg.l2_weight)
-        return pos_scores, neg_scores, reg
-
     def _epoch_loop(self, resume) -> HistoryRecorder:
         cfg = self.config
+        source = self.source
+        steps_per_epoch = source.steps_per_epoch
         stopper = (EarlyStopping(patience=cfg.early_stopping_patience)
-                   if cfg.early_stopping_patience else None)
-        loss_fn = _LOSSES[cfg.loss]
+                   if cfg.early_stopping_patience is not None else None)
         start_epoch = first_step = steps_done = 0
         epoch_loss = 0.0
         if resume is not None:
             self.model.load_state_dict(resume.model_state)
-            self._rng.bit_generator.state = resume.meta["rng_state"]
+            source.load_state_dict(resume.meta)
+            # states written before dropout masks were carried have none
+            for dropout, state in zip(_dropouts(self.model),
+                                      resume.meta.get("dropout_rngs", ())):
+                dropout.rng.bit_generator.state = state
             self.history.rows = [dict(row) for row in resume.meta["history"]]
             # re-enter the interrupted epoch mid-flight
             start_epoch, first_step = resume.epoch, resume.step_in_epoch
@@ -321,7 +275,7 @@ class Trainer:
             if stopper is not None and resume.meta.get("stopper") is not None:
                 stopper.load_state_dict(resume.meta["stopper"])
         optimizer = self._make_optimizer(resume)
-        batches = self._batches(start_epoch * cfg.steps_per_epoch + first_step)
+        batches = source.batches(start_epoch * steps_per_epoch + first_step)
         try:
             scheduler = ExponentialDecay(optimizer, rate=cfg.lr_decay)
             if resume is not None:
@@ -333,12 +287,9 @@ class Trainer:
             epochs_completed = start_epoch
             self.model.train()
             for epoch in range(start_epoch, cfg.epochs):
-                for step_i in range(first_step, cfg.steps_per_epoch):
-                    prepared = next(batches)
-                    if len(prepared.batch) > 0:
-                        pos_scores, neg_scores, reg = self._step_scores(prepared)
-                        loss = loss_fn(pos_scores, neg_scores, cfg.margin)
-                        loss = loss + reg
+                for step_i in range(first_step, steps_per_epoch):
+                    loss = source.loss(next(batches))
+                    if loss is not None:
                         optimizer.zero_grad()
                         loss.backward()
                         if cfg.grad_clip is not None:
@@ -351,7 +302,7 @@ class Trainer:
                     # the cursor counts loop iterations (empty batches
                     # included: they consumed rng draws), so a resumed
                     # stream lines up
-                    global_step = epoch * cfg.steps_per_epoch + step_i + 1
+                    global_step = epoch * steps_per_epoch + step_i + 1
                     if (cfg.save_every_steps is not None
                             and global_step % cfg.save_every_steps == 0):
                         self._save_state(optimizer, scheduler, stopper, epoch,
@@ -359,12 +310,8 @@ class Trainer:
                     if self.step_hook is not None:
                         self.step_hook(self, global_step)
                 lr = scheduler.step()
-                # each step's loss is a sum over its pairs plus one per-step
-                # L2 term, so normalize by the number of steps (not pairs):
-                # dividing the mixed sum by pair_count scaled the L2
-                # contribution with the batch size and made reported losses
-                # incomparable across configurations with different batch
-                # shapes
+                # the mean per-step loss: a step's L2 term is per step, not
+                # per pair, so a per-pair mean would scale it with the batch
                 mean_loss = epoch_loss / max(steps_done, 1)
                 first_step = steps_done = 0
                 epoch_loss = 0.0
@@ -408,14 +355,22 @@ class Trainer:
             "config": config_echo(cfg),
             "epoch": int(epoch),
             "step_in_epoch": int(step_in_epoch),
-            "global_step": int(epoch * cfg.steps_per_epoch + step_in_epoch),
+            "global_step": int(epoch * self.source.steps_per_epoch
+                               + step_in_epoch),
             "epoch_loss": float(epoch_loss),
             "steps_done": int(steps_done),
             "lr": float(optimizer.lr),
             "scheduler_epoch": int(scheduler.epoch),
-            "rng_state": self._rng.bit_generator.state,
             "history": self.history.rows,
             "stopper": None if stopper is None else stopper.state_dict(),
+            "dropout_rngs": [d.rng.bit_generator.state
+                             for d in _dropouts(self.model)],
+            **self.source.state_dict(),
         }
         save_training_state(cfg.save_state, self.model.state_dict(),
                             opt_states, meta)
+
+
+def _dropouts(model) -> list[Dropout]:
+    """The model's dropout layers, whose mask streams a state carries."""
+    return [m for m in model.modules() if isinstance(m, Dropout)]

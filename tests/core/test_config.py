@@ -39,6 +39,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             GNMRConfig(memory_dims=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("pretrain_epochs", 0), ("pretrain_lr", 0.0), ("pretrain_lr", -1e-2)])
+    def test_bad_pretrain_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GNMRConfig(**{field: value})
+        # unused without pre-training, so not refused
+        assert getattr(GNMRConfig(pretrain=False, **{field: value}),
+                       field) == value
+
 
 class TestVariant:
     def test_variant_overrides(self):

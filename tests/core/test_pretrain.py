@@ -3,20 +3,28 @@
 import numpy as np
 
 from repro.core import AutoencoderPretrainer, pretrain_embeddings
+from repro.train import TrainConfig, Trainer
+
+
+def train(autoencoder, epochs):
+    """The autoencoder trains through the one loop; its batch source reads
+    only its own profiles, so there is no dataset to pass."""
+    config = TrainConfig(epochs=epochs, lr=1e-2, lr_decay=1.0)
+    return Trainer(autoencoder, None, config).run()
 
 
 class TestAutoencoder:
     def test_loss_decreases(self, rng):
         profiles = (rng.random((30, 20)) > 0.7).astype(float)
-        ae = AutoencoderPretrainer(20, 6, rng)
-        losses = ae.fit(profiles, epochs=25, lr=1e-2, batch_size=8, rng=rng)
+        ae = AutoencoderPretrainer(profiles, 6, rng, batch_size=8)
+        losses = train(ae, epochs=25).series("loss")
         assert losses[-1] < losses[0]
 
     def test_embedding_shape_and_scale(self, rng):
         profiles = (rng.random((30, 20)) > 0.7).astype(float)
-        ae = AutoencoderPretrainer(20, 6, rng)
-        ae.fit(profiles, epochs=5, lr=1e-2, batch_size=8, rng=rng)
-        codes = ae.embeddings(profiles)
+        ae = AutoencoderPretrainer(profiles, 6, rng, batch_size=8)
+        train(ae, epochs=5)
+        codes = ae.embeddings()
         assert codes.shape == (30, 6)
         # centered and small-scale, suitable as an init
         np.testing.assert_allclose(codes.mean(axis=0), 0.0, atol=1e-10)

@@ -180,6 +180,17 @@ class TestModelSpecifics:
         first = model._cascaded_logits(users, items, 0)
         assert not np.allclose(full.data, first.data)
 
+    def test_nmtr_trains_with_the_configured_loss(self, split):
+        config = dict(epochs=2, steps_per_epoch=3, batch_users=8, per_user=2,
+                      seed=0)
+        losses = {}
+        for loss in ("hinge", "bpr"):
+            model = NMTR(split.train, seed=0)
+            history = model.fit(split.train, TrainConfig(loss=loss, **config))
+            losses[loss] = [row["loss"] for row in history.rows]
+        assert all(np.isfinite(losses["bpr"]))
+        assert losses["bpr"] != losses["hinge"]
+
     def test_nmtr_task_weights_validated(self, split):
         with pytest.raises(ValueError):
             NMTR(split.train, task_weights=[1.0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, ConstantSchedule, ExponentialDecay, StepDecay
+from repro.nn import Adam, ExponentialDecay
 from repro.nn.module import Parameter
 
 
@@ -32,19 +32,3 @@ class TestExponentialDecay:
         for _ in range(10):
             assert sched.step() == 0.5
 
-
-class TestStepDecay:
-    def test_halves_every_step_size(self):
-        sched = StepDecay(make_opt(1.0), step_size=2, gamma=0.5)
-        lrs = [sched.step() for _ in range(6)]
-        assert lrs == [1.0, 0.5, 0.5, 0.25, 0.25, 0.125]
-
-    def test_invalid_step_size(self):
-        with pytest.raises(ValueError):
-            StepDecay(make_opt(), step_size=0)
-
-
-def test_constant_schedule():
-    sched = ConstantSchedule(make_opt(0.7))
-    assert sched.step() == 0.7
-    assert sched.step() == 0.7

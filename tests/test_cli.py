@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -115,20 +116,39 @@ class TestCommands:
         assert code == 0
         assert "HR@10=" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("argv, setting", [
-        (["--model", "NMTR", "--save-state", "{tmp}/x.npz"], "save_state"),
-        (["--model", "CDAE", "--resume", "{tmp}/x.npz"], "resume_from"),
-    ])
-    def test_settings_training_refuses_exit_2(self, capsys, tmp_path, argv,
-                                              setting):
-        code = main(["train", "--users", "40", "--items", "60", "--epochs",
-                     "1"] + [arg.format(tmp=tmp_path) for arg in argv])
+    @pytest.mark.parametrize("model", ["NMTR", "CDAE"])
+    def test_save_state_resume_round_trip(self, capsys, tmp_path, model):
+        """1 epoch with --save-state, then --resume to 2, ends where 2
+        epochs in one run end: same metrics, same parameters."""
+        from repro.utils.artifact import read_artifact
+
+        state = str(tmp_path / "state.npz")
+        base = ["train", "--model", model, "--users", "40", "--items", "60"]
+        assert main(base + ["--epochs", "2", "--checkpoint",
+                            str(tmp_path / "straight.npz")]) == 0
+        straight = capsys.readouterr().out.splitlines()
+        assert main(base + ["--epochs", "1", "--save-state", state]) == 0
+        capsys.readouterr()
+        assert main(base + ["--epochs", "2", "--resume", state, "--checkpoint",
+                            str(tmp_path / "resumed.npz")]) == 0
+        resumed = capsys.readouterr().out.splitlines()
+        assert resumed[1].startswith("HR@10=") and resumed[1] == straight[1]
+        arrays_a, _ = read_artifact(tmp_path / "straight.npz")
+        arrays_b, _ = read_artifact(tmp_path / "resumed.npz")
+        assert sorted(arrays_a) == sorted(arrays_b)
+        for name in arrays_a:
+            np.testing.assert_array_equal(arrays_a[name], arrays_b[name])
+
+    @pytest.mark.parametrize("model", ["AutoRec", "CDAE", "NMTR"])
+    def test_async_on_a_model_without_blocks_exits_2(self, capsys, model):
+        # it used to be ignored: these models trained full-graph anyway
+        code = main(["train", "--model", model, "--users", "40", "--items",
+                     "60", "--epochs", "1", "--propagation", "async"])
         assert code == 2
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
-        assert len(err) == 1 and setting in err[0]
+        assert len(err) == 1 and model in err[0] and "async" in err[0]
         assert "HR@10" not in captured.out
-        assert not (tmp_path / "x.npz").exists()
 
 
 class TestRecommend:

@@ -238,3 +238,17 @@ class TestModeMatrix:
         build, kwargs = removed
         with pytest.raises((TypeError, ModuleNotFoundError)):
             build(**kwargs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("steps_per_epoch", 0), ("batch_users", 0),
+    ("per_user", 0), ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")),
+    ("lr_decay", 0.0), ("lr_decay", 1.5), ("l2_weight", -1e-4),
+    ("grad_clip", 0.0), ("grad_clip", -1.0), ("early_stopping_patience", 0),
+    ("dtype", "float16"),
+])
+def test_config_refuses_what_would_train_nothing(field, value):
+    """Each of these used to be accepted and "trained" zero steps, or failed
+    only once the run was set up; the error names the field."""
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
