@@ -386,6 +386,7 @@ def cmd_ingest(args) -> int:
     ``--chunk-rows`` regardless of the log size (see
     :mod:`repro.data.ingest`).
     """
+    from concurrent.futures.process import BrokenProcessPool
     from pathlib import Path
 
     from repro.data import IngestOptions, ingest_csv, save_dataset_npz
@@ -408,7 +409,8 @@ def cmd_ingest(args) -> int:
             args.csv, name=args.name or Path(args.csv).stem,
             target_behavior=args.target, behavior_names=behaviors,
             options=options)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BrokenProcessPool) as exc:
+        # BrokenProcessPool: a parse worker died (killed for memory, say)
         print(f"ingest failed: {exc}", file=sys.stderr)
         return 1
     path = save_dataset_npz(dataset, args.out,

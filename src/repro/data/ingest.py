@@ -5,11 +5,19 @@ Every CSV event log reaches an :class:`~repro.data.dataset.InteractionDataset`
 through this module, in **one pass** over the file:
 
 * ``csv.reader`` is the only tokenizer (quoting, embedded delimiters and
-  line endings mean what they mean to it); the log is read in blocks of
+  line endings mean what they mean to it); the log is cut into blocks of
   ``chunk_rows`` records and each block is handled **column-wise** — ids
   stripped once per distinct cell, ratings and timestamps through
   ``map(float, …)``, the paper's rating partition as one ``np.where``;
-* a block is read and parsed with the cyclic garbage collector paused:
+* ``ingest_csv`` parses the blocks in forked worker processes, one per
+  CPU the process may use and no more than the log has blocks, and
+  merges them here in file order: a worker numbers a block's ids against
+  the block's own first-seen vocabularies, and the merge maps them onto
+  the log's, so the result is what one process reading the blocks in
+  turn gives (a log of one block, a one-CPU process and
+  ``iter_event_chunks`` parse in-process, and so does a block holding a
+  quote character, from the rows the reader counted its records with);
+* a block is tokenized and parsed with the cyclic garbage collector paused:
   its row lists hold only strings, so they cannot form a cycle, and are
   freed by reference count before the pause ends (else the collections
   they set off took a quarter of the ingest time);
@@ -21,10 +29,12 @@ through this module, in **one pass** over the file:
   (no phantom ids), and the encoded rows are appended to a **spill file**
   until the per-behavior totals are known, then read back straight into
   the final arrays;
-* peak *transient* memory is therefore O(chunk + vocabulary), independent
-  of the number of events in the log — the tier-1 test
-  ``TestIngestTransientMemory`` measures and bounds exactly this (a log
-  10x the chunk size: 1.19x the transient memory, bound 3x);
+* peak *transient* memory is therefore O(workers × chunk + vocabulary),
+  independent of the number of events in the log: at most workers + 1
+  blocks are in flight here, and each worker holds one block's parse —
+  the tier-1 test ``TestIngestTransientMemory`` measures and bounds this
+  in one process (a log 10x the chunk size: 1.19x the transient memory,
+  bound 3x);
 * the result can be persisted as a **deterministic** ``.npz`` artifact
   (byte-identical across re-ingests of the same log) and reloaded without
   re-parsing: ``repro.cli ingest <csv> --out <npz>`` then
@@ -33,17 +43,24 @@ through this module, in **one pass** over the file:
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gc
+import io
 import math
+import multiprocessing
 import operator
+import os
+import signal
 import tempfile
-from collections import defaultdict
-from contextlib import contextmanager
+from collections import defaultdict, deque
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
-from itertools import compress, count, islice
+from functools import partial
+from itertools import chain, compress, count, islice
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -168,49 +185,137 @@ def iter_event_chunks(path: str | Path, options: IngestOptions,
     column it does not name is a ``ValueError`` before any row is parsed;
     the timestamp column may be absent (every timestamp is then 0.0).
     Row numbers count the file's records from 0, header and blank lines
-    included.
+    included. Blocks are parsed here, in this process, one at a time.
     """
-    names = (options.user_col, options.item_col,
-             options.behavior_col or options.rating_col, options.timestamp_col)
     # utf-8-sig: a byte-order mark must not become part of the first name
     with Path(path).open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle, delimiter=options.delimiter)
-        next_row = 0
-        # positional: user, item, behavior-or-rating, [timestamp]
-        where = [0, 1, 2, None if options.timestamp_col is None else 3]
-        if options.has_header:
-            header: list[str] = []
-            for row in reader:
-                next_row += 1
-                if row:
-                    header = [cell.strip() for cell in row]
-                    break
-            column_of = {name: idx for idx, name in enumerate(header)}
-            for name in names[:3]:
-                if name not in column_of:
-                    raise ValueError(
-                        f"{path}: column {name!r} is not in the header {header}")
-            where = [column_of.get(name) for name in names]
-        while True:
-            # the pause never spans the yield: the consumer runs with the
-            # collector as its caller left it
-            with _collector_paused():
-                block = list(islice(reader, options.chunk_rows))
-                if not block:
-                    return
-                numbers: Sequence[int] = range(next_row, next_row + len(block))
-                next_row += len(block)
-                if not all(block):  # blank lines
-                    numbers = list(compress(numbers, block))
-                    block = list(filter(None, block))
-                if report is not None:
-                    report.rows_read += len(block)
-                chunk = _parse_block(block, numbers, where, options, report)
-                del block  # freed by refcount, never seen by a collection
+        blocks = _LogBlocks(handle, path, options)
+        parse = partial(_parse_text, where=blocks.where, options=options,
+                        report=report)
+        for chunk in _parsed_here(blocks, parse):
             if len(chunk):
                 if report is not None:
                     report.chunks += 1
                 yield chunk
+
+
+class _LogBlocks:
+    """The records of a log after its header, cut into blocks of
+    ``chunk_rows`` records; ``next`` gives each block as ``(text, rows,
+    number of its first record)``.
+
+    A block is the next ``chunk_rows`` lines (line ends as ``csv.reader``
+    sees them: LF, CRLF or a lone CR). Where those lines hold no quote
+    character every line is one record, and ``rows`` is ``None``; where
+    they do, a quoted field may hold line ends, so ``csv.reader`` reads
+    the block's records into ``rows`` and the block's text takes the
+    lines it used. An error while reading (bytes that are not UTF-8, a
+    ``csv.Error``) ends the blocks and is kept in ``error``: the caller
+    raises it after the blocks before it, in file order.
+    ``bytes_after_header`` is the size of what follows the header.
+    """
+
+    def __init__(self, handle: TextIO, path: str | Path,
+                 options: IngestOptions):
+        self._handle = handle
+        self._chunk_rows, self._delimiter = options.chunk_rows, options.delimiter
+        self.error: Exception | None = None
+        self.next_row = 0
+        self.bytes_after_header = os.fstat(handle.fileno()).st_size
+        if handle.buffer.peek(3).startswith(codecs.BOM_UTF8):
+            self.bytes_after_header -= len(codecs.BOM_UTF8)
+        # positional: user, item, behavior-or-rating, [timestamp]
+        self.where = [0, 1, 2, None if options.timestamp_col is None else 3]
+        if options.has_header:
+            self.where = self._read_header(path, options)
+
+    def _read_header(self, path: str | Path,
+                     options: IngestOptions) -> list[int | None]:
+        names = (options.user_col, options.item_col,
+                 options.behavior_col or options.rating_col,
+                 options.timestamp_col)
+        header: list[str] = []
+        taken: list[str] = []
+        for row in csv.reader(_taking(self._handle, taken),
+                              delimiter=self._delimiter):
+            self.next_row += 1
+            if row:
+                header = [cell.strip() for cell in row]
+                break
+        self.bytes_after_header -= len("".join(taken).encode())
+        column_of = {name: idx for idx, name in enumerate(header)}
+        for name in names[:3]:
+            if name not in column_of:
+                raise ValueError(
+                    f"{path}: column {name!r} is not in the header {header}")
+        return [column_of.get(name) for name in names]
+
+    def __next__(self) -> tuple[str, list[list[str]] | None, int]:
+        try:
+            lines = list(islice(self._handle, self._chunk_rows))
+            text, rows = "".join(lines), None
+            if '"' in text:
+                taken: list[str] = []
+                rows = list(islice(
+                    csv.reader(chain(lines, _taking(self._handle, taken)),
+                               delimiter=self._delimiter),
+                    self._chunk_rows))
+                text += "".join(taken)
+        except Exception as exc:
+            self.error = exc
+            raise StopIteration from None
+        records = len(lines) if rows is None else len(rows)
+        if not records:
+            raise StopIteration
+        first, self.next_row = self.next_row, self.next_row + records
+        return text, rows, first
+
+
+def _taking(lines: Iterable[str], taken: list[str]) -> Iterator[str]:
+    """``lines``, each appended to ``taken`` as it is handed out."""
+    for line in lines:
+        taken.append(line)
+        yield line
+
+
+def _parsed_here(blocks: _LogBlocks, parse: Callable,
+                 block: tuple | None = None) -> Iterator:
+    """``parse(text, rows, first)`` of ``block`` (when given) and of each
+    block ``blocks`` still holds, in this process and in file order; then
+    the error that ended reading, if any. A block is read and parsed with
+    the collector paused, and dropped before the pause ends: the pause
+    never spans the yield, so the consumer runs with the collector as its
+    caller left it."""
+    while True:
+        with _collector_paused():
+            if block is None:
+                block = next(blocks, None)
+                if block is None:
+                    break
+            result = parse(*block)
+            block = None  # freed by refcount, never seen by a collection
+        yield result
+    if blocks.error is not None:
+        raise blocks.error
+
+
+def _parse_text(text: str, rows: list[list[str]] | None, first: int,
+                where: list[int | None], options: IngestOptions,
+                report: IngestReport | None) -> EventChunk:
+    """Check one block column-wise; its records are ``rows`` where the
+    reader already tokenized them, else ``csv.reader`` over ``text``."""
+    with _collector_paused():
+        block = rows if rows is not None else list(csv.reader(
+            io.StringIO(text, newline=""), delimiter=options.delimiter))
+        numbers: Sequence[int] = range(first, first + len(block))
+        if not all(block):  # blank lines
+            numbers = list(compress(numbers, block))
+            block = list(filter(None, block))
+        if report is not None:
+            report.rows_read += len(block)
+        chunk = _parse_block(block, numbers, where, options, report)
+        del block  # freed by refcount, never seen by a collection
+    return chunk
 
 
 @contextmanager
@@ -344,8 +449,10 @@ def ingest_csv(path: str | Path, name: str, target_behavior: str,
                **option_overrides) -> tuple[InteractionDataset, IngestReport]:
     """One-pass, chunked ingestion of an event log into a dataset.
 
-    Each chunk of :func:`iter_event_chunks` is filtered to
-    ``behavior_names`` (when given), its ids are made dense in order of
+    The log's blocks are parsed in worker processes, one per CPU this
+    process may use (:func:`_encoded_blocks`), each against its own
+    first-seen vocabularies. Here, in file order, each block is filtered
+    to ``behavior_names`` (when given), its ids are made dense in order of
     first surviving appearance, and the encoded rows go to a temporary
     spill file; once the log is drained the per-behavior arrays are
     allocated at their exact sizes and filled from that file. Nothing
@@ -365,29 +472,41 @@ def ingest_csv(path: str | Path, name: str, target_behavior: str,
     item_index = _vocabulary()
     discovered: dict[str, int] = {}
     runs: list[tuple[list[int], list[int]]] = []
-    with tempfile.TemporaryFile() as spill:
-        for chunk in iter_event_chunks(path, options, report):
-            users, items, codes, times = (chunk.users, chunk.items,
-                                          chunk.codes, chunk.timestamps)
-            if not discovered.keys() >= set(chunk.labels):
-                # a behavior not met before: number the chunk's in order
+    with Path(path).open(newline="", encoding="utf-8-sig") as handle, \
+            closing(_encoded_blocks(_LogBlocks(handle, path, options),
+                                    options)) as blocks, \
+            tempfile.TemporaryFile() as spill:
+        for block in blocks:
+            report.rows_read += block.report.rows_read
+            report.rows_dropped_bad += block.report.rows_dropped_bad
+            room = max(5 - len(report.bad_row_examples), 0)
+            report.bad_row_examples += block.report.bad_row_examples[:room]
+            codes, times = block.codes, block.timestamps
+            if not len(codes):
+                continue
+            report.chunks += 1
+            if not discovered.keys() >= set(block.labels):
+                # a behavior not met before: number the block's in order
                 # of first appearance, as a row-by-row reader would
                 _, first = np.unique(codes, return_index=True)
                 for code in codes[np.sort(first)].tolist():
-                    discovered.setdefault(chunk.labels[code], len(discovered))
+                    discovered.setdefault(block.labels[code], len(discovered))
+            users, items, dropped = block.users, block.items, False
             if keep is not None:
-                kept = np.array([label in keep for label in chunk.labels])[codes]
-                report.rows_dropped_behavior += len(chunk) - int(kept.sum())
-                selectors = kept.tolist()
-                users = list(compress(users, selectors))
-                items = list(compress(items, selectors))
+                kept = np.array([label in keep for label in block.labels])[codes]
+                dropped = not kept.all()
+                report.rows_dropped_behavior += len(codes) - int(kept.sum())
+                users, items = users[kept], items[kept]
                 codes, times = codes[kept], times[kept]
-            # -1: a label the chunk names and none of its rows carries
+            # -1: a label the block names and none of its rows carries
             codes = np.array([discovered.get(label, -1)
-                              for label in chunk.labels])[codes]
+                              for label in block.labels])[codes]
             report.has_timestamps |= bool(times.any())
-            runs.append(_spill_chunk(spill, codes, _dense_ids(users, user_index),
-                                     _dense_ids(items, item_index), times))
+            runs.append(_spill_chunk(
+                spill, codes,
+                _global_ids(users, block.user_cells, user_index, dropped),
+                _global_ids(items, block.item_cells, item_index, dropped),
+                times))
 
         if behavior_names is None:
             behavior_names = tuple(discovered)
@@ -412,6 +531,131 @@ def ingest_csv(path: str | Path, name: str, target_behavior: str,
         interactions=interactions,
     )
     return dataset, report
+
+
+@dataclass
+class _EncodedBlock:
+    """One block's parseable rows, its ids numbered against the block's
+    own vocabularies: ``users`` indexes ``user_cells`` (the block's user
+    ids in order of first appearance), ``items`` ``item_cells``.
+    ``report`` holds what the block adds to the log's ``rows_read``,
+    ``rows_dropped_bad`` and ``bad_row_examples``."""
+
+    users: np.ndarray
+    user_cells: list[str]
+    items: np.ndarray
+    item_cells: list[str]
+    labels: Sequence[str]
+    codes: np.ndarray
+    timestamps: np.ndarray
+    report: IngestReport
+
+
+def _encode_block(text: str, rows: list[list[str]] | None, first: int,
+                  where: list[int | None],
+                  options: IngestOptions) -> _EncodedBlock:
+    """Parse one block and number its ids (what a worker process runs)."""
+    report = IngestReport()
+    chunk = _parse_text(text, rows, first, where, options, report)
+    user_index, item_index = _vocabulary(), _vocabulary()
+    users = _dense_ids(chunk.users, user_index)
+    items = _dense_ids(chunk.items, item_index)
+    return _EncodedBlock(users, list(user_index), items, list(item_index),
+                         chunk.labels, chunk.codes, chunk.timestamps, report)
+
+
+def _encoded_blocks(blocks: _LogBlocks,
+                    options: IngestOptions) -> Iterator[_EncodedBlock]:
+    """Every block of the log encoded, in file order.
+
+    Once the first block is read, the pool is sized: one worker per CPU,
+    and no more workers than the blocks the log holds, estimated from its
+    size and the first block's. With two workers or more, blocks are
+    parsed in a pool of forked worker processes that lives as long as
+    this generator; at most workers + 1 blocks are in flight, so the
+    transient memory is O(workers × chunk). A block the reader tokenized
+    (it holds a quote character) is parsed here from its rows, so no
+    record is tokenized twice; with fewer than two workers every block
+    is. A block's error (a ``BadRowError``) or the error that ended
+    reading is raised in its place in file order, whichever worker
+    finishes first.
+    """
+    encode = partial(_encode_block, where=blocks.where, options=options)
+    with _collector_paused():
+        block = next(blocks, None)
+    workers = 1 if block is None else min(_worker_count(), math.ceil(
+        blocks.bytes_after_header / max(len(block[0].encode()), 1)))
+    if workers < 2:
+        here = _parsed_here(blocks, encode, block)
+        del block  # the generator's reference is the only one
+        yield from here
+        return
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_worker_signals)
+    futures: deque[Future] = deque()
+    try:
+        while True:
+            with _collector_paused():
+                if block is None:
+                    block = next(blocks, None)
+                    if block is None:
+                        break
+                text, rows, first = block
+                block = None
+                futures.append(pool.submit(encode, text, None, first)
+                               if rows is None
+                               else _settled(encode, text, rows, first))
+                del text, rows  # freed by refcount, never seen by a collection
+            if len(futures) > workers:
+                yield futures.popleft().result()
+        while futures:
+            yield futures.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    if blocks.error is not None:
+        raise blocks.error
+
+
+def _settled(fn: Callable, *args) -> Future:
+    """A future holding what ``fn(*args)`` returned or raised here."""
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+def _worker_count() -> int:
+    """Worker processes for a log's blocks: one per CPU this process may
+    run on. Where the platform cannot say (not Linux), 1: no pool, and no
+    fork on a platform where it may be unsafe."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _worker_signals() -> None:
+    """A worker leaves ^C to the parent, which then ends the pool, and
+    dies on SIGTERM rather than running a handler the parent installed."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _global_ids(local: np.ndarray, cells: list[str],
+                index: defaultdict[str, int], dropped: bool) -> np.ndarray:
+    """A block's ids as dense ids of ``index``: the cells its rows still
+    hold are numbered in order of first appearance among those rows (so
+    not in ``cells`` order when the behavior filter ``dropped`` rows)."""
+    if dropped:
+        present, first = np.unique(local, return_index=True)
+        order = present[np.argsort(first)].tolist()
+    else:
+        order = range(len(cells))
+    lookup = np.zeros(len(cells), dtype=np.int64)
+    lookup[order] = [index[cells[k]] for k in order]
+    return lookup[local]
 
 
 def _columns(rows: int) -> dict[str, np.ndarray]:

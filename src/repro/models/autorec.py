@@ -28,15 +28,24 @@ class ProfileAutoencoder(Recommender):
 
     def __init__(self, dataset: InteractionDataset):
         super().__init__(dataset.num_users, dataset.num_items)
-        self._profiles = (dataset.graph()
-                          .adjacency(dataset.target_behavior).to_dense())
+        self._built_on = dataset
+        self._profiles = _target_profiles(dataset)
         self._recon_cache: np.ndarray | None = None
 
     def batch_source(self, train: InteractionDataset, config: TrainConfig):
-        """Reconstruction of the users' profile rows, ``max(8,
+        """Reconstruction of ``train``'s profile rows, ``max(8,
         batch_users)`` a step, positives weighted 5×, plus L2."""
+        if (train.num_users, train.num_items) != (self.num_users,
+                                                  self.num_items):
+            raise ValueError(
+                f"{self.name} was built for {self.num_users} users x "
+                f"{self.num_items} items; cannot train on {train.name!r} "
+                f"({train.num_users} x {train.num_items})")
+        # the build dataset's matrix is not made a second time
+        profiles = (self._profiles if train is self._built_on
+                    else _target_profiles(train))
         return ProfileSource(
-            self._profiles, max(8, config.batch_users),
+            profiles, max(8, config.batch_users),
             np.random.default_rng(config.seed), self,
             weighted=True, corruption=self.corruption,
             parameters=self.parameters(), l2_weight=config.l2_weight)
@@ -61,6 +70,11 @@ class ProfileAutoencoder(Recommender):
 
     def on_step_end(self) -> None:
         self._recon_cache = None
+
+
+def _target_profiles(dataset: InteractionDataset) -> np.ndarray:
+    """The dense users × items 0/1 matrix of the target behavior."""
+    return dataset.graph().adjacency(dataset.target_behavior).to_dense()
 
 
 class AutoRec(ProfileAutoencoder):

@@ -372,8 +372,10 @@ class TopKRetriever:
         self.exclude = exclude
         self.batch_users = int(batch_users)
 
-    def _chunk_rows(self, num_items: int) -> tuple[int, np.ndarray | None]:
-        """Rows per scoring chunk, plus a reusable scratch buffer."""
+    def _chunk_rows(self, num_items: int,
+                    num_users: int) -> tuple[int, np.ndarray | None]:
+        """Rows per scoring chunk, plus a reusable scratch buffer sized to
+        the request (one row for a one-user request, not a whole chunk)."""
         if not getattr(self.backend, "supports_out", False):
             return self.batch_users, None
         dtype = np.dtype(self.backend.scores_dtype)
@@ -381,7 +383,7 @@ class TopKRetriever:
             return self.batch_users, None
         budget = self.SELECT_CHUNK_BYTES // max(num_items * dtype.itemsize, 1)
         chunk = min(self.batch_users, max(16, int(budget)))
-        return chunk, np.empty((chunk, num_items), dtype=dtype)
+        return chunk, np.empty((min(chunk, num_users), num_items), dtype=dtype)
 
     def retrieve(self, users: np.ndarray, k: int,
                  queries: np.ndarray | None = None) -> TopKResult:
@@ -404,7 +406,7 @@ class TopKRetriever:
         if self.exclude is not None:
             excl_counts, excl_cols = self.exclude.gather(users)
             excl_bounds = np.concatenate(([0], np.cumsum(excl_counts)))
-        chunk, scratch = self._chunk_rows(num_items)
+        chunk, scratch = self._chunk_rows(num_items, users.size)
         for start in range(0, users.size, chunk):
             stop = min(start + chunk, users.size)
             block = users[start:stop]

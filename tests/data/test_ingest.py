@@ -3,7 +3,10 @@
 import gc
 import hashlib
 import json
+import multiprocessing
+import os
 import re
+import time
 import zipfile
 
 import numpy as np
@@ -19,6 +22,7 @@ from repro.data import (
     taobao_like,
     temporal_split,
 )
+from repro.data import ingest
 from repro.data.ingest import IngestReport
 from repro.utils.artifact import ArtifactError, read_meta, write_artifact
 
@@ -295,6 +299,357 @@ class TestHeaderAndEncoding:
             assert got_report.rows_read == report.rows_read == 120, label
             assert save_dataset_npz(
                 got, tmp_path / f"{label}.npz").read_bytes() == want, label
+
+
+CHUNKS = (1, 7, 50, 5_000)
+
+
+def _ingest_with(monkeypatch, workers, path, target, **kwargs):
+    """``ingest_csv`` with the block parse in ``workers`` processes (1: in
+    this one); an exception is returned, not raised."""
+    monkeypatch.setattr(ingest, "_worker_count", lambda: workers)
+    try:
+        return ingest_csv(path, name="d", target_behavior=target, **kwargs)
+    except Exception as exc:  # compared across the two paths
+        return exc
+
+
+def _first_seen(path, behavior_names=None, **kwargs):
+    """Per behavior, the rows of ``iter_event_chunks`` in file order, ids
+    numbered by first appearance among the rows the filter keeps."""
+    users, items = {}, {}
+    columns = {}
+    for chunk in iter_event_chunks(path, IngestOptions(**kwargs)):
+        for user, item, behavior, stamp in chunk:
+            if behavior_names and behavior not in behavior_names:
+                continue
+            rows = columns.setdefault(behavior, ([], [], []))
+            rows[0].append(users.setdefault(user, len(users)))
+            rows[1].append(items.setdefault(item, len(items)))
+            rows[2].append(stamp)
+    return columns, len(users), len(items)
+
+
+def _assert_paths_agree(monkeypatch, path, target, behavior_names=None,
+                        **kwargs):
+    """The pooled parse (three workers) and the in-process one give the
+    same dataset, report and id order, or raise the same exception."""
+    alone = _ingest_with(monkeypatch, 1, path, target,
+                         behavior_names=behavior_names, **kwargs)
+    pooled = _ingest_with(monkeypatch, 3, path, target,
+                          behavior_names=behavior_names, **kwargs)
+    if isinstance(alone, Exception):
+        assert type(pooled) is type(alone), pooled
+        assert str(pooled) == str(alone)
+        return alone
+    (dataset, report), (want, want_report) = pooled, alone
+    assert report == want_report
+    assert dataset.behavior_names == want.behavior_names
+    assert (dataset.num_users, dataset.num_items) == (want.num_users,
+                                                      want.num_items)
+    columns, num_users, num_items = _first_seen(path, behavior_names,
+                                                **kwargs)
+    assert (dataset.num_users, dataset.num_items) == (num_users, num_items)
+    for behavior in want.behavior_names:
+        for got, expected, oracle in zip(dataset.arrays(behavior),
+                                         want.arrays(behavior),
+                                         columns.get(behavior, ([],) * 3)):
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(got, oracle)
+    return alone
+
+
+_REAL_ENCODE = ingest._encode_block
+
+
+def _slow_first_block(text, rows, first, where, options):
+    """The block function, with the file's first block finishing last."""
+    if first == 1:
+        time.sleep(0.3)
+    return _REAL_ENCODE(text, rows, first, where, options)
+
+
+class TestParallelEqualsInProcess:
+    """Blocks parsed in worker processes and merged in file order give
+    exactly what parsing them here gives."""
+
+    @pytest.mark.parametrize("chunk_rows", CHUNKS)
+    def test_plain_and_quoted_delimiters(self, tmp_path, monkeypatch,
+                                         chunk_rows):
+        rows = _random_log_rows(max(3 * chunk_rows + 4, 120), seed=5)
+        for k in range(3, len(rows), 9):
+            user, _, behavior, stamp = rows[k].split(",")
+            rows[k] = f'{user},"i{k % 13}, the ""big"" one",{behavior},{stamp}'
+        path = _write_log(tmp_path / "log.csv", rows)
+        _assert_paths_agree(monkeypatch, path, "buy", chunk_rows=chunk_rows)
+        _assert_paths_agree(monkeypatch, path, "buy", chunk_rows=chunk_rows,
+                            behavior_names=("cart", "buy"))
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("chunk_rows", CHUNKS)
+    def test_quoted_line_end_at_every_offset_around_a_boundary(
+            self, tmp_path, monkeypatch, chunk_rows, line_end):
+        """A record whose quoted item holds a line end sits just before,
+        on and just after the first block boundary (a block is the header
+        plus ``chunk_rows`` records, so data row ``chunk_rows`` opens the
+        second); the whole file uses ``line_end`` too."""
+        base = _random_log_rows(2 * chunk_rows + 6, seed=6)
+        for offset in range(-2, 3):
+            rows = list(base)
+            k = max(chunk_rows + offset, 0)
+            user, _, behavior, stamp = rows[k].split(",")
+            rows[k] = (f'{user},"i{offset}{line_end}a, b{line_end}",'
+                       f'{behavior},{stamp}')
+            path = tmp_path / f"log{offset}.csv"
+            path.write_bytes("".join(
+                line + line_end for line in
+                ["user,item,behavior,timestamp"] + rows).encode())
+            dataset, report = _assert_paths_agree(monkeypatch, path, "buy",
+                                                  chunk_rows=chunk_rows)
+            assert report.rows_read == len(rows)
+
+    @pytest.mark.parametrize("ending", ["lf", "crlf", "cr", "mixed"])
+    @pytest.mark.parametrize("chunk_rows", CHUNKS)
+    def test_line_ends_bom_and_blank_lines(self, tmp_path, monkeypatch,
+                                           chunk_rows, ending):
+        """Blank lines before the header and among the rows, and a run of
+        blank lines long enough to fill a whole block."""
+        rows = _random_log_rows(max(3 * chunk_rows, 120), seed=7)
+        rows[len(rows) // 3:len(rows) // 3] = [""] * (2 * chunk_rows)
+        for k in range(5, len(rows), 11):
+            rows.insert(k, "")
+        lines = ["", "", "user,item,behavior,timestamp"] + rows
+        ends = {"lf": ["\n"], "crlf": ["\r\n"], "cr": ["\r"],
+                "mixed": ["\r\n", "\n", "\r"]}[ending]
+        payload = "".join(line + ends[k % len(ends)]
+                          for k, line in enumerate(lines)).encode()
+        for label, data in (("plain", payload),
+                            ("bom", b"\xef\xbb\xbf" + payload)):
+            path = tmp_path / f"{label}.csv"
+            path.write_bytes(data)
+            _, report = _assert_paths_agree(monkeypatch, path, "buy",
+                                            chunk_rows=chunk_rows)
+            assert report.rows_read == len(rows) - rows.count("")
+
+    @pytest.mark.parametrize("chunk_rows", CHUNKS)
+    def test_rating_mode_skipping_bad_rows(self, tmp_path, monkeypatch,
+                                           chunk_rows):
+        path = _fixture_log(tmp_path / "ratings.csv", rating_mode=True)
+        if chunk_rows == 5_000:  # the fixture is 900 rows: make it 3 blocks
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(lines + lines[1:] * 14) + "\n")
+        _, report = _assert_paths_agree(
+            monkeypatch, path, "like", chunk_rows=chunk_rows,
+            behavior_col=None, rating_col="rating", on_bad_rows="skip")
+        assert report.rows_dropped_bad >= 20
+        assert len(report.bad_row_examples) == 5
+
+    @pytest.mark.parametrize("chunk_rows", CHUNKS)
+    def test_skip_keeps_the_first_five_examples_in_file_order(
+            self, tmp_path, monkeypatch, chunk_rows):
+        rows = _random_log_rows(max(3 * chunk_rows, 120), seed=8)
+        for k in range(len(rows) - 1, 0, -(len(rows) // 9)):
+            rows[k] = f"u{k},i{k},buy,soon"
+        path = _write_log(tmp_path / "log.csv", rows)
+        _, report = _assert_paths_agree(monkeypatch, path, "buy",
+                                        chunk_rows=chunk_rows,
+                                        on_bad_rows="skip")
+        numbers = [number for number, _ in report.bad_row_examples]
+        assert len(numbers) == 5 and numbers == sorted(numbers)
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("chunk_rows", CHUNKS)
+    def test_raise_names_the_first_bad_row_when_a_later_block_ends_first(
+            self, tmp_path, monkeypatch, chunk_rows, quoted):
+        """The first block's worker is held back 0.3 s, so a later block
+        with a bad row is done first: in a worker, or (``quoted``) here,
+        where a block holding a quote character is parsed."""
+        rows = _random_log_rows(max(3 * chunk_rows, 120), seed=9)
+        rows[0] = "u1,i1,buy,later"
+        rows[chunk_rows + 1] = ('u1,"i1",buy,sooner' if quoted
+                                else "u1,i1,buy,sooner")
+        path = _write_log(tmp_path / "log.csv", rows)
+        monkeypatch.setattr(ingest, "_encode_block", _slow_first_block)
+        raised = _assert_paths_agree(monkeypatch, path, "buy",
+                                     chunk_rows=chunk_rows)
+        assert isinstance(raised, BadRowError)
+        assert str(raised) == "row 1: unparseable timestamp 'later'"
+
+    @pytest.mark.parametrize("bad_row_first", [True, False])
+    @pytest.mark.parametrize("chunk_rows", CHUNKS)
+    def test_undecodable_bytes_raise_in_file_order(
+            self, tmp_path, monkeypatch, chunk_rows, bad_row_first):
+        """A byte that is not UTF-8 is the same ``UnicodeDecodeError`` on
+        both paths, raised after a bad row before it and before a bad row
+        after it. Rows are padded to 200 bytes, so each is > 8 KiB (the
+        decoder's read size) from the other and from the header: the
+        error ends reading after a block, while the bad row's block is
+        still in flight at 50 and 5 000 rows a block."""
+        rows = [row + "," + "x" * 180
+                for row in _random_log_rows(max(3 * chunk_rows, 400), seed=10)]
+        bad, undecodable = ((10, max(2 * chunk_rows + 20, 100))
+                            if bad_row_first
+                            else (len(rows) - 10, len(rows) // 2))
+        rows[bad] = "u1,i1,buy,oops"
+        lines = ["user,item,behavior,timestamp,note"] + rows
+        payload = [line.encode() for line in lines]
+        payload[undecodable + 1] = b"u\xff," + payload[undecodable + 1]
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"\n".join(payload) + b"\n")
+        raised = _assert_paths_agree(monkeypatch, path, "buy",
+                                     chunk_rows=chunk_rows)
+        assert isinstance(raised, BadRowError if bad_row_first
+                          else UnicodeDecodeError), raised
+        if bad_row_first:
+            assert str(raised).startswith(f"row {bad + 1}:")
+        else:
+            chunks = iter_event_chunks(path, IngestOptions(
+                chunk_rows=chunk_rows))
+            with pytest.raises(UnicodeDecodeError) as streamed:
+                sum(len(chunk) for chunk in chunks)
+            assert str(streamed.value) == str(raised)
+
+
+class TestQuotedBlocksTokenizedOnce:
+    """Where a block holds a quote character the reader tokenizes it to
+    count its records, and the block is parsed from those rows in this
+    process, pool or not: no record is tokenized twice."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_each_record_is_tokenized_once(self, tmp_path, monkeypatch,
+                                           workers):
+        rows = [f'u{k % 9},"i{k % 13}, the ""big"" one",buy,{k}'
+                for k in range(120)]
+        path = _write_log(tmp_path / "log.csv", rows)
+        real, tokenized = ingest.csv.reader, []
+
+        def reader(*args, **kwargs):
+            for row in real(*args, **kwargs):
+                tokenized.append(row)
+                yield row
+
+        submitted = []
+
+        class Pool(ingest.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(ingest.csv, "reader", reader)
+        monkeypatch.setattr(ingest, "ProcessPoolExecutor", Pool)
+        _, report = _ingest_with(monkeypatch, workers, path, "buy",
+                                 chunk_rows=50)
+        assert report.chunks == 3
+        assert len(tokenized) == 1 + len(rows)  # the header, then each row
+        assert submitted == []  # every block holds a quote
+        tokenized.clear()
+        chunks = list(iter_event_chunks(path, IngestOptions(chunk_rows=50)))
+        assert [len(chunk) for chunk in chunks] == [50, 50, 20]
+        assert len(tokenized) == 1 + len(rows)
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestWorkerLifecycle:
+    """The pool lives inside one ``ingest_csv`` call, however it ends: no
+    worker outlives it, and the collector is as the caller left it."""
+
+    @pytest.fixture
+    def workers_seen(self, monkeypatch):
+        """Two workers; the pids alive each time a block is merged."""
+        monkeypatch.setattr(ingest, "_worker_count", lambda: 2)
+        seen = []
+        real = ingest._spill_chunk
+
+        def spill(*args):
+            seen.append({p.pid for p in multiprocessing.active_children()})
+            return real(*args)
+
+        monkeypatch.setattr(ingest, "_spill_chunk", spill)
+        return seen
+
+    @staticmethod
+    def _ingest(path, collector_on, **kwargs):
+        (gc.enable if collector_on else gc.disable)()
+        try:
+            try:
+                ingest_csv(path, name="g", chunk_rows=50, **kwargs)
+            except Exception as exc:
+                return exc, gc.isenabled()
+            return None, gc.isenabled()
+        finally:
+            gc.enable()
+
+    def _assert_no_worker_left(self, seen):
+        pids = set().union(*seen)
+        assert len(pids) == 2, seen
+        assert multiprocessing.active_children() == []
+        assert not any(_alive(pid) for pid in pids)
+
+    @pytest.mark.parametrize("collector_on", [True, False])
+    @pytest.mark.parametrize("case", [
+        "normal", "bad row", "missing target", "merge fails"])
+    def test_no_worker_outlives_the_call(self, tmp_path, monkeypatch,
+                                         workers_seen, case, collector_on):
+        rows = _random_log_rows(400, seed=11)
+        target = "buy"
+        if case == "bad row":
+            rows[170] = "u1,i1,buy,oops"  # file row 171, the fourth block
+        elif case == "missing target":
+            target = "refund"
+        elif case == "merge fails":
+            real = ingest._spill_chunk
+
+            def spill(*args):
+                if len(workers_seen) == 2:
+                    raise RuntimeError("merge failed")
+                return real(*args)
+
+            monkeypatch.setattr(ingest, "_spill_chunk", spill)
+        raised, collector = self._ingest(
+            _write_log(tmp_path / "log.csv", rows), collector_on,
+            target_behavior=target)
+        want = {"normal": type(None), "bad row": BadRowError,
+                "missing target": ValueError, "merge fails": RuntimeError}
+        assert isinstance(raised, want[case]), raised
+        assert collector is collector_on
+        self._assert_no_worker_left(workers_seen)
+
+    @pytest.mark.parametrize("bom", [False, True])
+    @pytest.mark.parametrize("num_blocks", [1, 2, 3])
+    def test_no_more_workers_than_blocks(self, tmp_path, monkeypatch,
+                                         workers_seen, num_blocks, bom):
+        """Four CPUs, but the pool is sized by the blocks the log holds
+        (its size over its first block's): a one-block log forks none."""
+        monkeypatch.setattr(ingest, "_worker_count", lambda: 4)
+        rows = [f"u{k % 7},i{k % 11:02d},buy,{100_000 + k}"
+                for k in range(50 * num_blocks)]
+        path = tmp_path / "log.csv"
+        path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + "".join(
+            line + "\n" for line in
+            ["user,item,behavior,timestamp"] + rows).encode())
+        _, report = ingest_csv(path, name="g", target_behavior="buy",
+                               chunk_rows=50)
+        assert report.chunks == num_blocks
+        pids = set().union(*workers_seen)
+        assert len(pids) == (num_blocks if num_blocks > 1 else 0)
+        assert multiprocessing.active_children() == []
+
+    def test_iter_event_chunks_starts_no_process(self, tmp_path,
+                                                 workers_seen):
+        path = _write_log(tmp_path / "log.csv", _random_log_rows(400))
+        chunks = iter_event_chunks(path, IngestOptions(chunk_rows=50))
+        next(chunks)
+        assert multiprocessing.active_children() == []
+        chunks.close()
+        assert multiprocessing.active_children() == []
 
 
 def _fixture_log(path, rating_mode):

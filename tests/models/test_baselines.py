@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import leave_one_out_split
+from repro.data import leave_one_out_split, taobao_like
 from repro.models import (
     AutoRec,
     BiasMF,
@@ -125,6 +125,29 @@ class TestModelSpecifics:
         recon = model._reconstruction()
         np.testing.assert_allclose(model.score(users, items),
                                    recon[users, items])
+
+    @pytest.mark.parametrize("model_cls", [AutoRec, CDAE])
+    def test_autoencoders_train_on_the_fit_dataset(self, model_cls):
+        """``fit(b)`` trains on ``b``'s profile rows: a model built on
+        ``a`` and fit on ``b`` ends on the parameters of one built and fit
+        on ``b`` (same shape, same seed), not on those of ``fit(a)``."""
+        a, b = (taobao_like(num_users=30, num_items=50, seed=seed)
+                for seed in (1, 2))
+        config = TrainConfig(epochs=2, batch_users=8, seed=0)
+
+        def trained(built_on, fit_on):
+            model = model_cls(built_on, seed=0)
+            model.fit(fit_on, config)
+            return [p.data.copy() for p in model.parameters()]
+
+        across, native, own = trained(a, b), trained(b, b), trained(a, a)
+        assert all((x == y).all() for x, y in zip(across, native))
+        assert not all((x == y).all() for x, y in zip(across, own))
+        model = model_cls(a, seed=0)
+        assert model.batch_source(a, config)._profiles is model._profiles
+        smaller = taobao_like(num_users=20, num_items=50, seed=2)
+        with pytest.raises(ValueError, match="20 x 50"):
+            model_cls(a, seed=0).fit(smaller, config)
 
     def test_cdae_corruption_validated(self, split):
         with pytest.raises(ValueError):

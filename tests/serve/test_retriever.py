@@ -175,6 +175,20 @@ class TestTopKRetriever:
         np.testing.assert_array_equal(small.items, big.items)
         np.testing.assert_allclose(small.scores, big.scores)
 
+    def test_scratch_sized_to_the_request(self, tables):
+        """A one-user request scores into a one-row buffer, not a whole
+        chunk's, and its answer is that row's own product, ranked."""
+        backend = MatrixBackend(*tables)
+        retriever = TopKRetriever(backend, batch_users=16)
+        chunk, scratch = retriever._chunk_rows(backend.num_items, 1)
+        assert (chunk, scratch.shape) == (16, (1, backend.num_items))
+        assert retriever._chunk_rows(backend.num_items, 40)[1].shape[0] == 16
+        for user in (0, 7, 24):
+            alone = retriever.retrieve(np.array([user]), k=6)
+            row = backend.score_block(np.array([user]))[0]
+            assert (alone.items[0] == brute_force_topk(row[None], 6)[0]).all()
+            assert (alone.scores[0] == row[alone.items[0]]).all()
+
     def test_never_leaks_excluded_items(self, tables, rng):
         user_matrix, item_matrix = tables
         num_users, num_items = user_matrix.shape[0], item_matrix.shape[0]

@@ -8,6 +8,13 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _dying_encode(text, rows, first, where, options):
+    """A block function whose process ends without an answer."""
+    import os
+
+    os._exit(3)
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -340,6 +347,22 @@ class TestIngest:
                      "--out", str(tmp_path / "x.npz"), "--target", "buy"])
         assert code == 1
         assert "ingest failed" in capsys.readouterr().err
+
+    def test_ingest_worker_death_fails_cleanly(self, event_log, tmp_path,
+                                               monkeypatch, capsys):
+        """A worker that dies mid-block (as one killed for memory does)
+        breaks the pool: reported as a failed ingest, no process left."""
+        import multiprocessing
+
+        from repro.data import ingest
+
+        monkeypatch.setattr(ingest, "_worker_count", lambda: 2)
+        monkeypatch.setattr(ingest, "_encode_block", _dying_encode)
+        code = main(["ingest", str(event_log), "--out", str(tmp_path / "x.npz"),
+                     "--target", "buy", "--chunk-rows", "50"])
+        assert code == 1
+        assert "ingest failed" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     def test_ingest_wrong_column_name_fails_cleanly(self, event_log, tmp_path,
                                                     capsys):
