@@ -18,7 +18,9 @@ class GNMRConfig:
     num_heads:
         S — attention sub-spaces in ξ; must divide ``embedding_dim``.
     num_layers:
-        L — propagation depth (paper's best: 2; Figure 3 sweeps 0–3).
+        L — propagation depth (paper's best: 2; Figure 3 sweeps 0–3). A
+        pair scores the paper's multi-order matching Σ_l ⟨H^l_u, H^l_v⟩
+        over levels 0..L.
     aggregator:
         Neighbor aggregation inside η: ``"mean"`` (degree-normalized, the
         numerically stable default) or ``"sum"`` (the literal Eq. 2).
@@ -38,9 +40,6 @@ class GNMRConfig:
         False → the GNMR-ma ablation (ξ removed).
     use_gated_aggregation:
         False → uniform mean over behavior types instead of ψ.
-    layer_combination:
-        How multi-order embeddings are matched: ``"sum"`` adds the per-layer
-        inner products; ``"mean"`` averages them.
     pretrain:
         Initialize node embeddings with the autoencoder scheme of §III-A.
     pretrain_epochs, pretrain_lr:
@@ -82,7 +81,6 @@ class GNMRConfig:
     use_behavior_embedding: bool = True
     use_message_attention: bool = True
     use_gated_aggregation: bool = True
-    layer_combination: str = "sum"
     fanout: int | tuple[int | None, ...] | None = 10
     pretrain: bool = True
     pretrain_epochs: int = 30
@@ -105,8 +103,6 @@ class GNMRConfig:
             raise ValueError("num_layers must be >= 0")
         if self.aggregator not in ("mean", "sum"):
             raise ValueError("aggregator must be 'mean' or 'sum'")
-        if self.layer_combination not in ("sum", "mean"):
-            raise ValueError("layer_combination must be 'sum' or 'mean'")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.pretrain and (self.pretrain_epochs < 1 or self.pretrain_lr <= 0):

@@ -17,6 +17,9 @@ for the bandwidth-bound fast path.
 
 from __future__ import annotations
 
+from itertools import repeat
+from typing import Iterable
+
 import numpy as np
 
 from repro.core.config import GNMRConfig
@@ -180,18 +183,15 @@ class GNMR(Recommender):
             lambda level, h: h)
 
     def _match(self, user_layers: list[Tensor], item_layers: list[Tensor],
-               users: np.ndarray, items: np.ndarray) -> Tensor:
-        """Multi-order matching: Σ_l ⟨H^l_u, H^l_v⟩ for index pairs."""
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
+               user_rows: Iterable[np.ndarray],
+               item_rows: Iterable[np.ndarray]) -> Tensor:
+        """Multi-order matching: Σ_l ⟨H^l_u, H^l_v⟩, reading at level ``l``
+        the ``l``-th index array of ``user_rows`` / ``item_rows``."""
         total: Tensor | None = None
-        for h_user, h_item in zip(user_layers, item_layers):
-            picked_u = h_user.gather_rows(users)
-            picked_v = h_item.gather_rows(items)
-            dot = (picked_u * picked_v).sum(axis=1)
+        for h_user, h_item, rows_u, rows_v in zip(user_layers, item_layers,
+                                                  user_rows, item_rows):
+            dot = (h_user.gather_rows(rows_u) * h_item.gather_rows(rows_v)).sum(axis=1)
             total = dot if total is None else total + dot
-        if self.config.layer_combination == "mean":
-            total = total * (1.0 / (self.config.num_layers + 1))
         return total
 
     # ------------------------------------------------------------------
@@ -199,14 +199,19 @@ class GNMR(Recommender):
     # ------------------------------------------------------------------
     def score_tensor(self, users: np.ndarray, items: np.ndarray) -> Tensor:
         user_layers, item_layers = self.propagate()
-        return self._match(user_layers, item_layers, users, items)
+        return self._match(user_layers, item_layers,
+                           repeat(np.asarray(users, dtype=np.int64)),
+                           repeat(np.asarray(items, dtype=np.int64)))
 
     def batch_scores(self, users: np.ndarray, pos_items: np.ndarray,
                      neg_items: np.ndarray) -> tuple[Tensor, Tensor]:
         """One propagation pass shared by the positive and negative sides."""
         user_layers, item_layers = self.propagate()
-        pos = self._match(user_layers, item_layers, users, pos_items)
-        neg = self._match(user_layers, item_layers, users, neg_items)
+        users = np.asarray(users, dtype=np.int64)
+        pos = self._match(user_layers, item_layers, repeat(users),
+                          repeat(np.asarray(pos_items, dtype=np.int64)))
+        neg = self._match(user_layers, item_layers, repeat(users),
+                          repeat(np.asarray(neg_items, dtype=np.int64)))
         return pos, neg
 
     # ------------------------------------------------------------------
@@ -270,24 +275,17 @@ class GNMR(Recommender):
         The multi-order matching gathers each order's seed rows from its
         own (shrinking) level tensor; level ``L`` already holds seeds only.
         """
-        users = np.asarray(users, dtype=np.int64)
-        pos_items = np.asarray(pos_items, dtype=np.int64)
-        neg_items = np.asarray(neg_items, dtype=np.int64)
         user_layers, item_layers = self.propagate_layered(block)
+        levels = range(len(user_layers))
+        user_rows = [block.localize_users(level, np.asarray(users, dtype=np.int64))
+                     for level in levels]
 
-        def match(items: np.ndarray) -> Tensor:
-            total: Tensor | None = None
-            for level, (h_user, h_item) in enumerate(zip(user_layers,
-                                                         item_layers)):
-                picked_u = h_user.gather_rows(block.localize_users(level, users))
-                picked_v = h_item.gather_rows(block.localize_items(level, items))
-                dot = (picked_u * picked_v).sum(axis=1)
-                total = dot if total is None else total + dot
-            if self.config.layer_combination == "mean":
-                total = total * (1.0 / (self.config.num_layers + 1))
-            return total
+        def item_rows(items: np.ndarray) -> list[np.ndarray]:
+            items = np.asarray(items, dtype=np.int64)
+            return [block.localize_items(level, items) for level in levels]
 
-        return match(pos_items), match(neg_items)
+        return (self._match(user_layers, item_layers, user_rows, item_rows(pos_items)),
+                self._match(user_layers, item_layers, user_rows, item_rows(neg_items)))
 
     def l2_batch(self, users: np.ndarray, pos_items: np.ndarray,
                  neg_items: np.ndarray, weight: float) -> Tensor:
@@ -297,45 +295,38 @@ class GNMR(Recommender):
                                         users, pos_items, neg_items, weight)
 
     def score(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Inference scores using engine-cached propagated embeddings."""
+        """Inference scores over the engine-cached tables, level by level."""
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
-        user_arrays, item_arrays = self._propagated_arrays()
-        total = np.zeros(users.shape, dtype=user_arrays[0].dtype)
-        for hu, hv in zip(user_arrays, item_arrays):
-            total += np.sum(hu[users] * hv[items], axis=1)
-        if self.config.layer_combination == "mean":
-            total /= (self.config.num_layers + 1)
+        user_table, item_table = self._tables()
+        d = self.config.embedding_dim
+        total = np.zeros(users.shape, dtype=user_table.dtype)
+        for start in range(0, user_table.shape[1], d):
+            level = slice(start, start + d)
+            total += np.sum(user_table[users, level] * item_table[items, level],
+                            axis=1)
         return total
 
-    def _propagated_arrays(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Forward-propagated embedding tables, cached per engine version."""
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """H⁰..H^L side by side: one C-contiguous ``(N, (L+1)·d)`` table per
+        side, level ``l`` in columns ``l·d:(l+1)·d``; cached per engine
+        version."""
         def compute():
             with no_grad():  # also keeps dropout off
                 user_layers, item_layers = self.propagate()
-            return ([t.data for t in user_layers], [t.data for t in item_layers])
+            return tuple(np.concatenate([t.data for t in layers], axis=1)
+                         for layers in (user_layers, item_layers))
 
-        return self.engine.cached("gnmr.layers", compute)
+        return self.engine.cached("gnmr.tables", compute)
 
     def serving_embeddings(self) -> tuple[np.ndarray, np.ndarray]:
-        """Multi-order embeddings concatenated into one serving table pair.
+        """The tables :meth:`score` reads, themselves.
 
         Σ_l ⟨H^l_u, H^l_v⟩ equals ⟨concat_l H^l_u, concat_l H^l_v⟩, so the
         full multi-order matching collapses to a single inner product —
-        exactly what the blocked top-K retriever needs. The concatenation
-        is memoized on the engine alongside the propagated layers, so
-        repeated snapshots between training steps are free. The ``mean``
-        layer combination folds its 1/(L+1) factor into the user side.
+        exactly what the blocked top-K retriever needs.
         """
-        def compute():
-            user_arrays, item_arrays = self._propagated_arrays()
-            user_matrix = np.concatenate(user_arrays, axis=1)
-            item_matrix = np.concatenate(item_arrays, axis=1)
-            if self.config.layer_combination == "mean":
-                user_matrix = user_matrix / (self.config.num_layers + 1)
-            return user_matrix, item_matrix
-
-        return self.engine.cached("gnmr.serving", compute)
+        return self._tables()
 
     def cold_user_embeddings(self, users: np.ndarray) -> np.ndarray:
         """Serving rows for a few users, freshly extracted on demand.
@@ -359,10 +350,7 @@ class GNMR(Recommender):
             user_layers, _ = self.propagate_layered(block)
         rows = [h.data[block.localize_users(level, users)]
                 for level, h in enumerate(user_layers)]
-        matrix = np.concatenate(rows, axis=1)
-        if self.config.layer_combination == "mean":
-            matrix = matrix / (self.config.num_layers + 1)
-        return matrix
+        return np.concatenate(rows, axis=1)
 
     def on_step_end(self) -> None:
         """Parameters changed — drop the cached propagation."""
@@ -370,7 +358,7 @@ class GNMR(Recommender):
 
     def propagation_fingerprint(self) -> str:
         """sha256 of what layers 1..L read besides the parameters (not
-        ``seed``, ``pretrain``, ``dropout``, ``fanout``, ``layer_combination``)."""
+        ``seed``, ``pretrain``, ``dropout``, ``fanout``)."""
         settings = np.array([getattr(self.config, name) for name in (
             "num_layers", "num_heads", "self_connection", "use_behavior_embedding",
             "use_message_attention", "use_gated_aggregation")])
@@ -382,26 +370,25 @@ class GNMR(Recommender):
         return array_sha256(settings, *stacks, *features)
 
     def propagation_tables(self) -> tuple[str, dict[str, np.ndarray]]:
-        """Fingerprint and layers 1..L (``"user.1"`` … ``"item.L"``) for a checkpoint."""
-        sides = zip(("user", "item"), self._propagated_arrays())
+        """Fingerprint and levels 1..L, one ``(N, L·d)`` column view per side
+        (``"user"``, ``"item"``), for a checkpoint."""
+        d = self.config.embedding_dim
         return self.propagation_fingerprint(), {
-            f"{side}.{level}": arrays[level]
-            for side, arrays in sides for level in range(1, len(arrays))}
+            side: table[:, d:] for side, table in zip(("user", "item"), self._tables())}
 
     def restore_propagation(self, fingerprint: str | None,
                             tables: dict[str, np.ndarray]) -> None:
-        """Serve stored layers 1..L if they fit this model's fingerprint and
+        """Serve stored levels 1..L if they fit this model's fingerprint and
         layout; otherwise the model propagates on first use."""
         with no_grad():
             order0 = [h.data for h in self._order0()]
-        layers = tuple([h] + [tables.get(f"{side}.{level}")
-                              for level in range(1, len(self.layers) + 1)]
-                       for side, h in zip(("user", "item"), order0))
-        fits = all(t is not None and (t.shape, t.dtype) == (side[0].shape, side[0].dtype)
-                   for side in layers for t in side)
-        if (fits and len(tables) == 2 * len(self.layers)
-                and fingerprint == self.propagation_fingerprint()):
-            self.engine.prime("gnmr.layers", layers)
+        stored = [tables.get(side) for side in ("user", "item")]
+        width = len(self.layers) * self.config.embedding_dim
+        fits = all(t is not None and (t.shape, t.dtype) == ((len(h), width), h.dtype)
+                   for t, h in zip(stored, order0))
+        if fits and len(tables) == 2 and fingerprint == self.propagation_fingerprint():
+            self.engine.prime("gnmr.tables", tuple(
+                np.concatenate([h, t], axis=1) for h, t in zip(order0, stored)))
 
     # ------------------------------------------------------------------
     # introspection (used by examples and tests)

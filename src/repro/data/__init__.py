@@ -30,7 +30,6 @@ from repro.data.scenarios import (
     ScenarioSpec,
     build_scenario,
     get_scenario,
-    list_scenarios,
     resolve_scenario,
 )
 
@@ -59,6 +58,5 @@ __all__ = [
     "ScenarioSpec",
     "build_scenario",
     "get_scenario",
-    "list_scenarios",
     "resolve_scenario",
 ]

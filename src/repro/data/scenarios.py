@@ -92,10 +92,6 @@ SCENARIOS: dict[str, ScenarioSpec] = {
 }
 
 
-def list_scenarios() -> tuple[str, ...]:
-    return tuple(SCENARIOS)
-
-
 def get_scenario(name: str) -> ScenarioSpec:
     try:
         return SCENARIOS[name]

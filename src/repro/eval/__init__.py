@@ -1,31 +1,23 @@
 """Evaluation: ranking metrics and the sampled candidate protocol."""
 
 from repro.eval.metrics import (
-    auc,
     hit_ratio,
     mrr,
     ndcg,
-    precision,
-    rank_of_positive,
     recall,
 )
 from repro.eval.protocol import (
     EvaluationResult,
     evaluate_full_ranking,
     evaluate_model,
-    evaluate_ranking,
 )
 
 __all__ = [
-    "auc",
     "hit_ratio",
     "ndcg",
     "mrr",
-    "precision",
     "recall",
-    "rank_of_positive",
     "EvaluationResult",
-    "evaluate_ranking",
     "evaluate_model",
     "evaluate_full_ranking",
 ]

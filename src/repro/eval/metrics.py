@@ -1,4 +1,4 @@
-"""Ranking metrics: HR@N and NDCG@N (plus MRR / precision / recall).
+"""Ranking metrics: HR@N and NDCG@N (plus MRR / recall).
 
 The protocol places exactly one positive among the candidates of each test
 user, so HR@N is the fraction of users whose positive ranks within the top
@@ -11,25 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def rank_of_positive(scores: np.ndarray, positive_index: int = 0) -> int:
-    """0-based rank of the positive candidate under descending scores.
-
-    Ties are broken pessimistically (the positive loses), which keeps the
-    metric conservative and deterministic.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    positive_score = scores[positive_index]
-    better = np.sum(scores > positive_score)
-    ties = np.sum(scores == positive_score) - 1  # exclude the positive itself
-    return int(better + ties)
-
-
 def ranks_of_positives(scores: np.ndarray, positive_index: int = 0) -> np.ndarray:
-    """Vectorized :func:`rank_of_positive` over a (users × candidates) matrix.
+    """0-based rank of the positive in each row of a (users × candidates)
+    score matrix, under descending scores.
 
-    One comparison pass over the whole matrix replaces the per-row Python
-    loop — the difference between milliseconds and seconds on full-catalog
-    evaluation. Tie-breaking is identical (pessimistic).
+    One comparison pass over the whole matrix. Ties are broken
+    pessimistically (the positive loses), which keeps the metric
+    conservative and deterministic.
     """
     scores = np.asarray(scores, dtype=np.float64)
     positive = scores[:, positive_index][:, None]
@@ -61,26 +49,6 @@ def mrr(ranks: np.ndarray) -> float:
     if ranks.size == 0:
         return 0.0
     return float(np.mean(1.0 / (ranks + 1.0)))
-
-
-def auc(ranks: np.ndarray, num_candidates: int) -> float:
-    """Mean AUC: probability the positive outranks a random negative.
-
-    With one positive at 0-based rank r among ``num_candidates`` items,
-    per-user AUC = 1 − r / (num_candidates − 1).
-    """
-    ranks = np.asarray(ranks)
-    if ranks.size == 0 or num_candidates < 2:
-        return 0.0
-    return float(np.mean(1.0 - ranks / (num_candidates - 1)))
-
-
-def precision(ranks: np.ndarray, top_n: int) -> float:
-    """Precision@N with one relevant item: hits / N averaged over users."""
-    ranks = np.asarray(ranks)
-    if ranks.size == 0:
-        return 0.0
-    return float(np.mean((ranks < top_n) / top_n))
 
 
 def recall(ranks: np.ndarray, top_n: int) -> float:

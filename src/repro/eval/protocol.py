@@ -65,16 +65,6 @@ class EvaluationResult:
         return len(self.ranks)
 
 
-def evaluate_ranking(scores: np.ndarray) -> EvaluationResult:
-    """Compute ranks from a (users × candidates) score matrix.
-
-    Column 0 must hold the positive candidate (the
-    :class:`~repro.data.negatives.EvalCandidates` convention). Ranks are
-    computed with one vectorized comparison pass over the whole matrix.
-    """
-    return EvaluationResult(ranks=M.ranks_of_positives(scores))
-
-
 def evaluate_full_ranking(model: Scorer, train, test_users: np.ndarray,
                           test_items: np.ndarray,
                           batch_users: int = 64,

@@ -19,7 +19,6 @@ from repro.graph.layered import (
 from repro.graph.sampling import (
     NegativeSampler,
     sample_pairwise_batch,
-    sample_seed_nodes,
     PairwiseBatch,
 )
 
@@ -36,6 +35,5 @@ __all__ = [
     "validate_fanout",
     "NegativeSampler",
     "sample_pairwise_batch",
-    "sample_seed_nodes",
     "PairwiseBatch",
 ]

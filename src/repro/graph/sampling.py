@@ -93,12 +93,6 @@ class NegativeSampler:
         return out
 
 
-def sample_seed_nodes(num_nodes: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample seed node ids without replacement (Algorithm 1, line 3)."""
-    count = min(count, num_nodes)
-    return rng.choice(num_nodes, size=count, replace=False)
-
-
 def sample_pairwise_batch(graph: MultiBehaviorGraph, behavior: str,
                           sampler: NegativeSampler, batch_users: int,
                           per_user: int, rng: np.random.Generator,

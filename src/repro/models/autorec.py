@@ -34,13 +34,20 @@ class ProfileAutoencoder(Recommender):
 
     def batch_source(self, train: InteractionDataset, config: TrainConfig):
         """Reconstruction of ``train``'s profile rows, ``max(8,
-        batch_users)`` a step, positives weighted 5×, plus L2."""
+        batch_users)`` a step, positives weighted 5×, plus L2. It reads
+        neither ``per_user`` nor ``steps_per_epoch`` (an epoch is one pass
+        over the rows) and refuses a pairwise ``loss`` or ``margin``."""
         if (train.num_users, train.num_items) != (self.num_users,
                                                   self.num_items):
             raise ValueError(
                 f"{self.name} was built for {self.num_users} users x "
                 f"{self.num_items} items; cannot train on {train.name!r} "
                 f"({train.num_users} x {train.num_items})")
+        if (config.loss, config.margin) != ("hinge", 1.0):
+            raise ValueError(
+                f"{self.name} reconstructs profile rows and reads no pairwise "
+                f"loss: loss={config.loss!r}, margin={config.margin} apply "
+                "only to the pairwise models — leave them at 'hinge', 1.0")
         # the build dataset's matrix is not made a second time
         profiles = (self._profiles if train is self._built_on
                     else _target_profiles(train))

@@ -6,14 +6,11 @@ baseline recommenders.
 """
 
 from repro.nn.module import Module, Parameter, ModuleList
-from repro.nn.layers import Linear, Embedding, MLP, Dropout, GRUCell, Identity
+from repro.nn.layers import Linear, Embedding, MLP, Dropout, GRUCell
 from repro.nn import init
 from repro.nn.losses import (
     pairwise_hinge_loss,
     bpr_loss,
-    mse_loss,
-    bce_with_logits_loss,
-    softmax_cross_entropy,
     l2_regularization,
     l2_regularization_batch,
 )
@@ -35,13 +32,9 @@ __all__ = [
     "MLP",
     "Dropout",
     "GRUCell",
-    "Identity",
     "init",
     "pairwise_hinge_loss",
     "bpr_loss",
-    "mse_loss",
-    "bce_with_logits_loss",
-    "softmax_cross_entropy",
     "l2_regularization",
     "l2_regularization_batch",
     "Optimizer",

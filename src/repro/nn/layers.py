@@ -11,13 +11,6 @@ from repro.nn.module import Module, ModuleList, Parameter
 from repro.tensor import Tensor, functional as F, is_grad_enabled
 
 
-class Identity(Module):
-    """Pass-through layer (useful as an ablation stand-in)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
 class Linear(Module):
     """Affine transform ``x @ Wᵀ + b``.
 

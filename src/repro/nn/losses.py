@@ -11,7 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor
 
 
 def pairwise_hinge_loss(pos_scores: Tensor, neg_scores: Tensor,
@@ -26,27 +26,6 @@ def bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
     # -log σ(x) = softplus(-x), computed stably.
     return ((-diff).maximum(Tensor(np.zeros(diff.shape, dtype=diff.data.dtype)))
             + ((-(diff.abs())).exp() + 1.0).log()).sum()
-
-
-def mse_loss(prediction: Tensor, target) -> Tensor:
-    """Mean squared error (AutoRec / DMF reconstruction objectives)."""
-    return F.mse(prediction, target)
-
-
-def bce_with_logits_loss(logits: Tensor, target) -> Tensor:
-    """Numerically stable binary cross-entropy on logits (NCF/NMTR)."""
-    return F.binary_cross_entropy_with_logits(logits, target)
-
-
-def softmax_cross_entropy(logits: Tensor, target_index: np.ndarray) -> Tensor:
-    """Mean cross-entropy of integer targets under ``softmax(logits)``.
-
-    ``logits``: (batch, classes); ``target_index``: (batch,) int array.
-    """
-    logp = F.log_softmax(logits, axis=-1)
-    batch = logits.shape[0]
-    picked = logp[np.arange(batch), np.asarray(target_index, dtype=np.int64)]
-    return -picked.mean()
 
 
 def l2_regularization(parameters: Iterable[Tensor], weight: float) -> Tensor:

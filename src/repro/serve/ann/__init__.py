@@ -14,7 +14,6 @@ from repro.serve.ann.kmeans import kmeans
 from repro.serve.ann.quant import (
     QUANT_KINDS,
     QuantizedItems,
-    dequantize_int8,
     quantize_int8,
 )
 from repro.serve.ann.index import IVFIndex, default_num_lists
@@ -26,7 +25,6 @@ __all__ = [
     "IVFIndex",
     "QuantizedItems",
     "default_num_lists",
-    "dequantize_int8",
     "kmeans",
     "quantize_int8",
 ]

@@ -11,9 +11,8 @@ a float32 operand for the per-list GEMM:
   folded into the *query* (``(q · scale) @ codes.T == q @ decoded.T``),
   so the per-list operand is just the int8 block cast to float32.
 
-``quantize_int8`` / ``dequantize_int8`` are also exposed directly so the
-round-trip error bound (≤ scale/2 per coordinate) is testable in
-isolation.
+``quantize_int8`` is also exposed directly so the round-trip error bound
+(≤ scale/2 per coordinate) is testable in isolation.
 """
 
 from __future__ import annotations
@@ -37,12 +36,6 @@ def quantize_int8(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = np.where(amax > 0, amax / 127.0, 1.0).astype(np.float32)
     codes = np.rint(matrix / scale[None, :]).astype(np.int8)
     return codes, scale
-
-
-def dequantize_int8(codes: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Float32 reconstruction of int8 codes (``codes * scale``)."""
-    return codes.astype(np.float32) * np.asarray(scale,
-                                                 dtype=np.float32)[None, :]
 
 
 class QuantizedItems:

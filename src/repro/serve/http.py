@@ -233,6 +233,13 @@ class DynamicBatcher:
             pending.dequeued_at = now
             if not pending.abandoned:
                 groups.setdefault(pending.k, []).append(pending)
+        # counted before any future resolves, so a caller that has its
+        # answer reads stats() that already include the batch it came from
+        with self._lock:
+            self._batches += len(groups)
+            self._executed += sum(len(g) for g in groups.values())
+            self._largest = max([self._largest,
+                                 *(len(g) for g in groups.values())])
         for k, group in groups.items():
             try:
                 rows = list(self._fn([p.user for p in group], k))
@@ -249,11 +256,6 @@ class DynamicBatcher:
                 continue
             for pending, row in zip(group, rows):
                 pending._finish(row)
-        with self._lock:
-            self._batches += len(groups)
-            self._executed += sum(len(g) for g in groups.values())
-            self._largest = max([self._largest,
-                                 *(len(g) for g in groups.values())])
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

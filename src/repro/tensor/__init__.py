@@ -36,7 +36,7 @@ from repro.tensor.tensor import (
 )
 from repro.tensor import functional
 from repro.tensor.sparse import SparseAdjacency
-from repro.tensor.rowsparse import RowSparseGrad, add_grads, grad_to_dense
+from repro.tensor.rowsparse import RowSparseGrad, add_grads
 from repro.tensor.grad_check import numerical_grad, check_gradients, dtype_tolerances
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "SparseAdjacency",
     "RowSparseGrad",
     "add_grads",
-    "grad_to_dense",
     "numerical_grad",
     "check_gradients",
     "dtype_tolerances",

@@ -1,8 +1,7 @@
 """Composite differentiable functions built from :class:`Tensor` primitives.
 
 These are the numerically stable building blocks used by the neural layers:
-softmax, log-softmax, dropout, normalization helpers, and the attention
-scaled dot-product used by GNMR's cross-behavior dependency encoder.
+softmax, dropout and normalization helpers.
 """
 
 from __future__ import annotations
@@ -18,16 +17,12 @@ __all__ = [
     "sigmoid",
     "tanh",
     "softmax",
-    "log_softmax",
     "dropout",
     "l2_normalize",
-    "scaled_dot_product_attention",
     "concat",
     "gated_sum",
     "stack",
     "where",
-    "mse",
-    "binary_cross_entropy_with_logits",
 ]
 
 
@@ -58,11 +53,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - Tensor(_max(x.data, axis))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
 def dropout(x: Tensor, rate: float, training: bool,
             rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: identity when not training or ``rate == 0``."""
@@ -79,32 +69,3 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     """Normalize rows to unit L2 norm (used by DMF cosine matching)."""
     norm = (x * x).sum(axis=axis, keepdims=True).maximum(eps).sqrt()
     return x / norm
-
-
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
-                                 scale: float | None = None) -> tuple[Tensor, Tensor]:
-    """Batched attention: softmax(q kᵀ / scale) v.
-
-    Shapes: ``q``: (..., Lq, dh), ``k``: (..., Lk, dh), ``v``: (..., Lk, dv).
-    Returns (output, attention_weights).
-    """
-    dh = q.shape[-1]
-    scale = scale if scale is not None else float(np.sqrt(dh))
-    scores = q.matmul(k.swapaxes(-1, -2)) * (1.0 / scale)
-    weights = softmax(scores, axis=-1)
-    return weights.matmul(v), weights
-
-
-def mse(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
-    """Mean squared error over all elements."""
-    target = prediction._coerce(target)
-    diff = prediction - target
-    return (diff * diff).mean()
-
-
-def binary_cross_entropy_with_logits(logits: Tensor, target: Tensor | np.ndarray) -> Tensor:
-    """Stable BCE-with-logits: max(z,0) - z*y + log(1 + exp(-|z|)), averaged."""
-    target = logits._coerce(target)
-    zeros = Tensor(np.zeros(logits.shape, dtype=logits.data.dtype))
-    loss = logits.maximum(zeros) - logits * target + ((-logits.abs()).exp() + 1.0).log()
-    return loss.mean()

@@ -160,10 +160,3 @@ def add_grads(a, b):
     if isinstance(b, RowSparseGrad):
         return b + a
     return a + b
-
-
-def grad_to_dense(grad):
-    """Dense view of a gradient that may be row-sparse (``None`` passes)."""
-    if isinstance(grad, RowSparseGrad):
-        return grad.to_dense()
-    return grad

@@ -1,16 +1,12 @@
-"""Training harness: one trainer, its batch sources, seeding, callbacks."""
+"""Training harness: one trainer, its batch sources, callbacks."""
 
-from repro.train.seed import seeded_rng, spawn_rngs
-from repro.train.trainer import Trainer, TrainConfig, EpochLog
+from repro.train.trainer import Trainer, TrainConfig
 from repro.train.pipeline import SampledBatchPipeline, PreparedBatch
 from repro.train.callbacks import EarlyStopping, HistoryRecorder
 
 __all__ = [
-    "seeded_rng",
-    "spawn_rngs",
     "Trainer",
     "TrainConfig",
-    "EpochLog",
     "SampledBatchPipeline",
     "PreparedBatch",
     "EarlyStopping",

@@ -154,16 +154,6 @@ class TrainConfig:
         return {} if self.fanout == "model" else {"fanout": self.fanout}
 
 
-@dataclass
-class EpochLog:
-    """Scalars logged once per epoch."""
-
-    epoch: int
-    loss: float
-    lr: float
-    metric: float | None = None
-
-
 class Trainer:
     """Drives the training of any model through its batch source.
 

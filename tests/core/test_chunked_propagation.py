@@ -38,8 +38,10 @@ SUBSETS = {
 def _tables(dataset, dtype, overrides):
     model = GNMR(dataset, GNMRConfig(pretrain=False, seed=5, num_layers=2,
                                      dtype=dtype, **overrides))
-    users, items = model._propagated_arrays()
-    return model, users + items
+    d = model.config.embedding_dim
+    return model, [table[:, start:start + d]
+                   for table in model.serving_embeddings()
+                   for start in range(0, table.shape[1], d)]
 
 
 def _chunked_tables(dataset, dtype, overrides, monkeypatch):

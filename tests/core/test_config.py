@@ -1,5 +1,7 @@
 """Tests of GNMRConfig validation and variants."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import GNMRConfig
@@ -31,9 +33,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             GNMRConfig(dropout=1.0)
 
-    def test_bad_layer_combination(self):
-        with pytest.raises(ValueError):
-            GNMRConfig(layer_combination="concat")
+    def test_layer_combination_is_not_an_option(self):
+        """A pair scores Σ_l ⟨H^l_u, H^l_v⟩; the old ``"mean"`` only
+        scaled every score by 1/(L+1)."""
+        assert "layer_combination" not in {f.name for f in fields(GNMRConfig)}
+        with pytest.raises(TypeError):
+            GNMRConfig(layer_combination="sum")
 
     def test_bad_memory_dims(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import GNMR, GNMRConfig
+from repro.tensor import no_grad
 
 
 @pytest.fixture(scope="module")
@@ -129,13 +130,24 @@ class TestAblations:
                           * shallow.item_embeddings.data[items], axis=1)
         np.testing.assert_allclose(shallow.score(users, items), expected)
 
-    def test_mean_layer_combination(self, dataset):
-        summed = GNMR(dataset, GNMRConfig(pretrain=False, seed=2))
-        averaged = GNMR(dataset, GNMRConfig(pretrain=False, seed=2,
-                                            layer_combination="mean"))
-        users, items = np.array([0]), np.array([1])
-        ratio = summed.score(users, items) / averaged.score(users, items)
-        np.testing.assert_allclose(ratio, 3.0, rtol=1e-8)
+    @pytest.mark.parametrize("num_layers", [0, 1, 2, 3])
+    def test_score_is_the_multi_order_matching(self, dataset, num_layers):
+        """Σ_l ⟨H^l_u, H^l_v⟩ summed level by level in order, bit for bit;
+        it equals one inner product of the concatenated rows."""
+        model = GNMR(dataset, GNMRConfig(num_layers=num_layers,
+                                         pretrain=False, seed=3))
+        users = np.arange(model.num_users)
+        items = (7 * users) % model.num_items
+        with no_grad():
+            user_layers, item_layers = model.propagate()
+        expected = np.zeros(users.shape)
+        for hu, hv in zip(user_layers, item_layers):
+            expected += np.sum(hu.data[users] * hv.data[items], axis=1)
+        np.testing.assert_array_equal(model.score(users, items), expected)
+        user_table, item_table = model.serving_embeddings()
+        np.testing.assert_allclose(
+            np.sum(user_table[users] * item_table[items], axis=1), expected,
+            rtol=1e-12)
 
 
 class TestIntrospection:

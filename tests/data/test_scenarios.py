@@ -7,7 +7,6 @@ from repro.data import (
     SCENARIOS,
     build_scenario,
     get_scenario,
-    list_scenarios,
     resolve_scenario,
     save_dataset_npz,
     taobao_like,
@@ -16,7 +15,7 @@ from repro.data import (
 
 class TestRegistry:
     def test_expected_scenarios_present(self):
-        names = list_scenarios()
+        names = tuple(SCENARIOS)
         for expected in ("tmall-like", "taobao-like", "movielens-10m-like",
                          "yelp-like", "gowalla-like"):
             assert expected in names

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import leave_one_out_split
-from repro.eval import auc, evaluate_full_ranking
+from repro.eval import evaluate_full_ranking
 
 
 class OracleModel:
@@ -103,19 +103,3 @@ class TestApproxFullRanking:
         with pytest.raises(ValueError, match="unknown retriever"):
             evaluate_full_ranking(model, split.train, split.test_users,
                                   split.test_items, retriever="lsh")
-
-
-class TestAUC:
-    def test_perfect(self):
-        assert auc(np.array([0, 0]), num_candidates=100) == 1.0
-
-    def test_worst(self):
-        assert auc(np.array([99]), num_candidates=100) == pytest.approx(0.0)
-
-    def test_random_is_half(self):
-        ranks = np.arange(100)  # uniform over all positions
-        assert auc(ranks, num_candidates=100) == pytest.approx(0.5)
-
-    def test_empty(self):
-        assert auc(np.array([]), 10) == 0.0
-        assert auc(np.array([0]), 1) == 0.0

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.eval import hit_ratio, mrr, ndcg, precision, rank_of_positive, recall
+from repro.eval import hit_ratio, mrr, ndcg, recall
+from repro.eval.metrics import ranks_of_positives
+
+
+def rank_of_positive(scores, positive_index=0):
+    return int(ranks_of_positives(np.array([scores]), positive_index)[0])
 
 
 class TestRankOfPositive:
@@ -68,9 +73,6 @@ class TestOtherMetrics:
 
     def test_mrr_empty(self):
         assert mrr(np.array([])) == 0.0
-
-    def test_precision(self):
-        assert precision(np.array([0, 100]), top_n=10) == pytest.approx(0.05)
 
 
 ranks_strategy = st.lists(st.integers(min_value=0, max_value=99),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.negatives import EvalCandidates
-from repro.eval import EvaluationResult, evaluate_model, evaluate_ranking
+from repro.eval import EvaluationResult, evaluate_model
 
 
 class PerfectModel:
@@ -56,13 +56,6 @@ class TestEvaluateModel:
         result = evaluate_model(RandomModel(), candidates)
         # positive has 10% chance in the top-10 of 100 candidates
         assert result.hr(10) == pytest.approx(0.1, abs=0.06)
-
-
-class TestEvaluateRanking:
-    def test_direct_score_matrix(self):
-        scores = np.array([[1.0, 0.5, 2.0], [3.0, 0.1, 0.2]])
-        result = evaluate_ranking(scores)
-        np.testing.assert_array_equal(result.ranks, [1, 0])
 
 
 class TestEvaluationResult:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import NegativeSampler, sample_pairwise_batch, sample_seed_nodes
+from repro.graph import NegativeSampler, sample_pairwise_batch
 
 
 @pytest.fixture
@@ -33,15 +33,6 @@ class TestNegativeSampler:
     def test_positives_reflect_behavior(self, graph):
         sampler = NegativeSampler(graph, "view")
         assert sampler.positives(2) == {3}
-
-
-class TestSeedSampling:
-    def test_without_replacement(self, rng):
-        seeds = sample_seed_nodes(10, 10, rng)
-        assert len(set(seeds.tolist())) == 10
-
-    def test_clamped_to_population(self, rng):
-        assert sample_seed_nodes(3, 100, rng).shape == (3,)
 
 
 class TestPairwiseBatch:

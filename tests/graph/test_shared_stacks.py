@@ -147,13 +147,13 @@ class TestEnginesStaySeparate:
     def test_training_one_model_leaves_the_other(self, dataset):
         trained, bystander = _model(dataset, 1), _model(dataset, 2)
         before = [table.copy() for table in bystander.serving_embeddings()]
-        layers = bystander.engine.cached("gnmr.layers", pytest.fail)
+        tables = bystander.engine.cached("gnmr.tables", pytest.fail)
         version = bystander.engine.version
         trained.fit(dataset, TrainConfig(epochs=1, steps_per_epoch=2,
                                          batch_users=8, seed=0))
         assert trained.engine.version > 0
         assert bystander.engine.version == version
-        assert bystander.engine.cached("gnmr.layers", pytest.fail) is layers
+        assert bystander.engine.cached("gnmr.tables", pytest.fail) is tables
         _assert_bits_equal(list(bystander.serving_embeddings()), before)
         assert trained.engine._user_stack is bystander.engine._user_stack
 

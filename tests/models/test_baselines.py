@@ -149,6 +149,34 @@ class TestModelSpecifics:
         with pytest.raises(ValueError, match="20 x 50"):
             model_cls(a, seed=0).fit(smaller, config)
 
+    @pytest.mark.parametrize("model_cls", [AutoRec, CDAE])
+    @pytest.mark.parametrize("override", [{"loss": "bpr"}, {"margin": 0.5}])
+    def test_autoencoders_refuse_a_pairwise_loss(self, model_cls, override,
+                                                 split):
+        """Their source reconstructs profile rows: a loss or margin it
+        would not read is refused, naming the model."""
+        model = model_cls(split.train, seed=0)
+        config = TrainConfig(epochs=1, batch_users=8, seed=0, **override)
+        with pytest.raises(ValueError, match=f"^{model.name} .*hinge"):
+            model.fit(split.train, config)
+
+    @pytest.mark.parametrize("model_cls", [AutoRec, CDAE])
+    def test_autoencoders_do_not_read_steps_or_per_user(self, model_cls,
+                                                        split):
+        """Every experiment scale sets ``steps_per_epoch`` and ``per_user``
+        for all models, so the profile models take them and train the
+        same parameters whatever they are."""
+        states = []
+        for steps, per_user in ((1, 1), (5, 4)):
+            model = model_cls(split.train, seed=0)
+            model.fit(split.train, TrainConfig(
+                epochs=1, steps_per_epoch=steps, batch_users=8,
+                per_user=per_user, seed=0))
+            states.append(model.state_dict())
+        assert states[0].keys() == states[1].keys()
+        for name in states[0]:
+            np.testing.assert_array_equal(states[0][name], states[1][name])
+
     def test_cdae_corruption_validated(self, split):
         with pytest.raises(ValueError):
             CDAE(split.train, corruption=1.0)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.models import BiasMF
 from repro.models.ncf import NCFGMF, NCFMLP, NeuMF
-from repro.tensor import RowSparseGrad, grad_to_dense
+from repro.tensor import RowSparseGrad
 
 ALL = [BiasMF, NCFGMF, NCFMLP, NeuMF]
 
@@ -58,7 +58,8 @@ class TestSparseBaselines:
             else:
                 p, n = model.batch_scores(users, pos, neg)
             ((p - n) * (p - n)).sum().backward()
-            return {name: grad_to_dense(param.grad)
+            return {name: param.grad.to_dense()
+                    if isinstance(param.grad, RowSparseGrad) else param.grad
                     for name, param in model.named_parameters()}
 
         dense = grads(False)
@@ -77,7 +78,7 @@ class TestSparseBaselines:
             grad = params[name].grad
             assert isinstance(grad, RowSparseGrad), name
             # rows outside the batch carry no regularization gradient
-            dense = grad_to_dense(grad)
+            dense = grad.to_dense()
             untouched = np.setdiff1d(
                 np.arange(dense.shape[0]),
                 np.concatenate([users, pos, neg]))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Dropout, Embedding, GRUCell, Identity, Linear, MLP
+from repro.nn import Dropout, Embedding, GRUCell, Linear, MLP
 from repro.tensor import Tensor, check_gradients
 
 
@@ -143,7 +143,3 @@ class TestGRUCell:
         assert x.grad is not None
         assert all(p.grad is not None for p in cell.parameters())
 
-
-def test_identity_layer(rng):
-    x = Tensor(rng.standard_normal((2, 2)))
-    assert Identity()(x) is x

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (
-    bce_with_logits_loss,
-    bpr_loss,
-    l2_regularization,
-    mse_loss,
-    pairwise_hinge_loss,
-    softmax_cross_entropy,
-)
+from repro.nn import bpr_loss, l2_regularization, pairwise_hinge_loss
 from repro.nn.module import Parameter
 from repro.tensor import Tensor, check_gradients
 
@@ -58,25 +51,6 @@ class TestBPR:
         pos = Tensor(rng.standard_normal(6), requires_grad=True)
         neg = Tensor(rng.standard_normal(6), requires_grad=True)
         check_gradients(lambda p, n: bpr_loss(p, n), [pos, neg])
-
-
-class TestPointwise:
-    def test_mse(self):
-        assert float(mse_loss(Tensor([1.0, 3.0]), np.array([1.0, 1.0])).data) == 2.0
-
-    def test_bce_perfect_prediction(self):
-        loss = bce_with_logits_loss(Tensor([50.0, -50.0]), np.array([1.0, 0.0]))
-        assert float(loss.data) == pytest.approx(0.0, abs=1e-9)
-
-    def test_softmax_ce_uniform(self):
-        logits = Tensor(np.zeros((2, 4)))
-        loss = softmax_cross_entropy(logits, np.array([0, 3]))
-        assert float(loss.data) == pytest.approx(np.log(4.0))
-
-    def test_softmax_ce_gradient(self, rng):
-        logits = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        targets = np.array([0, 2, 4])
-        check_gradients(lambda z: softmax_cross_entropy(z, targets), [logits], atol=1e-5)
 
 
 class TestL2:

@@ -29,7 +29,7 @@ from repro.serve import (
     RecommendationService,
     ServerBusy,
 )
-from repro.serve.http import MAX_BODY_BYTES, MAX_K
+from repro.serve.http import MAX_BODY_BYTES, MAX_K, _Pending
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +145,48 @@ class TestDynamicBatcher:
         assert sorted(calls) == [([1, 3], 2), ([2], 4)]
         # one drain cycle, two fn executions
         assert batcher.stats()["batches"] == 2
+        batcher.close()
+
+    def test_stats_count_a_batch_before_its_futures_resolve(self, monkeypatch):
+        """A caller holding its answer reads stats() that already count
+        the batch it came from."""
+        seen = []
+        finish = _Pending._finish
+
+        def recording(pending, value):
+            stats = batcher.stats()
+            seen.append((pending.k, stats["batches"], stats["largest_batch"]))
+            finish(pending, value)
+
+        monkeypatch.setattr(_Pending, "_finish", recording)
+        batcher = DynamicBatcher(lambda users, k: [(u, k) for u in users],
+                                 max_batch=8, autostart=False)
+        pending = [batcher.submit(user, k=k) for user, k in ((1, 2), (2, 4), (3, 2))]
+        batcher.start()
+        assert [p.result(timeout=5.0) for p in pending] == [(1, 2), (2, 4), (3, 2)]
+        assert sorted(seen) == [(2, 2, 2), (2, 2, 2), (4, 2, 2)]
+        batcher.close()
+
+    def test_stats_count_a_failed_batch_before_its_waiters_see_the_error(
+            self, monkeypatch):
+        seen = []
+        fail = _Pending._fail
+
+        def recording(pending, error):
+            seen.append(batcher.stats()["batches"])
+            fail(pending, error)
+
+        def fn(users, k):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(_Pending, "_fail", recording)
+        batcher = DynamicBatcher(fn, max_batch=4, autostart=False)
+        pending = [batcher.submit(u, k=1) for u in (0, 1)]
+        batcher.start()
+        for p in pending:
+            with pytest.raises(KeyError, match="boom"):
+                p.result(timeout=5.0)
+        assert seen == [1, 1]
         batcher.close()
 
     def test_fn_error_propagates_to_every_waiter(self):

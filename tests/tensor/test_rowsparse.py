@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import RowSparseGrad, Tensor, add_grads, grad_to_dense
+from repro.tensor import RowSparseGrad, Tensor, add_grads
 from repro.tensor.grad_check import numerical_grad
 
 
@@ -56,11 +56,6 @@ class TestRowSparseGrad:
         g = RowSparseGrad([0], np.ones((1, 2), dtype=np.float32), 2)
         assert (g * 0.5).dtype == np.float32
         assert g.scale_(0.5).values.dtype == np.float32
-
-    def test_grad_to_dense_passthrough(self):
-        dense = np.ones((2, 2))
-        assert grad_to_dense(dense) is dense
-        assert grad_to_dense(None) is None
 
 
 class TestEmbeddingRows:

@@ -1,7 +1,8 @@
 """A checkpoint carries the model's propagation.
 
-``save_checkpoint`` stores GNMR's propagated layers 1..L beside the
-parameters, with a fingerprint of everything else the propagation reads.
+``save_checkpoint`` stores GNMR's propagated levels 1..L beside the
+parameters, one ``(N, L·d)`` member per side, with a fingerprint of
+everything else the propagation reads.
 A verified load into a model with the same fingerprint serves those
 tables instead of propagating the graph again; every other load
 propagates on first use, exactly as a file without tables does.
@@ -23,7 +24,6 @@ VARIANTS = {
     "uniform-psi": {"use_gated_aggregation": False},
     "sum-aggregator": {"aggregator": "sum"},
     "no-self-connection": {"self_connection": False},
-    "mean-combination": {"layer_combination": "mean"},
     "side-features": {"use_side_features": True},
 }
 
@@ -63,9 +63,16 @@ def _trained(dataset, **overrides):
     return model
 
 
+def _levels(model):
+    """Every propagated level, as column views of the engine-cached tables."""
+    d = model.config.embedding_dim
+    return tuple([table[:, start:start + d] for start in range(0, table.shape[1], d)]
+                 for table in model.serving_embeddings())
+
+
 def _tables(model):
-    """Every propagated layer, the serving pair and a few scores."""
-    users, items = model._propagated_arrays()
+    """Every propagated level, the serving pair and a few scores."""
+    users, items = _levels(model)
     pairs = np.arange(model.num_users) % model.num_items
     return [*users, *items, *model.serving_embeddings(),
             model.score(np.arange(model.num_users), pairs)]
@@ -97,18 +104,21 @@ class TestRestored:
         _assert_same(restored, _tables(fresh))
         assert propagations == [fresh]
 
-    def test_members_and_header(self, small_taobao, tmp_path):
-        model = _trained(small_taobao, num_layers=3)
+    @pytest.mark.parametrize("num_layers", [0, 1, 3])
+    def test_members_and_header(self, num_layers, small_taobao, tmp_path):
+        """Levels 1..L of a side are one ``(N, L·d)`` member: the table's
+        columns after level 0."""
+        model = _trained(small_taobao, num_layers=num_layers)
         arrays, meta = read_artifact(save_checkpoint(model, tmp_path / "m.npz"))
         stored = sorted(name for name in arrays if "::" in name)
-        assert stored == sorted(f"propagation::{side}.{level}"
-                                for side in ("user", "item")
-                                for level in (1, 2, 3))
+        assert stored == ["propagation::item", "propagation::user"]
         assert meta["propagation"] == model.propagation_fingerprint()
         assert meta["num_parameters"] == model.num_parameters()
-        users, items = model._propagated_arrays()
-        np.testing.assert_array_equal(arrays["propagation::item.2"], items[2])
-        np.testing.assert_array_equal(arrays["propagation::user.3"], users[3])
+        d = model.config.embedding_dim
+        for side, table in zip(("user", "item"), model.serving_embeddings()):
+            member = arrays[f"propagation::{side}"]
+            assert member.shape == (len(table), num_layers * d)
+            np.testing.assert_array_equal(member, table[:, d:])
 
     def test_fingerprint_ignores_what_propagation_does_not_read(
             self, small_taobao):
@@ -117,7 +127,7 @@ class TestRestored:
         reference = _model(small_taobao, 1).propagation_fingerprint()
         other = GNMR(small_taobao, GNMRConfig(
             seed=9, pretrain=True, pretrain_epochs=1, dropout=0.0,
-            fanout=(4, 2), layer_combination="mean"))
+            fanout=(4, 2)))
         assert other.propagation_fingerprint() == reference
 
 
@@ -201,8 +211,9 @@ class TestPropagatesInstead:
         assert propagations == [fresh]
         _assert_same(got, _tables(source))
 
-    @pytest.mark.parametrize("edit", ["level-missing", "wrong-shape",
-                                      "wrong-dtype", "extra-level"])
+    @pytest.mark.parametrize("edit", ["side-missing", "wrong-shape",
+                                      "wrong-dtype", "extra-level",
+                                      "extra-member"])
     def test_tables_that_do_not_fit_are_not_taken(self, edit, small_taobao,
                                                   tmp_path, propagations):
         """A consistent file (its manifest re-hashed) whose header claims
@@ -210,14 +221,16 @@ class TestPropagatesInstead:
         source = _trained(small_taobao)
         fingerprint, tables = source.propagation_tables()
         tables = dict(tables)
-        if edit == "level-missing":
-            del tables["item.2"]
+        if edit == "side-missing":
+            del tables["item"]
         elif edit == "wrong-shape":
-            tables["user.1"] = tables["user.1"][:-1]
+            tables["user"] = tables["user"][:-1]
         elif edit == "wrong-dtype":
-            tables["user.1"] = tables["user.1"].astype(np.float32)
+            tables["user"] = tables["user"].astype(np.float32)
+        elif edit == "extra-level":
+            tables["user"] = np.hstack([tables["user"], tables["user"][:, :16]])
         else:
-            tables["user.3"] = tables["user.2"]
+            tables["user.3"] = tables["user"][:, :16]
         arrays = {**source.state_dict(),
                   **{f"propagation::{name}": table
                      for name, table in tables.items()}}
@@ -225,6 +238,86 @@ class TestPropagatesInstead:
                               {"format": "checkpoint",
                                "propagation": fingerprint})
         fresh = _model(small_taobao, 2)
+        propagations.clear()
+        load_checkpoint(fresh, path)
+        got = _tables(fresh)
+        assert propagations == [fresh]
+        _assert_same(got, _tables(source))
+
+
+class TestOneTablePerSide:
+    """``score``, the served pair and the checkpoint read one engine-cached
+    ``(N, (L+1)·d)`` table per side."""
+
+    @pytest.mark.parametrize("num_layers", [0, 1, 2, 3])
+    def test_serving_embeddings_are_the_arrays_score_reads(self, num_layers,
+                                                           small_taobao):
+        model = _trained(small_taobao, num_layers=num_layers)
+        users, items = model.serving_embeddings()
+        assert users.flags.c_contiguous and items.flags.c_contiguous
+        assert users.shape == (model.num_users,
+                               (num_layers + 1) * model.config.embedding_dim)
+        pairs = np.arange(model.num_users) % model.num_items
+        scores = model.score(np.arange(model.num_users), pairs)
+        served = model.serving_embeddings()
+        assert served[0] is users and served[1] is items
+        users[:] = 0.0                      # score reads these very rows
+        np.testing.assert_array_equal(
+            model.score(np.arange(model.num_users), pairs),
+            np.zeros_like(scores))
+
+    def test_engine_cache_holds_one_entry(self, small_taobao, tmp_path):
+        model = _trained(small_taobao)
+        model.score(np.array([0, 1]), np.array([2, 3]))
+        model.serving_embeddings()
+        save_checkpoint(model, tmp_path / "m.npz")
+        assert list(model.engine._cache) == ["gnmr.tables"]
+        fresh = _model(small_taobao, 2)
+        load_checkpoint(fresh, tmp_path / "m.npz")
+        fresh.score(np.array([0, 1]), np.array([2, 3]))
+        assert list(fresh.engine._cache) == ["gnmr.tables"]
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_restored_tables_are_contiguous_with_order0_first(
+            self, dtype, small_taobao, tmp_path):
+        """A restore primes ``[order0 | stored]``: the layout a
+        propagated table has, C-contiguous for the retriever."""
+        path = save_checkpoint(_trained(small_taobao, dtype=dtype),
+                               tmp_path / "m.npz")
+        fresh = _model(small_taobao, 2, dtype=dtype)
+        load_checkpoint(fresh, path)
+        stored = read_artifact(path)[0]
+        d = fresh.config.embedding_dim
+        order0 = (fresh.user_embeddings.data, fresh.item_embeddings.data)
+        for side, table, h in zip(("user", "item"),
+                                  fresh.serving_embeddings(), order0):
+            assert table.flags.c_contiguous and table.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(table[:, :d], h)
+            np.testing.assert_array_equal(table[:, d:],
+                                          stored[f"propagation::{side}"])
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("num_layers", [0, 1, 2, 3])
+    def test_per_level_file_propagates_once(self, num_layers, dtype,
+                                            small_taobao, tmp_path,
+                                            propagations):
+        """A file of an earlier build stored levels 1..L as one
+        ``propagation::{side}.{level}`` member each: it does not fit the
+        layout, so the model propagates on first use, to the same answers.
+        At L = 1 it holds two members, as many as the new layout."""
+        overrides = dict(num_layers=num_layers, dtype=dtype)
+        source = _trained(small_taobao, **overrides)
+        fingerprint = source.propagation_fingerprint()
+        users, items = _levels(source)
+        arrays = {**source.state_dict(),
+                  **{f"propagation::{side}.{level}": np.ascontiguousarray(
+                      levels[level])
+                     for side, levels in (("user", users), ("item", items))
+                     for level in range(1, num_layers + 1)}}
+        path = write_artifact(tmp_path / "m.npz", arrays,
+                              {"format": "checkpoint",
+                               "propagation": fingerprint})
+        fresh = _model(small_taobao, 2, **overrides)
         propagations.clear()
         load_checkpoint(fresh, path)
         got = _tables(fresh)
