@@ -58,10 +58,6 @@ class GNMRConfig:
         means all of the dataset's behaviors. Lets Table IV's "w/o like"
         variant remove the *target* behavior from propagation while still
         training/predicting it.
-    use_side_features:
-        Extension (the paper's stated future work): when the dataset
-        carries ``user_features`` / ``item_features``, project them into
-        the embedding space and add them to the order-0 embeddings.
     dtype:
         Compute precision of the whole model — parameters, adjacencies and
         propagation: ``"float64"`` (bit-reproducible default), ``"float32"``
@@ -86,7 +82,6 @@ class GNMRConfig:
     pretrain_epochs: int = 30
     pretrain_lr: float = 1e-2
     graph_behaviors: tuple[str, ...] | None = None
-    use_side_features: bool = False
     dtype: str | None = "float64"
     seed: int = 0
 

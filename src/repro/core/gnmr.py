@@ -99,27 +99,6 @@ class GNMR(Recommender):
         self.user_embeddings = Parameter(user_init, name="user_embeddings")
         self.item_embeddings = Parameter(item_init, name="item_embeddings")
 
-        # optional attribute extension (paper's future work): project side
-        # features into the embedding space and add them at order 0
-        self.user_feature_proj = None
-        self.item_feature_proj = None
-        self._user_feature_input: Tensor | None = None
-        self._item_feature_input: Tensor | None = None
-        if cfg.use_side_features:
-            if dataset.user_features is None or dataset.item_features is None:
-                raise ValueError("use_side_features requires dataset features "
-                                 "(see repro.data.synthesize_attributes)")
-            from repro.nn.layers import Linear
-
-            self.user_feature_proj = Linear(dataset.user_features.shape[1],
-                                            cfg.embedding_dim, rng=rng)
-            self.item_feature_proj = Linear(dataset.item_features.shape[1],
-                                            cfg.embedding_dim, rng=rng)
-            self._user_feature_input = Tensor(dataset.user_features,
-                                              dtype=self.engine.dtype)
-            self._item_feature_input = Tensor(dataset.item_features,
-                                              dtype=self.engine.dtype)
-
         self.layers = ModuleList([
             GNMRPropagationLayer(
                 cfg.embedding_dim, cfg.memory_dims, cfg.num_heads, rng,
@@ -134,15 +113,6 @@ class GNMR(Recommender):
     # ------------------------------------------------------------------
     # propagation
     # ------------------------------------------------------------------
-    def _order0(self) -> tuple[Tensor, Tensor]:
-        """Order-0 embeddings, with projected side features when enabled."""
-        h_user: Tensor = self.user_embeddings
-        h_item: Tensor = self.item_embeddings
-        if self.user_feature_proj is not None:
-            h_user = h_user + self.user_feature_proj(self._user_feature_input)
-            h_item = h_item + self.item_feature_proj(self._item_feature_input)
-        return h_user, h_item
-
     def _run_layer_stack(self, h_user: Tensor, h_item: Tensor,
                          propagate_user, propagate_item,
                          restrict_user, restrict_item,
@@ -174,9 +144,8 @@ class GNMR(Recommender):
 
     def propagate(self) -> tuple[list[Tensor], list[Tensor]]:
         """Compute multi-order embeddings [H⁰..H^L] for users and items."""
-        h_user, h_item = self._order0()
         return self._run_layer_stack(
-            h_user, h_item,
+            self.user_embeddings, self.item_embeddings,
             lambda level, h: self.engine.propagate_user(h),
             lambda level, h: self.engine.propagate_item(h),
             lambda level, h: h,
@@ -251,17 +220,9 @@ class GNMR(Recommender):
         :class:`~repro.tensor.RowSparseGrad` holding only the block rows
         and Adam's per-step work scales with the block, not the tables.
         """
-        h_user = self.user_embeddings.embedding_rows(block.user_levels[0])
-        h_item = self.item_embeddings.embedding_rows(block.item_levels[0])
-        if self.user_feature_proj is not None:
-            h_user = h_user + self.user_feature_proj(
-                Tensor(self._user_feature_input.data[block.user_levels[0]],
-                       dtype=self.engine.dtype))
-            h_item = h_item + self.item_feature_proj(
-                Tensor(self._item_feature_input.data[block.item_levels[0]],
-                       dtype=self.engine.dtype))
         return self._run_layer_stack(
-            h_user, h_item,
+            self.user_embeddings.embedding_rows(block.user_levels[0]),
+            self.item_embeddings.embedding_rows(block.item_levels[0]),
             lambda level, h: block.user_hops[level].propagate(h),
             lambda level, h: block.item_hops[level].propagate(h),
             lambda level, h: h.gather_rows(block.restrict_users(level + 1)),
@@ -365,9 +326,7 @@ class GNMR(Recommender):
         stacks = [getattr(stack.matrix, part)
                   for stack in (self.engine._user_stack, self.engine._item_stack)
                   for part in ("indptr", "indices", "data")]
-        features = [f.data for f in (self._user_feature_input,
-                                     self._item_feature_input) if f is not None]
-        return array_sha256(settings, *stacks, *features)
+        return array_sha256(settings, *stacks)
 
     def propagation_tables(self) -> tuple[str, dict[str, np.ndarray]]:
         """Fingerprint and levels 1..L, one ``(N, L·d)`` column view per side
@@ -380,8 +339,7 @@ class GNMR(Recommender):
                             tables: dict[str, np.ndarray]) -> None:
         """Serve stored levels 1..L if they fit this model's fingerprint and
         layout; otherwise the model propagates on first use."""
-        with no_grad():
-            order0 = [h.data for h in self._order0()]
+        order0 = [self.user_embeddings.data, self.item_embeddings.data]
         stored = [tables.get(side) for side in ("user", "item")]
         width = len(self.layers) * self.config.embedding_dim
         fits = all(t is not None and (t.shape, t.dtype) == ((len(h), width), h.dtype)

@@ -11,11 +11,13 @@ users; the encoder outputs seed the embedding tables.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.data.dataset import InteractionDataset
 from repro.nn.layers import Linear
 from repro.nn.module import Module
-from repro.tensor import Tensor
+from repro.tensor import Tensor, get_default_dtype, no_grad
+from repro.tensor.sparse import dense_row_blocks
 from repro.train.sources import ProfileSource
 from repro.train.trainer import TrainConfig, Trainer
 
@@ -26,9 +28,11 @@ class AutoencoderPretrainer(Module):
     Trained with MSE on the full profile vectors (they are dense binary
     aggregates, so full reconstruction is the AutoRec objective with
     observed-everything weighting — appropriate for implicit data).
+    ``profiles`` is a CSR matrix; a step or an encoding block makes only
+    its own rows dense.
     """
 
-    def __init__(self, profiles: np.ndarray, embedding_dim: int,
+    def __init__(self, profiles: sp.csr_matrix, embedding_dim: int,
                  rng: np.random.Generator, batch_size: int = 64):
         super().__init__()
         self.profiles, self.batch_size = profiles, batch_size
@@ -50,10 +54,12 @@ class AutoencoderPretrainer(Module):
 
     def embeddings(self) -> np.ndarray:
         """Encoder outputs, centered and variance-normalized for use as H⁰."""
-        from repro.tensor import no_grad
-
+        num_rows, width = self.profiles.shape
         with no_grad():
-            codes = self.encode(Tensor(self.profiles)).data
+            codes = np.concatenate([
+                self.encode(Tensor(self.profiles[start:stop].toarray())).data
+                for start, stop in dense_row_blocks(
+                    num_rows, width * self.profiles.dtype.itemsize)])
         codes = codes - codes.mean(axis=0, keepdims=True)
         std = codes.std()
         if std > 1e-8:
@@ -61,22 +67,22 @@ class AutoencoderPretrainer(Module):
         return codes
 
 
-def _behavior_weighted_profiles(dataset: InteractionDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Compress X ∈ {0,1}^{I×J×K} to user (I×J) and item (J×I) profiles.
+def _behavior_weighted_profiles(dataset: InteractionDataset,
+                                ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Compress X ∈ {0,1}^{I×J×K} to user (I×J) and item (J×I) CSR profiles.
 
     Behaviors are weighted geometrically with the target behavior heaviest,
     so the profile keeps multi-behavior information in a single matrix.
     """
-    from repro.tensor import get_default_dtype
-
     graph = dataset.graph()
     num_behaviors = dataset.num_behaviors
-    user_profiles = np.zeros((dataset.num_users, dataset.num_items),
-                             dtype=get_default_dtype())
+    user_profiles = sp.csr_matrix((dataset.num_users, dataset.num_items),
+                                  dtype=get_default_dtype())
     for k, behavior in enumerate(dataset.behavior_names):
         weight = 1.0 if behavior == dataset.target_behavior else 0.5 ** (num_behaviors - k)
-        user_profiles += weight * graph.adjacency(behavior).to_dense()
-    return user_profiles, user_profiles.T.copy()
+        user_profiles = user_profiles + weight * graph.adjacency(behavior).matrix
+    user_profiles = user_profiles.astype(get_default_dtype(), copy=False)
+    return user_profiles, user_profiles.T.tocsr()
 
 
 def pretrain_embeddings(dataset: InteractionDataset, embedding_dim: int,

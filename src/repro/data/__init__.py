@@ -14,7 +14,6 @@ from repro.data.synthetic import (
     movielens_like,
     yelp_like,
     taobao_like,
-    synthesize_attributes,
 )
 from repro.data.ingest import (
     BadRowError,
@@ -46,7 +45,6 @@ __all__ = [
     "movielens_like",
     "yelp_like",
     "taobao_like",
-    "synthesize_attributes",
     "BadRowError",
     "IngestOptions",
     "IngestReport",

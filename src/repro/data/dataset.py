@@ -32,17 +32,12 @@ class InteractionDataset:
     interactions:
         Mapping behavior → dict with ``users``, ``items`` (int arrays) and
         optional ``timestamps`` (float array).
-    user_features, item_features:
-        Optional side-feature matrices of shape (I, F_u) / (J, F_v) — the
-        attribute extension the paper's conclusion proposes as future work.
     """
 
     def __init__(self, name: str, num_users: int, num_items: int,
                  behavior_names: tuple[str, ...] | list[str],
                  target_behavior: str,
-                 interactions: dict[str, dict[str, np.ndarray]],
-                 user_features: np.ndarray | None = None,
-                 item_features: np.ndarray | None = None):
+                 interactions: dict[str, dict[str, np.ndarray]]):
         self.name = name
         self.num_users = int(num_users)
         self.num_items = int(num_items)
@@ -64,16 +59,6 @@ class InteractionDataset:
             self._interactions[behavior] = {
                 "users": users, "items": items, "timestamps": timestamps,
             }
-        if user_features is not None:
-            user_features = np.asarray(user_features, dtype=np.float64)
-            if user_features.shape[0] != self.num_users:
-                raise ValueError("user_features rows must equal num_users")
-        if item_features is not None:
-            item_features = np.asarray(item_features, dtype=np.float64)
-            if item_features.shape[0] != self.num_items:
-                raise ValueError("item_features rows must equal num_items")
-        self.user_features = user_features
-        self.item_features = item_features
         self._graph_cache: MultiBehaviorGraph | None = None
 
     # ------------------------------------------------------------------
@@ -116,8 +101,6 @@ class InteractionDataset:
             behavior_names=keep,
             target_behavior=self.target_behavior,
             interactions={b: self._interactions[b] for b in keep},
-            user_features=self.user_features,
-            item_features=self.item_features,
         )
 
     def only_target(self) -> "InteractionDataset":
@@ -129,8 +112,6 @@ class InteractionDataset:
             behavior_names=(self.target_behavior,),
             target_behavior=self.target_behavior,
             interactions={self.target_behavior: self._interactions[self.target_behavior]},
-            user_features=self.user_features,
-            item_features=self.item_features,
         )
 
     def remove_target_rows(self, rows: np.ndarray) -> "InteractionDataset":
@@ -165,8 +146,6 @@ class InteractionDataset:
             behavior_names=self.behavior_names,
             target_behavior=self.target_behavior,
             interactions=new_interactions,
-            user_features=self.user_features,
-            item_features=self.item_features,
         )
 
     # ------------------------------------------------------------------

@@ -175,8 +175,6 @@ def temporal_split(dataset: InteractionDataset,
         behavior_names=dataset.behavior_names,
         target_behavior=dataset.target_behavior,
         interactions=interactions,
-        user_features=dataset.user_features,
-        item_features=dataset.item_features,
     )
 
     test_mask = timestamps >= split_time

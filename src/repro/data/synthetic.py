@@ -240,46 +240,3 @@ def taobao_like(num_users: int = 200, num_items: int = 300,
     """Taobao-like data: the page-view → favorite/cart → purchase funnel."""
     return generate_multi_behavior_dataset(
         TAOBAO.at(num_users, num_items, seed, scale))
-
-
-def synthesize_attributes(dataset: InteractionDataset, num_features: int = 8,
-                          noise: float = 0.5, seed: int = 0) -> InteractionDataset:
-    """Attach synthetic user/item attribute features to a dataset.
-
-    Implements the data side of the paper's future-work extension
-    ("exploring the attribute features from user and item side"): features
-    are spectral coordinates of the merged interaction matrix (truncated
-    SVD) perturbed with Gaussian noise, so they correlate with true
-    preference without simply duplicating the training edges.
-
-    Returns a new dataset sharing the interactions, with
-    ``user_features`` (I×F) and ``item_features`` (J×F) attached.
-    """
-    if num_features <= 0:
-        raise ValueError("num_features must be positive")
-    rng = np.random.default_rng(seed)
-    merged = dataset.graph().merged_adjacency().to_dense()
-    u, s, vt = np.linalg.svd(merged, full_matrices=False)
-    k = min(num_features, s.size)
-    scale = np.sqrt(s[:k])
-    user_features = u[:, :k] * scale
-    item_features = vt[:k].T * scale
-    for features in (user_features, item_features):
-        spread = features.std() or 1.0
-        features += noise * spread * rng.standard_normal(features.shape)
-    if k < num_features:  # pad with pure-noise columns to the requested width
-        pad = num_features - k
-        user_features = np.hstack([user_features, rng.standard_normal((dataset.num_users, pad))])
-        item_features = np.hstack([item_features, rng.standard_normal((dataset.num_items, pad))])
-    return InteractionDataset(
-        name=f"{dataset.name}+attrs",
-        num_users=dataset.num_users,
-        num_items=dataset.num_items,
-        behavior_names=dataset.behavior_names,
-        target_behavior=dataset.target_behavior,
-        interactions={b: dict(zip(("users", "items", "timestamps"),
-                                  dataset.arrays(b)))
-                      for b in dataset.behavior_names},
-        user_features=user_features,
-        item_features=item_features,
-    )

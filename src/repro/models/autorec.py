@@ -14,6 +14,7 @@ from repro.data.dataset import InteractionDataset
 from repro.models.base import Recommender
 from repro.nn.layers import Linear
 from repro.tensor import Tensor, no_grad
+from repro.tensor.sparse import dense_row_blocks
 from repro.train.sources import ProfileSource
 from repro.train.trainer import TrainConfig
 
@@ -21,16 +22,15 @@ from repro.train.trainer import TrainConfig
 class ProfileAutoencoder(Recommender):
     """The autoencoder baselines' shared body (AutoRec, CDAE): each user's
     target-behavior profile row is reconstructed by ``forward(x, users)``,
-    and the reconstruction of the clean row is the score."""
+    and the reconstruction of the clean row is the score. Profiles stay
+    the graph's CSR; a step or a score makes only its own rows dense."""
 
     #: share of each training input's cells dropped (denoising)
     corruption = 0.0
 
     def __init__(self, dataset: InteractionDataset):
         super().__init__(dataset.num_users, dataset.num_items)
-        self._built_on = dataset
-        self._profiles = _target_profiles(dataset)
-        self._recon_cache: np.ndarray | None = None
+        self._profiles = dataset.graph().adjacency(dataset.target_behavior).matrix
 
     def batch_source(self, train: InteractionDataset, config: TrainConfig):
         """Reconstruction of ``train``'s profile rows, ``max(8,
@@ -48,40 +48,38 @@ class ProfileAutoencoder(Recommender):
                 f"{self.name} reconstructs profile rows and reads no pairwise "
                 f"loss: loss={config.loss!r}, margin={config.margin} apply "
                 "only to the pairwise models — leave them at 'hinge', 1.0")
-        # the build dataset's matrix is not made a second time
-        profiles = (self._profiles if train is self._built_on
-                    else _target_profiles(train))
         return ProfileSource(
-            profiles, max(8, config.batch_users),
+            train.graph().adjacency(train.target_behavior).matrix,
+            max(8, config.batch_users),
             np.random.default_rng(config.seed), self,
             weighted=True, corruption=self.corruption,
             parameters=self.parameters(), l2_weight=config.l2_weight)
 
-    def _reconstruction(self) -> np.ndarray:
-        if self._recon_cache is None:
-            with no_grad():
-                users = np.arange(self.num_users)
-                self._recon_cache = self(Tensor(self._profiles), users).data
-        return self._recon_cache
-
     def score_tensor(self, users: np.ndarray, items: np.ndarray) -> Tensor:
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
-        recon = self(Tensor(self._profiles[users]), users)
+        recon = self(Tensor(self._profiles[users].toarray()), users)
         return recon[np.arange(users.size), items]
 
     def score(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Reconstructs the fixed user-row blocks holding ``users``: a
+        score is the same whatever else is asked with it."""
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
-        return self._reconstruction()[users, items]
-
-    def on_step_end(self) -> None:
-        self._recon_cache = None
-
-
-def _target_profiles(dataset: InteractionDataset) -> np.ndarray:
-    """The dense users × items 0/1 matrix of the target behavior."""
-    return dataset.graph().adjacency(dataset.target_behavior).to_dense()
+        blocks = dense_row_blocks(self.num_users,
+                                  self.num_items * self._profiles.dtype.itemsize)
+        block_of = np.searchsorted([start for start, _ in blocks], users,
+                                   side="right") - 1
+        scores = np.empty(users.shape, dtype=np.result_type(
+            self._profiles.dtype, self.decoder.weight.dtype))
+        with no_grad():
+            for block in np.unique(block_of):
+                start, stop = blocks[block]
+                recon = self(Tensor(self._profiles[start:stop].toarray()),
+                             np.arange(start, stop)).data
+                asked = block_of == block
+                scores[asked] = recon[users[asked] - start, items[asked]]
+        return scores
 
 
 class AutoRec(ProfileAutoencoder):

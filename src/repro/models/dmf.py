@@ -3,7 +3,8 @@
 Two MLP towers project the user's interaction profile (their row of the
 interaction matrix) and the item's profile (its column) into a shared
 space; the score is the cosine similarity. Profiles come from the target
-behavior's interaction matrix, as in the original single-behavior setting.
+behavior's interaction matrix, as in the original single-behavior setting;
+both stay CSR, and a batch makes only its own rows dense.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import numpy as np
 from repro.data.dataset import InteractionDataset
 from repro.models.base import Recommender
 from repro.nn.layers import MLP
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor, functional as F, no_grad
+from repro.tensor.sparse import dense_row_blocks
 
 
 class DMF(Recommender):
@@ -25,9 +27,9 @@ class DMF(Recommender):
                  hidden_dim: int = 32, seed: int = 0):
         super().__init__(dataset.num_users, dataset.num_items)
         rng = np.random.default_rng(seed)
-        matrix = dataset.graph().adjacency(dataset.target_behavior).to_dense()
-        self._user_profiles = matrix              # (I, J)
-        self._item_profiles = matrix.T.copy()     # (J, I)
+        matrix = dataset.graph().adjacency(dataset.target_behavior).matrix
+        self._user_profiles = matrix              # (I, J) CSR
+        self._item_profiles = matrix.T.tocsr()    # (J, I) CSR
         self.user_tower = MLP([self.num_items, hidden_dim, embedding_dim],
                               out_activation="identity", rng=rng)
         self.item_tower = MLP([self.num_users, hidden_dim, embedding_dim],
@@ -36,8 +38,20 @@ class DMF(Recommender):
     def score_tensor(self, users: np.ndarray, items: np.ndarray) -> Tensor:
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
-        u = self.user_tower(Tensor(self._user_profiles[users]))
-        v = self.item_tower(Tensor(self._item_profiles[items]))
+        u = self.user_tower(Tensor(self._user_profiles[users].toarray()))
+        v = self.item_tower(Tensor(self._item_profiles[items].toarray()))
         u = F.l2_normalize(u, axis=-1)
         v = F.l2_normalize(v, axis=-1)
         return (u * v).sum(axis=1)
+
+    def score(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Scores the pairs in blocks: one pair makes a user row and an
+        item row dense."""
+        users = np.asarray(users, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        pair_bytes = ((self.num_users + self.num_items)
+                      * self._user_profiles.dtype.itemsize)
+        with no_grad():
+            return np.concatenate([
+                self.score_tensor(users[start:stop], items[start:stop]).data
+                for start, stop in dense_row_blocks(users.size, pair_bytes)])

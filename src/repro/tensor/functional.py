@@ -10,7 +10,7 @@ import functools
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, concat, gated_sum, stack, where
+from repro.tensor.tensor import Tensor, concat, gated_sum, stack
 
 __all__ = [
     "relu",
@@ -22,7 +22,6 @@ __all__ = [
     "concat",
     "gated_sum",
     "stack",
-    "where",
 ]
 
 

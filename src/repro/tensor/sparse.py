@@ -20,6 +20,23 @@ import scipy.sparse as sp
 
 from repro.tensor.tensor import Tensor, resolve_dtype
 
+#: budget of one block of CSR rows made dense for a no-grad product (the
+#: profile models' scores, pre-training's codes): at the 40 × 60 golden
+#: shape and at ``TINY_SCALE`` (60 × 150, DMF's 3 000 pairs: 4.8 MiB) one
+#: block holds every row, so the product is the one GEMM of a dense matrix
+DENSE_BLOCK_BYTES = 5 * 1024 * 1024
+
+
+def dense_row_blocks(num_rows: int, row_bytes: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of consecutive row blocks of at most
+    :data:`DENSE_BLOCK_BYTES` at ``row_bytes`` a row, always at least one.
+    No block is one row unless ``num_rows`` is: a one-row product is a
+    GEMV and rounds otherwise, so a last lone row folds into the block
+    before it."""
+    rows = max(DENSE_BLOCK_BYTES // max(row_bytes, 1), 2)
+    starts = list(range(0, max(num_rows - 1, 1), rows))
+    return list(zip(starts, starts[1:] + [num_rows]))
+
 
 class SparseAdjacency:
     """Immutable sparse matrix participating in autodiff as a constant.

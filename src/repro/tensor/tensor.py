@@ -500,38 +500,10 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def clip(self, low: float | None = None, high: float | None = None) -> "Tensor":
-        """Clamp values; gradient flows only through unclipped entries."""
-        data = np.clip(self.data, low, high)
-        mask = np.ones_like(self.data)
-        if low is not None:
-            mask = mask * (self.data >= low)
-        if high is not None:
-            mask = mask * (self.data <= high)
-
-        def backward(grad: np.ndarray):
-            return (grad * mask,)
-
-        return Tensor._make(data, (self,), backward)
-
     def maximum(self, other) -> "Tensor":
         """Elementwise max; ties send the full gradient to ``self``."""
         other = self._coerce(other)
         take_self = self.data >= other.data
-        data = np.where(take_self, self.data, other.data)
-        a, b = self, other
-
-        def backward(grad: np.ndarray):
-            return (
-                _unbroadcast(grad * take_self, a.shape) if a.requires_grad else None,
-                _unbroadcast(grad * ~take_self, b.shape) if b.requires_grad else None,
-            )
-
-        return Tensor._make(data, (a, b), backward)
-
-    def minimum(self, other) -> "Tensor":
-        other = self._coerce(other)
-        take_self = self.data <= other.data
         data = np.where(take_self, self.data, other.data)
         a, b = self, other
 
@@ -645,9 +617,6 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         return self.matmul(other)
 
-    def dot(self, other: "Tensor") -> "Tensor":
-        return self.matmul(other)
-
     # ------------------------------------------------------------------
     # shape ops
     # ------------------------------------------------------------------
@@ -683,15 +652,6 @@ class Tensor:
     def squeeze(self, axis: int | None = None) -> "Tensor":
         in_shape = self.shape
         data = self.data.squeeze(axis=axis)
-
-        def backward(grad: np.ndarray):
-            return (grad.reshape(in_shape),)
-
-        return Tensor._make(data, (self,), backward)
-
-    def expand_dims(self, axis: int) -> "Tensor":
-        in_shape = self.shape
-        data = np.expand_dims(self.data, axis)
 
         def backward(grad: np.ndarray):
             return (grad.reshape(in_shape),)
@@ -765,23 +725,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    # ------------------------------------------------------------------
-    # convenience constructors
-    # ------------------------------------------------------------------
-    @staticmethod
-    def zeros(*shape, requires_grad: bool = False, dtype=None) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return Tensor(np.zeros(shape, dtype=resolve_dtype(dtype)),
-                      requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape, requires_grad: bool = False, dtype=None) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return Tensor(np.ones(shape, dtype=resolve_dtype(dtype)),
-                      requires_grad=requires_grad)
-
 
 def _as_tensors(values: Iterable) -> list[Tensor]:
     """Wrap non-Tensor operands at the first Tensor operand's dtype, as
@@ -836,18 +779,3 @@ def gated_sum(gates: Tensor, values: Tensor) -> Tensor:
         )
 
     return Tensor._make(data, (gates, values), backward)
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Select elementwise from ``a`` where condition else ``b``."""
-    condition = condition.data.astype(bool) if isinstance(condition, Tensor) else np.asarray(condition, dtype=bool)
-    a, b = _as_tensors((a, b))
-    data = np.where(condition, a.data, b.data)
-
-    def backward(grad: np.ndarray):
-        return (
-            _unbroadcast(grad * condition, a.shape) if a.requires_grad else None,
-            _unbroadcast(grad * ~condition, b.shape) if b.requires_grad else None,
-        )
-
-    return Tensor._make(data, (a, b), backward)

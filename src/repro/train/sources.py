@@ -16,6 +16,7 @@ import itertools
 from typing import Callable, Iterator
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.graph.sampling import NegativeSampler, sample_pairwise_batch
 from repro.nn.losses import bpr_loss, l2_regularization, pairwise_hinge_loss
@@ -151,20 +152,21 @@ class MultiBehaviorSource(_SeededSource):
 
 
 class ProfileSource:
-    """Reconstruction of a dense profile matrix's rows (AutoRec, CDAE, the
+    """Reconstruction of a CSR profile matrix's rows (AutoRec, CDAE, the
     pre-training autoencoder).
 
     An epoch is one pass over a permutation of the rows drawn at its
-    start, ``rows_per_step`` rows a step. With ``corruption`` > 0 each
-    step's input drops every cell with that probability (drawn after the
-    permutation) and rescales the rest by 1 / (1 − corruption). The loss
+    start, ``rows_per_step`` rows a step, each step's rows made dense from
+    the CSR. With ``corruption`` > 0 each step's input drops every cell
+    with that probability (drawn after the permutation) and rescales the
+    rest by 1 / (1 − corruption). The loss
     is the mean squared error of ``reconstruct(input, rows)`` against the
     clean rows, weighted 1 + 4x if ``weighted``, plus ``l2_weight``·‖Θ‖²
     over ``parameters`` unless ``l2_weight`` is ``None``. A training
     state carries the rng and the epoch's permutation.
     """
 
-    def __init__(self, profiles: np.ndarray, rows_per_step: int,
+    def __init__(self, profiles: sp.csr_matrix, rows_per_step: int,
                  rng: np.random.Generator,
                  reconstruct: Callable[[Tensor, np.ndarray], Tensor], *,
                  weighted: bool = False, corruption: float = 0.0,
@@ -183,7 +185,7 @@ class ProfileSource:
                 self._order = self._rng.permutation(self._profiles.shape[0])
             start = offset * self._rows_per_step
             rows = self._order[start:start + self._rows_per_step]
-            clean = inputs = self._profiles[rows]
+            clean = inputs = self._profiles[rows].toarray()
             if self._corruption:
                 mask = self._rng.random(clean.shape) >= self._corruption
                 inputs = clean * mask / (1.0 - self._corruption)

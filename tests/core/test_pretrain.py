@@ -1,6 +1,7 @@
 """Tests of the autoencoder pre-training scheme."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core import AutoencoderPretrainer, pretrain_embeddings
 from repro.train import TrainConfig, Trainer
@@ -15,13 +16,13 @@ def train(autoencoder, epochs):
 
 class TestAutoencoder:
     def test_loss_decreases(self, rng):
-        profiles = (rng.random((30, 20)) > 0.7).astype(float)
+        profiles = sp.csr_matrix((rng.random((30, 20)) > 0.7).astype(float))
         ae = AutoencoderPretrainer(profiles, 6, rng, batch_size=8)
         losses = train(ae, epochs=25).series("loss")
         assert losses[-1] < losses[0]
 
     def test_embedding_shape_and_scale(self, rng):
-        profiles = (rng.random((30, 20)) > 0.7).astype(float)
+        profiles = sp.csr_matrix((rng.random((30, 20)) > 0.7).astype(float))
         ae = AutoencoderPretrainer(profiles, 6, rng, batch_size=8)
         train(ae, epochs=5)
         codes = ae.embeddings()

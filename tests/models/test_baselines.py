@@ -19,6 +19,7 @@ from repro.models import (
     NeuMF,
 )
 from repro.models.nade import autoregressive_hidden
+from repro.tensor import Tensor, no_grad
 from repro.train import TrainConfig
 
 FAST = TrainConfig(epochs=3, steps_per_epoch=4, batch_users=8, per_user=2,
@@ -119,10 +120,14 @@ class TestModelSpecifics:
         assert (np.abs(scores) <= 1.0 + 1e-9).all()
 
     def test_autorec_score_uses_reconstruction(self, split):
+        """A score is the reconstruction of the user's whole profile row."""
         model = AutoRec(split.train, seed=0)
         users = np.array([0, 1])
         items = np.array([2, 3])
-        recon = model._reconstruction()
+        profiles = split.train.graph().adjacency(
+            split.train.target_behavior).to_dense()
+        with no_grad():
+            recon = model(Tensor(profiles)).data
         np.testing.assert_allclose(model.score(users, items),
                                    recon[users, items])
 

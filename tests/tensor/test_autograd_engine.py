@@ -130,10 +130,6 @@ class TestTensorBasics:
         x = Tensor(np.arange(6.0).reshape(2, 3))
         assert x.T.shape == (3, 2)
 
-    def test_constructors(self):
-        assert Tensor.zeros(2, 3).shape == (2, 3)
-        assert Tensor.ones((4,)).data.sum() == 4.0
-
     def test_comparison_produces_constants(self):
         x = Tensor([1.0, 5.0], requires_grad=True)
         mask = x > 2.0

@@ -24,7 +24,7 @@ from repro.tensor import (
     set_default_dtype,
 )
 from repro.tensor import functional as F
-from repro.tensor.tensor import concat, stack, where
+from repro.tensor.tensor import concat, stack
 
 
 @pytest.fixture(autouse=True)
@@ -59,11 +59,6 @@ class TestDefaultDtypeAPI:
         with pytest.raises(ValueError):
             set_default_dtype(np.int32)
 
-    def test_constructors_honor_dtype(self):
-        with default_dtype("float32"):
-            assert Tensor.zeros(2, 3).dtype == np.float32
-            assert Tensor.ones(4).dtype == np.float32
-
     def test_scalars_adopt_operand_dtype(self):
         """float32 graphs stay float32 through scalar arithmetic."""
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
@@ -73,13 +68,11 @@ class TestDefaultDtypeAPI:
         assert x.grad.dtype == np.float32
 
     @pytest.mark.parametrize("build", [
-        lambda x: where(np.array([True, False, True]), x, 0.0),
-        lambda x: where(np.array([True, False, True]), [1, 2, 3], x),
         lambda x: stack([x, [0, 0, 0]]),
         lambda x: concat([[0, 0], x]),
-    ], ids=["where", "where-left", "stack", "concat"])
+    ], ids=["stack", "concat"])
     def test_free_functions_adopt_operand_dtype(self, build):
-        """``where`` / ``stack`` / ``concat`` wrap python operands at the
+        """``stack`` / ``concat`` wrap python operands at the
         Tensor operand's dtype, as the methods do: float32 stays float32."""
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         out = build(x)

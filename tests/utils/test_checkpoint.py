@@ -1,5 +1,8 @@
 """Tests of model checkpointing (state_dict ↔ artifact file)."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,48 @@ class TestIntegrity:
         assert array_sha256(a) != array_sha256(a.astype(np.float32))
         assert array_sha256(a) != array_sha256(a.reshape(2, 3))
         assert array_sha256(a) == array_sha256(a.copy())
+
+    @staticmethod
+    def _copy_then_hash(*arrays):
+        """The digest as it was computed before strided arrays were fed in
+        row blocks: one contiguous copy of each array, then one update."""
+        digest = hashlib.sha256()
+        for array in arrays:
+            array = np.ascontiguousarray(array)
+            digest.update(f"{array.dtype.str}|{array.shape}|".encode("ascii"))
+            digest.update(array.data)
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("view", [
+        lambda t: t[:, 16:], lambda t: t[:, :16], lambda t: t.T,
+        lambda t: np.asfortranarray(t), lambda t: t[::3, ::2],
+        lambda t: t[:0, 16:], lambda t: t[5, ::2], lambda t: t[5, 7],
+        lambda t: t,
+    ], ids=["columns", "leading-columns", "transpose", "fortran", "strided",
+            "0-row", "1-d", "0-d", "contiguous"])
+    def test_array_sha256_of_views_is_the_copys(self, view, dtype):
+        from repro.utils import array_sha256
+
+        table = np.random.default_rng(0).standard_normal((3000, 96)).astype(dtype)
+        array = np.asarray(view(table))
+        assert array_sha256(array) == self._copy_then_hash(array)
+        assert (array_sha256(array, table, array)
+                == self._copy_then_hash(array, table, array))
+
+    def test_array_sha256_copies_no_whole_column_view(self):
+        """Hashing a (100 000, 64) column view of a wider table allocates
+        well under a quarter of the view's bytes."""
+        from repro.utils import array_sha256
+
+        view = np.ones((100_000, 80))[:, 16:]
+        tracemalloc.start()
+        try:
+            array_sha256(view)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < view.nbytes / 4
 
 
 class TestLoadIntoAServedModel:

@@ -13,7 +13,6 @@ import pytest
 
 from repro.cli import main
 from repro.core import GNMR, GNMRConfig
-from repro.data import synthesize_attributes
 from repro.utils import load_checkpoint, save_checkpoint
 from repro.utils.artifact import read_artifact, write_artifact
 
@@ -24,13 +23,7 @@ VARIANTS = {
     "uniform-psi": {"use_gated_aggregation": False},
     "sum-aggregator": {"aggregator": "sum"},
     "no-self-connection": {"self_connection": False},
-    "side-features": {"use_side_features": True},
 }
-
-
-@pytest.fixture(scope="module")
-def featured(small_taobao):
-    return synthesize_attributes(small_taobao, num_features=6, seed=1)
 
 
 @pytest.fixture
@@ -89,13 +82,11 @@ class TestRestored:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_restored_tables_are_the_recomputed_ones(
-            self, variant, dtype, small_taobao, featured, tmp_path,
-            propagations):
-        dataset = featured if variant == "side-features" else small_taobao
+            self, variant, dtype, small_taobao, tmp_path, propagations):
         overrides = dict(VARIANTS[variant], dtype=dtype)
-        path = save_checkpoint(_trained(dataset, **overrides),
+        path = save_checkpoint(_trained(small_taobao, **overrides),
                                tmp_path / "m.npz")
-        fresh = _model(dataset, 2, **overrides)
+        fresh = _model(small_taobao, 2, **overrides)
         propagations.clear()
         load_checkpoint(fresh, path)
         restored = _tables(fresh)
