@@ -35,14 +35,29 @@ class DMF(Recommender):
         self.item_tower = MLP([self.num_users, hidden_dim, embedding_dim],
                               out_activation="identity", rng=rng)
 
-    def score_tensor(self, users: np.ndarray, items: np.ndarray) -> Tensor:
-        users = np.asarray(users, dtype=np.int64)
+    def _user_rows(self, users: np.ndarray) -> Tensor:
+        return Tensor(self._user_profiles[
+            np.asarray(users, dtype=np.int64)].toarray())
+
+    def _cosine(self, user_rows: Tensor, items: np.ndarray) -> Tensor:
         items = np.asarray(items, dtype=np.int64)
-        u = self.user_tower(Tensor(self._user_profiles[users].toarray()))
+        u = self.user_tower(user_rows)
         v = self.item_tower(Tensor(self._item_profiles[items].toarray()))
         u = F.l2_normalize(u, axis=-1)
         v = F.l2_normalize(v, axis=-1)
         return (u * v).sum(axis=1)
+
+    def score_tensor(self, users: np.ndarray, items: np.ndarray) -> Tensor:
+        return self._cosine(self._user_rows(users), items)
+
+    def batch_scores(self, users: np.ndarray, pos_items: np.ndarray,
+                     neg_items: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Both sides read one dense copy of the step's user rows; each
+        side still runs its own user-tower pass, so the gradients sum as
+        they did when each side made its rows dense."""
+        user_rows = self._user_rows(users)
+        return (self._cosine(user_rows, pos_items),
+                self._cosine(user_rows, neg_items))
 
     def score(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Scores the pairs in blocks: one pair makes a user row and an

@@ -1,8 +1,8 @@
 """Minimal neural-network library on top of :mod:`repro.tensor`.
 
 Provides the module/parameter abstraction, common layers, initializers,
-losses, optimizers and the learning-rate schedule used by GNMR and all the
-baseline recommenders.
+losses, the Adam optimizer and the learning-rate schedule used by GNMR
+and all the baseline recommenders.
 """
 
 from repro.nn.module import Module, Parameter, ModuleList
@@ -14,13 +14,7 @@ from repro.nn.losses import (
     l2_regularization,
     l2_regularization_batch,
 )
-from repro.nn.optim import (
-    Optimizer,
-    SGD,
-    Adam,
-    clip_grad_norm,
-    global_grad_norm,
-)
+from repro.nn.optim import Adam
 from repro.nn.schedulers import ExponentialDecay
 
 __all__ = [
@@ -37,10 +31,6 @@ __all__ = [
     "bpr_loss",
     "l2_regularization",
     "l2_regularization_batch",
-    "Optimizer",
-    "SGD",
     "Adam",
-    "clip_grad_norm",
-    "global_grad_norm",
     "ExponentialDecay",
 ]

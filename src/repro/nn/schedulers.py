@@ -7,13 +7,13 @@ at each epoch boundary.
 
 from __future__ import annotations
 
-from repro.nn.optim import Optimizer
+from repro.nn.optim import Adam
 
 
 class ExponentialDecay:
     """lr ← lr₀ · rateᵉᵖᵒᶜʰ, the paper's 0.96 decay."""
 
-    def __init__(self, optimizer: Optimizer, rate: float = 0.96):
+    def __init__(self, optimizer: Adam, rate: float = 0.96):
         if not 0 < rate <= 1:
             raise ValueError("decay rate must be in (0, 1]")
         self.optimizer = optimizer

@@ -9,8 +9,8 @@ of the table.
 
 The type is emitted by :meth:`repro.tensor.Tensor.embedding_rows` (the
 row-gather op whose backward stays sparse when the table is a leaf) and is
-understood by every optimizer in :mod:`repro.nn.optim`, which applies lazy
-per-row updates. Mixing rules: sparse + sparse stays sparse (indices are
+understood by :class:`repro.nn.optim.Adam`, which applies lazy per-row
+updates. Mixing rules: sparse + sparse stays sparse (indices are
 merged and re-coalesced); sparse + dense densifies, because a dense
 contribution already paid the full-table cost.
 """
@@ -49,10 +49,9 @@ class RowSparseGrad:
         First dimension of the dense table this gradient belongs to.
 
     The logical dense shape is ``(num_rows,) + values.shape[1:]`` and
-    :meth:`to_dense` materializes it. Arithmetic supports exactly what the
-    backward pass and the optimizers need: ``+`` against another
-    :class:`RowSparseGrad` (stays sparse) or a dense array (densifies), and
-    scalar ``*`` (used by gradient clipping).
+    :meth:`to_dense` materializes it. Arithmetic supports ``+`` against
+    another :class:`RowSparseGrad` (stays sparse) or a dense array
+    (densifies), as the backward pass accumulates, and scalar ``*``.
     """
 
     __slots__ = ("indices", "values", "num_rows")
@@ -72,7 +71,7 @@ class RowSparseGrad:
         if not coalesced:
             indices, values = _coalesce(indices, values)
         if values.base is not None or not values.flags.writeable:
-            values = values.copy()  # scale_ writes in place: own the block
+            values = values.copy()  # own the block, as a leaf's grad does
         self.indices = indices
         self.values = values
         self.num_rows = int(num_rows)
@@ -137,16 +136,6 @@ class RowSparseGrad:
                              self.num_rows, coalesced=True)
 
     __rmul__ = __mul__
-
-    def scale_(self, scalar: float) -> "RowSparseGrad":
-        """In-place scaling (gradient clipping keeps the value dtype)."""
-        self.values *= self.values.dtype.type(scalar)
-        return self
-
-    def sq_norm(self) -> float:
-        """Squared Frobenius norm, accumulated in float64."""
-        flat = self.values.astype(np.float64, copy=False)
-        return float(np.sum(flat * flat))
 
 
 def add_grads(a, b):

@@ -5,8 +5,8 @@ parameter table it persists the pieces that make a training run a pure
 function of its config — the trainer's rng stream, the epoch/step cursor
 into the step-ordered batch stream, per-parameter optimizer state (Adam
 moments, step clocks and per-row counters), the learning-rate schedule
-position, the recorded history, and the early-stopping counters. Restoring
-all of it and continuing is bit-identical to never having stopped:
+position and the recorded history. Restoring all of it and continuing is
+bit-identical to never having stopped:
 ``train N epochs == train M + resume N-M`` for both propagation modes
 (full/async, any workers), which is the oracle ``tests/train/test_resume``
 pins.
@@ -53,8 +53,14 @@ _OPTIM_PREFIX = "optim::"
 RESUME_CONFIG_KEYS = (
     "steps_per_epoch", "batch_users", "per_user", "lr", "lr_decay",
     "l2_weight", "loss", "margin", "seed", "dtype", "propagation", "fanout",
-    "grad_clip", "optimizer", "eval_every",
 )
+
+#: options earlier builds echoed in a state's config, plus early
+#: stopping's counters (``stopper``, beside it in the metadata), at the one
+#: value this build trains with: Adam, no gradient clipping, an evaluation
+#: every epoch, no early stop
+REMOVED_OPTIONS = {"optimizer": "adam", "grad_clip": None, "eval_every": 1,
+                   "stopper": None}
 
 
 def config_echo(config) -> dict:
@@ -172,14 +178,26 @@ def load_training_state(path: str | Path, verify: bool = True) -> TrainState:
     return unpack_training_state(path, *read_artifact(path, verify=verify))
 
 
-def check_resume_config(saved: dict, config) -> None:
+def check_resume_config(state: TrainState, config) -> None:
     """Refuse to resume under a config that changes the training stream.
 
     ``epochs`` may grow (resuming 6 → 10 is the whole point); everything
     in :data:`RESUME_CONFIG_KEYS` must match — those fields determine the
     batch stream, rng consumption, and optimizer arithmetic, so changing
-    any of them silently breaks the bit-parity contract.
+    any of them silently breaks the bit-parity contract. A state whose run
+    used an option this build no longer has (SGD, gradient clipping, an
+    ``eval_every`` other than 1, early stopping) is refused by that
+    option's name: no config here continues its trajectory.
     """
+    saved = state.config
+    earlier = {**saved, "stopper": state.meta.get("stopper")}
+    for key, only in REMOVED_OPTIONS.items():
+        if earlier.get(key, only) != only:
+            raise ValueError(
+                f"cannot resume: the saved run set {key}={earlier[key]!r}, "
+                f"an option this build no longer has (it trains with "
+                f"{key}={only!r} only); resume it with the build that "
+                "wrote it")
     current = config_echo(config)
     mismatched = {key: (saved.get(key), current[key])
                   for key in RESUME_CONFIG_KEYS

@@ -3,10 +3,9 @@
 Each epoch runs a fixed number of steps; each step draws a batch, takes
 its loss (for the pairwise models the margin loss of Eq. (7) plus
 λ‖Θ‖²) and updates with Adam under an exponential learning-rate decay
-(rate 0.96). Two things are selected once, when a run starts: the batch
-source (the model's ``batch_source``, :mod:`repro.train.sources`) and the
-optimizer (``TrainConfig.optimizer``: Adam or SGD); the loop never
-branches on either. One process applies every step.
+(rate 0.96). The batch source is selected once, when a run starts (the
+model's ``batch_source``, :mod:`repro.train.sources`); the loop never
+branches on it. One process applies every step.
 
 The pairwise models have two sources, by ``TrainConfig.propagation``:
 ``"full"`` propagates over the whole graph every step and regularizes
@@ -29,9 +28,9 @@ from typing import Callable
 from repro.data.dataset import InteractionDataset
 from repro.graph.layered import validate_fanout
 from repro.nn.layers import Dropout
-from repro.nn.optim import clip_grad_norm, make_optimizer
+from repro.nn.optim import Adam
 from repro.nn.schedulers import ExponentialDecay
-from repro.train.callbacks import EarlyStopping, HistoryRecorder
+from repro.train.callbacks import HistoryRecorder
 from repro.train.sources import PAIRWISE_LOSSES, SampledBlockSource
 
 
@@ -61,7 +60,6 @@ class TrainConfig:
     loss: str = "hinge"          # "hinge" (paper Eq. 7) or "bpr"
     margin: float = 1.0
     seed: int = 0
-    early_stopping_patience: int | None = None
     #: compute precision for the training loop ("float32"/"float64");
     #: ``None`` keeps the ambient tensor default dtype
     dtype: str | None = None
@@ -85,15 +83,6 @@ class TrainConfig:
     #: per-worker block buffer depth for the async pipeline; 2 =
     #: double-buffering (one block consumed, one ready, one in flight)
     prefetch_depth: int = 2
-    #: global-norm gradient clipping threshold (``None`` → no clipping);
-    #: sparse-grad aware — row-sparse grads are scaled without densifying
-    grad_clip: float | None = None
-    #: optimizer family: "adam" (the paper's choice, default) or "sgd"
-    #: (the stateless reference)
-    optimizer: str = "adam"
-    #: run ``eval_fn`` every this many epochs (the final epoch always
-    #: evaluates so the history ends with a metric)
-    eval_every: int = 1
     #: path of the training-state file (:mod:`repro.train.resume`) this run
     #: maintains: written atomically every ``save_every_steps`` steps and
     #: once more at the end of the run. ``Trainer.run(resume_from=...)``
@@ -108,16 +97,11 @@ class TrainConfig:
         # refused here, not discovered as a run that reports loss 0.0
         rules = [(name, ">= 1", getattr(self, name) >= 1) for name in (
             "epochs", "steps_per_epoch", "batch_users", "per_user",
-            "prefetch_depth", "eval_every")]
+            "prefetch_depth")]
         rules += [
             ("lr", "> 0", self.lr > 0),
             ("lr_decay", "in (0, 1]", 0 < self.lr_decay <= 1),
             ("l2_weight", ">= 0", self.l2_weight >= 0),
-            ("grad_clip", "> 0 (or None)",
-             self.grad_clip is None or self.grad_clip > 0),
-            ("early_stopping_patience", ">= 1 (or None)",
-             self.early_stopping_patience is None
-             or self.early_stopping_patience >= 1),
             ("dtype", "'float32', 'float64' or None",
              self.dtype in (None, "float32", "float64")),
             ("workers", ">= 0", self.workers >= 0),
@@ -138,9 +122,6 @@ class TrainConfig:
                              "(use 'hinge' or 'bpr')")
         if self.fanout != "model":
             validate_fanout(self.fanout)
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r} "
-                             "(use 'adam' or 'sgd')")
         if self.save_every_steps is not None and self.save_state is None:
             raise ValueError("save_every_steps requires save_state "
                              "(where would the state go?)")
@@ -215,7 +196,7 @@ class Trainer:
         resume = None
         if resume_from is not None:
             resume = load_training_state(resume_from)
-            check_resume_config(resume.config, cfg)
+            check_resume_config(resume, cfg)
             total_steps = cfg.epochs * self.source.steps_per_epoch
             if resume.global_step > total_steps:
                 raise ValueError(
@@ -224,12 +205,10 @@ class Trainer:
         with default_dtype(cfg.dtype):  # None → ambient default
             return self._epoch_loop(resume)
 
-    def _make_optimizer(self, resume):
-        """The configured optimizer over ``model.parameters()``; resume
-        state is matched to parameters by name."""
-        cfg = self.config
-        optimizer = make_optimizer(cfg.optimizer, self.model.parameters(),
-                                   cfg.lr)
+    def _build_optimizer(self, resume) -> Adam:
+        """Adam over ``model.parameters()``; resume state is matched to
+        parameters by name."""
+        optimizer = Adam(self.model.parameters(), lr=self.config.lr)
         if resume is not None:
             states = []
             for name, _ in self.model.named_parameters():
@@ -246,8 +225,6 @@ class Trainer:
         cfg = self.config
         source = self.source
         steps_per_epoch = source.steps_per_epoch
-        stopper = (EarlyStopping(patience=cfg.early_stopping_patience)
-                   if cfg.early_stopping_patience is not None else None)
         start_epoch = first_step = steps_done = 0
         epoch_loss = 0.0
         if resume is not None:
@@ -262,9 +239,7 @@ class Trainer:
             start_epoch, first_step = resume.epoch, resume.step_in_epoch
             epoch_loss = float(resume.meta["epoch_loss"])
             steps_done = int(resume.meta["steps_done"])
-            if stopper is not None and resume.meta.get("stopper") is not None:
-                stopper.load_state_dict(resume.meta["stopper"])
-        optimizer = self._make_optimizer(resume)
+        optimizer = self._build_optimizer(resume)
         batches = source.batches(start_epoch * steps_per_epoch + first_step)
         try:
             scheduler = ExponentialDecay(optimizer, rate=cfg.lr_decay)
@@ -274,7 +249,6 @@ class Trainer:
                 # decayed rate the saved run was stepping with
                 scheduler.epoch = int(resume.meta["scheduler_epoch"])
                 optimizer.lr = float(resume.meta["lr"])
-            epochs_completed = start_epoch
             self.model.train()
             for epoch in range(start_epoch, cfg.epochs):
                 for step_i in range(first_step, steps_per_epoch):
@@ -282,8 +256,6 @@ class Trainer:
                     if loss is not None:
                         optimizer.zero_grad()
                         loss.backward()
-                        if cfg.grad_clip is not None:
-                            clip_grad_norm(self.model.parameters(), cfg.grad_clip)
                         optimizer.step()
                         if hasattr(self.model, "on_step_end"):
                             self.model.on_step_end()
@@ -295,7 +267,7 @@ class Trainer:
                     global_step = epoch * steps_per_epoch + step_i + 1
                     if (cfg.save_every_steps is not None
                             and global_step % cfg.save_every_steps == 0):
-                        self._save_state(optimizer, scheduler, stopper, epoch,
+                        self._save_state(optimizer, scheduler, epoch,
                                          step_i + 1, epoch_loss, steps_done)
                     if self.step_hook is not None:
                         self.step_hook(self, global_step)
@@ -306,31 +278,22 @@ class Trainer:
                 first_step = steps_done = 0
                 epoch_loss = 0.0
 
-                metric = None
-                if (self.eval_fn is not None
-                        and ((epoch + 1) % cfg.eval_every == 0
-                             or epoch == cfg.epochs - 1)):
+                row = {"epoch": epoch, "loss": mean_loss, "lr": lr}
+                if self.eval_fn is not None:
                     self.model.eval()
-                    metric = float(self.eval_fn())
+                    row["metric"] = float(self.eval_fn())
                     self.model.train()
-                self.history.record(
-                    epoch=epoch, loss=mean_loss, lr=lr,
-                    **({"metric": metric} if metric is not None else {}))
-                epochs_completed = epoch + 1
-                if (stopper is not None and metric is not None
-                        and stopper.update(metric)):
-                    break
+                self.history.record(**row)
             self.model.eval()
             if cfg.save_state is not None:
                 # end-of-run state: resuming it with a larger epoch budget
                 # continues training exactly where this run left off
-                self._save_state(optimizer, scheduler, stopper,
-                                 epochs_completed, 0, 0.0, 0)
+                self._save_state(optimizer, scheduler, cfg.epochs, 0, 0.0, 0)
             return self.history
         finally:
             batches.close()
 
-    def _save_state(self, optimizer, scheduler, stopper, epoch: int,
+    def _save_state(self, optimizer, scheduler, epoch: int,
                     step_in_epoch: int, epoch_loss: float,
                     steps_done: int) -> None:
         """One atomic training-state snapshot at the current cursor."""
@@ -352,7 +315,6 @@ class Trainer:
             "lr": float(optimizer.lr),
             "scheduler_epoch": int(scheduler.epoch),
             "history": self.history.rows,
-            "stopper": None if stopper is None else stopper.state_dict(),
             "dropout_rngs": [d.rng.bit_generator.state
                              for d in _dropouts(self.model)],
             **self.source.state_dict(),

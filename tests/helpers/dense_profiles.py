@@ -118,6 +118,7 @@ class DenseDMF(DMF):
         v = F.l2_normalize(v, axis=-1)
         return (u * v).sum(axis=1)
 
+    batch_scores = Recommender.batch_scores
     score = Recommender.score
 
 

@@ -119,6 +119,52 @@ class TestModelSpecifics:
         scores = model.score(np.arange(5), np.arange(5))
         assert (np.abs(scores) <= 1.0 + 1e-9).all()
 
+    def test_dmf_makes_a_steps_user_rows_dense_once(self, split,
+                                                     monkeypatch):
+        """Both sides of a pairwise step read one dense copy of the step's
+        user rows: one user-row ``toarray`` a step, not one a side."""
+        model = DMF(split.train, seed=0)
+        csr = type(model._user_profiles)
+        toarray, user_blocks = csr.toarray, []
+
+        def counting(matrix, *args, **kwargs):
+            if matrix.shape[1] == model.num_items:  # rows of user profiles
+                user_blocks.append(matrix.shape[0])
+            return toarray(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(csr, "toarray", counting)
+        assert model.num_items != model.num_users
+        config = TrainConfig(epochs=1, steps_per_epoch=3, batch_users=8,
+                             per_user=2, seed=0)
+        model.fit(split.train, config)
+        assert len(user_blocks) == 3
+
+    def test_dmf_batch_scores_match_one_side_at_a_time(self, split):
+        """Sharing the dense user rows changes no score and no gradient:
+        each side still runs its own user-tower pass."""
+        from repro.models.base import Recommender
+
+        model = DMF(split.train, seed=0)
+        rng = np.random.default_rng(0)
+        users = rng.integers(0, model.num_users, 6)
+        pos, neg = (rng.integers(0, model.num_items, 6) for _ in range(2))
+
+        def scores_and_grads(batch_scores):
+            model.zero_grad()
+            pos_scores, neg_scores = batch_scores(model, users, pos, neg)
+            (pos_scores - neg_scores).sum().backward()
+            grads = {name: np.array(p.grad)
+                     for name, p in model.named_parameters()}
+            return pos_scores.data, neg_scores.data, grads
+
+        got = scores_and_grads(DMF.batch_scores)
+        want = scores_and_grads(Recommender.batch_scores)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert sorted(got[2]) == sorted(want[2])
+        for name, grad in want[2].items():
+            np.testing.assert_array_equal(got[2][name], grad, err_msg=name)
+
     def test_autorec_score_uses_reconstruction(self, split):
         """A score is the reconstruction of the user's whole profile row."""
         model = AutoRec(split.train, seed=0)

@@ -132,7 +132,7 @@ def test_an_epoch_and_an_evaluation_stay_under_one_dense_matrix(
         evaluate_model(model, candidates)
 
     # a step's own dense rows and its tower or autoencoder activations peak
-    # at 20-30 MB here (AutoRec 20.3, CDAE 25.0, DMF 29.9): under one dense
+    # at 20-25 MB here (AutoRec 20.3, CDAE 25.0, DMF 23.7): under one dense
     # matrix, where the dense path kept two or three
     assert _peak(run) < DENSE_BYTES
 

@@ -1,4 +1,4 @@
-"""Lazy row-wise optimizer updates, sparse-aware clipping, batch-local L2."""
+"""Lazy row-wise optimizer updates, batch-local L2."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,6 @@ import pytest
 from repro.nn import (
     Adam,
     Parameter,
-    SGD,
-    clip_grad_norm,
-    global_grad_norm,
     l2_regularization,
     l2_regularization_batch,
 )
@@ -24,31 +21,6 @@ def _pair(shape=(8, 4), seed=0):
     sparse = RowSparseGrad(rows, values, shape[0])
     dense = sparse.to_dense()
     return Parameter(data.copy()), Parameter(data.copy()), sparse, dense
-
-
-class TestSGDParity:
-    def test_dense_vs_row_sparse_bitwise_identical(self):
-        p_sparse, p_dense, sparse, dense = _pair()
-        p_sparse.grad, p_dense.grad = sparse, dense
-        SGD([p_sparse], lr=0.05).step()
-        SGD([p_dense], lr=0.05).step()
-        np.testing.assert_array_equal(p_sparse.data, p_dense.data)
-
-    def test_identical_rng_stream_many_steps(self):
-        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-        p_sparse, p_dense, _, _ = _pair(seed=1)
-        opt_a, opt_b = SGD([p_sparse], lr=0.01), SGD([p_dense], lr=0.01)
-        for _ in range(20):
-            rows = rng_a.choice(8, size=3, replace=False)
-            values = rng_a.standard_normal((3, 4))
-            rows_b = rng_b.choice(8, size=3, replace=False)
-            values_b = rng_b.standard_normal((3, 4))
-            np.testing.assert_array_equal(rows, rows_b)
-            p_sparse.grad = RowSparseGrad(rows, values, 8)
-            p_dense.grad = RowSparseGrad(rows_b, values_b, 8).to_dense()
-            opt_a.step()
-            opt_b.step()
-        np.testing.assert_array_equal(p_sparse.data, p_dense.data)
 
 
 class TestLazyRowUpdates:
@@ -113,37 +85,6 @@ class TestLazyRowUpdates:
             p.grad = RowSparseGrad(rows, values, 12)
             opt.step()
         assert float(np.abs(p.data).max()) < 0.05
-
-
-class TestClipping:
-    def test_global_norm_mixes_sparse_and_dense(self):
-        a, b, sparse, dense = _pair()
-        a.grad, b.grad = sparse, dense
-        expected = float(np.sqrt(2.0 * np.sum(dense ** 2)))
-        assert global_grad_norm([a, b]) == pytest.approx(expected)
-        # a parameter that received no gradient adds nothing
-        assert global_grad_norm([a, b, Parameter(np.ones(3))]) == \
-            pytest.approx(expected)
-
-    def test_clip_scales_sparse_without_densifying(self):
-        p, _, sparse, _ = _pair()
-        p.grad = sparse
-        norm = clip_grad_norm([p], 0.5)
-        assert norm > 0.5
-        assert isinstance(p.grad, RowSparseGrad)
-        assert global_grad_norm([p]) == pytest.approx(0.5)
-
-    def test_clip_noop_under_threshold(self):
-        p = Parameter(np.ones((2, 2)))
-        p.grad = np.full((2, 2), 1e-3)
-        before = p.grad.copy()
-        clip_grad_norm([p], 10.0)
-        np.testing.assert_array_equal(p.grad, before)
-
-    def test_clip_rejects_bad_threshold(self):
-        p = Parameter(np.ones(2))
-        with pytest.raises(ValueError):
-            clip_grad_norm([p], 0.0)
 
 
 class TestBatchLocalL2:

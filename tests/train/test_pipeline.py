@@ -4,6 +4,7 @@ import threading
 import time
 
 import pytest
+from helpers.faults import CrashAtStep, TrainerKilled
 
 from repro.core import GNMR, GNMRConfig
 from repro.data import leave_one_out_split, taobao_like
@@ -222,15 +223,16 @@ class TestAsyncTraining:
         losses = history.series("loss")
         assert losses[-1] < losses[0]
 
-    def test_early_stopping_closes_pipeline(self, tiny_split):
+    def test_run_stopped_by_a_step_hook_closes_pipeline(self, tiny_split):
         before = threading.active_count()
         model = BiasMF(tiny_split.train.num_users,
                        tiny_split.train.num_items, seed=0)
         config = TrainConfig(epochs=50, steps_per_epoch=2, batch_users=4,
                              per_user=1, propagation="async", workers=2,
-                             early_stopping_patience=1, seed=0)
-        Trainer(model, tiny_split.train, config,
-                eval_fn=lambda: 0.5).run()  # constant metric → stop early
+                             seed=0)
+        with pytest.raises(TrainerKilled):  # the run stops at step 3 of 100
+            Trainer(model, tiny_split.train, config,
+                    step_hook=CrashAtStep(3)).run()
         deadline = time.time() + 5
         while threading.active_count() > before and time.time() < deadline:
             time.sleep(0.01)

@@ -36,7 +36,7 @@ def gnmr():
 
 def config(epochs, **overrides):
     base = dict(epochs=epochs, steps_per_epoch=4, batch_users=8, per_user=2,
-                seed=0, eval_every=1)
+                seed=0)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -53,17 +53,15 @@ def assert_states_equal(model_a, model_b, history_a=None, history_b=None):
 class TestEndOfRunResume:
     """Save at the end of a short run, resume to the full length."""
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_biasmf_10_equals_6_plus_4(self, tmp_path, optimizer):
+    @pytest.mark.parametrize("loss", ["hinge", "bpr"])
+    def test_biasmf_10_equals_6_plus_4(self, tmp_path, loss):
         state = str(tmp_path / "state.npz")
         full = bias_mf()
-        h_full = full.fit(SPLIT.train, config(10, optimizer=optimizer))
+        h_full = full.fit(SPLIT.train, config(10, loss=loss))
         part = bias_mf()
-        part.fit(SPLIT.train, config(6, optimizer=optimizer,
-                                     save_state=state))
+        part.fit(SPLIT.train, config(6, loss=loss, save_state=state))
         resumed = bias_mf()
-        h_resumed = resumed.fit(SPLIT.train,
-                                config(10, optimizer=optimizer),
+        h_resumed = resumed.fit(SPLIT.train, config(10, loss=loss),
                                 resume_from=state)
         assert_states_equal(full, resumed, h_full, h_resumed)
 
@@ -166,9 +164,94 @@ class TestStateOfAnEarlierBuild:
         assert_states_equal(from_whole, from_blocks, h_whole, h_blocks)
 
 
+class TestStateWithARemovedOption:
+    """Earlier builds echoed ``optimizer``, ``grad_clip`` and
+    ``eval_every`` in a state's config and kept early stopping's counters
+    as its ``stopper`` entry. A state at their defaults (Adam, no clipping,
+    every epoch evaluated, no stopper) resumes bit-exactly; one that used
+    another value names the option and is not resumed, from the library
+    or from ``train --resume``."""
+
+    #: what an earlier build echoed and saved for a run at the defaults
+    DEFAULTS = {"optimizer": "adam", "grad_clip": None, "eval_every": 1}
+
+    #: (echoed config, stopper entry, what the refusal names), one case per
+    #: removed option
+    REMOVED = pytest.mark.parametrize("echo, stopper, named", [
+        ({"optimizer": "sgd"}, None, "optimizer='sgd'"),
+        ({"grad_clip": 0.5}, None, "grad_clip=0.5"),
+        ({"eval_every": 2}, None, "eval_every=2"),
+        ({}, {"best": 0.5, "best_step": 0, "bad_checks": 1, "step": 2},
+         "stopper="),
+    ], ids=["sgd", "grad-clip", "eval-every", "early-stopping"])
+
+    @staticmethod
+    def rewrite_as_earlier_build(source, path, echo=None, stopper=None):
+        """Write the state at ``source`` to ``path`` as an earlier build
+        wrote it (SGD kept no per-parameter state)."""
+        saved = load_training_state(source)
+        echo = {**saved.config, **TestStateWithARemovedOption.DEFAULTS,
+                **(echo or {})}
+        optimizer_states = saved.optimizer_states
+        if echo["optimizer"] == "sgd":
+            optimizer_states = {name: {} for name in optimizer_states}
+        save_training_state(path, saved.model_state, optimizer_states,
+                            {**saved.meta, "config": echo, "stopper": stopper})
+
+    def earlier_build_state(self, tmp_path, echo=None, stopper=None):
+        """A 2-epoch BiasMF state as an earlier build wrote it; returns its
+        path."""
+        current = str(tmp_path / "current.npz")
+        bias_mf().fit(SPLIT.train, config(2, save_state=current))
+        path = str(tmp_path / "earlier.npz")
+        self.rewrite_as_earlier_build(current, path, echo, stopper)
+        return path
+
+    def test_state_at_the_defaults_resumes_bit_exactly(self, tmp_path):
+        state = self.earlier_build_state(tmp_path)
+        full = bias_mf()
+        h_full = full.fit(SPLIT.train, config(4))
+        resumed = bias_mf()
+        h_resumed = resumed.fit(SPLIT.train, config(4), resume_from=state)
+        assert_states_equal(full, resumed, h_full, h_resumed)
+
+    @REMOVED
+    def test_state_with_a_removed_option_is_refused(self, tmp_path, echo,
+                                                    stopper, named):
+        # unrefused, the SGD state fails on a bare KeyError: 'm' in Adam
+        # and the others resume silently on another trajectory
+        state = self.earlier_build_state(tmp_path, echo, stopper)
+        with pytest.raises(ValueError, match=named):
+            bias_mf().fit(SPLIT.train, config(4), resume_from=state)
+
+    def test_refusal_comes_before_anything_is_loaded(self, tmp_path):
+        state = self.earlier_build_state(tmp_path, {"optimizer": "sgd"})
+        model = bias_mf()
+        before = {k: v.copy() for k, v in model.state_dict().items()}
+        with pytest.raises(ValueError, match="optimizer='sgd'"):
+            model.fit(SPLIT.train, config(4), resume_from=state)
+        after = model.state_dict()
+        assert sorted(after) == sorted(before)
+        for key, value in before.items():
+            np.testing.assert_array_equal(after[key], value, err_msg=key)
+
+    @REMOVED
+    def test_cli_resume_exits_2_naming_the_option(self, tmp_path, capsys,
+                                                  echo, stopper, named):
+        from repro.cli import main
+
+        state = str(tmp_path / "state.npz")
+        base = ["train", "--model", "BiasMF", "--users", "30", "--items", "80"]
+        assert main(base + ["--epochs", "1", "--save-state", state]) == 0
+        self.rewrite_as_earlier_build(state, state, echo, stopper)
+        capsys.readouterr()
+        assert main(base + ["--epochs", "2", "--resume", state]) == 2
+        assert named in capsys.readouterr().err
+
+
 class TestFinalEpochEval:
-    """The final epoch must evaluate even when eval_every skips past it —
-    including when that final epoch runs inside a resumed session."""
+    """Given an ``eval_fn``, every epoch evaluates, the final one too —
+    including the epochs that run inside a resumed session."""
 
     @staticmethod
     def run_with_eval(model, cfg, resume_from=None):
@@ -183,24 +266,22 @@ class TestFinalEpochEval:
         return history, calls
 
     def test_uninterrupted_final_eval(self):
-        history, calls = self.run_with_eval(bias_mf(), config(6, eval_every=4))
-        # epochs 0..5: eval at epoch 3 (period) and epoch 5 (final)
-        assert len(calls) == 2
+        history, calls = self.run_with_eval(bias_mf(), config(6))
+        assert len(calls) == 6
         assert [row["epoch"] for row in history.rows
-                if row.get("metric") is not None] == [3, 5]
+                if row.get("metric") is not None] == [0, 1, 2, 3, 4, 5]
 
     def test_resumed_final_eval(self, tmp_path):
         state = str(tmp_path / "state.npz")
         part = bias_mf()
-        part.fit(SPLIT.train, config(4, eval_every=4, save_state=state))
+        part.fit(SPLIT.train, config(4, save_state=state))
         resumed = bias_mf()
         history, calls = self.run_with_eval(
-            resumed, config(6, eval_every=4), resume_from=state)
-        # only epochs 4 and 5 run here; epoch 5 is final → must evaluate
-        assert len(calls) == 1
-        evaluated = [row["epoch"] for row in history.rows
-                     if row.get("metric") is not None]
-        assert evaluated[-1] == 5
+            resumed, config(6), resume_from=state)
+        # only epochs 4 and 5 run here, and each evaluates
+        assert len(calls) == 2
+        assert [row["epoch"] for row in history.rows
+                if row.get("metric") is not None] == [4, 5]
 
 
 class TestEveryModel:

@@ -61,14 +61,6 @@ class TestTraining:
         assert len(calls) == 3
         assert history.series("metric") == [0.5, 0.5, 0.5]
 
-    def test_early_stopping(self, setup):
-        train, model = setup
-        metrics = iter([0.5, 0.4, 0.3, 0.2, 0.1, 0.05])
-        config = TrainConfig(epochs=10, steps_per_epoch=1, seed=0,
-                             early_stopping_patience=2)
-        history = Trainer(model, train, config, eval_fn=lambda: next(metrics)).run()
-        assert len(history) == 3  # stopped after 2 non-improving checks
-
     def test_bpr_loss_option(self, setup):
         train, model = setup
         config = TrainConfig(epochs=3, steps_per_epoch=2, loss="bpr", seed=0)
@@ -93,10 +85,8 @@ class TestTraining:
 
 
 class TestModeMatrix:
-    """One loop, every surviving mode: propagation and optimizer family
-    select a trajectory; one process applies every step."""
-
-    GRAD_CLIP = 0.5
+    """One loop, every surviving mode: propagation selects a trajectory;
+    one process applies every step."""
 
     @pytest.fixture(scope="class")
     def split(self):
@@ -113,37 +103,29 @@ class TestModeMatrix:
                                             num_layers=2, dropout=0.0))
 
     def train(self, split, path, *, epochs=6, resume_from=None, **overrides):
-        """Eval, clipping, mid-run saves and early stopping all on.
-        Returns history, tables, the state saved mid-run at step 4, the
-        end-of-run state and the gradient norm left behind by each step."""
-        from repro.nn import global_grad_norm
+        """Eval and mid-run saves on. Returns history, tables, the state
+        saved mid-run at step 4 and the end-of-run state."""
         from repro.train.resume import load_training_state
 
         model = self.model(split)
-        mid_run, grad_norms = [], []
+        mid_run = []
 
-        def eval_fn():
-            # reads the tables and falls tenfold per epoch, so patience=2
-            # stops the run at epoch 2
-            checksum = np.abs(model.user_embeddings.data).sum()
-            return float(checksum) / 10.0 ** len(trainer.history)
+        def eval_fn():  # reads the tables, so a metric tracks the run
+            return float(np.abs(model.user_embeddings.data).sum())
 
         def after_step(trainer, global_step):
-            # the gradients the optimizer just stepped with are still set
-            grad_norms.append(global_grad_norm(model.parameters()))
             if global_step == 4:
                 mid_run.append(load_training_state(path))
 
         config = TrainConfig(epochs=epochs, steps_per_epoch=3, batch_users=8,
                              per_user=2, workers=0, seed=0,
-                             grad_clip=self.GRAD_CLIP,
-                             early_stopping_patience=2, save_state=str(path),
-                             save_every_steps=2, **overrides)
+                             save_state=str(path), save_every_steps=2,
+                             **overrides)
         trainer = Trainer(model, split.train, config, eval_fn=eval_fn,
                           step_hook=after_step)
         history = trainer.run(resume_from)
         return (history.rows, model.state_dict(), mid_run,
-                load_training_state(path), grad_norms)
+                load_training_state(path))
 
     @staticmethod
     def assert_same_state(got, want):
@@ -159,27 +141,36 @@ class TestModeMatrix:
                     got.optimizer_states[name][slot], value,
                     err_msg=f"{name}::{slot}")
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("propagation", ["full", "async"])
-    def test_one_trajectory_per_cell(self, split, tmp_path, propagation,
-                                     optimizer):
-        cell = dict(propagation=propagation, optimizer=optimizer)
+    def test_one_trajectory_per_cell(self, split, tmp_path, propagation):
+        from repro.train.resume import save_training_state
+
+        cell = dict(propagation=propagation)
         if propagation == "async":
             cell["fanout"] = 5
-        rows, tables, mid_run, final, grad_norms = self.train(
+        rows, tables, mid_run, final = self.train(
             split, tmp_path / "first.npz", **cell)
-        assert len(rows) == 3 and len(mid_run) == 1  # stopped early; saved
+        assert len(rows) == 6 and len(mid_run) == 1
+        assert all("metric" in row for row in rows)  # every epoch evaluates
         assert mid_run[0].global_step == 4
-        # the optimizer stepped with clipped gradients, and clipping bit
-        assert max(grad_norms) == pytest.approx(self.GRAD_CLIP, rel=1e-9)
-        got_rows, got_tables, got_mid, got_final, got_norms = self.train(
+        got_rows, got_tables, got_mid, got_final = self.train(
             split, tmp_path / "second.npz", **cell)
         assert got_rows == rows  # losses, lrs and eval metrics
-        assert got_norms == grad_norms
         assert sorted(got_tables) == sorted(tables)
         for key, value in tables.items():
             np.testing.assert_array_equal(got_tables[key], value, err_msg=key)
         self.assert_same_state(got_mid[0], mid_run[0])
+        self.assert_same_state(got_final, final)
+        # train 6 epochs == the state saved at step 4 + resume to 6
+        state = mid_run[0]
+        save_training_state(tmp_path / "mid.npz", state.model_state,
+                            state.optimizer_states, state.meta)
+        got_rows, got_tables, _, got_final = self.train(
+            split, tmp_path / "resumed.npz",
+            resume_from=str(tmp_path / "mid.npz"), **cell)
+        assert got_rows == rows
+        for key, value in tables.items():
+            np.testing.assert_array_equal(got_tables[key], value, err_msg=key)
         self.assert_same_state(got_final, final)
 
     def test_state_written_by_the_previous_build_resumes(self, split,
@@ -197,9 +188,9 @@ class TestModeMatrix:
 
         from repro.train.resume import load_training_state, save_training_state
 
-        cell = dict(propagation="async", fanout=5, optimizer="adam")
-        rows, tables, _, final, _ = self.train(split, tmp_path / "full.npz",
-                                               **cell)
+        cell = dict(propagation="async", fanout=5)
+        rows, tables, _, final = self.train(split, tmp_path / "full.npz",
+                                            **cell)
         self.train(split, tmp_path / "part.npz", epochs=1, **cell)
         saved = load_training_state(tmp_path / "part.npz")
         model_state, optimizer_states = split_state(
@@ -214,7 +205,7 @@ class TestModeMatrix:
         save_training_state(
             tmp_path / "old.npz", model_state,
             {name: optimizer_states[name] for name in grouped}, meta)
-        got_rows, got_tables, _, got_final, _ = self.train(
+        got_rows, got_tables, _, got_final = self.train(
             split, tmp_path / "old.npz", resume_from=str(tmp_path / "old.npz"),
             **cell)
         assert got_rows == rows
@@ -225,6 +216,10 @@ class TestModeMatrix:
     @pytest.mark.parametrize("removed", [
         (TrainConfig, dict(shards=2)), (TrainConfig, dict(verbose=True)),
         (TrainConfig, dict(dist="sync")),
+        (TrainConfig, dict(optimizer="sgd")),
+        (TrainConfig, dict(grad_clip=1.0)),
+        (TrainConfig, dict(early_stopping_patience=2)),
+        (TrainConfig, dict(eval_every=2)),
         (GNMRConfig, dict(shards=2)),
         (GNMRConfig, dict(shard_strategy="hash")),
         (NGCF, dict(dataset=None, shards=2)),
@@ -234,18 +229,38 @@ class TestModeMatrix:
     def test_removed_fields_are_gone(self, removed):
         # nothing printed per epoch; one process applies every step; a
         # table is one array, so no model or factory takes a layout and
-        # the package that split them is not importable
+        # the package that split them is not importable; Adam is the one
+        # optimizer, every step applies its gradients unclipped and every
+        # epoch evaluates when given an eval_fn
         build, kwargs = removed
         with pytest.raises((TypeError, ModuleNotFoundError)):
             build(**kwargs)
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.nn", "SGD"), ("repro.nn", "clip_grad_norm"),
+        ("repro.nn", "global_grad_norm"), ("repro.nn.optim", "Optimizer"),
+        ("repro.nn.optim", "make_optimizer"),
+        ("repro.train", "EarlyStopping"),
+        ("repro.train.callbacks", "EarlyStopping"),
+        ("repro.tensor", "RowSparseGrad.scale_"),
+        ("repro.tensor", "RowSparseGrad.sq_norm"),
+    ])
+    def test_removed_names_are_gone(self, module, name):
+        # Adam is the one optimizer and nothing clips or stops early, so
+        # what only SGD, clipping and early stopping reached is gone too
+        owner = importlib.import_module(module)
+        *parents, leaf = name.split(".")
+        for parent in parents:
+            owner = getattr(owner, parent)
+        assert not hasattr(owner, leaf)
 
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", 0), ("steps_per_epoch", 0), ("batch_users", 0),
     ("per_user", 0), ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")),
     ("lr_decay", 0.0), ("lr_decay", 1.5), ("l2_weight", -1e-4),
-    ("grad_clip", 0.0), ("grad_clip", -1.0), ("early_stopping_patience", 0),
-    ("dtype", "float16"),
+    ("lr_decay", float("nan")), ("l2_weight", float("nan")),
+    ("save_every_steps", 0), ("dtype", "float16"),
 ])
 def test_config_refuses_what_would_train_nothing(field, value):
     """Each of these used to be accepted and "trained" zero steps, or failed

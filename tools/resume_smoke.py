@@ -49,7 +49,7 @@ def config(save_state=None):
 
     return TrainConfig(epochs=EPOCHS, steps_per_epoch=4, batch_users=8,
                        per_user=2, propagation="async", workers=0, fanout=5,
-                       seed=0, optimizer="adam", save_state=save_state,
+                       seed=0, save_state=save_state,
                        save_every_steps=SAVE_EVERY if save_state else None)
 
 
